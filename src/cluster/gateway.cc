@@ -130,6 +130,18 @@ ClusterGateway::ClusterGateway(Fleet &fleet, GatewayConfig config)
       lastRefill_(fleet.simulation().now()),
       outstanding_(std::size_t(fleet.size()), 0)
 {
+    defs_.resize(std::size_t(fleet.size()) * functions_.size());
+}
+
+const core::FunctionDef *
+ClusterGateway::definition(int node, std::uint32_t fn)
+{
+    const std::string &name = functions_.at(fn);
+    const core::FunctionDef *&def =
+        defs_[std::size_t(node) * functions_.size() + fn];
+    if (def == nullptr)
+        def = fleet_.node(node).registry().findPtr(name);
+    return def;
 }
 
 void
@@ -205,20 +217,22 @@ ClusterGateway::dispatch(const load::Arrival &a, int node)
 sim::Task<>
 ClusterGateway::serve(load::Arrival a, int node)
 {
-    auto result = co_await fleet_.node(node).invoke(
-        functions_.at(a.fn), opts_.invoke);
+    core::Molecule &rt = fleet_.node(node);
+    const core::FunctionDef *def = definition(node, a.fn);
+    // An unknown name takes the by-name path for its NotFound error.
+    core::Expected<obs::InvocationRecord> result(obs::InvocationRecord{});
+    if (def != nullptr)
+        result = co_await rt.invoke(*def, opts_.invoke);
+    else
+        result = co_await rt.invoke(functions_.at(a.fn), opts_.invoke);
     sim::Simulation &sim = fleet_.simulation();
     if (result.ok()) {
         // Cross-PU serves paid the manager->worker delivery; that
         // volume is the cost model's egress term.
-        core::Molecule &rt = fleet_.node(node);
         std::uint64_t transferBytes = 0;
-        if (result.value().pu != rt.options().managerPu) {
-            const core::FunctionDef *def =
-                rt.registry().findPtr(functions_.at(a.fn));
-            if (def != nullptr && def->cpuWork != nullptr)
-                transferBytes = def->cpuWork->msgBytes;
-        }
+        if (result.value().pu != rt.options().managerPu &&
+            def != nullptr && def->cpuWork != nullptr)
+            transferBytes = def->cpuWork->msgBytes;
         stats_.onCompleted(node, result.value(), sim.now() - a.at,
                            int(a.tenant), transferBytes);
     } else {

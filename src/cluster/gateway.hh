@@ -222,8 +222,13 @@ class ClusterGateway final : public load::ArrivalSink
     /** Serve one invocation on @p node (copies its arguments). */
     sim::Task<> serve(load::Arrival a, int node);
 
+    /** Definition of function @p fn on @p node, resolved once. */
+    const core::FunctionDef *definition(int node, std::uint32_t fn);
+
     Fleet &fleet_;
     std::vector<std::string> functions_;
+    /** defs_[node * functions_.size() + fn]; null until resolved. */
+    std::vector<const core::FunctionDef *> defs_;
     AdmissionOptions opts_;
     /** Set only when the config left dispatch null. */
     std::unique_ptr<DispatchPolicy> ownedPolicy_;

@@ -49,7 +49,8 @@ struct RunContext
     /** Causal root for every span of this chain execution. */
     obs::SpanContext trace;
     std::vector<DagEngine::Endpoint> eps;
-    /** Gateway-side client used for the entry edge. */
+    /** Gateway-side process and client used for the entry edge. */
+    os::Process *gatewayProc = nullptr;
     std::unique_ptr<xpu::XpuClient> gatewayClient;
     std::vector<sim::SimTime> edgeLatency; // per node; root = entry
     std::vector<sim::SimTime> execEnd;     // per node
@@ -158,7 +159,7 @@ runNode(RunContext *ctx, int idx, sim::SimTime upstreamDone)
                                 ep.def->cpuWork->coldExecFactor
                           : ep.def->cpuWork->execCost;
     core::Status st = co_await ctx->dep->runcOn(ep.pu).invoke(
-        ep.acq.instance->id, exec, span.ctx());
+        *ep.acq.instance, exec, span.ctx());
     MOLECULE_ASSERT(st.ok(), "chain node exec failed: %s",
                     st.toString().c_str());
     ctx->execEnd[std::size_t(idx)] = sim.now();
@@ -215,11 +216,11 @@ DagEngine::run(const ChainSpec &spec, const std::vector<int> &placement,
     // Wire the direct-connect fabric (Molecule mode only).
     if (mode == DagCommMode::MoleculeIpc) {
         // Gateway-side process for the entry edge.
-        os::Process *gw = co_await dep_.osOn(managerPu).spawnProcess(
+        run.gatewayProc = co_await dep_.osOn(managerPu).spawnProcess(
             "gateway/" + spec.name, 1 << 20, ctx);
-        MOLECULE_ASSERT(gw != nullptr, "gateway spawn failed");
+        MOLECULE_ASSERT(run.gatewayProc != nullptr, "gateway spawn failed");
         run.gatewayClient = std::make_unique<xpu::XpuClient>(
-            dep_.shimOn(managerPu), *gw);
+            dep_.shimOn(managerPu), *run.gatewayProc);
         run.gatewayClient->setTraceContext(ctx);
 
         for (std::size_t i = 0; i < run.eps.size(); ++i) {
@@ -299,6 +300,9 @@ DagEngine::run(const ChainSpec &spec, const std::vector<int> &placement,
             dep_.osOn(ep.pu).removeFifo(ep.fifoName + "/local");
         co_await startup_.release(*ep.def, ep.acq);
     }
+    // The entry-edge process dies with the chain (no sim time).
+    if (run.gatewayProc != nullptr)
+        dep_.osOn(managerPu).exitProcess(*run.gatewayProc);
     co_return record;
 }
 

@@ -11,8 +11,11 @@
 #ifndef MOLECULE_CORE_FUNCTION_HH
 #define MOLECULE_CORE_FUNCTION_HH
 
+#include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hw/pu.hh"
@@ -28,10 +31,18 @@ struct Profile
     double pricePer100ms = 1.0;
 };
 
+/** Dense function id: 0, 1, 2, ... in first-registration order. */
+using FnId = std::uint32_t;
+
+/** Id of a definition that was never registered. */
+inline constexpr FnId kNoFn = ~FnId(0);
+
 /** A registered serverless function. */
 struct FunctionDef
 {
     std::string name;
+    /** Set by FunctionRegistry::add. */
+    FnId id = kNoFn;
     /** Execution model on general-purpose PUs (null: accel-only). */
     const workloads::CpuWorkload *cpuWork = nullptr;
     /** Execution model on FPGAs (null: no FPGA profile). */
@@ -54,7 +65,8 @@ struct FunctionDef
     }
 };
 
-/** Name-keyed registry of function definitions. */
+/** Definitions interned by name to FnIds. Re-adding a name replaces
+ * the definition in place: same id, same address. */
 class FunctionRegistry
 {
   public:
@@ -64,18 +76,30 @@ class FunctionRegistry
     const FunctionDef &find(const std::string &name) const;
 
     /** Lookup without the fatal-on-missing contract of find(). */
-    const FunctionDef *findPtr(const std::string &name) const;
+    const FunctionDef *findPtr(std::string_view name) const;
 
     bool has(const std::string &name) const;
 
+    /** Definition of a registered id. */
+    const FunctionDef &at(FnId id) const { return defs_[id]; }
+
+    /** Bumped by every add() of @p id (cache invalidation). */
+    std::uint32_t revision(FnId id) const { return revisions_[id]; }
+
     std::size_t size() const { return defs_.size(); }
+
+    /** Every id in name order: the order ties are broken in. */
+    const std::vector<FnId> &idsByName() const { return idsByName_; }
 
     /** CPU/DPU images usable to seed per-language cfork templates. */
     std::vector<const sandbox::FunctionImage *>
     imagesForTemplates() const;
 
   private:
-    std::map<std::string, FunctionDef> defs_;
+    std::deque<FunctionDef> defs_;
+    std::vector<std::uint32_t> revisions_;
+    std::map<std::string, FnId, std::less<>> byName_;
+    std::vector<FnId> idsByName_;
 };
 
 } // namespace molecule::core

@@ -1,33 +1,8 @@
 #include "core/gateway.hh"
 
-#include <algorithm>
-
 namespace molecule::core {
 
 namespace calib = hw::calib;
-
-Expected<int>
-Gateway::admit(const FunctionDef &fn, int requestedPu,
-               std::span<const int> exclude) const
-{
-    const bool excluded =
-        requestedPu >= 0 &&
-        std::find(exclude.begin(), exclude.end(), requestedPu) !=
-            exclude.end();
-    if (requestedPu >= 0 && !excluded) {
-        if (dep_.puDown(requestedPu))
-            return Error(Errc::PuCrashed,
-                         "requested PU is down", requestedPu);
-        return Expected<int>(requestedPu);
-    }
-    // An excluded explicit placement (a failed earlier attempt) falls
-    // through to failover placement by the scheduler.
-    const int pick = scheduler_.place(fn, exclude);
-    if (pick < 0)
-        return Error(Errc::NoCapacity,
-                     "no PU can admit '" + fn.name + "'");
-    return Expected<int>(pick);
-}
 
 const char *
 toString(CommercialPlatform p)

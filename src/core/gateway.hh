@@ -1,11 +1,6 @@
 /**
  * @file
- * Request admission and the commercial comparators (Fig 9).
- *
- * The Gateway is the front door of one invocation: it validates the
- * requested placement (or asks the scheduler for one) and produces a
- * typed admission decision — crashed PUs and capacity exhaustion are
- * `core::Error`s the caller can retry or fail over on, never asserts.
+ * The commercial comparators (Fig 9).
  *
  * AWS Lambda and OpenWhisk are modelled as opaque control planes with
  * calibrated startup and inter-function (step) latencies; Molecule and
@@ -16,42 +11,10 @@
 #ifndef MOLECULE_CORE_GATEWAY_HH
 #define MOLECULE_CORE_GATEWAY_HH
 
-#include "core/scheduler.hh"
-#include "core/status.hh"
 #include "hw/calibration.hh"
 
 namespace molecule::core {
 
-/**
- * Admission control of one Molecule runtime.
- */
-class Gateway
-{
-  public:
-    Gateway(Deployment &dep, Scheduler &scheduler)
-        : dep_(dep), scheduler_(scheduler)
-    {}
-
-    /**
-     * Admit one invocation of @p fn.
-     *
-     * @param requestedPu explicit placement (-1: scheduler decides)
-     * @param exclude PUs earlier attempts of this invocation failed
-     *        on (failover placement skips them)
-     * @return the target PU, or a typed error: PuCrashed for an
-     *         explicit placement on a down PU, NoCapacity when no
-     *         allowed PU can admit the function.
-     */
-    [[nodiscard]] Expected<int>
-    admit(const FunctionDef &fn, int requestedPu,
-          std::span<const int> exclude = {}) const;
-
-  private:
-    Deployment &dep_;
-    Scheduler &scheduler_;
-};
-
-/** Modelled commercial platforms. */
 enum class CommercialPlatform { AwsLambda, OpenWhisk };
 
 const char *toString(CommercialPlatform p);

@@ -15,11 +15,20 @@ LruKeepAlive::score(const WarmEntryView &entry, sim::SimTime now) const
 double
 GreedyDualKeepAlive::parkPriority(const WarmEntryView &entry)
 {
-    const auto it =
-        clock_.find(PoolKey{std::string(entry.fn), entry.pu});
-    const double clock = it != clock_.end() ? it->second : 0.0;
+    const double clock = entry.fnId != kNoFn ? clockOf(entry) : 0.0;
     return clock + double(entry.freq) * entry.costMs /
                        std::max(1.0, entry.sizeMb);
+}
+
+double &
+GreedyDualKeepAlive::clockOf(const WarmEntryView &entry)
+{
+    if (entry.fnId >= clock_.size())
+        clock_.resize(std::size_t(entry.fnId) + 1);
+    std::vector<double> &row = clock_[entry.fnId];
+    if (std::size_t(entry.pu) >= row.size())
+        row.resize(std::size_t(entry.pu) + 1, 0.0);
+    return row[std::size_t(entry.pu)];
 }
 
 double
@@ -33,8 +42,8 @@ GreedyDualKeepAlive::score(const WarmEntryView &entry,
 void
 GreedyDualKeepAlive::onEvict(const WarmEntryView &entry)
 {
-    clock_[PoolKey{std::string(entry.fn), entry.pu}] =
-        entry.parkPriority;
+    if (entry.fnId != kNoFn)
+        clockOf(entry) = entry.parkPriority;
 }
 
 void
@@ -131,16 +140,5 @@ toString(KeepAliveConfig::Kind kind)
     }
     return "?";
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-KeepAliveConfig
-keepAliveConfigFrom(KeepAlivePolicy policy)
-{
-    return policy == KeepAlivePolicy::GreedyDual
-               ? KeepAliveConfig::greedyDual()
-               : KeepAliveConfig::lru();
-}
-#pragma GCC diagnostic pop
 
 } // namespace molecule::core

@@ -34,7 +34,9 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
+#include "core/function.hh"
 #include "sim/time.hh"
 
 namespace molecule::core {
@@ -43,6 +45,8 @@ namespace molecule::core {
 struct WarmEntryView
 {
     std::string_view fn;
+    /** Registry id of @ref fn (kNoFn outside a startup manager). */
+    FnId fnId = kNoFn;
     int pu = -1;
     sim::SimTime lastUsed;
     /** Lifetime request count of (fn, pu). */
@@ -130,10 +134,12 @@ class GreedyDualKeepAlive final : public KeepAliveStrategy
     void onEvict(const WarmEntryView &entry) override;
 
   private:
-    using PoolKey = std::pair<std::string, int>;
+    /** Clock of @p entry's (fnId, pu) pool, zero before any eviction;
+     * views without an id (kNoFn) read zero and age nothing. */
+    double &clockOf(const WarmEntryView &entry);
 
-    /** Greedy-dual clock per (fn, pu) pool. */
-    std::map<PoolKey, double> clock_;
+    /** clock_[fnId][pu]. */
+    std::vector<std::vector<double>> clock_;
 };
 
 /**
@@ -242,24 +248,6 @@ struct KeepAliveConfig
 };
 
 const char *toString(KeepAliveConfig::Kind kind);
-
-/**
- * Pre-policy-layer eviction selector, kept for exactly one release so
- * downstream code migrates off the enum at its own pace. Use
- * KeepAliveConfig (and StartupOptions::keepAlive) instead.
- */
-enum class [[deprecated(
-    "use KeepAliveConfig / StartupOptions::keepAlive")]] KeepAlivePolicy {
-    Lru,
-    GreedyDual,
-};
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-/** Enum -> strategy-config adapter (one-release migration shim). */
-[[deprecated("use KeepAliveConfig::lru() / ::greedyDual()")]]
-KeepAliveConfig keepAliveConfigFrom(KeepAlivePolicy policy);
-#pragma GCC diagnostic pop
 
 } // namespace molecule::core
 

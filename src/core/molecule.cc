@@ -18,7 +18,6 @@ Molecule::Molecule(hw::Computer &computer, MoleculeOptions options)
     scheduler_ = std::make_unique<Scheduler>(*dep_, registry_);
     scheduler_->setStartupManager(startup_.get());
     scheduler_->installPlacement(options_.placement.make());
-    gateway_ = std::make_unique<Gateway>(*dep_, *scheduler_);
     dag_ = std::make_unique<DagEngine>(*dep_, *startup_, registry_);
     if (options_.faults != nullptr) {
         dep_->attachFaults(options_.faults);
@@ -76,21 +75,6 @@ Molecule::registerGpuFunction(const std::string &name,
 }
 
 void
-Molecule::registerHybridFunction(const std::string &cpuName,
-                                 const std::string &fpgaName,
-                                 std::uint64_t units)
-{
-    FunctionDef def;
-    def.name = cpuName;
-    def.cpuWork = &catalog_.cpu(cpuName);
-    def.fpgaWork = &catalog_.fpga(fpgaName);
-    def.fpgaUnits = units;
-    def.profiles.push_back(Profile{hw::PuType::HostCpu, 1.0});
-    def.profiles.push_back(Profile{hw::PuType::FpgaHost, 3.0});
-    registry_.add(std::move(def));
-}
-
-void
 Molecule::start()
 {
     if (started_)
@@ -131,7 +115,7 @@ Molecule::invokeOnce(const FunctionDef &def, const InvokeOptions &opts,
                                   ? owned_opts.pu
                                   : -1;
         const Expected<int> admitted =
-            gateway_->admit(*defp, requested, owned_exclude.view());
+            scheduler_->admit(*defp, requested, owned_exclude.view());
         if (!admitted.ok())
             co_return admitted.error();
         target = admitted.value();
@@ -218,7 +202,7 @@ Molecule::invokeOnce(const FunctionDef &def, const InvokeOptions &opts,
                                 defp->cpuWork->coldExecFactor
                           : defp->cpuWork->execCost;
     core::Status st = co_await dep_->runcOn(target).invoke(
-        acq.instance->id, exec, rootCtx);
+        *acq.instance, exec, rootCtx);
     scheduler_->noteComplete(target);
     if (!st.ok())
         co_return st.error();
@@ -229,12 +213,18 @@ Molecule::invokeOnce(const FunctionDef &def, const InvokeOptions &opts,
 sim::Task<Expected<obs::InvocationRecord>>
 Molecule::invoke(const std::string &fn, const InvokeOptions &opts)
 {
-    std::string owned_fn = fn;
-    InvokeOptions owned_opts = opts;
-    const FunctionDef *def = registry_.findPtr(owned_fn);
+    const FunctionDef *def = registry_.findPtr(fn);
     if (def == nullptr)
-        co_return Error(Errc::NotFound,
-                        "unknown function '" + owned_fn + "'");
+        co_return Error(Errc::NotFound, "unknown function '" + fn + "'");
+    co_return co_await invoke(*def, opts);
+}
+
+sim::Task<Expected<obs::InvocationRecord>>
+Molecule::invoke(const FunctionDef &fn, const InvokeOptions &opts)
+{
+    const FunctionDef *def = &fn;
+    const std::string &owned_fn = def->name;
+    InvokeOptions owned_opts = opts;
     MOLECULE_ASSERT(def->cpuWork != nullptr,
                     "'%s' is accelerator-only; use invokeFpga",
                     owned_fn.c_str());
@@ -317,33 +307,34 @@ Molecule::invoke(const std::string &fn, const InvokeOptions &opts)
 sim::Task<Expected<obs::InvocationRecord>>
 Molecule::invoke(const std::string &fn, int pu)
 {
-    std::string owned_fn = fn;
     InvokeOptions opts;
     opts.pu = pu;
-    auto r = co_await invoke(owned_fn, opts);
-    co_return r;
+    co_return co_await invoke(fn, opts);
+}
+
+template <typename T>
+Expected<T>
+Molecule::runSync(sim::Task<Expected<T>> task, const std::string &what)
+{
+    // Watchdog slot: if the simulation drains with the task still
+    // pending — some fault left it blocked forever — the Hang error is
+    // what the caller sees instead of a silent garbage record.
+    Expected<T> out(Error(
+        Errc::Hang, what + " did not complete before the simulation drained"));
+    auto run = [](sim::Task<Expected<T>> t,
+                  Expected<T> *slot) -> sim::Task<> {
+        Expected<T> r = co_await std::move(t);
+        *slot = std::move(r);
+    };
+    simulation().spawn(run(std::move(task), &out));
+    simulation().run();
+    return out;
 }
 
 Expected<obs::InvocationRecord>
 Molecule::invokeSync(const std::string &fn, const InvokeOptions &opts)
 {
-    // Watchdog slot: if the simulation drains with the invocation
-    // still pending — some fault left it blocked forever — the Hang
-    // error is what the caller sees instead of a silent garbage
-    // record.
-    Expected<obs::InvocationRecord> out(Error(
-        Errc::Hang,
-        "invocation of '" + fn +
-            "' did not complete before the simulation drained"));
-    auto run = [](Molecule *self, std::string name, InvokeOptions o,
-                  Expected<obs::InvocationRecord> *slot) -> sim::Task<> {
-        Expected<obs::InvocationRecord> r =
-            co_await self->invoke(name, o);
-        *slot = std::move(r);
-    };
-    simulation().spawn(run(this, fn, opts, &out));
-    simulation().run();
-    return out;
+    return runSync(invoke(fn, opts), "invocation of '" + fn + "'");
 }
 
 Expected<obs::InvocationRecord>
@@ -447,41 +438,12 @@ Molecule::invokeFpga(const std::string &fn, int fpgaIndex,
     co_return out;
 }
 
-sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invokeFpga(const std::string &fn, int fpgaIndex,
-                     std::uint64_t units)
-{
-    std::string owned_fn = fn;
-    InvokeOptions opts;
-    auto r = co_await invokeFpga(owned_fn, fpgaIndex, units, opts);
-    co_return r;
-}
-
 Expected<obs::InvocationRecord>
 Molecule::invokeFpgaSync(const std::string &fn, int fpgaIndex,
                          std::uint64_t units, const InvokeOptions &opts)
 {
-    Expected<obs::InvocationRecord> out(Error(
-        Errc::Hang,
-        "invocation of '" + fn +
-            "' did not complete before the simulation drained"));
-    auto run = [](Molecule *self, std::string name, int idx,
-                  std::uint64_t u, InvokeOptions o,
-                  Expected<obs::InvocationRecord> *slot) -> sim::Task<> {
-        Expected<obs::InvocationRecord> r =
-            co_await self->invokeFpga(name, idx, u, o);
-        *slot = std::move(r);
-    };
-    simulation().spawn(run(this, fn, fpgaIndex, units, opts, &out));
-    simulation().run();
-    return out;
-}
-
-Expected<obs::InvocationRecord>
-Molecule::invokeFpgaSync(const std::string &fn, int fpgaIndex,
-                         std::uint64_t units)
-{
-    return invokeFpgaSync(fn, fpgaIndex, units, InvokeOptions{});
+    return runSync(invokeFpga(fn, fpgaIndex, units, opts),
+                   "invocation of '" + fn + "'");
 }
 
 sim::Task<Expected<obs::InvocationRecord>>
@@ -527,19 +489,7 @@ Molecule::invokeGpu(const std::string &fn, int gpuIndex)
 Expected<obs::InvocationRecord>
 Molecule::invokeGpuSync(const std::string &fn, int gpuIndex)
 {
-    Expected<obs::InvocationRecord> out(Error(
-        Errc::Hang,
-        "invocation of '" + fn +
-            "' did not complete before the simulation drained"));
-    auto run = [](Molecule *self, std::string name, int idx,
-                  Expected<obs::InvocationRecord> *slot) -> sim::Task<> {
-        Expected<obs::InvocationRecord> r =
-            co_await self->invokeGpu(name, idx);
-        *slot = std::move(r);
-    };
-    simulation().spawn(run(this, fn, gpuIndex, &out));
-    simulation().run();
-    return out;
+    return runSync(invokeGpu(fn, gpuIndex), "invocation of '" + fn + "'");
 }
 
 sim::Task<Expected<obs::ChainRecord>>
@@ -572,21 +522,8 @@ Expected<obs::ChainRecord>
 Molecule::invokeChainSync(const ChainSpec &spec,
                           std::vector<int> placement, bool prewarm)
 {
-    Expected<obs::ChainRecord> out(Error(
-        Errc::Hang,
-        "chain '" + spec.name +
-            "' did not complete before the simulation drained"));
-    auto run = [](Molecule *self, ChainSpec s, std::vector<int> p,
-                  bool w,
-                  Expected<obs::ChainRecord> *slot) -> sim::Task<> {
-        Expected<obs::ChainRecord> r =
-            co_await self->invokeChain(s, std::move(p), w);
-        *slot = std::move(r);
-    };
-    simulation().spawn(run(this, spec, std::move(placement), prewarm,
-                           &out));
-    simulation().run();
-    return out;
+    return runSync(invokeChain(spec, std::move(placement), prewarm),
+                   "chain '" + spec.name + "'");
 }
 
 } // namespace molecule::core

@@ -122,8 +122,6 @@ class Molecule
 
     Scheduler &scheduler() { return *scheduler_; }
 
-    Gateway &gateway() { return *gateway_; }
-
     DagEngine &dag() { return *dag_; }
 
     workloads::Catalog &catalog() { return catalog_; }
@@ -154,11 +152,6 @@ class Molecule
     void registerGpuFunction(const std::string &name,
                              sim::SimTime kernelTime,
                              std::uint64_t ioBytes = 1 << 20);
-
-    /** Register a function that may run on both CPU/DPU and FPGA. */
-    void registerHybridFunction(const std::string &cpuName,
-                                const std::string &fpgaName,
-                                std::uint64_t units = 1);
     ///@}
 
     /**
@@ -176,8 +169,13 @@ class Molecule
      * @ref InvokeOptions::retryBackoff; with failover enabled the
      * retry excludes every PU a previous attempt failed on. On
      * exhaustion the RetriesExhausted error carries the last cause,
-     * the retry count and the PUs tried.
+     * the retry count and the PUs tried. @p fn must be a definition
+     * held by registry().
      */
+    [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
+    invoke(const FunctionDef &fn, const InvokeOptions &opts);
+
+    /** invoke() by name: one registry lookup, NotFound when unknown. */
     [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
     invoke(const std::string &fn, const InvokeOptions &opts);
 
@@ -207,17 +205,9 @@ class Molecule
     invokeFpga(const std::string &fn, int fpgaIndex,
                std::uint64_t units, const InvokeOptions &opts);
 
-    [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invokeFpga(const std::string &fn, int fpgaIndex,
-               std::uint64_t units);
-
     [[nodiscard]] Expected<obs::InvocationRecord>
     invokeFpgaSync(const std::string &fn, int fpgaIndex,
-                   std::uint64_t units, const InvokeOptions &opts);
-
-    [[nodiscard]] Expected<obs::InvocationRecord>
-    invokeFpgaSync(const std::string &fn, int fpgaIndex,
-                   std::uint64_t units);
+                   std::uint64_t units, const InvokeOptions &opts = {});
 
     /** One GPU invocation (§6.8 generality path). */
     [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
@@ -238,6 +228,11 @@ class Molecule
     ///@}
 
   private:
+    /** Run @p task (@p what, for the Hang error) to completion. */
+    template <typename T>
+    Expected<T> runSync(sim::Task<Expected<T>> task,
+                        const std::string &what);
+
     /**
      * One attempt of the CPU/DPU pipeline (no retry logic). On
      * success @p acqOut holds the acquired instance so the caller can
@@ -256,7 +251,6 @@ class Molecule
     std::unique_ptr<Deployment> dep_;
     std::unique_ptr<StartupManager> startup_;
     std::unique_ptr<Scheduler> scheduler_;
-    std::unique_ptr<Gateway> gateway_;
     std::unique_ptr<DagEngine> dag_;
     std::unique_ptr<RecoveryManager> recovery_;
     bool started_ = false;

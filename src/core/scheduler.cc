@@ -12,20 +12,29 @@ Scheduler::admissibleBytes(int pu) const
     return dep_.computer().pu(pu).memoryFree();
 }
 
-PlacementView
-Scheduler::view(const FunctionDef &fn,
-                std::span<const int> exclude) const
+const Scheduler::FnRows &
+Scheduler::rowsOf(const FunctionDef &fn) const
 {
+    MOLECULE_ASSERT(fn.id != kNoFn, "'%s' unregistered", fn.name.c_str());
+    if (fn.id >= rows_.size())
+        rows_.resize(std::size_t(fn.id) + 1);
+    FnRows &cached = rows_[fn.id];
+    const std::uint32_t revision = registry_.revision(fn.id);
+    if (cached.revision == revision)
+        return cached;
+    cached.revision = revision;
+    std::uint64_t h = 14695981039346656037ULL;
+    for (char c : fn.name)
+        h = (h ^ std::uint64_t(std::uint8_t(c))) * 1099511628211ULL;
+    cached.nameHash = h;
     const std::uint64_t need =
         fn.cpuWork ? fn.cpuWork->image.mem.privateBytes +
                          fn.cpuWork->image.mem.runtimeShared / 8
                    : 0;
-    const sim::SimTime now = dep_.simulation().now();
-    const fault::FaultState *faults = dep_.faults();
-
-    std::vector<PuView> pus;
     // One view row per PU an allowed profile covers; the first profile
     // of a kind (registration order) prices that kind's rows.
+    std::vector<PuView> &pus = cached.rows;
+    pus.clear();
     for (std::uint32_t rank = 0; rank < fn.profiles.size(); ++rank) {
         const Profile &profile = fn.profiles[rank];
         for (int pu : dep_.pusOfType(profile.kind)) {
@@ -40,25 +49,7 @@ Scheduler::view(const FunctionDef &fn,
             v.price = profile.pricePer100ms;
             v.profileRank = rank;
             v.cores = dep_.computer().pu(pu).desc().cores;
-            v.outstanding =
-                std::size_t(pu) < outstanding_.size()
-                    ? outstanding_[std::size_t(pu)]
-                    : 0;
-            v.warmSandboxes = startup_ != nullptr
-                                  ? startup_->warmCount(fn.name, pu)
-                                  : 0;
-            v.freeBytes = admissibleBytes(pu);
             v.needBytes = need;
-            v.down = dep_.puDown(pu);
-            v.excluded = std::find(exclude.begin(), exclude.end(),
-                                   pu) != exclude.end();
-            if (faults != nullptr) {
-                v.capabilityEpoch = faults->puEpoch(pu);
-                const fault::LinkFault *lf = faults->linkFault(0, pu);
-                v.linkDegraded =
-                    lf != nullptr &&
-                    (lf->downUntil > now || lf->degradedUntil > now);
-            }
             pus.push_back(v);
         }
     }
@@ -66,6 +57,33 @@ Scheduler::view(const FunctionDef &fn,
               [](const PuView &a, const PuView &b) {
                   return a.pu < b.pu;
               });
+    return cached;
+}
+
+PlacementView
+Scheduler::view(const FunctionDef &fn,
+                std::span<const int> exclude) const
+{
+    const sim::SimTime now = dep_.simulation().now();
+    const fault::FaultState *faults = dep_.faults();
+    std::vector<PuView> pus = rowsOf(fn).rows;
+    for (PuView &v : pus) {
+        const int pu = v.pu;
+        v.outstanding = outstanding(pu);
+        v.warmSandboxes =
+            startup_ != nullptr ? startup_->warmCount(fn.id, pu) : 0;
+        v.freeBytes = admissibleBytes(pu);
+        v.down = dep_.puDown(pu);
+        v.excluded = std::find(exclude.begin(), exclude.end(), pu) !=
+                     exclude.end();
+        if (faults != nullptr) {
+            v.capabilityEpoch = faults->puEpoch(pu);
+            const fault::LinkFault *lf = faults->linkFault(0, pu);
+            v.linkDegraded =
+                lf != nullptr &&
+                (lf->downUntil > now || lf->degradedUntil > now);
+        }
+    }
     return PlacementView(std::move(pus));
 }
 
@@ -79,12 +97,27 @@ Scheduler::place(const FunctionDef &fn, std::span<const int> exclude)
     const PlacementView v = view(fn, exclude);
     const int pick = policy_->place(req, v);
     // Fold (function, pick) into the per-policy placement golden.
-    std::uint64_t h = 14695981039346656037ULL;
-    for (char c : fn.name)
-        h = (h ^ std::uint64_t(std::uint8_t(c))) * 1099511628211ULL;
-    placeFp_.mix(h);
+    placeFp_.mix(rowsOf(fn).nameHash);
     placeFp_.mix(std::uint64_t(std::int64_t(pick)));
     return pick;
+}
+
+Expected<int>
+Scheduler::admit(const FunctionDef &fn, int requestedPu,
+                 std::span<const int> exclude)
+{
+    if (requestedPu >= 0 && std::find(exclude.begin(), exclude.end(),
+                                      requestedPu) == exclude.end()) {
+        if (dep_.puDown(requestedPu))
+            return Error(Errc::PuCrashed,
+                         "requested PU is down", requestedPu);
+        return Expected<int>(requestedPu);
+    }
+    const int pick = place(fn, exclude);
+    if (pick < 0)
+        return Error(Errc::NoCapacity,
+                     "no PU can admit '" + fn.name + "'");
+    return Expected<int>(pick);
 }
 
 std::vector<int>

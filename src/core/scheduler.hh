@@ -21,6 +21,7 @@
 #include "core/deployment.hh"
 #include "core/function.hh"
 #include "core/placement.hh"
+#include "core/status.hh"
 #include "sim/analysis.hh"
 #include "sim/stats.hh"
 
@@ -48,6 +49,13 @@ class Scheduler
      * @return PU id, or -1 when no PU can admit the function.
      */
     int place(const FunctionDef &fn, std::span<const int> exclude = {});
+
+    /** Admit one invocation: @p requestedPu (-1: none) unless it is
+     * in @p exclude, else place(). PuCrashed for an explicit down PU,
+     * NoCapacity when nothing fits. */
+    [[nodiscard]] Expected<int>
+    admit(const FunctionDef &fn, int requestedPu,
+          std::span<const int> exclude = {});
 
     /** Snapshot the decision inputs for @p fn (also used by tests to
      * audit exactly what a policy saw). */
@@ -108,10 +116,25 @@ class Scheduler
     }
 
   private:
+    /** A function's candidate rows (static fields only) and the name
+     * hash folded into the placement digest. */
+    struct FnRows
+    {
+        /** FunctionRegistry::revision built from (0: never). */
+        std::uint32_t revision = 0;
+        std::uint64_t nameHash = 0;
+        std::vector<PuView> rows;
+    };
+
+    /** The cached rows of @p fn, rebuilt after a re-registration. */
+    const FnRows &rowsOf(const FunctionDef &fn) const;
+
     Deployment &dep_;
     const FunctionRegistry &registry_;
     const StartupManager *startup_ = nullptr;
     std::unique_ptr<PlacementPolicy> policy_;
+    /** rows_[fnId]; grown on demand. */
+    mutable std::vector<FnRows> rows_;
     /** outstanding_[pu]; grown on demand. */
     std::vector<int> outstanding_;
     sim::Fingerprint placeFp_;

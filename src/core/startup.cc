@@ -13,8 +13,28 @@ StartupManager::StartupManager(Deployment &dep,
                                const FunctionRegistry &registry,
                                StartupOptions options)
     : dep_(dep), registry_(registry), options_(options),
-      strategy_(options_.keepAlive.make())
+      strategy_(options_.keepAlive.make()),
+      puCount_(std::size_t(dep.computer().puCount()))
 {}
+
+StartupManager::Slot &
+StartupManager::slot(FnId fn, int pu)
+{
+    MOLECULE_ASSERT(fn != kNoFn, "function is not registered");
+    if (fn >= slots_.size())
+        slots_.resize(std::size_t(fn) + 1);
+    if (slots_[fn] == nullptr)
+        slots_[fn] = std::make_unique<Slot[]>(puCount_);
+    return slots_[fn][std::size_t(pu)];
+}
+
+const StartupManager::Slot *
+StartupManager::findSlot(FnId fn, int pu) const
+{
+    return fn < slots_.size() && slots_[fn] != nullptr
+               ? &slots_[fn][std::size_t(pu)]
+               : nullptr;
+}
 
 void
 StartupManager::installKeepAlive(
@@ -25,12 +45,12 @@ StartupManager::installKeepAlive(
 }
 
 WarmEntryView
-StartupManager::entryView(const PoolKey &key,
-                          const WarmEntry &entry) const
+StartupManager::entryView(FnId fn, int pu, const WarmEntry &entry) const
 {
     WarmEntryView v;
-    v.fn = key.first;
-    v.pu = key.second;
+    v.fn = registry_.at(fn).name;
+    v.fnId = fn;
+    v.pu = pu;
     v.lastUsed = entry.lastUsed;
     v.freq = entry.freq;
     v.costMs = entry.costMs;
@@ -40,16 +60,15 @@ StartupManager::entryView(const PoolKey &key,
 }
 
 void
-StartupManager::noteEviction(const PoolKey &key,
-                             const WarmEntry &victim)
+StartupManager::noteEviction(FnId fn, int pu, const WarmEntry &victim)
 {
-    strategy_->onEvict(entryView(key, victim));
+    strategy_->onEvict(entryView(fn, pu, victim));
     ++evictions_;
     std::uint64_t h = 14695981039346656037ULL;
-    for (char c : victim.sandboxId)
+    for (char c : victim.instance->id)
         h = (h ^ std::uint64_t(std::uint8_t(c))) * 1099511628211ULL;
     evictFp_.mix(h);
-    evictFp_.mix(std::uint64_t(key.second));
+    evictFp_.mix(std::uint64_t(pu));
     evictFp_.mix(std::uint64_t(evictions_));
 }
 
@@ -83,28 +102,8 @@ StartupManager::bootstrap(int managerPu)
     // Prepare one template per language per PU plus the container
     // pools, concurrently across PUs.
     std::vector<sim::Task<>> preps;
-    for (int pu : dep_.generalPus()) {
-        auto prepOne = [](Deployment *dep, const FunctionRegistry *reg,
-                          int target, int pool) -> sim::Task<> {
-            auto &runc = dep->runcOn(target);
-            bool preparedPython = false, preparedNode = false;
-            // One generic template per language, seeded from the first
-            // registered function image of that language.
-            for (const auto *img : reg->imagesForTemplates()) {
-                if (img->language == sandbox::Language::Python &&
-                    !preparedPython) {
-                    preparedPython =
-                        co_await runc.prepareTemplate(*img);
-                } else if (img->language == sandbox::Language::Node &&
-                           !preparedNode) {
-                    preparedNode = co_await runc.prepareTemplate(*img);
-                }
-            }
-            co_await runc.prewarmFunctionContainers(pool);
-        };
-        preps.push_back(prepOne(&dep_, &registry_, pu,
-                                options_.pooledContainersPerPu));
-    }
+    for (int pu : dep_.generalPus())
+        preps.push_back(prepareTemplates(pu));
     co_await sim::allOf(dep_.simulation(), std::move(preps));
 }
 
@@ -130,33 +129,34 @@ StartupManager::acquire(const FunctionDef &fn, int pu, int managerPu,
     MOLECULE_ASSERT(fn.cpuWork != nullptr,
                     "function '%s' has no CPU/DPU workload",
                     fn.name.c_str());
-    auto &sim = dep_.simulation();
-    const auto t0 = sim.now();
-    obs::Span span(ctx, "startup", obs::Layer::Core, pu);
-    const PoolKey key{fn.name, pu};
-
-    ++freq_[key];
-    strategy_->onRequest(fn.name, pu, sim.now());
-    auto poolIt = warmPools_.find(key);
-    while (poolIt != warmPools_.end() && !poolIt->second.empty()) {
-        WarmEntry entry = poolIt->second.front();
-        poolIt->second.pop_front();
+    Slot &sl = slot(fn.id, pu);
+    ++sl.freq;
+    strategy_->onRequest(fn.name, pu, dep_.simulation().now());
+    // A warm hit never suspends, so it completes here, frame-free.
+    while (!sl.pool.empty()) {
         AcquiredInstance out;
-        out.instance = dep_.runcOn(pu).find(entry.sandboxId);
-        MOLECULE_ASSERT(out.instance != nullptr,
-                        "warm pool held a dead sandbox");
+        out.instance = sl.pool.front().instance;
+        sl.pool.pop_front();
         // An instance killed while parked (OOM, PU crash) is skipped;
         // exhausting the pool falls through to a cold start.
         if (out.instance->dead)
             continue;
+        obs::Span span(ctx, "startup", obs::Layer::Core, pu);
         ++warmHits_;
         out.pu = pu;
-        out.cold = false;
-        out.startupTime = sim.now() - t0;
-        co_return out;
+        return sim::Task<AcquiredInstance>::ready(out);
     }
+    return coldStart(fn, pu, managerPu, ctx);
+}
 
-    // Cold start. Remote targets pay the executor command round-trip.
+sim::Task<AcquiredInstance>
+StartupManager::coldStart(const FunctionDef &fn, int pu, int managerPu,
+                          obs::SpanContext ctx)
+{
+    auto &sim = dep_.simulation();
+    const auto t0 = sim.now();
+    obs::Span span(ctx, "startup", obs::Layer::Core, pu);
+    // Remote targets pay the executor command round-trip.
     ++coldStarts_;
     co_await commandRoundTrip(managerPu, pu, span.ctx());
 
@@ -185,7 +185,7 @@ StartupManager::acquire(const FunctionDef &fn, int pu, int managerPu,
     out.pu = pu;
     out.cold = true;
     out.startupTime = sim.now() - t0;
-    knownColdMs_[key] = out.startupTime.toMilliseconds();
+    slot(fn.id, pu).knownColdMs = out.startupTime.toMilliseconds();
     co_return out;
 }
 
@@ -193,43 +193,46 @@ sim::Task<>
 StartupManager::release(const FunctionDef &fn, AcquiredInstance inst)
 {
     if (!inst.instance)
-        co_return;
-    const PoolKey key{fn.name, inst.pu};
+        return sim::Task<>::ready();
+    const FnId id = fn.id;
+    Slot &sl = slot(id, inst.pu);
     WarmEntry entry;
-    entry.sandboxId = inst.instance->id;
+    entry.instance = inst.instance;
     entry.lastUsed = dep_.simulation().now();
     // Greedy-dual uses the *function's* cold-start cost (what an
     // eviction would make the next request pay), not this instance's.
-    auto known = knownColdMs_.find(key);
-    entry.costMs = known != knownColdMs_.end()
-                       ? known->second
+    entry.costMs = sl.knownColdMs >= 0.0
+                       ? sl.knownColdMs
                        : inst.startupTime.toMilliseconds();
-    entry.freq = freq_[key];
+    entry.freq = sl.freq;
     entry.sizeMb =
         double(fn.cpuWork->image.mem.coldTotal()) / double(1 << 20);
     // The strategy stamps the parking priority (greedy-dual: clock +
     // freq * cost / size; order-insensitive strategies return 0).
-    entry.parkPriority = strategy_->parkPriority(entryView(key, entry));
-    warmPools_[key].push_back(std::move(entry));
-    co_await evictIfNeeded(key);
-    if (options_.globalWarmCapacityPerPu > 0)
-        co_await evictGlobal(inst.pu);
+    entry.parkPriority =
+        strategy_->parkPriority(entryView(id, inst.pu, entry));
+    sl.pool.push_back(entry);
+    // Parking within every budget never suspends: done here.
+    if (sl.pool.size() <= options_.warmCapacity &&
+        options_.globalWarmCapacityPerPu == 0)
+        return sim::Task<>::ready();
+    return evictIfNeeded(id, inst.pu);
 }
 
 sim::Task<>
-StartupManager::evictIfNeeded(const PoolKey &key)
+StartupManager::evictIfNeeded(FnId fn, int pu)
 {
-    auto &pool = warmPools_[key];
+    std::deque<WarmEntry> &pool = slot(fn, pu).pool;
     const sim::SimTime now = dep_.simulation().now();
     while (pool.size() > options_.warmCapacity) {
         // Lowest strategy score goes; strict improvement keeps the
         // earliest-scanned entry on ties.
         std::size_t victim = 0;
         double victimScore =
-            strategy_->score(entryView(key, pool[0]), now);
+            strategy_->score(entryView(fn, pu, pool[0]), now);
         for (std::size_t i = 1; i < pool.size(); ++i) {
             const double s =
-                strategy_->score(entryView(key, pool[i]), now);
+                strategy_->score(entryView(fn, pu, pool[i]), now);
             if (s < victimScore) {
                 victim = i;
                 victimScore = s;
@@ -237,18 +240,19 @@ StartupManager::evictIfNeeded(const PoolKey &key)
         }
         const WarmEntry evicted = pool[victim];
         pool.erase(pool.begin() + std::ptrdiff_t(victim));
-        noteEviction(key, evicted);
-        co_await dep_.runcOn(key.second).destroy(evicted.sandboxId);
+        noteEviction(fn, pu, evicted);
+        co_await dep_.runcOn(pu).destroy(evicted.instance->id);
     }
+    if (options_.globalWarmCapacityPerPu > 0)
+        co_await evictGlobal(pu);
 }
 
 std::size_t
 StartupManager::warmTotalOn(int pu) const
 {
     std::size_t total = 0;
-    for (const auto &[key, pool] : warmPools_)
-        if (key.second == pu)
-            total += pool.size();
+    for (FnId fn = 0; fn < slots_.size(); ++fn)
+        total += warmCount(fn, pu);
     return total;
 }
 
@@ -259,32 +263,31 @@ StartupManager::evictGlobal(int pu)
     while (warmTotalOn(pu) > options_.globalWarmCapacityPerPu) {
         // Find the global victim across this PU's pools: lowest
         // strategy score; strict improvement keeps the
-        // earliest-scanned entry (pool-key order, then index) on ties.
-        PoolKey victimKey{"", pu};
+        // earliest-scanned entry on ties. Pools are scanned in
+        // function-*name* order (then index), never in id order, so
+        // the victim does not depend on registration order.
+        FnId victimFn = kNoFn;
         std::size_t victimIdx = 0;
         double victimScore = 0.0;
-        bool found = false;
-        for (auto &[key, pool] : warmPools_) {
-            if (key.second != pu || pool.empty())
-                continue;
-            for (std::size_t i = 0; i < pool.size(); ++i) {
+        for (FnId fn : registry_.idsByName()) {
+            const Slot *sl = findSlot(fn, pu);
+            for (std::size_t i = 0; sl && i < sl->pool.size(); ++i) {
                 const double s =
-                    strategy_->score(entryView(key, pool[i]), now);
-                if (!found || s < victimScore) {
-                    victimKey = key;
+                    strategy_->score(entryView(fn, pu, sl->pool[i]), now);
+                if (victimFn == kNoFn || s < victimScore) {
+                    victimFn = fn;
                     victimIdx = i;
                     victimScore = s;
-                    found = true;
                 }
             }
         }
-        if (!found)
+        if (victimFn == kNoFn)
             co_return;
-        auto &pool = warmPools_[victimKey];
+        std::deque<WarmEntry> &pool = slot(victimFn, pu).pool;
         const WarmEntry evicted = pool[victimIdx];
         pool.erase(pool.begin() + std::ptrdiff_t(victimIdx));
-        noteEviction(victimKey, evicted);
-        co_await dep_.runcOn(pu).destroy(evicted.sandboxId);
+        noteEviction(victimFn, pu, evicted);
+        co_await dep_.runcOn(pu).destroy(evicted.instance->id);
     }
 }
 
@@ -409,24 +412,30 @@ StartupManager::gpuImage(const FunctionDef &fn)
 std::size_t
 StartupManager::warmCount(const std::string &fn, int pu) const
 {
-    auto it = warmPools_.find(PoolKey{fn, pu});
-    return it == warmPools_.end() ? 0 : it->second.size();
+    const FunctionDef *def = registry_.findPtr(fn);
+    return def != nullptr ? warmCount(def->id, pu) : 0;
+}
+
+std::size_t
+StartupManager::warmCount(FnId fn, int pu) const
+{
+    const Slot *sl = findSlot(fn, pu);
+    return sl != nullptr ? sl->pool.size() : 0;
 }
 
 void
 StartupManager::purgePu(int pu)
 {
-    for (auto &[key, pool] : warmPools_)
-        if (key.second == pu)
-            pool.clear();
+    for (auto &row : slots_)
+        if (row != nullptr)
+            row[std::size_t(pu)].pool.clear();
 }
 
 void
 StartupManager::purgeFunction(const std::string &fn, int pu)
 {
-    auto it = warmPools_.find(PoolKey{fn, pu});
-    if (it != warmPools_.end())
-        it->second.clear();
+    if (const FunctionDef *def = registry_.findPtr(fn))
+        slot(def->id, pu).pool.clear();
 }
 
 sim::Task<>
@@ -440,8 +449,16 @@ StartupManager::rewarmPu(int pu, obs::SpanContext ctx)
     if (!options_.useCfork)
         co_return;
     obs::Span span(ctx, "recovery.rewarm", obs::Layer::Core, pu);
+    co_await prepareTemplates(pu);
+}
+
+sim::Task<>
+StartupManager::prepareTemplates(int pu)
+{
     auto &runc = dep_.runcOn(pu);
     bool preparedPython = false, preparedNode = false;
+    // One generic template per language, seeded from the first
+    // registered function image of that language (name order).
     for (const auto *img : registry_.imagesForTemplates()) {
         if (img->language == sandbox::Language::Python &&
             !preparedPython) {

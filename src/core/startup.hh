@@ -97,12 +97,15 @@ class StartupManager
      * Get a running instance of @p fn on @p pu: warm hit from the
      * keep-alive cache, or a cold start (cfork / baseline). A start
      * issued from a different PU pays the executor command round-trip.
+     * The pool lookup runs at call time and a warm hit returns a ready
+     * task, so co_await the result at once.
      */
     sim::Task<AcquiredInstance> acquire(const FunctionDef &fn, int pu,
                                         int managerPu,
                                         obs::SpanContext ctx = {});
 
-    /** Return an instance to the keep-alive cache (may evict). */
+    /** Park an instance in the keep-alive cache at call time; only an
+     * eviction leaves work for the co_await. */
     sim::Task<> release(const FunctionDef &fn, AcquiredInstance inst);
 
     /**
@@ -145,8 +148,9 @@ class StartupManager
     sim::Task<> rewarmPu(int pu, obs::SpanContext ctx = {});
     ///@}
 
-    /** Warm-pool depth for (fn, pu) (tests). */
+    /** Warm-pool depth for (fn, pu). */
     std::size_t warmCount(const std::string &fn, int pu) const;
+    std::size_t warmCount(FnId fn, int pu) const;
 
     /** Total cold starts performed (stats). */
     std::int64_t coldStarts() const { return coldStarts_; }
@@ -180,7 +184,8 @@ class StartupManager
   private:
     struct WarmEntry
     {
-        std::string sandboxId;
+        /** Lives until the eviction that removes this entry. */
+        sandbox::Instance *instance = nullptr;
         sim::SimTime lastUsed;
         std::int64_t freq = 1;
         /** Cold-start cost estimate in ms (greedy-dual numerator). */
@@ -191,14 +196,38 @@ class StartupManager
         double parkPriority = 0.0;
     };
 
-    using PoolKey = std::pair<std::string, int>;
+    /** Everything kept per (function, PU). */
+    struct Slot
+    {
+        std::deque<WarmEntry> pool;
+        /** Invocation frequency (greedy-dual). */
+        std::int64_t freq = 0;
+        /** Last measured cold-start cost, ms; < 0 until one ran. */
+        double knownColdMs = -1.0;
+    };
+
+    /** Slot of (@p fn, @p pu), created on first use. References stay
+     * valid for the manager's lifetime, across suspensions. */
+    Slot &slot(FnId fn, int pu);
+
+    /** Slot of (@p fn, @p pu), or null before @p fn's first use. */
+    const Slot *findSlot(FnId fn, int pu) const;
+
+    /** cfork templates and the container pool of @p pu. */
+    sim::Task<> prepareTemplates(int pu);
 
     /** Charge the manager->executor command round-trip over nIPC. */
     sim::Task<> commandRoundTrip(int managerPu, int targetPu,
                                  obs::SpanContext ctx);
 
-    /** Evict until the pool for @p key fits the capacity. */
-    sim::Task<> evictIfNeeded(const PoolKey &key);
+    /** The cold half of acquire(): cfork / baseline boot. */
+    sim::Task<AcquiredInstance> coldStart(const FunctionDef &fn, int pu,
+                                          int managerPu,
+                                          obs::SpanContext ctx);
+
+    /** Evict until the pool of (@p fn, @p pu) fits the capacity, then
+     * until @p pu fits the global budget. */
+    sim::Task<> evictIfNeeded(FnId fn, int pu);
 
     /** Evict across all of @p pu's pools until the global budget fits. */
     sim::Task<> evictGlobal(int pu);
@@ -206,27 +235,24 @@ class StartupManager
     std::size_t warmTotalOn(int pu) const;
 
     /** Strategy view of one parked entry. */
-    WarmEntryView entryView(const PoolKey &key,
-                            const WarmEntry &entry) const;
+    WarmEntryView entryView(FnId fn, int pu, const WarmEntry &entry) const;
 
     /** Record one eviction (digest + counters + strategy feedback). */
-    void noteEviction(const PoolKey &key, const WarmEntry &victim);
+    void noteEviction(FnId fn, int pu, const WarmEntry &victim);
 
     Deployment &dep_;
     const FunctionRegistry &registry_;
     StartupOptions options_;
     std::unique_ptr<KeepAliveStrategy> strategy_;
-    std::map<PoolKey, std::deque<WarmEntry>> warmPools_;
+    /** slots_[fn][pu]: rows of puCount_ slots, never moved. */
+    std::vector<std::unique_ptr<Slot[]>> slots_;
+    std::size_t puCount_;
     std::map<int, std::vector<std::string>> fpgaHotSets_;
     /** Deployable CUDA images synthesized per GPU function. */
     sandbox::FunctionImage *gpuImage(const FunctionDef &fn);
 
     std::map<std::string, std::unique_ptr<sandbox::FunctionImage>>
         gpuImages_;
-    /** Measured cold-start cost per (fn, PU), ms (greedy-dual). */
-    std::map<PoolKey, double> knownColdMs_;
-    /** Invocation frequency per (fn, PU) (greedy-dual). */
-    std::map<PoolKey, std::int64_t> freq_;
     std::int64_t coldStarts_ = 0;
     std::int64_t warmHits_ = 0;
     std::int64_t evictions_ = 0;

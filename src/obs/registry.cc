@@ -11,7 +11,8 @@ Histogram::bucketOf(double v)
 {
     if (!(v >= 1.0)) // negatives, zero, NaN: the shared floor bucket
         return kFloorBucket;
-    return int(std::floor(std::log2(v) * 8.0));
+    return int(std::min(std::floor(std::log2(v) * 8.0),
+                        double(kTopBucket)));
 }
 
 double
@@ -35,7 +36,14 @@ Histogram::add(double v)
     }
     ++count_;
     sum_ += v;
-    ++buckets_[bucketOf(v)];
+    const int idx = bucketOf(v);
+    if (idx == kFloorBucket) {
+        ++floorCount_;
+        return;
+    }
+    if (std::size_t(idx) >= buckets_.size())
+        buckets_.resize(std::size_t(idx) + 1, 0);
+    ++buckets_[std::size_t(idx)];
 }
 
 double
@@ -44,14 +52,16 @@ Histogram::percentile(double p) const
     if (count_ == 0)
         return 0.0;
     p = std::clamp(p, 0.0, 100.0);
-    // Nearest-rank over the cumulative bucket counts (map is sorted).
+    // Nearest-rank over the cumulative bucket counts, floor first.
     const std::uint64_t rank = std::max<std::uint64_t>(
         1, std::uint64_t(std::ceil(p / 100.0 * double(count_))));
-    std::uint64_t seen = 0;
-    for (const auto &[idx, n] : buckets_) {
-        seen += n;
+    std::uint64_t seen = floorCount_;
+    if (seen >= rank)
+        return std::clamp(bucketMid(kFloorBucket), min_, max_);
+    for (std::size_t idx = 0; idx < buckets_.size(); ++idx) {
+        seen += buckets_[idx];
         if (seen >= rank)
-            return std::clamp(bucketMid(idx), min_, max_);
+            return std::clamp(bucketMid(int(idx)), min_, max_);
     }
     return max_;
 }
@@ -59,6 +69,7 @@ Histogram::percentile(double p) const
 void
 Histogram::clear()
 {
+    floorCount_ = 0;
     buckets_.clear();
     count_ = 0;
     sum_ = 0.0;
@@ -81,7 +92,11 @@ HistogramSnapshot
 Histogram::snapshotBuckets() const
 {
     HistogramSnapshot s;
-    s.buckets.assign(buckets_.begin(), buckets_.end());
+    if (floorCount_ > 0)
+        s.buckets.emplace_back(kFloorBucket, floorCount_);
+    for (std::size_t idx = 0; idx < buckets_.size(); ++idx)
+        if (buckets_[idx] > 0)
+            s.buckets.emplace_back(int(idx), buckets_[idx]);
     s.count = count_;
     s.sum = sum_;
     return s;

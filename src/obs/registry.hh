@@ -97,9 +97,10 @@ class Gauge
 
 /**
  * Log-bucketed distribution: bucket index = floor(log2(v) * 8), i.e.
- * 8 buckets per octave (~9% bucket width). Memory is O(octaves), not
- * O(samples); percentiles interpolate the geometric midpoint of the
- * bucket holding the requested rank, clamped to the observed range.
+ * 8 buckets per octave (~9% bucket width), counted in a flat array up
+ * to the largest index seen. Memory is O(octaves), not O(samples);
+ * percentiles interpolate the geometric midpoint of the bucket holding
+ * the requested rank, clamped to the observed range.
  */
 class Histogram
 {
@@ -140,9 +141,13 @@ class Histogram
     /** Sub-unity and non-positive samples share the floor bucket. */
     static constexpr int kFloorBucket = -1024;
 
-  private:
+    /** Infinities share the top bucket (past DBL_MAX's 8191). */
+    static constexpr int kTopBucket = 8192;
 
-    std::map<int, std::uint64_t> buckets_;
+  private:
+    std::uint64_t floorCount_ = 0;
+    /** buckets_[i]: samples in bucket i >= 0, grown on demand. */
+    std::vector<std::uint64_t> buckets_;
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;

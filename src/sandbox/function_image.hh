@@ -79,13 +79,6 @@ struct FunctionImage
 
     /** FPGA functions: preferred DRAM bank (§5 static partitioning). */
     int dramBank = -1;
-
-    bool
-    isAccelerated() const
-    {
-        return language == Language::FpgaOpenCl ||
-               language == Language::CudaCpp;
-    }
 };
 
 } // namespace molecule::sandbox

@@ -233,47 +233,56 @@ RuncRuntime::kill(const std::string &sandboxId, int signal)
 sim::Task<>
 RuncRuntime::destroy(const std::string &sandboxId)
 {
-    Instance *inst = find(sandboxId);
+    // Owned: callers may pass the id of the instance erased below.
+    const std::string id = sandboxId;
+    Instance *inst = find(id);
     if (!inst)
         co_return;
     if (inst->proc)
         os_.exitProcess(*inst->proc);
     if (inst->container)
         co_await os_.containers().destroy(*inst->container);
-    instances_.erase(sandboxId);
+    instances_.erase(id);
 }
 
 sim::Task<core::Status>
 RuncRuntime::invoke(const std::string &sandboxId,
                     sim::SimTime hostExecCost, obs::SpanContext ctx)
 {
-    obs::Span span(ctx, "sandbox.exec", obs::Layer::Sandbox,
-                   os_.pu().id());
     Instance *inst = find(sandboxId);
     MOLECULE_ASSERT(inst != nullptr, "invoking unknown sandbox '%s'",
                     sandboxId.c_str());
-    if (inst->dead) {
+    return invoke(*inst, hostExecCost, ctx);
+}
+
+sim::Task<core::Status>
+RuncRuntime::invoke(Instance &inst, sim::SimTime hostExecCost,
+                    obs::SpanContext ctx)
+{
+    obs::Span span(ctx, "sandbox.exec", obs::Layer::Sandbox,
+                   os_.pu().id());
+    if (inst.dead) {
         span.setDetail("dead-on-entry");
-        co_return core::Status(inst->deathCause,
-                               "sandbox '" + sandboxId +
+        co_return core::Status(inst.deathCause,
+                               "sandbox '" + inst.id +
                                    "' killed before execution",
                                os_.pu().id());
     }
-    MOLECULE_ASSERT(inst->state == SandboxState::Running,
+    MOLECULE_ASSERT(inst.state == SandboxState::Running,
                     "invoking non-running sandbox '%s'",
-                    sandboxId.c_str());
+                    inst.id.c_str());
 
-    if (inst->forked && !inst->cowSettled) {
+    if (inst.forked && !inst.cowSettled) {
         // First run dirties part of the shared runtime: COW faults
         // (the Fig 14-b warm-boot penalty of cfork'd instances).
-        auto region = inst->proc->addressSpace().findRegion(
+        auto region = inst.proc->addressSpace().findRegion(
             "runtime/" +
-            std::string(sandbox::toString(inst->image->language)));
+            std::string(sandbox::toString(inst.image->language)));
         if (region) {
             const auto bytes = std::uint64_t(
-                double(region->bytes()) * inst->image->cowTouchFraction);
+                double(region->bytes()) * inst.image->cowTouchFraction);
             const auto pages =
-                inst->proc->addressSpace().touchCow(region, bytes);
+                inst.proc->addressSpace().touchCow(region, bytes);
             if (pages > 0) {
                 obs::Span st(span.ctx(), "sandbox.cow-settle",
                              obs::Layer::Sandbox, os_.pu().id());
@@ -282,7 +291,7 @@ RuncRuntime::invoke(const std::string &sandboxId,
                                      double(pages));
             }
         }
-        inst->cowSettled = true;
+        inst.cowSettled = true;
     }
     {
         obs::Span hwspan(span.ctx(), "hw.compute", obs::Layer::Hw,
@@ -291,10 +300,10 @@ RuncRuntime::invoke(const std::string &sandboxId,
     }
     // An injected kill may have landed while the body was executing:
     // the CPU time is spent, the result is lost.
-    if (inst->dead) {
+    if (inst.dead) {
         span.setDetail("killed-mid-exec");
-        co_return core::Status(inst->deathCause,
-                               "sandbox '" + sandboxId +
+        co_return core::Status(inst.deathCause,
+                               "sandbox '" + inst.id +
                                    "' killed during execution",
                                os_.pu().id());
     }

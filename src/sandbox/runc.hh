@@ -79,8 +79,6 @@ class RuncRuntime : public VectorizedSandboxRuntime
 
     void setStartupPath(StartupPath path) { path_ = path; }
 
-    StartupPath startupPath() const { return path_; }
-
     /** @name cfork template management (§4.2) */
     ///@{
 
@@ -124,6 +122,11 @@ class RuncRuntime : public VectorizedSandboxRuntime
      *         (SandboxOomKilled, PuCrashed). The CPU time up to the
      *         kill is spent either way.
      */
+    [[nodiscard]] sim::Task<core::Status>
+    invoke(Instance &inst, sim::SimTime hostExecCost,
+           obs::SpanContext ctx = {});
+
+    /** invoke() on the instance named @p sandboxId, which must exist. */
     [[nodiscard]] sim::Task<core::Status>
     invoke(const std::string &sandboxId, sim::SimTime hostExecCost,
            obs::SpanContext ctx = {});

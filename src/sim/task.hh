@@ -44,6 +44,7 @@
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -134,7 +135,9 @@ struct Promise<void> : PromiseBase
  * A lazily-started coroutine producing a T in simulated time.
  *
  * Move-only. Destroying an unstarted or completed (non-detached) Task
- * destroys the coroutine frame.
+ * destroys the coroutine frame. A plain function may instead return
+ * Task::ready(value) — a task that is already complete and has no
+ * frame — for a path that never suspends.
  */
 template <typename T = void>
 class [[nodiscard]] Task
@@ -147,7 +150,8 @@ class [[nodiscard]] Task
     explicit Task(handle_type h) : handle_(h) {}
 
     Task(Task &&other) noexcept
-        : handle_(std::exchange(other.handle_, nullptr))
+        : handle_(std::exchange(other.handle_, nullptr)),
+          ready_(std::exchange(other.ready_, std::nullopt))
     {}
 
     Task &
@@ -156,8 +160,21 @@ class [[nodiscard]] Task
         if (this != &other) {
             destroy();
             handle_ = std::exchange(other.handle_, nullptr);
+            ready_ = std::exchange(other.ready_, std::nullopt);
         }
         return *this;
+    }
+
+    /** A completed task yielding @p v; no coroutine frame. */
+    template <typename... V>
+    static Task
+    ready(V &&...v)
+    {
+        static_assert(kReadyable, "only small trivially copyable "
+                                  "results can be ready");
+        Task t;
+        t.ready_.emplace(std::forward<V>(v)...);
+        return t;
     }
 
     Task(const Task &) = delete;
@@ -165,9 +182,9 @@ class [[nodiscard]] Task
 
     ~Task() { destroy(); }
 
-    bool valid() const { return handle_ != nullptr; }
+    bool valid() const { return handle_ != nullptr || ready_; }
 
-    bool done() const { return handle_ && handle_.done(); }
+    bool done() const { return handle_ ? handle_.done() : bool(ready_); }
 
     /**
      * Release ownership, mark detached and start execution.
@@ -176,7 +193,11 @@ class [[nodiscard]] Task
     void
     detachAndStart()
     {
-        MOLECULE_ASSERT(handle_, "detaching an empty task");
+        MOLECULE_ASSERT(valid(), "detaching an empty task");
+        if (!handle_) {
+            ready_.reset(); // ready: already ran to completion
+            return;
+        }
         handle_type h = std::exchange(handle_, nullptr);
         h.promise().detached = true;
         h.resume();
@@ -189,8 +210,9 @@ class [[nodiscard]] Task
         struct Awaiter
         {
             handle_type handle;
+            std::optional<Slot> *ready;
 
-            bool await_ready() const noexcept { return false; }
+            bool await_ready() const noexcept { return !handle; }
 
             std::coroutine_handle<>
             await_suspend(std::coroutine_handle<> cont) noexcept
@@ -202,6 +224,13 @@ class [[nodiscard]] Task
             T
             await_resume()
             {
+                if constexpr (std::is_void_v<T>) {
+                    if (!handle)
+                        return;
+                } else if constexpr (kReadyable) {
+                    if (!handle)
+                        return **ready;
+                }
                 auto &p = handle.promise();
                 if (p.exception)
                     std::rethrow_exception(p.exception);
@@ -212,11 +241,21 @@ class [[nodiscard]] Task
                 }
             }
         };
-        MOLECULE_ASSERT(handle_, "awaiting an empty task");
-        return Awaiter{handle_};
+        MOLECULE_ASSERT(valid(), "awaiting an empty task");
+        return Awaiter{handle_, &ready_};
     }
 
   private:
+    /** What a ready task yields (an empty tag for Task<void>). */
+    struct Void
+    {};
+    using Value = std::conditional_t<std::is_void_v<T>, Void, T>;
+    /** Every frame awaiting a Task<T> holds the Task itself, so only
+     * small trivially copyable results get an inline ready slot. */
+    static constexpr bool kReadyable =
+        std::is_trivially_copyable_v<Value> && sizeof(Value) <= 32;
+    using Slot = std::conditional_t<kReadyable, Value, Void>;
+
     void
     destroy()
     {
@@ -227,6 +266,8 @@ class [[nodiscard]] Task
     }
 
     handle_type handle_{};
+    /** Set only on a ready task (which has no handle_). */
+    std::optional<Slot> ready_;
 };
 
 namespace detail {

@@ -19,6 +19,12 @@ CapGroup::remove(ObjId obj, Perm perm)
         caps_.erase(it);
 }
 
+void
+CapGroup::drop(ObjId obj)
+{
+    caps_.erase(obj);
+}
+
 Perm
 CapGroup::lookup(ObjId obj) const
 {
@@ -51,6 +57,11 @@ CapabilityStore::removeObject(ObjId id)
     if (!it->second.uuid.empty())
         byUuid_.erase(it->second.uuid);
     objects_.erase(it);
+    // Grants die with their object; a group left empty goes too.
+    for (auto g = groups_.begin(); g != groups_.end();) {
+        g->second.drop(id);
+        g = g->second.size() == 0 ? groups_.erase(g) : std::next(g);
+    }
 }
 
 void

@@ -53,6 +53,9 @@ class CapGroup
     /** Remove permission bits; drops the entry when nothing is left. */
     void remove(ObjId obj, Perm perm);
 
+    /** Forget every permission on @p obj. */
+    void drop(ObjId obj);
+
     /** Permission bits this process holds on @p obj. */
     Perm lookup(ObjId obj) const;
 
@@ -89,6 +92,8 @@ class CapabilityStore
     /** Register (or overwrite) a distributed object descriptor. */
     void registerObject(const DistributedObject &obj);
 
+    /** Forget an object and every grant on it; CAP_Groups left
+     * empty are dropped. */
     void removeObject(ObjId id);
 
     /** Apply a capability grant. Creates the CAP_Group on demand. */

@@ -58,6 +58,21 @@ TEST_F(DagFixture, LinearFactoryBuildsParents)
     EXPECT_EQ(spec.edgeCount(), 2u);
 }
 
+TEST_F(DagFixture, ChainTeardownExitsTheEntryProcess)
+{
+    // Each chain spawns an entry-edge process on the manager PU; its
+    // teardown must exit it. After one chain has parked its warm
+    // instances, repeated chains leave the process count unchanged.
+    os::LocalOs &manager = runtime.deployment().osOn(0);
+    const ChainSpec spec = ChainSpec::linear("alexa", Catalog::alexaChain());
+    const std::vector<int> spread = {0, 1, 0, 1, 0};
+    ASSERT_TRUE(runtime.invokeChainSync(spec, spread).ok());
+    const std::size_t before = manager.processCount();
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(runtime.invokeChainSync(spec, spread).ok());
+    EXPECT_EQ(manager.processCount(), before);
+}
+
 TEST_F(DagFixture, FanOutRunsLeavesConcurrently)
 {
     // DAG e2e: the two leaves overlap, so the total is one leaf

@@ -89,6 +89,32 @@ TEST_F(SchedFixture, MixedChainFallsBackPerNode)
     EXPECT_EQ(computer->pu(placement[1]).type(), PuType::Dpu);
 }
 
+TEST_F(SchedFixture, ReRegistrationKeepsIdAndRefreshesView)
+{
+    const FunctionDef &def = runtime.registry().find("image-resize");
+    const core::FnId id = def.id;
+    ASSERT_EQ(runtime.scheduler().view(def).pus().size(), 1u);
+
+    // Re-adding the name replaces the definition in place, under the
+    // same id: the scheduler's cached rows must follow the new
+    // profiles (DPUs first, by price) instead of the old CPU-only set.
+    FunctionDef wider = def;
+    wider.profiles = {Profile{PuType::Dpu, 0.5},
+                      Profile{PuType::HostCpu, 1.0}};
+    runtime.registry().add(wider);
+    const FunctionDef &now = runtime.registry().find("image-resize");
+    EXPECT_EQ(now.id, id);
+    EXPECT_EQ(&now, &def);
+    const core::PlacementView view = runtime.scheduler().view(now);
+    const auto pus = view.pus();
+    ASSERT_EQ(pus.size(), 3u);
+    EXPECT_EQ(pus[1].kind, PuType::Dpu);
+    EXPECT_EQ(pus[1].profileRank, 0u);
+    EXPECT_DOUBLE_EQ(pus[1].price, 0.5);
+    EXPECT_EQ(computer->pu(runtime.scheduler().place(now)).type(),
+              PuType::Dpu);
+}
+
 TEST(FunctionDefTest, AllowsChecksProfiles)
 {
     FunctionDef def;
@@ -114,6 +140,33 @@ TEST(FunctionRegistryTest, AddFindHas)
     reg.add(def);
     EXPECT_EQ(reg.size(), 1u);
     EXPECT_EQ(reg.find("fn").profiles.size(), 1u);
+}
+
+TEST(FunctionRegistryTest, InternsDenseIdsAndIteratesByName)
+{
+    core::FunctionRegistry reg;
+    for (const char *name : {"zeta", "alpha", "mid"}) {
+        FunctionDef def;
+        def.name = name;
+        reg.add(def);
+    }
+    EXPECT_EQ(reg.find("zeta").id, 0u);
+    EXPECT_EQ(reg.find("alpha").id, 1u);
+    EXPECT_EQ(reg.find("mid").id, 2u);
+    EXPECT_EQ(&reg.at(1), &reg.find("alpha"));
+    EXPECT_EQ(reg.idsByName(), (std::vector<core::FnId>{1, 2, 0}));
+
+    // Re-adding keeps the id (and bumps the revision); a definition
+    // that arrives with a foreign id gets the registry's.
+    const std::uint32_t rev = reg.revision(0);
+    FunctionDef again;
+    again.name = "zeta";
+    again.id = 7;
+    reg.add(again);
+    EXPECT_EQ(reg.find("zeta").id, 0u);
+    EXPECT_EQ(reg.revision(0), rev + 1);
+    EXPECT_EQ(reg.size(), 3u);
+    EXPECT_EQ(reg.findPtr("nope"), nullptr);
 }
 
 } // namespace

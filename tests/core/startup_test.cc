@@ -43,6 +43,37 @@ TEST(Startup, GlobalBudgetEnforcedAcrossFunctions)
     }
 }
 
+TEST(Startup, GlobalEvictionBreaksTiesInNameOrder)
+{
+    // Three aliases of one function park with identical greedy-dual
+    // priorities; the global budget of 2 evicts one of them. Ties go
+    // to the earliest entry in function-*name* order ("alpha"), not
+    // in registration order ("zeta" registered first): the pinned
+    // digest fails if pools are scanned by id.
+    sim::Simulation sim;
+    auto computer = hw::buildCpuDpuServer(sim, 0,
+                                          hw::DpuGeneration::Bf1);
+    MoleculeOptions options;
+    options.startup.keepAlive = KeepAliveConfig::greedyDual();
+    options.startup.globalWarmCapacityPerPu = 2;
+    Molecule runtime(*computer, options);
+    runtime.registerCpuFunction("helloworld", {PuType::HostCpu});
+    core::FunctionDef alias = runtime.registry().find("helloworld");
+    for (const char *name : {"zeta", "alpha", "mid"}) {
+        alias.name = name;
+        runtime.registry().add(alias);
+    }
+    runtime.start();
+    for (const char *name : {"zeta", "alpha", "mid"})
+        ASSERT_TRUE(runtime.invokeSync(name, 0).ok());
+
+    EXPECT_EQ(runtime.startup().evictions(), 1);
+    EXPECT_EQ(runtime.startup().warmCount("alpha", 0), 0u);
+    EXPECT_EQ(runtime.startup().warmCount("zeta", 0), 1u);
+    EXPECT_EQ(runtime.startup().warmCount("mid", 0), 1u);
+    EXPECT_EQ(runtime.startup().evictionDigest(), 0x770465098657f2d2ULL);
+}
+
 TEST(Startup, GreedyDualKeepsHighestColdCostDensity)
 {
     // FaasCache priority is freq x cold-cost / size: helloworld's
@@ -69,23 +100,6 @@ TEST(Startup, GreedyDualKeepsHighestColdCostDensity)
     };
     EXPECT_EQ(helloworldWarm(KeepAliveConfig::greedyDual()), 1u);
     EXPECT_EQ(helloworldWarm(KeepAliveConfig::lru()), 0u);
-}
-
-TEST(Startup, DeprecatedEnumAdapterStillSelectsStrategies)
-{
-    // One-release migration shim: the old enum maps onto the new
-    // strategy configs. Deliberately exercises deprecated API.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const KeepAliveConfig lru =
-        core::keepAliveConfigFrom(core::KeepAlivePolicy::Lru);
-    const KeepAliveConfig gd =
-        core::keepAliveConfigFrom(core::KeepAlivePolicy::GreedyDual);
-#pragma GCC diagnostic pop
-    EXPECT_EQ(lru.kind, KeepAliveConfig::Kind::Lru);
-    EXPECT_EQ(gd.kind, KeepAliveConfig::Kind::GreedyDual);
-    EXPECT_STREQ(lru.make()->name(), "lru");
-    EXPECT_STREQ(gd.make()->name(), "greedy-dual");
 }
 
 TEST(Startup, FpgaHotSetRecomposesOnMiss)

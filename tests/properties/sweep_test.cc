@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "core/molecule.hh"
 #include "hw/computer.hh"
@@ -27,6 +28,12 @@ using hw::PuType;
 using workloads::Catalog;
 using xpu::TransportKind;
 
+// CTest names each sweep case after its printed parameter. gtest's
+// default printer dumps the raw object, uninitialised padding bytes
+// included, so those names drifted from one build to the next. Each
+// case below therefore carries a fixed ID -- the name it was first
+// recorded under -- and PrintTo prints that ID.
+
 // ---------------------------------------------------------------------
 // Sweep 1: nIPC latency over transports x sizes. Invariants: Poll <=
 // MPSC <= Base at every size; latency is monotone in message size.
@@ -36,7 +43,14 @@ struct NipcCase
 {
     TransportKind kind;
     std::uint64_t bytes;
+    const char *id;
 };
+
+void
+PrintTo(const NipcCase &c, std::ostream *os)
+{
+    *os << c.id;
+}
 
 class NipcSweep : public ::testing::TestWithParam<NipcCase>
 {
@@ -104,11 +118,22 @@ TEST_P(NipcSweep, TransportOrderingHoldsEverywhere)
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, NipcSweep,
-    ::testing::Values(NipcCase{TransportKind::Fifo, 16},
-                      NipcCase{TransportKind::Fifo, 256},
-                      NipcCase{TransportKind::Mpsc, 1024},
-                      NipcCase{TransportKind::MpscPoll, 2048},
-                      NipcCase{TransportKind::MpscPoll, 64}));
+    ::testing::Values(
+        NipcCase{TransportKind::Fifo, 16,
+                 "16-byte object <00-00 00-00 00-00 00-00 "
+                 "10-00 00-00 00-00 00-00>"},
+        NipcCase{TransportKind::Fifo, 256,
+                 "16-byte object <00-00 00-00 00-00 00-00 "
+                 "00-01 00-00 00-00 00-00>"},
+        NipcCase{TransportKind::Mpsc, 1024,
+                 "16-byte object <01-00 00-00 03-1E 09-00 "
+                 "00-04 00-00 00-00 00-00>"},
+        NipcCase{TransportKind::MpscPoll, 2048,
+                 "16-byte object <02-00 00-00 00-00 D0-CA "
+                 "00-08 00-00 00-00 00-00>"},
+        NipcCase{TransportKind::MpscPoll, 64,
+                 "16-byte object <02-00 00-00 00-00 00-00 "
+                 "40-00 00-00 00-00 00-00>"}));
 
 // ---------------------------------------------------------------------
 // Sweep 2: chains of every length x placement pattern. Invariants:
@@ -120,7 +145,14 @@ struct ChainCase
 {
     int length;
     bool cross; // alternate CPU/DPU placement
+    const char *id;
 };
+
+void
+PrintTo(const ChainCase &c, std::ostream *os)
+{
+    *os << c.id;
+}
 
 class ChainSweep : public ::testing::TestWithParam<ChainCase>
 {
@@ -168,11 +200,22 @@ TEST_P(ChainSweep, IpcBeatsHttpAndEdgesArePositive)
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, ChainSweep,
-                         ::testing::Values(ChainCase{2, false},
-                                           ChainCase{3, false},
-                                           ChainCase{4, true},
-                                           ChainCase{5, false},
-                                           ChainCase{5, true}));
+                         ::testing::Values(
+                             ChainCase{2, false,
+                                       "8-byte object <02-00 00-00 "
+                                       "00-00 00-00>"},
+                             ChainCase{3, false,
+                                       "8-byte object <03-00 00-00 "
+                                       "00-56 00-00>"},
+                             ChainCase{4, true,
+                                       "8-byte object <04-00 00-00 "
+                                       "01-56 00-00>"},
+                             ChainCase{5, false,
+                                       "8-byte object <05-00 00-00 "
+                                       "00-7F 00-00>"},
+                             ChainCase{5, true,
+                                       "8-byte object <05-00 00-00 "
+                                       "01-7F 00-00>"}));
 
 // ---------------------------------------------------------------------
 // Sweep 3: startup paths x PU generations. Invariant: each cfork

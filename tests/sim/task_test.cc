@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/simulation.hh"
@@ -45,6 +46,54 @@ TEST(Task, ParallelTasksInterleaveByTime)
     EXPECT_EQ(log[0], 10_us);
     EXPECT_EQ(log[1], 20_us);
     EXPECT_EQ(log[2], 30_us);
+}
+
+/** Ready when @p fast, else a real coroutine that takes 1 us. */
+Task<int>
+maybeReady(Simulation &sim, bool fast)
+{
+    if (fast)
+        return Task<int>::ready(1);
+    return [](Simulation &s) -> Task<int> {
+        co_await s.delay(1_us);
+        co_return 2;
+    }(sim);
+}
+
+Task<>
+readyAwaiter(Simulation &sim, std::vector<std::string> *log)
+{
+    const int a = co_await maybeReady(sim, true);
+    log->push_back(std::to_string(a) + "@" +
+                   std::to_string(sim.now().raw()));
+    const int b = co_await maybeReady(sim, false);
+    log->push_back(std::to_string(b) + "@" +
+                   std::to_string(sim.now().raw()));
+    co_await Task<>::ready();
+    log->push_back("void");
+}
+
+TEST(Task, ReadyTasksCompleteWithoutSuspending)
+{
+    Simulation sim;
+    std::vector<std::string> log;
+    sim.spawn(readyAwaiter(sim, &log));
+    // Everything up to the first real suspension ran inside spawn().
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0], "1@0");
+    sim.run();
+    ASSERT_EQ(log.size(), 3u);
+    EXPECT_EQ(log[1], "2@" + std::to_string((1_us).raw()));
+    EXPECT_EQ(log[2], "void");
+
+    Task<int> t = Task<int>::ready(7);
+    EXPECT_TRUE(t.valid());
+    EXPECT_TRUE(t.done());
+    Task<int> moved = std::move(t);
+    EXPECT_FALSE(t.valid()); // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(moved.done());
+    sim.spawn(Task<>::ready()); // a no-op root task
+    EXPECT_FALSE(Task<int>().valid());
 }
 
 Task<int>

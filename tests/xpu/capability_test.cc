@@ -86,6 +86,31 @@ TEST(CapabilityStore, RegisterFindRemoveObject)
     EXPECT_EQ(store.findByUuid("alexa/front"), nullptr);
 }
 
+TEST(CapabilityStore, RemoveObjectPurgesItsGrants)
+{
+    CapabilityStore store(0);
+    const XpuPid owner{0, 1}, writer{1, 2};
+    DistributedObject fifo;
+    fifo.id = store.allocateId();
+    fifo.owner = owner;
+    fifo.uuid = "chain/fifo";
+    store.registerObject(fifo);
+    const ObjId other = store.allocateId();
+
+    store.applyGrant(owner, fifo.id, Perm::Read | Perm::Owner);
+    store.applyGrant(owner, other, Perm::Read);
+    store.applyGrant(writer, fifo.id, Perm::Write);
+    EXPECT_EQ(store.groupCount(), 2u);
+
+    store.removeObject(fifo.id);
+    // The writer held only the removed object: its group goes. The
+    // owner keeps its group for the other object.
+    EXPECT_EQ(store.groupCount(), 1u);
+    EXPECT_FALSE(store.check(writer, fifo.id, Perm::Write));
+    EXPECT_FALSE(store.check(owner, fifo.id, Perm::Read));
+    EXPECT_TRUE(store.check(owner, other, Perm::Read));
+}
+
 TEST(CapabilityStore, GrantRevokeCheck)
 {
     CapabilityStore store(0);
