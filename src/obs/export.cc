@@ -1,7 +1,5 @@
 #include "obs/export.hh"
 
-#if MOLECULE_TRACING
-
 #include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
@@ -464,5 +462,3 @@ writeBinary(const std::string &path, const SpanBuffer &records)
 }
 
 } // namespace molecule::obs
-
-#endif // MOLECULE_TRACING

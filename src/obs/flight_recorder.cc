@@ -1,7 +1,5 @@
 #include "obs/flight_recorder.hh"
 
-#if MOLECULE_TELEMETRY
-
 #include <algorithm>
 #include <cstdio>
 
@@ -111,7 +109,6 @@ FlightRecorder::trigger(std::string_view reason, sim::SimTime at)
                ",\"burn_long\":" + fmtMilli(a.burnLong) + "}";
     }
     out += "],\"spans\":[";
-#if MOLECULE_TRACING
     if (tracer_ != nullptr && opts_.spanTail > 0) {
         const SpanBuffer &recs = tracer_->records();
         const std::size_t n = recs.size();
@@ -134,7 +131,6 @@ FlightRecorder::trigger(std::string_view reason, sim::SimTime at)
             out += "}";
         }
     }
-#endif
     out += "]}";
     dumps_.push_back(std::move(out));
 }
@@ -148,5 +144,3 @@ FlightRecorder::writeLast(const std::string &path) const
 }
 
 } // namespace molecule::obs
-
-#endif // MOLECULE_TELEMETRY

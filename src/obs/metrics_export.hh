@@ -31,8 +31,6 @@
 
 namespace molecule::obs {
 
-#if MOLECULE_TELEMETRY
-
 /** Cumulative state of every series, OpenMetrics-flavoured text. */
 std::string openMetricsText(const TimeSeries &ts);
 
@@ -44,28 +42,6 @@ std::string windowJson(const TimeSeries &ts, const WindowRecord &w);
 
 /** Write @p text to @p path. @retval false on I/O failure. */
 bool writeText(const std::string &path, const std::string &text);
-
-#else // !MOLECULE_TELEMETRY
-
-inline std::string
-openMetricsText(const TimeSeries &)
-{
-    return {};
-}
-
-inline std::string
-jsonLinesTimeline(const TimeSeries &)
-{
-    return {};
-}
-
-inline bool
-writeText(const std::string &, const std::string &)
-{
-    return false;
-}
-
-#endif // MOLECULE_TELEMETRY
 
 } // namespace molecule::obs
 

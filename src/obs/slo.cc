@@ -1,7 +1,5 @@
 #include "obs/slo.hh"
 
-#if MOLECULE_TELEMETRY
-
 #include <algorithm>
 #include <cmath>
 
@@ -121,5 +119,3 @@ SloMonitor::onWindow(const TimeSeries &ts, const WindowRecord &w)
 }
 
 } // namespace molecule::obs
-
-#endif // MOLECULE_TELEMETRY

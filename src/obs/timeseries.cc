@@ -31,8 +31,6 @@ WindowRecord::find(std::uint32_t series) const
     return &*it;
 }
 
-#if MOLECULE_TELEMETRY
-
 namespace {
 
 /** FNV-1a over the series identity (digest stability across id
@@ -293,7 +291,5 @@ TimeSeries::mixWindow(const WindowRecord &w)
         fp_.mix(std::uint64_t(p.above));
     }
 }
-
-#endif // MOLECULE_TELEMETRY
 
 } // namespace molecule::obs

@@ -1,10 +1,8 @@
 #include "obs/trace.hh"
 
-#if MOLECULE_TRACING
 #include <cstdio>
 
 #include "sim/logging.hh"
-#endif
 
 namespace molecule::obs {
 
@@ -25,8 +23,6 @@ toString(Layer l)
     }
     return "?";
 }
-
-#if MOLECULE_TRACING
 
 namespace {
 
@@ -166,7 +162,5 @@ Span::finish()
         t_ambientSpan = prevAmbientSpan_;
     }
 }
-
-#endif // MOLECULE_TRACING
 
 } // namespace molecule::obs

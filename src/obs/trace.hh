@@ -26,30 +26,21 @@
  * The only ambient state is a pair of copied ids used to prefix log
  * lines (logging.cc hook), which is best-effort by design.
  *
- * Build gate: MOLECULE_TRACING (CMake option, default ON). OFF
- * collapses Span/SpanContext/Tracer to empty inline no-ops; call
- * sites are identical in both modes — the same pattern as
- * MOLECULE_DETERMINISM_ANALYSIS in sim/analysis.hh.
+ * Runtime gate: a null Tracer. Spans built from an inert context or
+ * a null tracer record nothing and cost one branch, so observation is
+ * off unless a Tracer is attached.
  */
 
 #ifndef MOLECULE_OBS_TRACE_HH
 #define MOLECULE_OBS_TRACE_HH
 
-#ifndef MOLECULE_TRACING
-#define MOLECULE_TRACING 1
-#endif
-
 #include <cstdint>
-
-#include "obs/registry.hh"
-
-#if MOLECULE_TRACING
 #include <cstring>
 #include <type_traits>
 
+#include "obs/registry.hh"
 #include "obs/span_buffer.hh"
 #include "sim/simulation.hh"
-#endif
 
 namespace molecule::obs {
 
@@ -59,8 +50,6 @@ enum class Layer : std::uint8_t { Core, Xpu, Os, Sandbox, Hw };
 const char *toString(Layer l);
 
 class Tracer;
-
-#if MOLECULE_TRACING
 
 // SpanRecord lives in obs/span_buffer.hh together with its
 // arena-backed container.
@@ -234,79 +223,6 @@ class Span
  * prefix. Idempotent; called by the Tracer constructor.
  */
 void installLogPrefixHook();
-
-#else // !MOLECULE_TRACING
-
-/**
- * Tracing compiled out: the whole surface collapses to empty inline
- * no-ops. Call sites are identical in both modes; SpanContext keeps
- * its fields (always zero) so code reading `ctx.trace` compiles.
- */
-struct SpanContext
-{
-    Tracer *tracer = nullptr;
-    std::uint64_t trace = 0;
-    std::uint64_t span = 0;
-
-    bool active() const { return false; }
-};
-
-class Tracer
-{
-  public:
-    // Never constructed in this mode; declared so `Tracer *` members
-    // and parameters compile unchanged.
-    Tracer() = delete;
-
-    // Call sites guard with `if (tracer != nullptr)`, which is always
-    // false here (no Tracer is constructible); the body only has to
-    // link, never run.
-    Registry &
-    metrics()
-    {
-        static Registry unreachable;
-        return unreachable;
-    }
-};
-
-class Span
-{
-  public:
-    Span() = default;
-
-    Span(const SpanContext &, const char *, Layer, int = -1) {}
-
-    static Span
-    root(Tracer *, const char *, Layer, int = -1)
-    {
-        return Span{};
-    }
-
-    Span(const Span &) = delete;
-    Span &operator=(const Span &) = delete;
-
-    void finish() {}
-
-    SpanContext ctx() const { return SpanContext{}; }
-
-    bool active() const { return false; }
-
-    std::uint64_t traceId() const { return 0; }
-
-    std::uint64_t spanId() const { return 0; }
-
-    void setPu(int) {}
-
-    void setArg(std::int64_t) {}
-
-    void setDetail(const char *) {}
-};
-
-inline void
-installLogPrefixHook()
-{}
-
-#endif // MOLECULE_TRACING
 
 } // namespace molecule::obs
 

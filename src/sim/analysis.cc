@@ -1,7 +1,5 @@
 #include "sim/analysis.hh"
 
-#if MOLECULE_DETERMINISM_ANALYSIS
-
 #include <algorithm>
 #include <cstring>
 
@@ -211,5 +209,3 @@ AccessLog::Scope::~Scope()
 }
 
 } // namespace molecule::sim::analysis
-
-#endif // MOLECULE_DETERMINISM_ANALYSIS

@@ -164,11 +164,15 @@ class InlineCallback
     {
         void (*invoke)(void *storage);
         /** Move-construct into @p dst from @p src, destroying src;
-         * null means "bitwise copy of the inline buffer suffices". */
+         * null means "bitwise copy of the payload bytes suffices". */
         void (*relocate)(void *dst, void *src) noexcept;
         /** Null when destruction is a no-op. */
         void (*destroy)(void *storage) noexcept;
         bool heap;
+        /** Bytes of the inline buffer the payload occupies: what the
+         * bitwise relocation copies (0 for an empty callable, whose
+         * storage is never written). */
+        std::size_t size;
     };
 
     /** ops_ already taken from the source; move its payload over. */
@@ -178,7 +182,7 @@ class InlineCallback
         if (ops_->relocate)
             ops_->relocate(buf_, src);
         else
-            std::memcpy(buf_, src, kInlineBytes);
+            std::memcpy(buf_, src, ops_->size);
     }
 
     template <typename Fn>
@@ -198,7 +202,8 @@ class InlineCallback
             .resume();
     }
 
-    static constexpr Ops kCoroOps{&coroInvoke, nullptr, nullptr, false};
+    static constexpr Ops kCoroOps{&coroInvoke, nullptr, nullptr, false,
+                                  sizeof(void *)};
 
     template <typename Fn>
     static void
@@ -244,11 +249,11 @@ class InlineCallback
                                          : &inlineRelocate<Fn>,
         std::is_trivially_destructible_v<Fn> ? nullptr
                                              : &inlineDestroy<Fn>,
-        false};
+        false, std::is_empty_v<Fn> ? 0 : sizeof(Fn)};
 
     template <typename Fn>
     static constexpr Ops heapOps{&heapInvoke<Fn>, nullptr,
-                                 &heapDestroy<Fn>, true};
+                                 &heapDestroy<Fn>, true, sizeof(Fn *)};
 
     alignas(std::max_align_t) std::byte buf_[kInlineBytes];
     const Ops *ops_ = nullptr;

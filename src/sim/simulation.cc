@@ -18,7 +18,6 @@ constexpr std::size_t kDrainChunk = 1024;
 SimTime
 Simulation::run()
 {
-#if MOLECULE_DETERMINISM_ANALYSIS
     // The conflict detector needs the per-event begin/scope hooks that
     // step() installs, so tracked runs take the slow path.
     if (log_) {
@@ -26,7 +25,6 @@ Simulation::run()
         }
         return now_;
     }
-#endif
     const SimTime forever(std::numeric_limits<std::int64_t>::max());
     while (events_.drain(now_, forever, kDrainChunk) > 0) {
     }
@@ -36,7 +34,6 @@ Simulation::run()
 SimTime
 Simulation::runUntil(SimTime deadline)
 {
-#if MOLECULE_DETERMINISM_ANALYSIS
     if (log_) {
         while (!events_.empty() && events_.nextTime() <= deadline)
             step();
@@ -44,7 +41,6 @@ Simulation::runUntil(SimTime deadline)
             now_ = deadline;
         return now_;
     }
-#endif
     while (events_.drain(now_, deadline, kDrainChunk) > 0) {
     }
     if (now_ < deadline)
@@ -60,7 +56,6 @@ Simulation::step()
     // Advance the clock *before* running the callback so resumed
     // coroutines observe the firing time.
     now_ = events_.nextTime();
-#if MOLECULE_DETERMINISM_ANALYSIS
     if (log_) {
         log_->beginEvent(now_.raw(), events_.nextEventSeq());
         // Install the log for the duration of the callback so
@@ -71,7 +66,6 @@ Simulation::step()
         events_.fireNext();
         return true;
     }
-#endif
     events_.fireNext();
     return true;
 }

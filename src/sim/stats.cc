@@ -120,11 +120,4 @@ Fingerprint::mixHistogram(const Histogram &h)
         mixDouble(s);
 }
 
-void
-StatRegistry::clear()
-{
-    counters_.clear();
-    hists_.clear();
-}
-
 } // namespace molecule::sim

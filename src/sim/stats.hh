@@ -10,7 +10,6 @@
 #define MOLECULE_SIM_STATS_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -103,34 +102,6 @@ class Fingerprint
     static constexpr std::uint64_t kOffsetBasis = 14695981039346656037ULL;
 
     std::uint64_t state_ = kOffsetBasis;
-};
-
-/**
- * Named registry so modules can publish stats without coupling to the
- * experiment harness.
- */
-class StatRegistry
-{
-  public:
-    Counter &counter(const std::string &name) { return counters_[name]; }
-
-    Histogram &histogram(const std::string &name) { return hists_[name]; }
-
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return hists_;
-    }
-
-    void clear();
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Histogram> hists_;
 };
 
 } // namespace molecule::sim

@@ -7,8 +7,7 @@
  * conserve against the cluster totals at every stage (arrivals,
  * admitted, shed, dropped, completed, errors), under both drop
  * policies. Attaching the telemetry plane must not move the stats
- * digest — observation is read-only (that check compiles only with
- * MOLECULE_TELEMETRY=1).
+ * digest — observation is read-only.
  */
 
 #include "cluster/gateway.hh"
@@ -198,8 +197,6 @@ TEST(TenantAccountingTest, DigestCoversTenantSplit)
     EXPECT_NE(a.digest(), b.digest());
 }
 
-#if MOLECULE_TELEMETRY
-
 TEST(TenantAccountingTest, TelemetryAttachmentDoesNotPerturb)
 {
     const auto digest = [](bool telemetry) {
@@ -216,7 +213,5 @@ TEST(TenantAccountingTest, TelemetryAttachmentDoesNotPerturb)
     };
     EXPECT_EQ(digest(false), digest(true));
 }
-
-#endif // MOLECULE_TELEMETRY
 
 } // namespace

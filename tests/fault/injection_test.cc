@@ -189,7 +189,6 @@ TEST_F(FaultFixture, OomKillEvictsTheWarmPool)
     EXPECT_TRUE(again.value().coldStart);
 }
 
-#if MOLECULE_TRACING
 TEST_F(FaultFixture, InjectorEmitsSpansAndCounters)
 {
     obs::Tracer tracer(sim);
@@ -206,7 +205,6 @@ TEST_F(FaultFixture, InjectorEmitsSpansAndCounters)
     EXPECT_EQ(tracer.metrics().counter("fault.sandbox-oom").value(), 1);
     EXPECT_EQ(tracer.metrics().counter("fault.pu_restart").value(), 1);
 }
-#endif // MOLECULE_TRACING
 
 TEST_F(FaultFixture, EmptyPlanSchedulesNothing)
 {

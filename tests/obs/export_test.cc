@@ -11,10 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/trace.hh"
-
-#if MOLECULE_TRACING
-
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -22,6 +18,7 @@
 #include <vector>
 
 #include "obs/export.hh"
+#include "obs/trace.hh"
 
 namespace {
 
@@ -187,5 +184,3 @@ TEST(Binary, CorruptMagicIsRejected)
 }
 
 } // namespace
-
-#endif // MOLECULE_TRACING

@@ -18,12 +18,9 @@
 
 #include "core/molecule.hh"
 #include "hw/computer.hh"
+#include "obs/export.hh"
 #include "obs/trace.hh"
 #include "sim/sweep.hh"
-
-#if MOLECULE_TRACING
-#include "obs/export.hh"
-#endif
 
 namespace {
 
@@ -41,16 +38,10 @@ scenarioFingerprint(bool traced, std::string *jsonOut = nullptr)
     auto computer =
         hw::buildCpuDpuServer(simu, 2, hw::DpuGeneration::Bf1);
 
-#if MOLECULE_TRACING
     obs::Tracer tracer(simu, 42);
-#endif
     core::MoleculeOptions options;
-#if MOLECULE_TRACING
     if (traced)
         options.tracer = &tracer;
-#else
-    (void)traced;
-#endif
     core::Molecule runtime(*computer, options);
     runtime.registerCpuFunction("image-resize",
                                 {hw::PuType::HostCpu, hw::PuType::Dpu});
@@ -70,12 +61,8 @@ scenarioFingerprint(bool traced, std::string *jsonOut = nullptr)
     record(runtime.invokeSync("image-resize", 0).value()); // warm
     record(runtime.invokeSync("helloworld", 1).value());   // cold, remote PU
 
-#if MOLECULE_TRACING
     if (traced && jsonOut != nullptr)
         *jsonOut = obs::chromeTraceJson(tracer.records());
-#else
-    (void)jsonOut;
-#endif
     return fp;
 }
 
@@ -86,8 +73,6 @@ TEST(Isolation, TracingDoesNotPerturbTheSimulation)
     // determinism suite's golden-digest invariance.
     EXPECT_EQ(scenarioFingerprint(false), scenarioFingerprint(true));
 }
-
-#if MOLECULE_TRACING
 
 TEST(Isolation, SweepReplicasProduceIdenticalIndependentTraces)
 {
@@ -127,7 +112,5 @@ TEST(Isolation, TracesAreCompleteUnderSweepRunner)
             EXPECT_NE(json.find(layer), std::string::npos) << layer;
     }
 }
-
-#endif // MOLECULE_TRACING
 
 } // namespace

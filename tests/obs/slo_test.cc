@@ -7,8 +7,7 @@
  * must fire exactly once and resolve exactly once after recovery,
  * error-rate objectives read the completed/errors counters, alerts
  * reach sinks at the window close that tipped them, and the alert
- * digest reproduces bit-for-bit across runs. Compiled out (trivial
- * pass) with MOLECULE_TELEMETRY=0.
+ * digest reproduces bit-for-bit across runs.
  */
 
 #include <gtest/gtest.h>
@@ -25,8 +24,6 @@ namespace {
 
 using namespace molecule;
 using sim::SimTime;
-
-#if MOLECULE_TELEMETRY
 
 obs::SloSpec
 latencySpec(double thresholdUs = 1000.0, double target = 0.99,
@@ -197,14 +194,5 @@ TEST(SloMonitor, AlertDigestReproduces)
     EXPECT_NE(a, 0u);
     EXPECT_EQ(a, run());
 }
-
-#else // !MOLECULE_TELEMETRY
-
-TEST(SloMonitorStub, SurfaceIsInert)
-{
-    SUCCEED();
-}
-
-#endif // MOLECULE_TELEMETRY
 
 } // namespace

@@ -6,8 +6,7 @@
  * deterministic ids, children parent via explicit SpanContext,
  * finish() is idempotent, inert contexts make every operation a
  * no-op, timestamps are sim time, and the ring bound drops oldest
- * records while counting the loss. The whole file also compiles with
- * MOLECULE_TRACING=0, where only the inert-surface tests run.
+ * records while counting the loss.
  */
 
 #include <gtest/gtest.h>
@@ -22,9 +21,8 @@ namespace {
 
 using namespace molecule;
 
-// The inert surface must exist and be harmless in BOTH build modes:
-// this is the API shape every call site relies on when no tracer is
-// attached (or when tracing is compiled out).
+// The inert surface must be harmless: this is the API shape every
+// call site relies on when no tracer is attached.
 TEST(SpanInert, DefaultContextIsNoOp)
 {
     obs::SpanContext ctx;
@@ -52,8 +50,6 @@ TEST(SpanInert, NullTracerRootIsNoOp)
     EXPECT_FALSE(span.active());
     EXPECT_FALSE(span.ctx().active());
 }
-
-#if MOLECULE_TRACING
 
 TEST(Span, RootOpensTraceAndRecords)
 {
@@ -350,7 +346,5 @@ TEST(SpanBuffer, ExportsSurviveClearAndArenaReset)
     EXPECT_EQ(std::string(snapshot[1].name), "invoke");
     EXPECT_EQ(snapshot[0].pu, 1);
 }
-
-#endif // MOLECULE_TRACING
 
 } // namespace

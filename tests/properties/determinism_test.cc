@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "core/molecule.hh"
+#include "obs/trace.hh"
 #include "sim/stats.hh"
 #include "sim/sweep.hh"
 #include "hw/computer.hh"
@@ -26,19 +28,23 @@ using workloads::Catalog;
 
 /** One full cold+warm+chain scenario; returns a latency fingerprint.
  * @param conflictsOut when non-null, the run executes with the
- * sim-time conflict detector enabled and reports its conflict count. */
+ * sim-time conflict detector enabled and reports its conflict count.
+ * @param spansOut when non-null, the run executes with an obs::Tracer
+ * attached and reports how many spans it recorded. */
 std::vector<std::int64_t>
-scenario(std::uint64_t seed, std::size_t *conflictsOut = nullptr)
+scenario(std::uint64_t seed, std::size_t *conflictsOut = nullptr,
+         std::size_t *spansOut = nullptr)
 {
     sim::Simulation sim(seed);
-    (void)conflictsOut; // only consulted when analysis is compiled in
-#if MOLECULE_DETERMINISM_ANALYSIS
     if (conflictsOut)
         sim.enableConflictTracking();
-#endif
     auto computer = hw::buildCpuDpuServer(sim, 2,
                                           hw::DpuGeneration::Bf1);
-    Molecule runtime(*computer, MoleculeOptions{});
+    std::optional<obs::Tracer> tracer;
+    MoleculeOptions options;
+    if (spansOut)
+        options.tracer = &tracer.emplace(sim, seed);
+    Molecule runtime(*computer, options);
     runtime.registerCpuFunction("helloworld",
                                 {PuType::HostCpu, PuType::Dpu});
     for (const auto &fn : Catalog::alexaChain())
@@ -59,19 +65,21 @@ scenario(std::uint64_t seed, std::size_t *conflictsOut = nullptr)
     fingerprint.push_back(rec.endToEnd.raw());
     for (const auto &edge : rec.edgeLatencies)
         fingerprint.push_back(edge.raw());
-#if MOLECULE_DETERMINISM_ANALYSIS
     if (conflictsOut)
         *conflictsOut = sim.accessLog()->findConflicts().size();
-#endif
+    if (spansOut)
+        *spansOut = tracer->records().size();
     return fingerprint;
 }
 
-/** FNV-1a digest of a full scenario trace. */
+/** FNV-1a digest of a full scenario trace (observers as in
+ * scenario()). */
 std::uint64_t
-traceDigest(std::uint64_t seed)
+traceDigest(std::uint64_t seed, std::size_t *conflictsOut = nullptr,
+            std::size_t *spansOut = nullptr)
 {
     sim::Fingerprint fp;
-    for (auto v : scenario(seed))
+    for (auto v : scenario(seed, conflictsOut, spansOut))
         fp.mix(static_cast<std::uint64_t>(v));
     return fp.digest();
 }
@@ -115,12 +123,12 @@ TEST(Determinism, GoldenTraceDigestHoldsUnderSweepRunner)
         EXPECT_EQ(digests[i], golden[i]) << "replica " << i;
 }
 
-#if MOLECULE_DETERMINISM_ANALYSIS
-// The conflict detector is an observer: with tracking enabled the full
-// scenario must (a) report zero same-tick conflicts — the shipped
-// model state never depends on the schedule-sequence tie-break — and
-// (b) reproduce the exact golden digests, i.e. observation does not
-// perturb the simulation.
+// The conflict detector and the tracer are observers: with tracking
+// enabled the full scenario must (a) report zero same-tick conflicts —
+// the shipped model state never depends on the schedule-sequence
+// tie-break — and (b) reproduce the exact golden digests; with a
+// Tracer attached it must record spans and reproduce the same
+// digests, i.e. observation does not perturb the simulation.
 TEST(Determinism, ConflictTrackingIsCleanAndNonPerturbing)
 {
     const std::pair<std::uint64_t, std::uint64_t> golden[] = {
@@ -130,14 +138,14 @@ TEST(Determinism, ConflictTrackingIsCleanAndNonPerturbing)
     };
     for (const auto &[seed, digest] : golden) {
         std::size_t conflicts = 0;
-        sim::Fingerprint fp;
-        for (auto v : scenario(seed, &conflicts))
-            fp.mix(static_cast<std::uint64_t>(v));
+        EXPECT_EQ(traceDigest(seed, &conflicts), digest) << "seed " << seed;
         EXPECT_EQ(conflicts, 0u) << "seed " << seed;
-        EXPECT_EQ(fp.digest(), digest) << "seed " << seed;
+        std::size_t spans = 0;
+        EXPECT_EQ(traceDigest(seed, nullptr, &spans), digest)
+            << "traced, seed " << seed;
+        EXPECT_GT(spans, 0u) << "seed " << seed;
     }
 }
-#endif
 
 TEST(Determinism, DifferentSeedsDifferOnlyInJitter)
 {

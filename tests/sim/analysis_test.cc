@@ -20,11 +20,9 @@ namespace {
 
 using namespace molecule::sim;
 using analysis::Tracked;
-#if MOLECULE_DETERMINISM_ANALYSIS
 using analysis::AccessKind;
 using analysis::AccessLog;
 using analysis::Conflict;
-#endif
 
 TEST(Tracked, PassthroughSemantics)
 {
@@ -37,24 +35,18 @@ TEST(Tracked, PassthroughSemantics)
     EXPECT_EQ(cell.peek(), 12);
     cell.writeRef() += 1;
     EXPECT_EQ(cell.peek(), 13);
-#if MOLECULE_DETERMINISM_ANALYSIS
     EXPECT_STREQ(cell.name(), "test.cell");
-#endif
 }
 
 TEST(Tracked, AccessOutsideTrackingIsIgnored)
 {
     // No simulation, no log installed: accessors must be plain
     // passthrough (this is also the runtime-off configuration).
-#if MOLECULE_DETERMINISM_ANALYSIS
     EXPECT_EQ(analysis::AccessLog::current(), nullptr);
-#endif
     Tracked<int> cell{1, "test.cell"};
     cell.write(2);
     EXPECT_EQ(cell.read(), 2);
 }
-
-#if MOLECULE_DETERMINISM_ANALYSIS
 
 TEST(ConflictDetector, TrackingOffByDefault)
 {
@@ -278,7 +270,5 @@ TEST(ConflictDetector, CoroutineDelaysLandingOnSameTickAreReported)
     EXPECT_EQ(cell.peek(), 2);
     EXPECT_EQ(sim.accessLog()->findConflicts().size(), 1u);
 }
-
-#endif // MOLECULE_DETERMINISM_ANALYSIS
 
 } // namespace

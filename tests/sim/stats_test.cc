@@ -10,7 +10,6 @@ namespace {
 
 using molecule::sim::Counter;
 using molecule::sim::Histogram;
-using molecule::sim::StatRegistry;
 using molecule::sim::Table;
 using namespace molecule::sim::literals;
 
@@ -87,18 +86,6 @@ TEST(Histogram, SummaryLineContainsPercentiles)
     EXPECT_NE(line.find("avg 5.50"), std::string::npos);
     EXPECT_NE(line.find("p50 5.00"), std::string::npos);
     EXPECT_NE(line.find("p99 10.00"), std::string::npos);
-}
-
-TEST(StatRegistry, NamedAccessCreatesOnDemand)
-{
-    StatRegistry reg;
-    reg.counter("invocations").inc(3);
-    reg.histogram("latency").add(1.0);
-    EXPECT_EQ(reg.counter("invocations").value(), 3);
-    EXPECT_EQ(reg.histogram("latency").count(), 1u);
-    reg.clear();
-    EXPECT_TRUE(reg.counters().empty());
-    EXPECT_TRUE(reg.histograms().empty());
 }
 
 TEST(Table, RendersAlignedColumns)

@@ -24,18 +24,10 @@
  * (JSON-lines windows, OpenMetrics text) for CI upload. --chaos
  * --dump PATH runs a fault-injection variant (PU crash mid-run) and
  * writes the flight recorder's post-mortem bundle.
- *
- * With MOLECULE_TELEMETRY=0 the tool compiles to a stub that reports
- * the plane is disabled and exits 0.
  */
 
-#include <cstdio>
-
-#include "obs/timeseries.hh"
-
-#if MOLECULE_TELEMETRY
-
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -46,6 +38,7 @@
 #include "obs/flight_recorder.hh"
 #include "obs/metrics_export.hh"
 #include "obs/slo.hh"
+#include "obs/timeseries.hh"
 #include "sim/simulation.hh"
 #include "sim/sweep.hh"
 #include "sim/table.hh"
@@ -150,9 +143,7 @@ Outcome
 runScenario(std::uint64_t seed, const RunConfig &cfg = {})
 {
     sim::Simulation sim(seed);
-#if MOLECULE_TRACING
     obs::Tracer tracer(sim, seed);
-#endif
     fault::FaultState faults;
     cluster::FleetSpec fleetSpec;
     fleetSpec.nodes = 2;
@@ -162,9 +153,7 @@ runScenario(std::uint64_t seed, const RunConfig &cfg = {})
         // (documented fleet-chaos semantics; the point here is the
         // recorder, not per-node blast radius).
         fleetSpec.runtime.faults = &faults;
-#if MOLECULE_TRACING
         fleetSpec.runtime.tracer = &tracer;
-#endif
     }
     cluster::Fleet fleet(sim, fleetSpec);
 
@@ -189,9 +178,7 @@ runScenario(std::uint64_t seed, const RunConfig &cfg = {})
     frOpts.spanTail = 128;
     obs::FlightRecorder recorder(ts, frOpts);
     monitor.addSink(&recorder);
-#if MOLECULE_TRACING
     recorder.attachTracer(tracer);
-#endif
 
     cluster::LeastOutstandingPolicy policy;
     cluster::AdmissionOptions admission;
@@ -546,15 +533,3 @@ main(int argc, char **argv)
 
     return report(check, cfg, seeds);
 }
-
-#else // !MOLECULE_TELEMETRY
-
-int
-main()
-{
-    std::printf("slo_report: built with MOLECULE_TELEMETRY=0; the "
-                "telemetry plane is compiled out.\n");
-    return 0;
-}
-
-#endif // MOLECULE_TELEMETRY

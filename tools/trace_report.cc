@@ -35,27 +35,22 @@
  *       Structurally validate an existing Chrome trace JSON file.
  *
  * Exit status is non-zero when any requested check fails, so CI can
- * gate on it. With MOLECULE_TRACING=0 the tool compiles to a stub
- * that reports the configuration and succeeds.
+ * gate on it.
  */
 
 #include <cstdio>
 #include <cstring>
-#include <string>
-
-#include "obs/trace.hh"
-
-#if MOLECULE_TRACING
-
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/molecule.hh"
 #include "fault/injector.hh"
 #include "obs/export.hh"
+#include "obs/trace.hh"
 #include "sim/table.hh"
 #include "workloads/catalog.hh"
 
@@ -562,15 +557,3 @@ main(int argc, char **argv)
         return validateJsonFile(argv[2]) ? 0 : 1;
     return usage();
 }
-
-#else // !MOLECULE_TRACING
-
-int
-main()
-{
-    std::printf("trace_report: built with MOLECULE_TRACING=0; "
-                "tracing is compiled out.\n");
-    return 0;
-}
-
-#endif // MOLECULE_TRACING
