@@ -2,21 +2,26 @@
 
 namespace molecule::xpu {
 
-void
+bool
 CapGroup::add(ObjId obj, Perm perm)
 {
-    caps_[obj] = caps_.count(obj) ? (caps_[obj] | perm) : perm;
+    auto [it, inserted] = caps_.try_emplace(obj, perm);
+    if (!inserted)
+        it->second = it->second | perm;
+    return inserted;
 }
 
-void
+bool
 CapGroup::remove(ObjId obj, Perm perm)
 {
     auto it = caps_.find(obj);
     if (it == caps_.end())
-        return;
+        return false;
     it->second = it->second & ~perm;
-    if (it->second == Perm::None)
-        caps_.erase(it);
+    if (it->second != Perm::None)
+        return false;
+    caps_.erase(it);
+    return true;
 }
 
 void
@@ -57,11 +62,23 @@ CapabilityStore::removeObject(ObjId id)
     if (!it->second.uuid.empty())
         byUuid_.erase(it->second.uuid);
     objects_.erase(it);
-    // Grants die with their object; a group left empty goes too.
-    for (auto g = groups_.begin(); g != groups_.end();) {
-        g->second.drop(id);
-        g = g->second.size() == 0 ? groups_.erase(g) : std::next(g);
+    // Grants die with their object; a group left empty goes too, and
+    // so does every group an earlier revoke emptied.
+    if (auto h = holders_.find(id); h != holders_.end()) {
+        for (std::uint64_t key : h->second) {
+            auto g = groups_.find(key);
+            g->second.drop(id);
+            if (g->second.size() == 0)
+                groups_.erase(g);
+        }
+        holders_.erase(h);
     }
+    for (std::uint64_t key : emptied_) {
+        auto g = groups_.find(key);
+        if (g != groups_.end() && g->second.size() == 0)
+            groups_.erase(g);
+    }
+    emptied_.clear();
 }
 
 void
@@ -70,7 +87,8 @@ CapabilityStore::applyGrant(XpuPid pid, ObjId obj, Perm perm)
     version_.fetchAdd(1);
     auto [it, inserted] = groups_.try_emplace(pid.encode(), pid);
     (void)inserted;
-    it->second.add(obj, perm);
+    if (it->second.add(obj, perm))
+        holders_[obj].push_back(it->first);
 }
 
 void
@@ -78,9 +96,14 @@ CapabilityStore::applyRevoke(XpuPid pid, ObjId obj, Perm perm)
 {
     version_.fetchAdd(1);
     auto it = groups_.find(pid.encode());
-    if (it == groups_.end())
+    if (it == groups_.end() || !it->second.remove(obj, perm))
         return;
-    it->second.remove(obj, perm);
+    auto h = holders_.find(obj);
+    std::erase(h->second, it->first);
+    if (h->second.empty())
+        holders_.erase(h);
+    if (it->second.size() == 0)
+        emptied_.push_back(it->first);
 }
 
 const DistributedObject *
@@ -123,6 +146,8 @@ CapabilityStore::reset()
     objects_.clear();
     byUuid_.clear();
     groups_.clear();
+    holders_.clear();
+    emptied_.clear();
 }
 
 void
@@ -132,6 +157,8 @@ CapabilityStore::cloneFrom(const CapabilityStore &peer)
     objects_ = peer.objects_;
     byUuid_ = peer.byUuid_;
     groups_ = peer.groups_;
+    holders_ = peer.holders_;
+    emptied_ = peer.emptied_;
 }
 
 } // namespace molecule::xpu

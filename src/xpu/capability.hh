@@ -12,8 +12,9 @@
 #ifndef MOLECULE_XPU_CAPABILITY_HH
 #define MOLECULE_XPU_CAPABILITY_HH
 
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "sim/analysis.hh"
 #include "xpu/types.hh"
@@ -47,11 +48,13 @@ class CapGroup
 
     XpuPid pid() const { return pid_; }
 
-    /** Add permission bits for an object. */
-    void add(ObjId obj, Perm perm);
+    /** Add permission bits for an object; true when this creates
+     * the entry. */
+    bool add(ObjId obj, Perm perm);
 
-    /** Remove permission bits; drops the entry when nothing is left. */
-    void remove(ObjId obj, Perm perm);
+    /** Remove permission bits; drops the entry when nothing is left
+     * and returns true then. */
+    bool remove(ObjId obj, Perm perm);
 
     /** Forget every permission on @p obj. */
     void drop(ObjId obj);
@@ -68,7 +71,7 @@ class CapGroup
 
   private:
     XpuPid pid_;
-    std::map<ObjId, Perm> caps_;
+    std::unordered_map<ObjId, Perm> caps_;
 };
 
 /**
@@ -93,7 +96,7 @@ class CapabilityStore
     void registerObject(const DistributedObject &obj);
 
     /** Forget an object and every grant on it; CAP_Groups left
-     * empty are dropped. */
+     * empty, by this removal or by an earlier revoke, are dropped. */
     void removeObject(ObjId id);
 
     /** Apply a capability grant. Creates the CAP_Group on demand. */
@@ -129,9 +132,17 @@ class CapabilityStore
   private:
     PuId self_;
     std::uint64_t nextLocal_ = 1;
-    std::map<ObjId, DistributedObject> objects_;
-    std::map<std::string, ObjId> byUuid_;
-    std::map<std::uint64_t, CapGroup> groups_; // key: XpuPid::encode()
+    // Hashed: no replica table is ever iterated, so hash order never
+    // reaches a result.
+    std::unordered_map<ObjId, DistributedObject> objects_;
+    std::unordered_map<std::string, ObjId> byUuid_;
+    std::unordered_map<std::uint64_t, CapGroup> groups_; // XpuPid::encode()
+    /** Holder index: the groups with an entry for each object, in
+     * grant order. removeObject visits only these. */
+    std::unordered_map<ObjId, std::vector<std::uint64_t>> holders_;
+    /** Groups a revoke left empty. They stay until the next
+     * removeObject, which drops every empty group. */
+    std::vector<std::uint64_t> emptied_;
     /** Replica version: bumped by every replicated-state update, read
      * by every local query. A same-tick update/check pair on one
      * replica depends only on the event tie-break — the exact hazard

@@ -1,5 +1,7 @@
 #include "xpu/shim.hh"
 
+#include <algorithm>
+
 #include "hw/calibration.hh"
 #include "sim/logging.hh"
 
@@ -414,11 +416,18 @@ XpuShim::crashLocal()
     // Wake every blocked getter with a fault sentinel, then retire the
     // queue to the graveyard: woken coroutines resume strictly later
     // in the tick and still touch the mailbox.
-    for (auto &[id, homed] : queues_) {
-        const std::size_t waiting = homed.queue->waitingGetters();
+    // Poison in ObjId order: the wake-up order is visible in results.
+    std::vector<ObjId> ids;
+    ids.reserve(queues_.size());
+    for (const auto &entry : queues_)
+        ids.push_back(entry.first);
+    std::sort(ids.begin(), ids.end());
+    for (ObjId id : ids) {
+        auto &queue = queues_.at(id).queue;
+        const std::size_t waiting = queue->waitingGetters();
         for (std::size_t i = 0; i < waiting; ++i)
-            homed.queue->tryPut(os::FifoMessage{0, "!fault:pu-crash"});
-        deadQueues_.push_back(std::move(homed.queue));
+            queue->tryPut(os::FifoMessage{0, "!fault:pu-crash"});
+        deadQueues_.push_back(std::move(queue));
     }
     queues_.clear();
     lazyQueue_.clear();
@@ -435,35 +444,32 @@ XpuShim *
 XpuShimNetwork::addShim(os::LocalOs &os, TransportKind transport)
 {
     const PuId pu = os.pu().id();
-    MOLECULE_ASSERT(!shims_.count(pu), "PU %d already has a shim", pu);
-    auto shim = std::make_unique<XpuShim>(*this, os, transport);
-    XpuShim *raw = shim.get();
-    shims_[pu] = std::move(shim);
-    return raw;
+    MOLECULE_ASSERT(pu >= 0 && !hasShim(pu), "PU %d already has a shim",
+                    pu);
+    if (std::size_t(pu) >= shims_.size())
+        shims_.resize(std::size_t(pu) + 1);
+    shims_[std::size_t(pu)] =
+        std::make_unique<XpuShim>(*this, os, transport);
+    ordered_.clear();
+    for (const auto &shim : shims_)
+        if (shim)
+            ordered_.push_back(shim.get());
+    return shims_[std::size_t(pu)].get();
 }
 
 XpuShim &
 XpuShimNetwork::shimOn(PuId pu)
 {
-    auto it = shims_.find(pu);
-    if (it == shims_.end())
+    if (!hasShim(pu))
         sim::fatal("no XPU-Shim on PU %d", pu);
-    return *it->second;
+    return *shims_[std::size_t(pu)];
 }
 
 bool
 XpuShimNetwork::hasShim(PuId pu) const
 {
-    return shims_.count(pu) != 0;
-}
-
-std::vector<XpuShim *>
-XpuShimNetwork::allShims()
-{
-    std::vector<XpuShim *> out;
-    for (auto &[pu, shim] : shims_)
-        out.push_back(shim.get());
-    return out;
+    return pu >= 0 && std::size_t(pu) < shims_.size() &&
+           shims_[std::size_t(pu)] != nullptr;
 }
 
 void

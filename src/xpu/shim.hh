@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/status.hh"
@@ -206,7 +207,8 @@ class XpuShim
     int handlerThreads_ = 1;
     std::unique_ptr<sim::Semaphore> handlerSlots_;
     CapabilityStore caps_;
-    std::map<ObjId, HomedFifo> queues_;
+    /** Never iterated in hash order: crashLocal sorts the ids first. */
+    std::unordered_map<ObjId, HomedFifo> queues_;
     /** Poisoned queues retired at crash: suspended getters woken by
      * the poison still touch the mailbox when they resume, so it must
      * outlive the crash instant. */
@@ -248,7 +250,8 @@ class XpuShimNetwork
 
     bool hasShim(PuId pu) const;
 
-    std::vector<XpuShim *> allShims();
+    /** Every shim in PU order (cached; broadcasts walk it). */
+    const std::vector<XpuShim *> &allShims() const { return ordered_; }
 
     /** Wire the fault state in (nullptr = fault-free, the default). */
     void attachFaults(const fault::FaultState *faults)
@@ -281,7 +284,9 @@ class XpuShimNetwork
   private:
     hw::Computer &computer_;
     const fault::FaultState *faults_ = nullptr;
-    std::map<PuId, std::unique_ptr<XpuShim>> shims_;
+    /** Indexed by PuId (PU ids are dense per computer). */
+    std::vector<std::unique_ptr<XpuShim>> shims_;
+    std::vector<XpuShim *> ordered_;
     std::map<std::string, ProgramHook> programs_;
 };
 

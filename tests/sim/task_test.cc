@@ -2,12 +2,78 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/simulation.hh"
 #include "sim/task.hh"
+
+/**
+ * Global allocation counter for the frame-recycling test: every
+ * operator new in this binary bumps it (malloc-backed, otherwise the
+ * default behavior). Left out under ASan, whose own operator new
+ * checks new/delete pairing; the test skips there.
+ */
+static std::uint64_t g_allocCount = 0;
+
+#if !defined(__SANITIZE_ADDRESS__)
+
+// Malloc-backed on purpose; GCC's mismatched-new-delete heuristic
+// cannot see that new and delete still pair up.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void *
+operator new(std::size_t n)
+{
+    ++g_allocCount;
+    void *p = std::malloc(n ? n : 1);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+void *
+operator new[](std::size_t n)
+{
+    ++g_allocCount;
+    void *p = std::malloc(n ? n : 1);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+#pragma GCC diagnostic pop
+
+#endif
 
 namespace {
 
@@ -216,6 +282,52 @@ TEST(Task, TasksCanSpawnTasks)
     sim.run();
     EXPECT_EQ(count, 11);
     EXPECT_EQ(sim.now(), 10_us);
+}
+
+Task<int>
+leafStep(Simulation &sim, int v)
+{
+    co_await sim.delay(1_ns);
+    co_return v + 1;
+}
+
+Task<int>
+innerStep(Simulation &sim, int v)
+{
+    const int a = co_await leafStep(sim, v);
+    const int b = co_await leafStep(sim, a);
+    co_return b;
+}
+
+/** Awaits child tasks in a loop; records the allocation count once
+ * the warm-up rounds are done and again at the end. */
+Task<>
+steadyLoop(Simulation &sim, int warmup, int rounds, std::uint64_t *atStart,
+           std::uint64_t *atEnd, int *sum)
+{
+    for (int i = 0; i < warmup + rounds; ++i) {
+        if (i == warmup)
+            *atStart = g_allocCount;
+        const int v = co_await innerStep(sim, i);
+        *sum += v;
+    }
+    *atEnd = g_allocCount;
+}
+
+TEST(Task, SteadyStateFramesAreRecycled)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    GTEST_SKIP() << "ASan replaces operator new; nothing to count";
+#endif
+    Simulation sim;
+    std::uint64_t atStart = 0, atEnd = 0;
+    int sum = 0;
+    sim.spawn(steadyLoop(sim, 64, 2000, &atStart, &atEnd, &sum));
+    sim.run();
+    // 2064 rounds of (i + 2).
+    EXPECT_EQ(sum, 2064 * 2063 / 2 + 2 * 2064);
+    EXPECT_EQ(atEnd - atStart, 0u)
+        << "awaited child frames reached the global heap";
 }
 
 TEST(Simulation, RunUntilStopsAtDeadline)

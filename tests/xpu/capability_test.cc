@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "xpu/capability.hh"
 
 namespace {
@@ -135,6 +141,214 @@ TEST(CapabilityStore, ChecksAreDenyByDefault)
     CapabilityStore store(0);
     EXPECT_FALSE(store.check(XpuPid{0, 1}, 1234, Perm::Read));
     EXPECT_EQ(store.lookup(XpuPid{0, 1}, 1234), Perm::None);
+}
+
+TEST(CapabilityStore, RevokeEmptiedGroupDropsAtNextRemoveObject)
+{
+    CapabilityStore store(0);
+    const XpuPid reader{0, 1}, writer{1, 2};
+    DistributedObject fifo;
+    fifo.id = store.allocateId();
+    store.registerObject(fifo);
+    const ObjId other = store.allocateId();
+
+    store.applyGrant(reader, other, Perm::Read);
+    store.applyGrant(writer, fifo.id, Perm::Write);
+    // The revoke empties the reader's group, which stays until the
+    // next removal, even one of an object it never held.
+    store.applyRevoke(reader, other, Perm::Read);
+    EXPECT_EQ(store.groupCount(), 2u);
+    store.removeObject(fifo.id);
+    EXPECT_EQ(store.groupCount(), 0u);
+}
+
+/**
+ * Reference model: the capability replica as plain ordered maps with
+ * a full scan of every group on removeObject.
+ */
+struct ReferenceStore
+{
+    std::map<ObjId, DistributedObject> objects;
+    std::map<std::string, ObjId> byUuid;
+    std::map<std::uint64_t, std::map<ObjId, Perm>> groups;
+
+    void
+    registerObject(const DistributedObject &obj)
+    {
+        objects[obj.id] = obj;
+        if (!obj.uuid.empty())
+            byUuid[obj.uuid] = obj.id;
+    }
+
+    void
+    removeObject(ObjId id)
+    {
+        auto it = objects.find(id);
+        if (it == objects.end())
+            return;
+        if (!it->second.uuid.empty())
+            byUuid.erase(it->second.uuid);
+        objects.erase(it);
+        for (auto g = groups.begin(); g != groups.end();) {
+            g->second.erase(id);
+            g = g->second.empty() ? groups.erase(g) : std::next(g);
+        }
+    }
+
+    void
+    grant(XpuPid pid, ObjId obj, Perm perm)
+    {
+        Perm &have = groups[pid.encode()][obj];
+        have = have | perm;
+    }
+
+    void
+    revoke(XpuPid pid, ObjId obj, Perm perm)
+    {
+        auto g = groups.find(pid.encode());
+        if (g == groups.end())
+            return;
+        auto c = g->second.find(obj);
+        if (c == g->second.end())
+            return;
+        c->second = c->second & ~perm;
+        if (c->second == Perm::None)
+            g->second.erase(c);
+    }
+
+    Perm
+    lookup(XpuPid pid, ObjId obj) const
+    {
+        auto g = groups.find(pid.encode());
+        if (g == groups.end())
+            return Perm::None;
+        auto c = g->second.find(obj);
+        return c == g->second.end() ? Perm::None : c->second;
+    }
+
+    const DistributedObject *
+    findByUuid(const std::string &uuid) const
+    {
+        auto u = byUuid.find(uuid);
+        if (u == byUuid.end())
+            return nullptr;
+        auto o = objects.find(u->second);
+        return o == objects.end() ? nullptr : &o->second;
+    }
+};
+
+/** One replica under test next to its reference model. */
+struct ReplicaPair
+{
+    CapabilityStore store{0};
+    ReferenceStore ref;
+};
+
+void
+expectSameState(const ReplicaPair &r, const std::vector<XpuPid> &pids,
+                ObjId objIds, const std::vector<std::string> &uuids,
+                const std::string &where)
+{
+    SCOPED_TRACE(where);
+    ASSERT_EQ(r.store.objectCount(), r.ref.objects.size());
+    ASSERT_EQ(r.store.groupCount(), r.ref.groups.size());
+    static const Perm kNeeds[] = {Perm::Read, Perm::Write, Perm::Owner,
+                                  Perm::Read | Perm::Write};
+    for (const XpuPid &pid : pids) {
+        for (ObjId obj = 1; obj <= objIds; ++obj) {
+            ASSERT_EQ(r.store.lookup(pid, obj), r.ref.lookup(pid, obj));
+            for (Perm need : kNeeds)
+                ASSERT_EQ(r.store.check(pid, obj, need),
+                          hasPerm(r.ref.lookup(pid, obj), need));
+        }
+    }
+    for (const std::string &uuid : uuids) {
+        const DistributedObject *got = r.store.findByUuid(uuid);
+        const DistributedObject *want = r.ref.findByUuid(uuid);
+        ASSERT_EQ(got == nullptr, want == nullptr) << uuid;
+        if (got == nullptr)
+            continue;
+        EXPECT_EQ(got->id, want->id);
+        EXPECT_EQ(got->owner, want->owner);
+        EXPECT_EQ(got->homePu, want->homePu);
+        EXPECT_EQ(got->uuid, want->uuid);
+    }
+}
+
+TEST(CapabilityStore, MatchesReferenceModelOnRandomSequences)
+{
+    // Small id, pid and uuid pools so operations collide often:
+    // re-grants, revokes that empty groups, removals of held objects,
+    // uuids re-registered under other ids.
+    const ObjId kObjIds = 10;
+    const std::vector<XpuPid> pids = {
+        {0, 1}, {0, 2}, {1, 1}, {1, 3}, {2, 7}};
+    const std::vector<std::string> uuids = {"", "a", "b", "c", "d", "e"};
+    const Perm kPerms[] = {Perm::None,  Perm::Read,
+                           Perm::Write, Perm::Owner,
+                           Perm::Read | Perm::Write,
+                           Perm::Read | Perm::Write | Perm::Owner};
+
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        std::mt19937_64 rng(seed);
+        auto pick = [&](std::size_t n) { return std::size_t(rng() % n); };
+        ReplicaPair replicas[2];
+        for (int step = 0; step < 300; ++step) {
+            ReplicaPair &r = replicas[pick(2)];
+            const XpuPid pid = pids[pick(pids.size())];
+            const ObjId obj = 1 + ObjId(pick(kObjIds));
+            const Perm perm = kPerms[pick(std::size(kPerms))];
+            std::string op;
+            switch (pick(20)) {
+              case 0: case 1: case 2: case 3: {
+                DistributedObject o;
+                o.id = obj;
+                o.owner = pid;
+                o.homePu = int(pick(3));
+                o.uuid = uuids[pick(uuids.size())];
+                r.store.registerObject(o);
+                r.ref.registerObject(o);
+                op = "register";
+                break;
+              }
+              case 4: case 5: case 6: case 7: case 8: case 9:
+                r.store.applyGrant(pid, obj, perm);
+                r.ref.grant(pid, obj, perm);
+                op = "grant";
+                break;
+              case 10: case 11: case 12: case 13:
+                r.store.applyRevoke(pid, obj, perm);
+                r.ref.revoke(pid, obj, perm);
+                op = "revoke";
+                break;
+              case 14: case 15: case 16: case 17:
+                r.store.removeObject(obj);
+                r.ref.removeObject(obj);
+                op = "remove";
+                break;
+              case 18:
+                r.store.reset();
+                r.ref = ReferenceStore{};
+                op = "reset";
+                break;
+              default: {
+                ReplicaPair &peer = &r == &replicas[0] ? replicas[1]
+                                                       : replicas[0];
+                r.store.cloneFrom(peer.store);
+                r.ref = peer.ref;
+                op = "cloneFrom";
+                break;
+              }
+            }
+            const std::string where = "seed " + std::to_string(seed) +
+                                      " step " + std::to_string(step) +
+                                      " " + op;
+            for (const ReplicaPair &each : replicas)
+                expectSameState(each, pids, kObjIds, uuids, where);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
 }
 
 } // namespace
