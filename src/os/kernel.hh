@@ -104,6 +104,9 @@ class LocalOs
     LocalFifo *findFifo(const std::string &name);
 
     void removeFifo(const std::string &name);
+
+    /** Live named FIFOs. */
+    std::size_t fifoCount() const { return fifos_.size(); }
     ///@}
 
     /**

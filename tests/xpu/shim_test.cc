@@ -280,6 +280,14 @@ TEST_F(ShimFixture, WriteWithoutCapabilityIsDenied)
     sim.spawn(nipcWriter(*dpu1Client, "locked", 64, &res, sim));
     sim.run();
     EXPECT_EQ(res.writeStatus.code(), Errc::InvalidArgument);
+    EXPECT_EQ(res.received.bytes, 0u);
+    // The owner may still write. That releases the blocked reader, so
+    // no coroutine is left suspended when the test ends.
+    NipcResult owner;
+    sim.spawn(nipcWriter(*cpuClient, "locked", 32, &owner, sim));
+    sim.run();
+    EXPECT_TRUE(owner.writeStatus.ok()) << owner.writeStatus.toString();
+    EXPECT_EQ(res.received.bytes, 32u);
 }
 
 TEST_F(ShimFixture, CloseReclaimsLazily)
