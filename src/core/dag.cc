@@ -1,5 +1,7 @@
 #include "core/dag.hh"
 
+#include <optional>
+
 #include "hw/calibration.hh"
 #include "sim/logging.hh"
 #include "sim/sync.hh"
@@ -20,48 +22,75 @@ ChainSpec::linear(const std::string &name,
     return spec;
 }
 
-/** Per-node communication state for one chain execution. */
+/** One node's state for one chain execution. */
 struct DagEngine::Endpoint
 {
-    const FunctionDef *def = nullptr;
     AcquiredInstance acq;
-    int pu = -1;
     /** Direct-connect local FIFO; only when the incoming edge stays
      * on this PU. */
     os::LocalFifo *localFifo = nullptr;
     std::string fifoName;
     /** XPUcall client + self XPU-FIFO (cross-PU edges). */
-    std::unique_ptr<xpu::XpuClient> client;
+    std::optional<xpu::XpuClient> client;
     xpu::XpuFd selfFd = -1;
     /** Writer-side fd of the incoming cross-PU edge, held by the
      * parent's client (or the gateway's, for the root). */
     xpu::XpuFd inFd = -1;
+    /** Entry edge (root) or parent edge latency. */
+    sim::SimTime edgeLatency;
+    sim::SimTime execEnd;
 };
 
 namespace {
 
+/** FNV-1a over the inputs that select a plan. */
+std::uint64_t
+planKey(const ChainSpec &spec, const std::vector<int> &placement,
+        int managerPu)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
+    auto mixString = [&mix](const std::string &s) {
+        for (char c : s)
+            mix(std::uint8_t(c));
+        mix(0x100); // terminator: "ab"+"c" differs from "a"+"bc"
+    };
+    mixString(spec.name);
+    for (const ChainNode &node : spec.nodes) {
+        mixString(node.fn);
+        mix(std::uint32_t(node.parent));
+    }
+    for (int pu : placement)
+        mix(std::uint32_t(pu));
+    mix(std::uint32_t(managerPu));
+    return h;
+}
+
 /** Everything one chain execution shares. */
 struct RunContext
 {
-    DagEngine *engine = nullptr;
     Deployment *dep = nullptr;
-    const ChainSpec *spec = nullptr;
-    const std::vector<int> *placement = nullptr;
+    const ChainPlan *plan = nullptr;
     DagCommMode mode = DagCommMode::MoleculeIpc;
-    int managerPu = 0;
     /** Causal root for every span of this chain execution. */
     obs::SpanContext trace;
     std::vector<DagEngine::Endpoint> eps;
     /** Gateway-side process and client used for the entry edge. */
     os::Process *gatewayProc = nullptr;
-    std::unique_ptr<xpu::XpuClient> gatewayClient;
-    std::vector<sim::SimTime> edgeLatency; // per node; root = entry
-    std::vector<sim::SimTime> execEnd;     // per node
-    std::vector<std::vector<int>> children;
+    std::optional<xpu::XpuClient> gatewayClient;
     /** Writer-side closes still running (detached). */
     int closesInFlight = 0;
     /** Set by a teardown waiting for those closes. */
     sim::SimEvent *closesDone = nullptr;
+
+    /** Client writing into @p node's self-FIFO (gateway for the root). */
+    xpu::XpuClient &
+    writerOf(int node)
+    {
+        const int parent = plan->spec.nodes[std::size_t(node)].parent;
+        return parent < 0 ? *gatewayClient
+                          : *eps[std::size_t(parent)].client;
+    }
 };
 
 sim::SimTime
@@ -86,26 +115,26 @@ closeWriter(RunContext *ctx, xpu::XpuClient *writer, xpu::XpuFd fd)
 }
 
 /**
- * Move one message from @p fromNode (-1: gateway) into @p toNode's
- * instance, charging the full path of the selected mode.
+ * Move one message into @p toNode's instance from its parent (or the
+ * gateway, for the root), charging the full path of the selected mode.
  */
 sim::Task<>
-edgeTransfer(RunContext *ctx, int fromNode, int toNode,
-             obs::SpanContext spanCtx)
+edgeTransfer(RunContext *ctx, int toNode, obs::SpanContext spanCtx)
 {
+    const ChainPlan &plan = *ctx->plan;
     auto &to = ctx->eps[std::size_t(toNode)];
-    const int fromPu = fromNode < 0
-                           ? ctx->managerPu
-                           : ctx->eps[std::size_t(fromNode)].pu;
+    const FunctionDef &def = *plan.defs[std::size_t(toNode)];
+    const int fromPu = plan.fromPu[std::size_t(toNode)];
+    const int toPu = plan.placement[std::size_t(toNode)];
     auto &fromOs = ctx->dep->osOn(fromPu);
-    auto &toOs = ctx->dep->osOn(to.pu);
-    const std::uint64_t bytes = to.def->cpuWork->msgBytes;
+    auto &toOs = ctx->dep->osOn(toPu);
+    const std::uint64_t bytes = def.cpuWork->msgBytes;
 
     if (ctx->mode == DagCommMode::BaselineHttp) {
         // HTTP request through both network stacks + the wire.
         co_await fromOs.simulation().delay(
             fromOs.pu().netCost(calib::kHttpEdgeEndpointCost));
-        co_await ctx->dep->computer().topology().transfer(fromPu, to.pu,
+        co_await ctx->dep->computer().topology().transfer(fromPu, toPu,
                                                           bytes,
                                                           spanCtx);
         co_await toOs.simulation().delay(
@@ -115,16 +144,13 @@ edgeTransfer(RunContext *ctx, int fromNode, int toNode,
         // FIFO on the same PU, XPU-FIFO across PUs), deserialize.
         co_await fromOs.simulation().delay(
             fromOs.pu().netCost(calib::kIpcSerializeCost));
-        if (fromPu == to.pu) {
+        if (!plan.crossesPu(std::size_t(toNode))) {
             os::FifoMessage msg{bytes, "req"};
             co_await to.localFifo->write(msg);
             (void)co_await to.localFifo->read();
         } else {
-            xpu::XpuClient *writer =
-                fromNode < 0 ? ctx->gatewayClient.get()
-                             : ctx->eps[std::size_t(fromNode)].client.get();
-            MOLECULE_ASSERT(to.inFd >= 0,
-                            "missing xfifo connection %d->%d", fromNode,
+            xpu::XpuClient *writer = &ctx->writerOf(toNode);
+            MOLECULE_ASSERT(to.inFd >= 0, "missing xfifo connection to %d",
                             toNode);
             core::Status st =
                 co_await writer->xfifoWrite(to.inFd, bytes, "req");
@@ -143,9 +169,9 @@ edgeTransfer(RunContext *ctx, int fromNode, int toNode,
     }
     // Receiver-side per-request dispatch (HTTP router vs FIFO loop).
     {
-        obs::Span disp(spanCtx, "os.dispatch", obs::Layer::Os, to.pu);
+        obs::Span disp(spanCtx, "os.dispatch", obs::Layer::Os, toPu);
         co_await toOs.simulation().delay(
-            toOs.pu().netCost(dispatchCost(*to.def, ctx->mode)));
+            toOs.pu().netCost(dispatchCost(def, ctx->mode)));
     }
 }
 
@@ -153,75 +179,97 @@ edgeTransfer(RunContext *ctx, int fromNode, int toNode,
 sim::Task<>
 runNode(RunContext *ctx, int idx, sim::SimTime upstreamDone)
 {
+    const ChainPlan &plan = *ctx->plan;
     auto &ep = ctx->eps[std::size_t(idx)];
+    const FunctionDef &def = *plan.defs[std::size_t(idx)];
+    const int pu = plan.placement[std::size_t(idx)];
     auto &sim = ctx->dep->simulation();
-    const int parent = ctx->spec->nodes[std::size_t(idx)].parent;
 
     // One span per node invocation, parented on the chain root; the
     // edge + dispatch work nests under a "comm" child (Fig 12 path).
-    obs::Span span(ctx->trace, "invoke", obs::Layer::Core, ep.pu);
-    span.setDetail(ctx->spec->nodes[std::size_t(idx)].fn.c_str());
+    obs::Span span(ctx->trace, "invoke", obs::Layer::Core, pu);
+    span.setDetail(plan.spec.nodes[std::size_t(idx)].fn.c_str());
     {
-        obs::Span comm(span.ctx(), "comm", obs::Layer::Core, ep.pu);
-        co_await edgeTransfer(ctx, parent, idx, comm.ctx());
+        obs::Span comm(span.ctx(), "comm", obs::Layer::Core, pu);
+        co_await edgeTransfer(ctx, idx, comm.ctx());
     }
-    ctx->edgeLatency[std::size_t(idx)] = sim.now() - upstreamDone;
+    ep.edgeLatency = sim.now() - upstreamDone;
 
-    const auto exec = ep.acq.cold
-                          ? ep.def->cpuWork->execCost *
-                                ep.def->cpuWork->coldExecFactor
-                          : ep.def->cpuWork->execCost;
-    core::Status st = co_await ctx->dep->runcOn(ep.pu).invoke(
+    const auto exec = ep.acq.cold ? def.cpuWork->execCost *
+                                        def.cpuWork->coldExecFactor
+                                  : def.cpuWork->execCost;
+    core::Status st = co_await ctx->dep->runcOn(pu).invoke(
         *ep.acq.instance, exec, span.ctx());
     MOLECULE_ASSERT(st.ok(), "chain node exec failed: %s",
                     st.toString().c_str());
-    ctx->execEnd[std::size_t(idx)] = sim.now();
+    ep.execEnd = sim.now();
     span.finish();
 
-    std::vector<sim::Task<>> kids;
-    kids.reserve(ctx->children[std::size_t(idx)].size());
-    for (int child : ctx->children[std::size_t(idx)])
-        kids.push_back(runNode(ctx, child, sim.now()));
-    co_await sim::allOf(sim, std::move(kids));
+    sim::Join kids(sim);
+    for (int child : plan.children[std::size_t(idx)])
+        kids.spawn(runNode(ctx, child, sim.now()));
+    co_await kids.wait();
 }
 
 } // namespace
 
-sim::Task<obs::ChainRecord>
-DagEngine::run(const ChainSpec &spec, const std::vector<int> &placement,
-               DagCommMode mode, bool prewarm, int managerPu,
-               obs::SpanContext ctx)
+const ChainPlan &
+DagEngine::plan(const ChainSpec &spec, const std::vector<int> &placement,
+                int managerPu)
 {
     MOLECULE_ASSERT(placement.size() == spec.nodes.size(),
                     "placement size mismatch");
+    const std::uint64_t key = planKey(spec, placement, managerPu);
+    const auto [lo, hi] = plans_.equal_range(key);
+    for (auto it = lo; it != hi; ++it) {
+        const ChainPlan &p = *it->second;
+        if (p.spec == spec && p.placement == placement &&
+            p.managerPu == managerPu)
+            return p;
+    }
+
+    auto p = std::make_unique<ChainPlan>();
+    p->spec = spec;
+    p->placement = placement;
+    p->managerPu = managerPu;
+    p->children.resize(spec.nodes.size());
+    for (std::size_t i = 0; i < spec.nodes.size(); ++i) {
+        const int parent = spec.nodes[i].parent;
+        p->defs.push_back(&registry_.find(spec.nodes[i].fn));
+        p->fromPu.push_back(parent < 0 ? managerPu
+                                       : placement[std::size_t(parent)]);
+        if (p->crossesPu(i))
+            p->crossPuEdges.push_back(int(i));
+        if (parent >= 0)
+            p->children[std::size_t(parent)].push_back(int(i));
+    }
+    p->fifoPrefix = "self/" + spec.name + "/";
+    p->gatewayProcess = "gateway/" + spec.name;
+    return *plans_.emplace(key, std::move(p))->second;
+}
+
+sim::Task<obs::ChainRecord>
+DagEngine::run(const ChainPlan &plan, DagCommMode mode, bool prewarm,
+               obs::SpanContext ctx)
+{
     auto &sim = dep_.simulation();
+    const std::size_t n = plan.spec.nodes.size();
+    const int managerPu = plan.managerPu;
 
     RunContext run;
-    run.engine = this;
     run.dep = &dep_;
-    run.spec = &spec;
-    run.placement = &placement;
+    run.plan = &plan;
     run.mode = mode;
-    run.managerPu = managerPu;
     run.trace = ctx;
-    run.eps.resize(spec.nodes.size());
-    run.edgeLatency.resize(spec.nodes.size());
-    run.execEnd.resize(spec.nodes.size());
-    run.children.resize(spec.nodes.size());
-    for (std::size_t i = 0; i < spec.nodes.size(); ++i)
-        if (spec.nodes[i].parent >= 0)
-            run.children[std::size_t(spec.nodes[i].parent)].push_back(
-                int(i));
+    run.eps.resize(n);
 
     const sim::SimTime setupStart = sim.now();
 
     // Acquire all instances (pre-boot when prewarm).
-    for (std::size_t i = 0; i < spec.nodes.size(); ++i) {
-        const FunctionDef &def = registry_.find(spec.nodes[i].fn);
+    for (std::size_t i = 0; i < n; ++i) {
         auto &ep = run.eps[i];
-        ep.def = &def;
-        ep.pu = placement[i];
-        ep.acq = co_await startup_.acquire(def, ep.pu, managerPu, ctx);
+        ep.acq = co_await startup_.acquire(*plan.defs[i], plan.placement[i],
+                                           managerPu, ctx);
         MOLECULE_ASSERT(ep.acq.instance != nullptr,
                         "chain instance acquisition failed");
     }
@@ -230,25 +278,20 @@ DagEngine::run(const ChainSpec &spec, const std::vector<int> &placement,
     if (mode == DagCommMode::MoleculeIpc) {
         // Gateway-side process for the entry edge.
         run.gatewayProc = co_await dep_.osOn(managerPu).spawnProcess(
-            "gateway/" + spec.name, 1 << 20, ctx);
+            plan.gatewayProcess, 1 << 20, ctx);
         MOLECULE_ASSERT(run.gatewayProc != nullptr, "gateway spawn failed");
-        run.gatewayClient = std::make_unique<xpu::XpuClient>(
-            dep_.shimOn(managerPu), *run.gatewayProc);
+        run.gatewayClient.emplace(dep_.shimOn(managerPu), *run.gatewayProc);
         run.gatewayClient->setTraceContext(ctx);
 
-        for (std::size_t i = 0; i < run.eps.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
             auto &ep = run.eps[i];
-            const int parent = spec.nodes[i].parent;
-            const int fromPu = parent < 0
-                                   ? managerPu
-                                   : run.eps[std::size_t(parent)].pu;
-            ep.fifoName = "self/" + spec.name + "/" +
-                          std::to_string(nextUuid_++);
-            if (fromPu == ep.pu)
+            const int pu = plan.placement[i];
+            ep.fifoName = plan.fifoPrefix;
+            ep.fifoName += std::to_string(nextUuid_++);
+            if (!plan.crossesPu(i))
                 ep.localFifo =
-                    dep_.osOn(ep.pu).createFifo(ep.fifoName + "/local");
-            ep.client = std::make_unique<xpu::XpuClient>(
-                dep_.shimOn(ep.pu), *ep.acq.instance->proc);
+                    dep_.osOn(pu).createFifo(ep.fifoName + "/local");
+            ep.client.emplace(dep_.shimOn(pu), *ep.acq.instance->proc);
             ep.client->setTraceContext(ctx);
             auto fd = co_await ep.client->xfifoInit(ep.fifoName);
             MOLECULE_ASSERT(fd.ok(), "xfifo init failed: %s",
@@ -257,23 +300,15 @@ DagEngine::run(const ChainSpec &spec, const std::vector<int> &placement,
         }
         // Connect writers: parent -> child (and gateway -> root) when
         // the edge crosses PUs; the owner grants Write first.
-        for (std::size_t i = 0; i < run.eps.size(); ++i) {
-            auto &child = run.eps[i];
-            const int parent = spec.nodes[i].parent;
-            const int fromPu = parent < 0
-                                   ? managerPu
-                                   : run.eps[std::size_t(parent)].pu;
-            if (fromPu == child.pu)
-                continue;
-            xpu::XpuClient *writer =
-                parent < 0 ? run.gatewayClient.get()
-                           : run.eps[std::size_t(parent)].client.get();
+        for (int i : plan.crossPuEdges) {
+            auto &child = run.eps[std::size_t(i)];
+            xpu::XpuClient &writer = run.writerOf(i);
             const xpu::ObjId obj = child.client->objectOf(child.selfFd);
             auto st = co_await child.client->grantCap(
-                writer->xpuPid(), obj, xpu::Perm::Write);
+                writer.xpuPid(), obj, xpu::Perm::Write);
             MOLECULE_ASSERT(st.ok(), "grant failed: %s",
                             st.toString().c_str());
-            auto fd = co_await writer->xfifoConnect(child.fifoName);
+            auto fd = co_await writer.xfifoConnect(child.fifoName);
             MOLECULE_ASSERT(fd.ok(), "xfifo connect failed: %s",
                             fd.error().toString().c_str());
             child.inFd = fd.value();
@@ -284,23 +319,26 @@ DagEngine::run(const ChainSpec &spec, const std::vector<int> &placement,
     co_await runNode(&run, 0, t0);
 
     obs::ChainRecord record;
-    record.chain = spec.name;
+    record.chain = plan.spec.name;
     record.traceId = ctx.trace;
     sim::SimTime finish = t0;
-    for (std::size_t i = 0; i < run.execEnd.size(); ++i)
-        finish = std::max(finish, run.execEnd[i]);
+    for (const auto &ep : run.eps)
+        finish = std::max(finish, ep.execEnd);
     record.endToEnd = finish - t0;
-    for (std::size_t i = 0; i < spec.nodes.size(); ++i) {
-        if (spec.nodes[i].parent >= 0)
-            record.edgeLatencies.push_back(run.edgeLatency[i]);
+    record.edgeLatencies.reserve(n - 1);
+    record.invocations.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto &ep = run.eps[i];
+        if (plan.spec.nodes[i].parent >= 0)
+            record.edgeLatencies.push_back(ep.edgeLatency);
         obs::InvocationRecord inv;
-        inv.function = spec.nodes[i].fn;
+        inv.function = plan.spec.nodes[i].fn;
         inv.traceId = ctx.trace;
-        inv.pu = run.eps[i].pu;
-        inv.coldStart = run.eps[i].acq.cold;
-        inv.startup = run.eps[i].acq.startupTime;
-        inv.communication = run.edgeLatency[i];
-        inv.execution = run.eps[i].def->cpuWork->execCost;
+        inv.pu = plan.placement[i];
+        inv.coldStart = ep.acq.cold;
+        inv.startup = ep.acq.startupTime;
+        inv.communication = ep.edgeLatency;
+        inv.execution = plan.defs[i]->cpuWork->execCost;
         record.invocations.push_back(std::move(inv));
     }
 
@@ -312,13 +350,13 @@ DagEngine::run(const ChainSpec &spec, const std::vector<int> &placement,
     }
     // Return instances to the keep-alive cache; drop comm plumbing.
     // Each owner's close is its FIFO's last, which reclaims it.
-    for (std::size_t i = 0; i < run.eps.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         auto &ep = run.eps[i];
         if (ep.client && ep.selfFd >= 0)
             (void)co_await ep.client->xfifoClose(ep.selfFd);
         if (ep.localFifo)
-            dep_.osOn(ep.pu).removeFifo(ep.fifoName + "/local");
-        co_await startup_.release(*ep.def, ep.acq);
+            dep_.osOn(plan.placement[i]).removeFifo(ep.fifoName + "/local");
+        co_await startup_.release(*plan.defs[i], ep.acq);
     }
     // The entry-edge process dies with the chain (no sim time).
     if (run.gatewayProc != nullptr)

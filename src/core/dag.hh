@@ -19,7 +19,10 @@
 #ifndef MOLECULE_CORE_DAG_HH
 #define MOLECULE_CORE_DAG_HH
 
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/startup.hh"
@@ -32,6 +35,8 @@ struct ChainNode
 {
     std::string fn;
     int parent = -1; // -1: root (fed by the gateway)
+
+    bool operator==(const ChainNode &) const = default;
 };
 
 /** A function chain/DAG in topological order. */
@@ -51,6 +56,41 @@ struct ChainSpec
         for (const auto &node : nodes)
             n += node.parent >= 0 ? 1 : 0;
         return n;
+    }
+
+    bool operator==(const ChainSpec &) const = default;
+};
+
+/**
+ * Everything a chain's wiring needs that depends only on its shape,
+ * placement and manager PU, computed once per such triple and reused
+ * by every run (DESIGN.md §4e).
+ */
+struct ChainPlan
+{
+    ChainSpec spec;
+    /** PU per node. */
+    std::vector<int> placement;
+    int managerPu = 0;
+    /** Function of each node. */
+    std::vector<const FunctionDef *> defs;
+    /** Children of each node, in node order. */
+    std::vector<std::vector<int>> children;
+    /** PU the incoming edge of each node starts on (the manager's for
+     * the root, which the gateway feeds). */
+    std::vector<int> fromPu;
+    /** Nodes whose incoming edge crosses PUs (an XPU-FIFO the writer
+     * connects to), in node order. The rest stay on one PU and use a
+     * local FIFO. */
+    std::vector<int> crossPuEdges;
+    /** "self/<chain>/": a run appends one uuid per node. */
+    std::string fifoPrefix;
+    /** Name of the gateway-side process feeding the entry edge. */
+    std::string gatewayProcess;
+
+    bool crossesPu(std::size_t node) const
+    {
+        return fromPu[node] != placement[node];
     }
 };
 
@@ -74,17 +114,23 @@ class DagEngine
     {}
 
     /**
-     * Run @p spec once with @p placement (PU per node).
+     * The plan of @p spec with @p placement (PU per node) and the
+     * runtime on @p managerPu: built on first use, then cached. Plans
+     * live as long as the engine.
+     */
+    const ChainPlan &plan(const ChainSpec &spec,
+                          const std::vector<int> &placement,
+                          int managerPu = 0);
+
+    /**
+     * Run @p plan once.
      *
      * @param mode communication flavor
      * @param prewarm acquire all instances before timing starts
      *        (Fig 12 / Fig 14-e pre-boot instances)
-     * @param managerPu PU hosting the Molecule runtime / gateway
      */
-    sim::Task<obs::ChainRecord> run(const ChainSpec &spec,
-                                    const std::vector<int> &placement,
+    sim::Task<obs::ChainRecord> run(const ChainPlan &plan,
                                     DagCommMode mode, bool prewarm,
-                                    int managerPu = 0,
                                     obs::SpanContext ctx = {});
 
     /**
@@ -105,6 +151,10 @@ class DagEngine
     Deployment &dep_;
     StartupManager &startup_;
     const FunctionRegistry &registry_;
+    /** Keyed by a hash of the plan's inputs; equal hashes are told
+     * apart by comparing the inputs. */
+    std::unordered_multimap<std::uint64_t, std::unique_ptr<ChainPlan>>
+        plans_;
     std::uint64_t nextUuid_ = 0;
 };
 

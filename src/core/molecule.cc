@@ -496,25 +496,26 @@ sim::Task<Expected<obs::ChainRecord>>
 Molecule::invokeChain(const ChainSpec &spec, std::vector<int> placement,
                       bool prewarm)
 {
-    ChainSpec owned_spec = spec;
     std::vector<int> owned_placement = std::move(placement);
     if (owned_placement.empty())
-        owned_placement = scheduler_->placeChain(owned_spec);
-    for (int pu : owned_placement) {
+        owned_placement = scheduler_->placeChain(spec);
+    // Past this point only the cached plan is read, and it outlives
+    // the call: @p spec is not copied.
+    const ChainPlan &plan =
+        dag_->plan(spec, owned_placement, options_.managerPu);
+    for (int pu : plan.placement) {
         if (dep_->puDown(pu))
             co_return Error(Errc::PuCrashed,
-                            "chain '" + owned_spec.name +
+                            "chain '" + plan.spec.name +
                                 "' placed on a down PU",
                             pu);
     }
     obs::Span root = obs::Span::root(options_.tracer, "chain",
                                      obs::Layer::Core,
                                      options_.managerPu);
-    root.setDetail(owned_spec.name.c_str());
-    obs::ChainRecord record =
-        co_await dag_->run(owned_spec, owned_placement,
-                           options_.dagMode, prewarm,
-                           options_.managerPu, root.ctx());
+    root.setDetail(plan.spec.name.c_str());
+    obs::ChainRecord record = co_await dag_->run(
+        plan, options_.dagMode, prewarm, root.ctx());
     co_return record;
 }
 

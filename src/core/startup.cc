@@ -14,7 +14,8 @@ StartupManager::StartupManager(Deployment &dep,
                                StartupOptions options)
     : dep_(dep), registry_(registry), options_(options),
       strategy_(options_.keepAlive.make()),
-      puCount_(std::size_t(dep.computer().puCount()))
+      puCount_(std::size_t(dep.computer().puCount())),
+      warmOnPu_(puCount_, 0)
 {}
 
 StartupManager::Slot &
@@ -101,10 +102,10 @@ StartupManager::bootstrap(int managerPu)
 
     // Prepare one template per language per PU plus the container
     // pools, concurrently across PUs.
-    std::vector<sim::Task<>> preps;
+    sim::Join preps(dep_.simulation());
     for (int pu : dep_.generalPus())
-        preps.push_back(prepareTemplates(pu));
-    co_await sim::allOf(dep_.simulation(), std::move(preps));
+        preps.spawn(prepareTemplates(pu));
+    co_await preps.wait();
 }
 
 sim::Task<>
@@ -137,6 +138,7 @@ StartupManager::acquire(const FunctionDef &fn, int pu, int managerPu,
         AcquiredInstance out;
         out.instance = sl.pool.front().instance;
         sl.pool.pop_front();
+        --warmOnPu_[std::size_t(pu)];
         // An instance killed while parked (OOM, PU crash) is skipped;
         // exhausting the pool falls through to a cold start.
         if (out.instance->dead)
@@ -212,9 +214,11 @@ StartupManager::release(const FunctionDef &fn, AcquiredInstance inst)
     entry.parkPriority =
         strategy_->parkPriority(entryView(id, inst.pu, entry));
     sl.pool.push_back(entry);
+    const std::size_t onPu = ++warmOnPu_[std::size_t(inst.pu)];
     // Parking within every budget never suspends: done here.
     if (sl.pool.size() <= options_.warmCapacity &&
-        options_.globalWarmCapacityPerPu == 0)
+        (options_.globalWarmCapacityPerPu == 0 ||
+         onPu <= options_.globalWarmCapacityPerPu))
         return sim::Task<>::ready();
     return evictIfNeeded(id, inst.pu);
 }
@@ -240,6 +244,7 @@ StartupManager::evictIfNeeded(FnId fn, int pu)
         }
         const WarmEntry evicted = pool[victim];
         pool.erase(pool.begin() + std::ptrdiff_t(victim));
+        --warmOnPu_[std::size_t(pu)];
         noteEviction(fn, pu, evicted);
         co_await dep_.runcOn(pu).destroy(evicted.instance->id);
     }
@@ -247,20 +252,11 @@ StartupManager::evictIfNeeded(FnId fn, int pu)
         co_await evictGlobal(pu);
 }
 
-std::size_t
-StartupManager::warmTotalOn(int pu) const
-{
-    std::size_t total = 0;
-    for (FnId fn = 0; fn < slots_.size(); ++fn)
-        total += warmCount(fn, pu);
-    return total;
-}
-
 sim::Task<>
 StartupManager::evictGlobal(int pu)
 {
     const sim::SimTime now = dep_.simulation().now();
-    while (warmTotalOn(pu) > options_.globalWarmCapacityPerPu) {
+    while (warmOnPu_[std::size_t(pu)] > options_.globalWarmCapacityPerPu) {
         // Find the global victim across this PU's pools: lowest
         // strategy score; strict improvement keeps the
         // earliest-scanned entry on ties. Pools are scanned in
@@ -286,6 +282,7 @@ StartupManager::evictGlobal(int pu)
         std::deque<WarmEntry> &pool = slot(victimFn, pu).pool;
         const WarmEntry evicted = pool[victimIdx];
         pool.erase(pool.begin() + std::ptrdiff_t(victimIdx));
+        --warmOnPu_[std::size_t(pu)];
         noteEviction(victimFn, pu, evicted);
         co_await dep_.runcOn(pu).destroy(evicted.instance->id);
     }
@@ -429,13 +426,17 @@ StartupManager::purgePu(int pu)
     for (auto &row : slots_)
         if (row != nullptr)
             row[std::size_t(pu)].pool.clear();
+    warmOnPu_[std::size_t(pu)] = 0;
 }
 
 void
 StartupManager::purgeFunction(const std::string &fn, int pu)
 {
-    if (const FunctionDef *def = registry_.findPtr(fn))
-        slot(def->id, pu).pool.clear();
+    if (const FunctionDef *def = registry_.findPtr(fn)) {
+        std::deque<WarmEntry> &pool = slot(def->id, pu).pool;
+        warmOnPu_[std::size_t(pu)] -= pool.size();
+        pool.clear();
+    }
 }
 
 sim::Task<>

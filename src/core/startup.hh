@@ -232,8 +232,6 @@ class StartupManager
     /** Evict across all of @p pu's pools until the global budget fits. */
     sim::Task<> evictGlobal(int pu);
 
-    std::size_t warmTotalOn(int pu) const;
-
     /** Strategy view of one parked entry. */
     WarmEntryView entryView(FnId fn, int pu, const WarmEntry &entry) const;
 
@@ -247,6 +245,10 @@ class StartupManager
     /** slots_[fn][pu]: rows of puCount_ slots, never moved. */
     std::vector<std::unique_ptr<Slot[]>> slots_;
     std::size_t puCount_;
+    /** Parked entries per PU across every pool, dead ones included:
+     * the global budget's count, kept exact so a release that fits
+     * needs no scan. */
+    std::vector<std::size_t> warmOnPu_;
     std::map<int, std::vector<std::string>> fpgaHotSets_;
     /** Deployable CUDA images synthesized per GPU function. */
     sandbox::FunctionImage *gpuImage(const FunctionDef &fn);

@@ -1,5 +1,7 @@
 #include "hw/interconnect.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace molecule::hw {
@@ -54,7 +56,7 @@ Link::transferLatency(std::uint64_t bytes) const
     return params_.baseLatency + sim::SimTime::fromSeconds(seconds);
 }
 
-sim::Task<>
+sim::Simulation::DelayAwaiter
 Link::transfer(std::uint64_t bytes, double degrade)
 {
     bytesMoved_.fetchAdd(bytes);
@@ -64,7 +66,7 @@ Link::transfer(std::uint64_t bytes, double degrade)
     // must not round through an extra multiply.
     if (degrade != 1.0)
         jittered = jittered * degrade;
-    co_await sim_.delay(jittered);
+    return sim_.delay(jittered);
 }
 
 Link *
@@ -78,7 +80,18 @@ void
 Topology::addRoute(int a, int b, Route route)
 {
     MOLECULE_ASSERT(!route.hops.empty(), "route %d->%d has no hops", a, b);
-    routes_[{a, b}] = std::move(route);
+    MOLECULE_ASSERT(a >= 0 && b >= 0, "route %d->%d has a negative PU",
+                    a, b);
+    const std::size_t need = std::size_t(std::max(a, b)) + 1;
+    if (need > puSpan_) {
+        std::vector<Route> grown(need * need);
+        for (std::size_t i = 0; i < puSpan_; ++i)
+            for (std::size_t j = 0; j < puSpan_; ++j)
+                grown[i * need + j] = std::move(routes_[i * puSpan_ + j]);
+        routes_ = std::move(grown);
+        puSpan_ = need;
+    }
+    routes_[std::size_t(a) * puSpan_ + std::size_t(b)] = std::move(route);
 }
 
 void
@@ -91,16 +104,17 @@ Topology::addBidirectional(int a, int b, Link *link)
 const Route &
 Topology::route(int a, int b) const
 {
-    auto it = routes_.find({a, b});
-    if (it == routes_.end())
+    if (!hasRoute(a, b))
         sim::fatal("no route between PU %d and PU %d", a, b);
-    return it->second;
+    return routes_[std::size_t(a) * puSpan_ + std::size_t(b)];
 }
 
 bool
 Topology::hasRoute(int a, int b) const
 {
-    return routes_.count({a, b}) != 0;
+    return a >= 0 && b >= 0 && std::size_t(a) < puSpan_ &&
+           std::size_t(b) < puSpan_ &&
+           !routes_[std::size_t(a) * puSpan_ + std::size_t(b)].hops.empty();
 }
 
 sim::Task<>

@@ -13,7 +13,6 @@
 #define MOLECULE_HW_INTERCONNECT_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -60,12 +59,14 @@ class Link
     sim::SimTime transferLatency(std::uint64_t bytes) const;
 
     /**
-     * Move @p bytes across the link, suspending for the latency.
-     * @p degrade multiplies the jittered latency (injected link
+     * Move @p bytes across the link: the byte count and the jitter
+     * draw happen at call time, and the returned awaiter suspends for
+     * the latency, so co_await it at once. @p degrade multiplies the jittered latency (injected link
      * faults); 1.0 — the only value in fault-free runs — is applied
      * as a no-op so healthy timings are bit-identical.
      */
-    sim::Task<> transfer(std::uint64_t bytes, double degrade = 1.0);
+    sim::Simulation::DelayAwaiter transfer(std::uint64_t bytes,
+                                           double degrade = 1.0);
 
     /** Total bytes moved (stats). */
     std::uint64_t bytesMoved() const { return bytesMoved_.peek(); }
@@ -141,7 +142,10 @@ class Topology
     sim::Simulation &sim_;
     const fault::FaultState *faults_ = nullptr;
     std::vector<std::unique_ptr<Link>> links_;
-    std::map<std::pair<int, int>, Route> routes_;
+    /** Dense PU x PU table, row-major over puSpan_ ids; a route with
+     * no hops marks an unregistered pair. */
+    std::vector<Route> routes_;
+    std::size_t puSpan_ = 0;
 };
 
 } // namespace molecule::hw

@@ -9,16 +9,16 @@ namespace calib = hw::calib;
 
 LocalOs::LocalOs(hw::ProcessingUnit &pu) : pu_(pu), containers_(*this) {}
 
-sim::Task<>
+sim::Simulation::DelayAwaiter
 LocalOs::syscall()
 {
-    co_await simulation().delay(scaledSw(calib::kSyscallCost));
+    return simulation().delay(scaledSw(calib::kSyscallCost));
 }
 
-sim::Task<>
+sim::Simulation::DelayAwaiter
 LocalOs::swDelay(sim::SimTime hostCost)
 {
-    co_await simulation().delay(scaledSw(hostCost));
+    return simulation().delay(scaledSw(hostCost));
 }
 
 AddressSpace

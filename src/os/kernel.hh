@@ -47,10 +47,10 @@ class LocalOs
     ///@{
 
     /** Charge one syscall worth of time. */
-    sim::Task<> syscall();
+    sim::Simulation::DelayAwaiter syscall();
 
     /** Charge an arbitrary software-path cost. */
-    sim::Task<> swDelay(sim::SimTime hostCost);
+    sim::Simulation::DelayAwaiter swDelay(sim::SimTime hostCost);
 
     sim::SimTime
     scaledSw(sim::SimTime hostCost) const

@@ -130,10 +130,10 @@ RunfRuntime::startVector(const std::vector<std::string> &ids)
     // vectorized start (§3.5).
     std::vector<std::string> owned = ids;
     int ok = 0;
-    std::vector<sim::Task<>> starts;
+    sim::Join starts(hostOs_.simulation());
     for (std::size_t i = 0; i < owned.size(); ++i)
-        starts.push_back(startOne(this, &owned, i, &ok));
-    co_await sim::allOf(hostOs_.simulation(), std::move(starts));
+        starts.spawn(startOne(this, &owned, i, &ok));
+    co_await starts.wait();
     co_return ok;
 }
 

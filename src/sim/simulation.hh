@@ -14,6 +14,7 @@
 #include <coroutine>
 #include <memory>
 #include <span>
+#include <type_traits>
 
 #include "sim/analysis.hh"
 #include "sim/arena.hh"
@@ -87,32 +88,45 @@ class Simulation
         task.detachAndStart();
     }
 
+    /**
+     * Awaitable that suspends its awaiter for a fixed span of sim time.
+     * Trivially copyable, so a plain function may build and return one
+     * (a leaf cost, DESIGN.md §4b) and any co_await form is safe under
+     * rule 3 of task.hh's GCC 12 notes.
+     */
+    class DelayAwaiter
+    {
+      public:
+        DelayAwaiter(Simulation &sim, SimTime amount)
+            : sim_(&sim), amount_(amount)
+        {}
+
+        bool await_ready() const noexcept { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            // Fast path: the handle is stored directly in the event
+            // slot — no closure, no allocation.
+            sim_->events_.schedule(sim_->now_ + amount_, h);
+            sim_->noteScheduled();
+        }
+
+        void await_resume() const noexcept {}
+
+      private:
+        Simulation *sim_;
+        SimTime amount_;
+    };
+
     /** Awaitable that suspends the caller for @p amount of sim time. */
-    auto
+    DelayAwaiter
     delay(SimTime amount)
     {
-        struct Awaiter
-        {
-            Simulation *sim;
-            SimTime amount;
-
-            bool await_ready() const noexcept { return false; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                // Fast path: the handle is stored directly in the
-                // event slot — no closure, no allocation.
-                sim->events_.schedule(sim->now_ + amount, h);
-                sim->noteScheduled();
-            }
-
-            void await_resume() const noexcept {}
-        };
         MOLECULE_ASSERT(amount >= SimTime(0),
                         "negative delay %lld ns",
                         static_cast<long long>(amount.raw()));
-        return Awaiter{this, amount};
+        return DelayAwaiter(*this, amount);
     }
 
     /** Resume @p h at the current instant, ordered behind pending work. */
@@ -212,6 +226,9 @@ class Simulation
     Arena arena_;
     std::unique_ptr<analysis::AccessLog> log_;
 };
+
+static_assert(std::is_trivially_copyable_v<Simulation::DelayAwaiter>,
+              "leaf costs return DelayAwaiter by value");
 
 } // namespace molecule::sim
 

@@ -5,7 +5,8 @@
  * SimEvent   - one-shot broadcast (trigger wakes all current waiters);
  * Semaphore  - counted resource (PU cores, FPGA regions);
  * Mailbox<T> - FIFO message queue with blocking receive and optional
- *              bounded capacity with blocking send (models FIFOs/queues).
+ *              bounded capacity with blocking send (models FIFOs/queues);
+ * Join       - fork/join over child tasks.
  *
  * All wakeups are routed through the Simulation event queue at the
  * current instant, preserving deterministic ordering.
@@ -14,15 +15,89 @@
 #ifndef MOLECULE_SIM_SYNC_HH
 #define MOLECULE_SIM_SYNC_HH
 
+#include <algorithm>
 #include <coroutine>
-#include <deque>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 
 namespace molecule::sim {
+
+namespace detail {
+
+/**
+ * FIFO over one contiguous power-of-two ring. Empty until the first
+ * push (no allocation before use) and keeps its capacity when
+ * drained, so a queue that carries one message at a time allocates
+ * once in its life.
+ */
+template <typename T>
+class Ring
+{
+  public:
+    bool empty() const { return count_ == 0; }
+
+    std::size_t size() const { return count_; }
+
+    void
+    push_back(T v)
+    {
+        if (count_ == slots_.size())
+            grow();
+        slots_[(head_ + count_) & (slots_.size() - 1)] = std::move(v);
+        ++count_;
+    }
+
+    T
+    pop_front()
+    {
+        T v = std::move(slots_[head_]);
+        head_ = (head_ + 1) & (slots_.size() - 1);
+        --count_;
+        return v;
+    }
+
+    /** The live entries, oldest first, as at most two spans. */
+    std::pair<std::span<const T>, std::span<const T>>
+    spans() const
+    {
+        const std::size_t first =
+            std::min(count_, slots_.size() - head_);
+        return {std::span<const T>(slots_.data() + head_, first),
+                std::span<const T>(slots_.data(), count_ - first)};
+    }
+
+    /** Drop every entry; the capacity stays. */
+    void
+    clear()
+    {
+        while (count_ > 0)
+            (void)pop_front();
+        head_ = 0;
+    }
+
+  private:
+    void
+    grow()
+    {
+        std::vector<T> bigger(std::max<std::size_t>(4, 2 * slots_.size()));
+        for (std::size_t i = 0; i < count_; ++i)
+            bigger[i] =
+                std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+        slots_.swap(bigger);
+        head_ = 0;
+    }
+
+    std::vector<T> slots_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+};
+
+} // namespace detail
 
 /**
  * One-shot broadcast event.
@@ -44,9 +119,8 @@ class SimEvent
      * Wake every waiter (in arrival order) at the current instant.
      * One batched schedule: the waiters get consecutive sequence
      * numbers, so the firing order is identical to resuming them in a
-     * loop — minus the per-waiter queue-entry overhead (fork/join
-     * fan-outs like allOf and startup prewarm pools wake dozens at
-     * once).
+     * loop — minus the per-waiter queue-entry overhead (startup
+     * prewarm pools wake dozens at once).
      */
     void
     trigger()
@@ -151,9 +225,7 @@ class Semaphore
         // late-arriving acquire cannot steal it between wakeup and
         // resumption; otherwise return it to the pool.
         if (!waiters_.empty()) {
-            auto h = waiters_.front();
-            waiters_.pop_front();
-            sim_.scheduleResume(h);
+            sim_.scheduleResume(waiters_.pop_front());
         } else {
             ++count_;
         }
@@ -162,7 +234,7 @@ class Semaphore
   private:
     Simulation &sim_;
     std::size_t count_;
-    std::deque<std::coroutine_handle<>> waiters_;
+    detail::Ring<std::coroutine_handle<>> waiters_;
 };
 
 /**
@@ -289,10 +361,12 @@ class Mailbox
         const std::size_t n = getters_.size();
         for (std::size_t i = 0; i < n; ++i)
             items_.push_back(sentinel);
-        wakeBatch_.assign(getters_.begin(), getters_.end());
+        // Two batches when the ring wraps: still consecutive sequence
+        // numbers in arrival order.
+        const auto [head, tail] = getters_.spans();
+        sim_.scheduleResumeBatch(head);
+        sim_.scheduleResumeBatch(tail);
         getters_.clear();
-        sim_.scheduleResumeBatch(wakeBatch_);
-        wakeBatch_.clear();
         return n;
     }
 
@@ -304,8 +378,7 @@ class Mailbox
             ItemWait waiter{this};
             co_await waiter;
         }
-        T item = std::move(items_.front());
-        items_.pop_front();
+        T item = items_.pop_front();
         drainOnePutter();
         co_return item;
     }
@@ -336,11 +409,8 @@ class Mailbox
     enqueue(T item)
     {
         items_.push_back(std::move(item));
-        if (!getters_.empty()) {
-            auto h = getters_.front();
-            getters_.pop_front();
-            sim_.scheduleResume(h);
-        }
+        if (!getters_.empty())
+            sim_.scheduleResume(getters_.pop_front());
     }
 
     /**
@@ -351,8 +421,7 @@ class Mailbox
     drainOnePutter()
     {
         if (!putters_.empty()) {
-            PendingPut p = putters_.front();
-            putters_.pop_front();
+            PendingPut p = putters_.pop_front();
             enqueue(std::move(p.awaiter->item_));
             sim_.scheduleResume(p.handle);
         }
@@ -360,42 +429,78 @@ class Mailbox
 
     Simulation &sim_;
     std::size_t capacity_;
-    std::deque<T> items_;
-    std::deque<std::coroutine_handle<>> getters_;
-    std::deque<PendingPut> putters_;
-    /** Scratch for poisonGetters' batched wakeup (deque storage is
-     * not contiguous); retained so repeated poisons do not allocate. */
-    std::vector<std::coroutine_handle<>> wakeBatch_;
+    detail::Ring<T> items_;
+    detail::Ring<std::coroutine_handle<>> getters_;
+    detail::Ring<PendingPut> putters_;
 };
 
-namespace detail {
-
-/** Run one task and count down toward the join event. */
-inline Task<>
-runAndCount(Task<> task, int *remaining, SimEvent *done)
-{
-    co_await std::move(task);
-    if (--*remaining == 0)
-        done->trigger();
-}
-
-} // namespace detail
-
 /**
- * Await the completion of every task in @p tasks (fork/join). Tasks
- * run concurrently in simulated time.
+ * Fork/join without a heap vector: spawn() starts each child at once
+ * (inline, up to its first suspension) and wait() resumes the parent
+ * once every child has finished. The parent's wake-up is one event at
+ * the instant the last child finishes, and none when they all
+ * finished before wait(), exactly as a SimEvent trigger would order
+ * it. The Join must outlive its children: keep it in the awaiting
+ * frame and co_await wait() before leaving.
+ * @code
+ *   sim::Join kids(sim);
+ *   for (int pu : pus)
+ *       kids.spawn(prepare(pu));
+ *   co_await kids.wait();
+ * @endcode
  */
-inline Task<>
-allOf(Simulation &sim, std::vector<Task<>> tasks)
+class Join
 {
-    if (tasks.empty())
-        co_return;
-    int remaining = int(tasks.size());
-    SimEvent done(sim);
-    for (auto &t : tasks)
-        sim.spawn(detail::runAndCount(std::move(t), &remaining, &done));
-    co_await done.wait();
-}
+  public:
+    explicit Join(Simulation &sim) : sim_(sim) {}
+
+    Join(const Join &) = delete;
+    Join &operator=(const Join &) = delete;
+
+    /** Start @p task now; it counts toward wait(). */
+    void
+    spawn(Task<> task)
+    {
+        ++pending_;
+        sim_.spawn(run(std::move(task), this));
+    }
+
+    /** Children still running. */
+    std::size_t pending() const { return pending_; }
+
+    auto
+    wait()
+    {
+        struct Awaiter
+        {
+            Join *join;
+
+            bool await_ready() const noexcept { return join->pending_ == 0; }
+
+            void
+            await_suspend(std::coroutine_handle<> h) noexcept
+            {
+                join->waiter_ = h;
+            }
+
+            void await_resume() const noexcept {}
+        };
+        return Awaiter{this};
+    }
+
+  private:
+    static Task<>
+    run(Task<> task, Join *join)
+    {
+        co_await std::move(task);
+        if (--join->pending_ == 0 && join->waiter_)
+            join->sim_.scheduleResume(std::exchange(join->waiter_, {}));
+    }
+
+    Simulation &sim_;
+    std::size_t pending_ = 0;
+    std::coroutine_handle<> waiter_{};
+};
 
 } // namespace molecule::sim
 

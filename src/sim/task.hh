@@ -27,7 +27,8 @@
  *       Msg m{...};  co_await fifo->write(m);       // OK
  *       co_await fifo->write(Msg{...});             // MISCOMPILES
  *  3. Trivially-copyable arguments (ids, ints, SimTime) are safe in
- *     any form.
+ *     any form, and so are trivially copyable awaiters returned by
+ *     value (Simulation::DelayAwaiter from a leaf cost).
  *  4. At -O2 the same compiler also drops continuations when co_await
  *     appears inside a larger expression (an if/while condition, ?:,
  *     a cast, a compound assignment). co_await may appear ONLY as a

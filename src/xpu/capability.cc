@@ -1,40 +1,60 @@
 #include "xpu/capability.hh"
 
+#include <algorithm>
+
 namespace molecule::xpu {
+
+std::vector<CapGroup::Cap>::iterator
+CapGroup::find(ObjId obj)
+{
+    return std::find_if(caps_.begin(), caps_.end(),
+                        [obj](const Cap &c) { return c.first == obj; });
+}
 
 bool
 CapGroup::add(ObjId obj, Perm perm)
 {
-    auto [it, inserted] = caps_.try_emplace(obj, perm);
-    if (!inserted)
+    auto it = find(obj);
+    if (it != caps_.end()) {
         it->second = it->second | perm;
-    return inserted;
+        return false;
+    }
+    caps_.emplace_back(obj, perm);
+    return true;
 }
 
 bool
 CapGroup::remove(ObjId obj, Perm perm)
 {
-    auto it = caps_.find(obj);
+    auto it = find(obj);
     if (it == caps_.end())
         return false;
     it->second = it->second & ~perm;
     if (it->second != Perm::None)
         return false;
-    caps_.erase(it);
+    // Order within a group is never observed: swap-and-pop.
+    *it = caps_.back();
+    caps_.pop_back();
     return true;
 }
 
 void
 CapGroup::drop(ObjId obj)
 {
-    caps_.erase(obj);
+    auto it = find(obj);
+    if (it == caps_.end())
+        return;
+    *it = caps_.back();
+    caps_.pop_back();
 }
 
 Perm
 CapGroup::lookup(ObjId obj) const
 {
-    auto it = caps_.find(obj);
-    return it == caps_.end() ? Perm::None : it->second;
+    for (const Cap &c : caps_)
+        if (c.first == obj)
+            return c.second;
+    return Perm::None;
 }
 
 ObjId
@@ -43,40 +63,106 @@ CapabilityStore::allocateId()
     return (std::uint64_t(std::uint32_t(self_)) << 48) | nextLocal_++;
 }
 
+CapabilityStore::ObjectEntry &
+CapabilityStore::objectRow(ObjId id)
+{
+    auto it = objects_.find(id);
+    if (it != objects_.end())
+        return it->second;
+    if (spareObjects_.empty())
+        return objects_[id];
+    ObjectTable::node_type node = std::move(spareObjects_.back());
+    spareObjects_.pop_back();
+    node.key() = id;
+    return objects_.insert(std::move(node)).position->second;
+}
+
+void
+CapabilityStore::eraseObjectRow(ObjectTable::iterator it)
+{
+    ObjectTable::node_type node = objects_.extract(it);
+    node.mapped().desc.reset();
+    node.mapped().holders.clear();
+    spareObjects_.push_back(std::move(node));
+}
+
+void
+CapabilityStore::eraseUuidRow(UuidTable::iterator it)
+{
+    UuidTable::node_type node = byUuid_.extract(it);
+    // The key views keyOwner's uuid: blank both together.
+    node.key() = std::string_view();
+    node.mapped().keyOwner.reset();
+    spareUuids_.push_back(std::move(node));
+}
+
+void
+CapabilityStore::eraseGroup(GroupTable::iterator it)
+{
+    spareGroups_.push_back(groups_.extract(it));
+}
+
 void
 CapabilityStore::registerObject(const DistributedObject &obj)
 {
+    registerObject(std::make_shared<const DistributedObject>(obj));
+}
+
+void
+CapabilityStore::registerObject(ObjectRef obj)
+{
     version_.fetchAdd(1);
-    objects_[obj.id] = obj;
-    if (!obj.uuid.empty())
-        byUuid_[obj.uuid] = obj.id;
+    const ObjId id = obj->id;
+    const std::string_view uuid = obj->uuid;
+    if (!uuid.empty()) {
+        // An existing row keeps its key and the descriptor behind it;
+        // only the id moves. A row left naming an overwritten object
+        // stays until that uuid is removed, as in the plain model.
+        if (auto u = byUuid_.find(uuid); u != byUuid_.end()) {
+            u->second.id = id;
+        } else if (spareUuids_.empty()) {
+            byUuid_.emplace(uuid, UuidEntry{id, obj});
+        } else {
+            UuidTable::node_type node = std::move(spareUuids_.back());
+            spareUuids_.pop_back();
+            node.key() = uuid;
+            node.mapped().id = id;
+            node.mapped().keyOwner = obj;
+            byUuid_.insert(std::move(node));
+        }
+    }
+    ObjectEntry &row = objectRow(id);
+    if (row.desc == nullptr)
+        ++registered_;
+    row.desc = std::move(obj);
 }
 
 void
 CapabilityStore::removeObject(ObjId id)
 {
     auto it = objects_.find(id);
-    if (it == objects_.end())
+    if (it == objects_.end() || it->second.desc == nullptr)
         return;
     version_.fetchAdd(1);
-    if (!it->second.uuid.empty())
-        byUuid_.erase(it->second.uuid);
-    objects_.erase(it);
+    --registered_;
+    if (!it->second.desc->uuid.empty()) {
+        if (auto u = byUuid_.find(it->second.desc->uuid);
+            u != byUuid_.end())
+            eraseUuidRow(u);
+    }
     // Grants die with their object; a group left empty goes too, and
     // so does every group an earlier revoke emptied.
-    if (auto h = holders_.find(id); h != holders_.end()) {
-        for (std::uint64_t key : h->second) {
-            auto g = groups_.find(key);
-            g->second.drop(id);
-            if (g->second.size() == 0)
-                groups_.erase(g);
-        }
-        holders_.erase(h);
+    for (std::uint64_t key : it->second.holders) {
+        auto g = groups_.find(key);
+        g->second.drop(id);
+        if (g->second.size() == 0)
+            eraseGroup(g);
     }
+    eraseObjectRow(it);
     for (std::uint64_t key : emptied_) {
         auto g = groups_.find(key);
         if (g != groups_.end() && g->second.size() == 0)
-            groups_.erase(g);
+            eraseGroup(g);
     }
     emptied_.clear();
 }
@@ -85,25 +171,37 @@ void
 CapabilityStore::applyGrant(XpuPid pid, ObjId obj, Perm perm)
 {
     version_.fetchAdd(1);
-    auto [it, inserted] = groups_.try_emplace(pid.encode(), pid);
-    (void)inserted;
-    if (it->second.add(obj, perm))
-        holders_[obj].push_back(it->first);
+    const std::uint64_t key = pid.encode();
+    auto g = groups_.find(key);
+    if (g == groups_.end()) {
+        if (spareGroups_.empty()) {
+            g = groups_.try_emplace(key, pid).first;
+        } else {
+            GroupTable::node_type node = std::move(spareGroups_.back());
+            spareGroups_.pop_back();
+            node.key() = key;
+            node.mapped().reuseFor(pid);
+            g = groups_.insert(std::move(node)).position;
+        }
+    }
+    if (g->second.add(obj, perm))
+        objectRow(obj).holders.push_back(key);
 }
 
 void
 CapabilityStore::applyRevoke(XpuPid pid, ObjId obj, Perm perm)
 {
     version_.fetchAdd(1);
-    auto it = groups_.find(pid.encode());
-    if (it == groups_.end() || !it->second.remove(obj, perm))
+    const std::uint64_t key = pid.encode();
+    auto g = groups_.find(key);
+    if (g == groups_.end() || !g->second.remove(obj, perm))
         return;
-    auto h = holders_.find(obj);
-    std::erase(h->second, it->first);
-    if (h->second.empty())
-        holders_.erase(h);
-    if (it->second.size() == 0)
-        emptied_.push_back(it->first);
+    auto row = objects_.find(obj);
+    std::erase(row->second.holders, key);
+    if (row->second.holders.empty() && row->second.desc == nullptr)
+        eraseObjectRow(row);
+    if (g->second.size() == 0)
+        emptied_.push_back(key);
 }
 
 const DistributedObject *
@@ -111,15 +209,15 @@ CapabilityStore::findObject(ObjId id) const
 {
     version_.read();
     auto it = objects_.find(id);
-    return it == objects_.end() ? nullptr : &it->second;
+    return it == objects_.end() ? nullptr : it->second.desc.get();
 }
 
 const DistributedObject *
-CapabilityStore::findByUuid(const std::string &uuid) const
+CapabilityStore::findByUuid(std::string_view uuid) const
 {
     version_.read();
     auto it = byUuid_.find(uuid);
-    return it == byUuid_.end() ? nullptr : findObject(it->second);
+    return it == byUuid_.end() ? nullptr : findObject(it->second.id);
 }
 
 bool
@@ -146,18 +244,20 @@ CapabilityStore::reset()
     objects_.clear();
     byUuid_.clear();
     groups_.clear();
-    holders_.clear();
+    registered_ = 0;
     emptied_.clear();
 }
 
 void
 CapabilityStore::cloneFrom(const CapabilityStore &peer)
 {
+    // Copies share only the immutable descriptors (and the uuid
+    // characters the copied keys view, kept alive by keyOwner).
     version_.fetchAdd(1);
     objects_ = peer.objects_;
     byUuid_ = peer.byUuid_;
     groups_ = peer.groups_;
-    holders_ = peer.holders_;
+    registered_ = peer.registered_;
     emptied_ = peer.emptied_;
 }
 

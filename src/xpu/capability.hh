@@ -12,8 +12,11 @@
 #ifndef MOLECULE_XPU_CAPABILITY_HH
 #define MOLECULE_XPU_CAPABILITY_HH
 
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/analysis.hh"
@@ -37,7 +40,16 @@ struct DistributedObject
 };
 
 /**
- * Per-process capability list (the CAP_Group object's payload).
+ * An object's descriptor as the shims pass it around: built once by
+ * the creating shim and shared, immutable, by the SyncMessages in
+ * flight and by every replica that registers it.
+ */
+using ObjectRef = std::shared_ptr<const DistributedObject>;
+
+/**
+ * Per-process capability list (the CAP_Group object's payload): a
+ * flat list of (object, permission bits). A process holds a handful
+ * of capabilities, so a scan beats hashing and reuses its storage.
  */
 class CapGroup
 {
@@ -69,9 +81,21 @@ class CapGroup
 
     std::size_t size() const { return caps_.size(); }
 
+    /** Empty the list for a new owner, keeping its storage. */
+    void
+    reuseFor(XpuPid pid)
+    {
+        pid_ = pid;
+        caps_.clear();
+    }
+
   private:
+    using Cap = std::pair<ObjId, Perm>;
+
+    std::vector<Cap>::iterator find(ObjId obj);
+
     XpuPid pid_;
-    std::unordered_map<ObjId, Perm> caps_;
+    std::vector<Cap> caps_;
 };
 
 /**
@@ -93,6 +117,9 @@ class CapabilityStore
     ///@{
 
     /** Register (or overwrite) a distributed object descriptor. */
+    void registerObject(ObjectRef obj);
+
+    /** registerObject() of a private copy of @p obj. */
     void registerObject(const DistributedObject &obj);
 
     /** Forget an object and every grant on it; CAP_Groups left
@@ -117,29 +144,70 @@ class CapabilityStore
 
     const DistributedObject *findObject(ObjId id) const;
 
-    const DistributedObject *findByUuid(const std::string &uuid) const;
+    const DistributedObject *findByUuid(std::string_view uuid) const;
 
     /** Permission check: does @p pid hold @p need on @p obj? */
     bool check(XpuPid pid, ObjId obj, Perm need) const;
 
     Perm lookup(XpuPid pid, ObjId obj) const;
 
-    std::size_t objectCount() const { return objects_.size(); }
+    std::size_t objectCount() const { return registered_; }
 
     std::size_t groupCount() const { return groups_.size(); }
     ///@}
 
   private:
+    /**
+     * One object id's row: its descriptor once registered, and the
+     * holder index — the groups with an entry for the object, in
+     * grant order, so removeObject visits only these. A grant may
+     * precede the registration, so a row can hold holders and no
+     * descriptor.
+     */
+    struct ObjectEntry
+    {
+        ObjectRef desc;
+        std::vector<std::uint64_t> holders;
+    };
+
+    /** A uuid's row. The key views keyOwner's uuid, so the row keeps
+     * those characters alive itself: it may outlive the object it was
+     * made for (see registerObject). */
+    struct UuidEntry
+    {
+        ObjId id = 0;
+        ObjectRef keyOwner;
+    };
+
+    using ObjectTable = std::unordered_map<ObjId, ObjectEntry>;
+    using UuidTable = std::unordered_map<std::string_view, UuidEntry>;
+    using GroupTable = std::unordered_map<std::uint64_t, CapGroup>;
+
+    /** Row of @p id, created (from a recycled node) on demand. */
+    ObjectEntry &objectRow(ObjId id);
+
+    /** Drop the row at @p it, keeping its node for reuse. */
+    void eraseObjectRow(ObjectTable::iterator it);
+
+    void eraseUuidRow(UuidTable::iterator it);
+
+    void eraseGroup(GroupTable::iterator it);
+
     PuId self_;
     std::uint64_t nextLocal_ = 1;
     // Hashed: no replica table is ever iterated, so hash order never
     // reaches a result.
-    std::unordered_map<ObjId, DistributedObject> objects_;
-    std::unordered_map<std::string, ObjId> byUuid_;
-    std::unordered_map<std::uint64_t, CapGroup> groups_; // XpuPid::encode()
-    /** Holder index: the groups with an entry for each object, in
-     * grant order. removeObject visits only these. */
-    std::unordered_map<ObjId, std::vector<std::uint64_t>> holders_;
+    ObjectTable objects_;
+    UuidTable byUuid_;
+    GroupTable groups_; // XpuPid::encode()
+    /** Rows with a descriptor. */
+    std::size_t registered_ = 0;
+    /** Nodes of erased rows, reused by the next insertion so a
+     * steady register/grant/remove cycle allocates nothing. Their
+     * values are already cleared: no descriptor is kept alive. */
+    std::vector<ObjectTable::node_type> spareObjects_;
+    std::vector<UuidTable::node_type> spareUuids_;
+    std::vector<GroupTable::node_type> spareGroups_;
     /** Groups a revoke left empty. They stay until the next
      * removeObject, which drops every empty group. */
     std::vector<std::uint64_t> emptied_;

@@ -1,5 +1,7 @@
 #include "xpu/client.hh"
 
+#include <algorithm>
+
 #include "hw/calibration.hh"
 
 namespace molecule::xpu {
@@ -10,30 +12,47 @@ XpuClient::XpuClient(XpuShim &shim, os::Process &proc)
     : shim_(shim), self_{shim.puId(), proc.pid()}
 {}
 
-sim::Task<>
+XpuFd
+XpuClient::openFd(ObjId obj)
+{
+    const XpuFd fd = nextFd_++;
+    if (fds_.empty())
+        fds_.reserve(4); // one allocation covers a typical process
+    fds_.emplace_back(fd, obj);
+    return fd;
+}
+
+std::vector<std::pair<XpuFd, ObjId>>::const_iterator
+XpuClient::findFd(XpuFd fd) const
+{
+    return std::find_if(fds_.begin(), fds_.end(),
+                        [fd](const auto &e) { return e.first == fd; });
+}
+
+sim::Simulation::DelayAwaiter
 XpuClient::enterCall(std::uint64_t argBytes)
 {
     const auto cost =
         shim_.transport().requestCost(shim_.localOs().pu(), argBytes);
-    co_await shim_.localOs().simulation().delay(cost);
+    return shim_.localOs().simulation().delay(cost);
 }
 
-sim::Task<>
+sim::Simulation::DelayAwaiter
 XpuClient::leaveCall(std::uint64_t resultBytes)
 {
     const auto cost =
         shim_.transport().responseCost(shim_.localOs().pu(), resultBytes);
-    co_await shim_.localOs().simulation().delay(cost);
+    return shim_.localOs().simulation().delay(cost);
 }
 
-sim::Task<>
+sim::Simulation::DelayAwaiter
 XpuClient::marshalBulk(std::uint64_t bytes)
 {
     // memcpy into the per-process shared-memory argument area (§5);
     // scales with the PU's core speed like other software costs.
     const auto copy = sim::SimTime::nanoseconds(
         std::int64_t(double(bytes) * calib::kFifoCopyNsPerByte));
-    co_await shim_.localOs().swDelay(copy);
+    return shim_.localOs().swDelay(copy);
 }
 
 sim::Task<core::Status>
@@ -69,9 +88,7 @@ XpuClient::xfifoInit(const std::string &globalUuid)
     co_await leaveCall(16);
     if (!r.ok())
         co_return r.error();
-    const XpuFd fd = nextFd_++;
-    fds_[fd] = r.value();
-    co_return core::Expected<XpuFd>(fd);
+    co_return core::Expected<XpuFd>(openFd(r.value()));
 }
 
 sim::Task<core::Expected<XpuFd>>
@@ -85,9 +102,7 @@ XpuClient::xfifoConnect(const std::string &globalUuid)
     co_await leaveCall(16);
     if (!r.ok())
         co_return r.error();
-    const XpuFd fd = nextFd_++;
-    fds_[fd] = r.value();
-    co_return core::Expected<XpuFd>(fd);
+    co_return core::Expected<XpuFd>(openFd(r.value()));
 }
 
 sim::Task<core::Status>
@@ -95,7 +110,7 @@ XpuClient::xfifoWrite(XpuFd fd, std::uint64_t bytes,
                       const std::string &tag)
 {
     std::string owned_tag = tag;
-    auto it = fds_.find(fd);
+    auto it = findFd(fd);
     if (it == fds_.end())
         co_return core::Status(core::Errc::InvalidArgument,
                                "unknown fd", shim_.puId());
@@ -114,7 +129,7 @@ XpuClient::xfifoWrite(XpuFd fd, std::uint64_t bytes,
 sim::Task<core::Expected<os::FifoMessage>>
 XpuClient::xfifoRead(XpuFd fd)
 {
-    auto it = fds_.find(fd);
+    auto it = findFd(fd);
     if (it == fds_.end())
         co_return core::Error(core::Errc::InvalidArgument,
                               "unknown fd", shim_.puId());
@@ -134,7 +149,7 @@ XpuClient::xfifoRead(XpuFd fd)
 sim::Task<core::Status>
 XpuClient::xfifoClose(XpuFd fd)
 {
-    auto it = fds_.find(fd);
+    auto it = findFd(fd);
     if (it == fds_.end())
         co_return core::Status(core::Errc::InvalidArgument,
                                "unknown fd", shim_.puId());
@@ -167,7 +182,7 @@ XpuClient::xspawn(PuId target, const std::string &path,
 ObjId
 XpuClient::objectOf(XpuFd fd) const
 {
-    auto it = fds_.find(fd);
+    auto it = findFd(fd);
     return it == fds_.end() ? 0 : it->second;
 }
 

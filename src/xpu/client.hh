@@ -11,8 +11,8 @@
 #ifndef MOLECULE_XPU_CLIENT_HH
 #define MOLECULE_XPU_CLIENT_HH
 
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "xpu/shim.hh"
@@ -82,18 +82,26 @@ class XpuClient
 
   private:
     /** Charge the client->shim crossing for a small-argument call. */
-    sim::Task<> enterCall(std::uint64_t argBytes);
+    sim::Simulation::DelayAwaiter enterCall(std::uint64_t argBytes);
 
     /** Charge the shim->client crossing. */
-    sim::Task<> leaveCall(std::uint64_t resultBytes);
+    sim::Simulation::DelayAwaiter leaveCall(std::uint64_t resultBytes);
 
     /** Charge marshalling @p bytes through the shared-memory area. */
-    sim::Task<> marshalBulk(std::uint64_t bytes);
+    sim::Simulation::DelayAwaiter marshalBulk(std::uint64_t bytes);
+
+    /** Open fd @p fd on @p obj. */
+    XpuFd openFd(ObjId obj);
+
+    /** Entry of @p fd in fds_, or fds_.end(). */
+    std::vector<std::pair<XpuFd, ObjId>>::const_iterator
+    findFd(XpuFd fd) const;
 
     XpuShim &shim_;
     XpuPid self_;
     obs::SpanContext ctx_;
-    std::map<XpuFd, ObjId> fds_;
+    /** Open fds: a process holds a few, so a flat list is enough. */
+    std::vector<std::pair<XpuFd, ObjId>> fds_;
     XpuFd nextFd_ = 3;
 };
 

@@ -25,13 +25,13 @@ enum class SyncOp {
 };
 
 /**
- * One replicated state update. RegisterObject carries the full object
- * descriptor; the other ops are (pid, obj, perm) triples.
+ * One replicated state update. RegisterObject carries the shared
+ * object descriptor; the other ops are (pid, obj, perm) triples.
  */
 struct SyncMessage
 {
     SyncOp op = SyncOp::Grant;
-    DistributedObject obj;
+    ObjectRef obj;
     ObjId objId = 0;
     XpuPid pid;
     Perm perm = Perm::None;
@@ -40,7 +40,7 @@ struct SyncMessage
     std::uint64_t
     wireBytes() const
     {
-        return 48 + (op == SyncOp::RegisterObject ? obj.uuid.size() : 0);
+        return 48 + (op == SyncOp::RegisterObject ? obj->uuid.size() : 0);
     }
 };
 

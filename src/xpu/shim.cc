@@ -54,7 +54,7 @@ XpuShim::applySync(const SyncMessage &msg)
         caps_.registerObject(msg.obj);
         // Replicating owner capabilities with the object keeps every
         // permission check local (§5 "Immediate synchronization").
-        caps_.applyGrant(msg.obj.owner, msg.obj.id,
+        caps_.applyGrant(msg.obj->owner, msg.obj->id,
                          Perm::Read | Perm::Write | Perm::Owner);
         break;
       case SyncOp::RemoveObject:
@@ -71,13 +71,14 @@ XpuShim::applySync(const SyncMessage &msg)
 
 namespace {
 
-/** One peer delivery: request hop, remote apply, ack hop. */
+/** One peer delivery: request hop, remote apply, ack hop. @p msg
+ * is the broadcaster's, which awaits every delivery. */
 sim::Task<>
-deliverToPeer(XpuShimNetwork &net, PuId from, PuId to, SyncMessage msg,
-              obs::SpanContext ctx)
+deliverToPeer(XpuShimNetwork &net, PuId from, PuId to,
+              const SyncMessage *msg, obs::SpanContext ctx)
 {
-    co_await net.transfer(from, to, msg.wireBytes(), ctx);
-    co_await net.shimOn(to).applySync(msg);
+    co_await net.transfer(from, to, msg->wireBytes(), ctx);
+    co_await net.shimOn(to).applySync(*msg);
     co_await net.transfer(to, from, 16, ctx); // ack
 }
 
@@ -91,7 +92,7 @@ XpuShim::broadcastImmediate(const SyncMessage &msg, obs::SpanContext ctx)
     // globally visible).
     obs::Span span(ctx, "xpu.sync", obs::Layer::Xpu, puId());
     co_await applySync(msg);
-    std::vector<sim::Task<>> deliveries;
+    sim::Join deliveries(os_.simulation());
     for (XpuShim *peer : net_.allShims()) {
         if (peer == this)
             continue;
@@ -100,11 +101,11 @@ XpuShim::broadcastImmediate(const SyncMessage &msg, obs::SpanContext ctx)
         if (net_.puDown(peer->puId()))
             continue;
         ++syncSent_;
-        deliveries.push_back(
-            deliverToPeer(net_, puId(), peer->puId(), msg, span.ctx()));
+        deliveries.spawn(
+            deliverToPeer(net_, puId(), peer->puId(), &msg, span.ctx()));
     }
-    span.setArg(std::int64_t(deliveries.size()));
-    co_await sim::allOf(os_.simulation(), std::move(deliveries));
+    span.setArg(std::int64_t(deliveries.pending()));
+    co_await deliveries.wait();
 }
 
 sim::Task<>
@@ -126,7 +127,13 @@ XpuShim::flushLazy()
     if (lazyQueue_.empty())
         co_return;
     lazyEpoch_.fetchAdd(1);
+    // Flushes may overlap, so each takes its batch vector from a
+    // spare list and hands it back: no capacity is ever dropped.
     std::vector<SyncMessage> batch;
+    if (!spareBatches_.empty()) {
+        batch = std::move(spareBatches_.back());
+        spareBatches_.pop_back();
+    }
     batch.swap(lazyQueue_);
     std::uint64_t bytes = 0;
     for (const auto &m : batch)
@@ -141,6 +148,8 @@ XpuShim::flushLazy()
         for (const auto &m : batch)
             co_await peer->applySync(m);
     }
+    batch.clear();
+    spareBatches_.push_back(std::move(batch));
 }
 
 sim::Task<core::Status>
@@ -181,31 +190,31 @@ sim::Task<core::Expected<ObjId>>
 XpuShim::xfifoInit(XpuPid caller, const std::string &globalUuid,
                    obs::SpanContext ctx)
 {
-    std::string uuid = globalUuid;
+    // The descriptor doubles as the named copy of the uuid taken
+    // before the first suspension (task.hh, rule 1).
+    auto obj = std::make_shared<DistributedObject>();
+    obj->uuid = globalUuid;
     co_await handleCost();
-    if (caps_.findByUuid(uuid) != nullptr)
+    if (caps_.findByUuid(obj->uuid) != nullptr)
         co_return core::Error(core::Errc::AlreadyExists,
-                              "fifo uuid '" + uuid + "' taken", puId());
+                              "fifo uuid '" + obj->uuid + "' taken",
+                              puId());
 
-    DistributedObject obj;
-    obj.id = caps_.allocateId();
-    obj.type = ObjType::Ipc;
-    obj.owner = caller;
-    obj.homePu = puId();
-    obj.uuid = uuid;
+    obj->id = caps_.allocateId();
+    obj->type = ObjType::Ipc;
+    obj->owner = caller;
+    obj->homePu = puId();
+    const ObjId id = obj->id;
 
-    auto &homed = queues_[obj.id];
-    homed.queue =
-        std::make_unique<sim::Mailbox<os::FifoMessage>>(os_.simulation());
-    homed.refCount = 1;
+    openHomed(id);
 
     SyncMessage msg;
     msg.op = SyncOp::RegisterObject;
-    msg.obj = obj;
+    msg.obj = std::move(obj);
     // Global UUID uniqueness requires every shim to learn about the
     // fifo before init returns (§5 "Immediate synchronization").
     co_await broadcastImmediate(msg, ctx);
-    co_return core::Expected<ObjId>(obj.id);
+    co_return core::Expected<ObjId>(id);
 }
 
 sim::Task<core::Expected<ObjId>>
@@ -229,6 +238,34 @@ XpuShim::xfifoConnect(XpuPid caller, const std::string &globalUuid)
     if (auto *homed = home.findHomed(id))
         ++homed->refCount;
     co_return core::Expected<ObjId>(id);
+}
+
+void
+XpuShim::openHomed(ObjId obj)
+{
+    if (spareHomed_.empty()) {
+        HomedFifo &homed = queues_[obj];
+        homed.queue = std::make_unique<sim::Mailbox<os::FifoMessage>>(
+            os_.simulation());
+        homed.refCount = 1;
+        return;
+    }
+    HomedQueues::node_type node = std::move(spareHomed_.back());
+    spareHomed_.pop_back();
+    node.key() = obj;
+    node.mapped().refCount = 1;
+    queues_.insert(std::move(node));
+}
+
+void
+XpuShim::closeHomed(ObjId obj)
+{
+    HomedQueues::node_type node = queues_.extract(obj);
+    // Only an idle queue is reused; one still holding messages or
+    // readers goes, as its FIFO does.
+    const auto &queue = *node.mapped().queue;
+    if (queue.empty() && queue.waitingGetters() == 0)
+        spareHomed_.push_back(std::move(node));
 }
 
 XpuShim::HomedFifo *
@@ -347,7 +384,7 @@ XpuShim::xfifoClose(XpuPid caller, ObjId obj)
     XpuShim &home = net_.shimOn(o->homePu);
     HomedFifo *homed = home.findHomed(obj);
     if (homed && --homed->refCount <= 0) {
-        home.queues_.erase(obj);
+        home.closeHomed(obj);
         // Reclamation tolerates staleness: batch it (§5 "Lazy
         // synchronization").
         SyncMessage msg;

@@ -198,6 +198,12 @@ class XpuShim
 
     HomedFifo *findHomed(ObjId obj);
 
+    /** Home a new fifo's queue here, reusing a closed one's. */
+    void openHomed(ObjId obj);
+
+    /** Drop the queue of a fifo whose last reference closed. */
+    void closeHomed(ObjId obj);
+
     /** Batch size that triggers a lazy flush. */
     static constexpr std::size_t kLazyBatch = 8;
 
@@ -207,14 +213,20 @@ class XpuShim
     int handlerThreads_ = 1;
     std::unique_ptr<sim::Semaphore> handlerSlots_;
     CapabilityStore caps_;
+    using HomedQueues = std::unordered_map<ObjId, HomedFifo>;
     /** Never iterated in hash order: crashLocal sorts the ids first. */
-    std::unordered_map<ObjId, HomedFifo> queues_;
+    HomedQueues queues_;
+    /** Closed fifos' table nodes and empty queues, kept for reuse so
+     * a steady stream of short-lived fifos allocates nothing. */
+    std::vector<HomedQueues::node_type> spareHomed_;
     /** Poisoned queues retired at crash: suspended getters woken by
      * the poison still touch the mailbox when they resume, so it must
      * outlive the crash instant. */
     std::vector<std::unique_ptr<sim::Mailbox<os::FifoMessage>>>
         deadQueues_;
     std::vector<SyncMessage> lazyQueue_;
+    /** Drained batch vectors, capacity kept for the next flush. */
+    std::vector<std::vector<SyncMessage>> spareBatches_;
     /** Tracked: a same-tick enqueue/flush pair changes which batch a
      * lazy update rides in, decided only by the event tie-break. */
     sim::analysis::Tracked<std::uint64_t> lazyEpoch_{0, "xpu.lazyQueue"};

@@ -1,0 +1,158 @@
+/**
+ * @file
+ * Allocation budget of the nIPC chain path: once the warm pools,
+ * capability replicas and mailboxes have seen a chain of each shape,
+ * a steady-state Alexa or MapReduce chain through
+ * Molecule::invokeChain reaches the global heap only a few dozen
+ * times. Every operator new in this binary is counted; the test skips
+ * under ASan, whose own operator new checks new/delete pairing.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "core/molecule.hh"
+#include "hw/computer.hh"
+#include "workloads/catalog.hh"
+
+static std::uint64_t g_allocCount = 0;
+
+#if !defined(__SANITIZE_ADDRESS__)
+
+// Malloc-backed on purpose; GCC's mismatched-new-delete heuristic
+// cannot see that new and delete still pair up.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void *
+operator new(std::size_t n)
+{
+    ++g_allocCount;
+    void *p = std::malloc(n ? n : 1);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+void *
+operator new[](std::size_t n)
+{
+    ++g_allocCount;
+    void *p = std::malloc(n ? n : 1);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+#pragma GCC diagnostic pop
+
+#endif
+
+namespace {
+
+using namespace molecule;
+using core::ChainSpec;
+using core::Molecule;
+using core::MoleculeOptions;
+using hw::PuType;
+using workloads::Catalog;
+
+/** A chain shape and its round-robin placement over the general PUs. */
+struct Shape
+{
+    ChainSpec spec;
+    std::vector<int> placement;
+};
+
+sim::Task<>
+runChain(Molecule *runtime, const Shape *shape, int *failures)
+{
+    std::vector<int> placement = shape->placement;
+    auto r = co_await runtime->invokeChain(shape->spec,
+                                           std::move(placement));
+    if (!r.ok())
+        ++*failures;
+}
+
+TEST(ChainAllocations, SteadyStateChainsStayWithinBudget)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    GTEST_SKIP() << "ASan replaces operator new; nothing to count";
+#endif
+    sim::Simulation sim(1);
+    auto computer = hw::buildCpuDpuServer(sim, 2, hw::DpuGeneration::Bf2);
+    Molecule runtime(*computer, MoleculeOptions{});
+    for (const auto &fn : Catalog::alexaChain())
+        runtime.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
+    for (const auto &fn : Catalog::mapReduceChain())
+        runtime.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
+    runtime.start();
+
+    const std::vector<int> &pus = runtime.deployment().generalPus();
+    std::vector<Shape> shapes;
+    for (const ChainSpec &spec :
+         {ChainSpec::linear("alexa", Catalog::alexaChain()),
+          ChainSpec::linear("mapreduce", Catalog::mapReduceChain())}) {
+        Shape shape;
+        shape.spec = spec;
+        for (std::size_t i = 0; i < spec.nodes.size(); ++i)
+            shape.placement.push_back(pus[i % pus.size()]);
+        shapes.push_back(std::move(shape));
+    }
+
+    // Two of each shape in flight per round, like a loaded node.
+    int failures = 0;
+    auto round = [&] {
+        for (int copy = 0; copy < 2; ++copy)
+            for (const Shape &shape : shapes)
+                sim.spawn(runChain(&runtime, &shape, &failures));
+        sim.run();
+    };
+    // Prewarm: size the warm pools, replica tables, mailboxes and the
+    // lazy-reclamation batches.
+    for (int r = 0; r < 8; ++r)
+        round();
+
+    constexpr int kRounds = 16;
+    const std::uint64_t before = g_allocCount;
+    for (int r = 0; r < kRounds; ++r)
+        round();
+    const std::uint64_t allocs = g_allocCount - before;
+    const double perChain =
+        double(allocs) / double(kRounds * 2 * shapes.size());
+    std::printf("global allocations per chain: %.1f\n", perChain);
+
+    EXPECT_EQ(failures, 0);
+    EXPECT_LE(perChain, 50.0);
+}
+
+} // namespace

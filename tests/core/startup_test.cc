@@ -43,6 +43,47 @@ TEST(Startup, GlobalBudgetEnforcedAcrossFunctions)
     }
 }
 
+TEST(Startup, GlobalBudgetCountTracksPurges)
+{
+    // The per-PU warm count behind the global budget must follow
+    // purges: a purged slot frees budget, so the next parks fit
+    // without an eviction.
+    sim::Simulation sim;
+    auto computer = hw::buildCpuDpuServer(sim, 0,
+                                          hw::DpuGeneration::Bf1);
+    MoleculeOptions options;
+    options.startup.globalWarmCapacityPerPu = 3;
+    Molecule runtime(*computer, options);
+    const char *fns[] = {"helloworld", "pyaes", "dd", "matmul", "linpack"};
+    for (const char *fn : fns)
+        runtime.registerCpuFunction(fn, {PuType::HostCpu});
+    runtime.start();
+    core::StartupManager &startup = runtime.startup();
+    auto warmOn0 = [&] {
+        std::size_t total = 0;
+        for (const char *fn : fns)
+            total += startup.warmCount(fn, 0);
+        return total;
+    };
+
+    for (const char *fn : {"helloworld", "pyaes", "dd"})
+        ASSERT_TRUE(runtime.invokeSync(fn, 0).ok());
+    EXPECT_EQ(warmOn0(), 3u);
+    startup.purgeFunction("pyaes", 0);
+    ASSERT_TRUE(runtime.invokeSync("matmul", 0).ok());
+    EXPECT_EQ(startup.evictions(), 0);
+    ASSERT_TRUE(runtime.invokeSync("linpack", 0).ok());
+    EXPECT_EQ(startup.evictions(), 1);
+    EXPECT_EQ(warmOn0(), 3u);
+
+    startup.purgePu(0);
+    EXPECT_EQ(warmOn0(), 0u);
+    for (const char *fn : {"helloworld", "pyaes", "dd"})
+        ASSERT_TRUE(runtime.invokeSync(fn, 0).ok());
+    EXPECT_EQ(startup.evictions(), 1);
+    EXPECT_EQ(warmOn0(), 3u);
+}
+
 TEST(Startup, GlobalEvictionBreaksTiesInNameOrder)
 {
     // Three aliases of one function park with identical greedy-dual

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "hw/calibration.hh"
 #include "hw/computer.hh"
 #include "os/kernel.hh"
@@ -246,6 +249,50 @@ TEST_F(OsFixture, ConcurrentCpusetAttachesConvoy)
     const auto elapsed = sim.now() - t0;
     const auto hold = hostOs.scaledSw(calib::kCpusetAttachSemaphore);
     EXPECT_GE(elapsed, hold * 3.9);
+}
+
+/** swDelay as a coroutine around sim.delay, the form it had before it
+ * returned the delay awaiter itself. */
+Task<>
+wrappedSwDelay(LocalOs &os, SimTime hostCost)
+{
+    co_await os.simulation().delay(os.scaledSw(hostCost));
+}
+
+using FireLog = std::vector<std::pair<SimTime, int>>;
+
+/** Worker @p id: leaf costs that tie across workers, each followed by
+ * a zero-delay callback, so the log order is the (time, seq) order. */
+Task<>
+leafWorker(LocalOs &os, int id, bool wrapped, FireLog *log)
+{
+    Simulation &sim = os.simulation();
+    for (int i = 0; i < 6; ++i) {
+        const SimTime cost = SimTime::microseconds(1 + (id + i) % 3);
+        if (wrapped)
+            co_await wrappedSwDelay(os, cost);
+        else
+            co_await os.swDelay(cost);
+        log->push_back({sim.now(), id});
+        sim.schedule(SimTime(0), [log, id, &sim] {
+            log->push_back({sim.now(), 100 + id});
+        });
+    }
+}
+
+TEST(LocalOsLeafCost, SwDelayFiresLikeACoroutineWrapper)
+{
+    FireLog logs[2];
+    for (int wrapped = 0; wrapped < 2; ++wrapped) {
+        Simulation s;
+        auto c = buildCpuDpuServer(s, 1, DpuGeneration::Bf1);
+        LocalOs os{c->pu(1)};
+        for (int id = 0; id < 4; ++id)
+            s.spawn(leafWorker(os, id, wrapped == 1, &logs[wrapped]));
+        s.run();
+    }
+    ASSERT_EQ(logs[0].size(), 4u * 6u * 2u);
+    EXPECT_EQ(logs[0], logs[1]);
 }
 
 } // namespace

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/sync.hh"
 
 namespace {
 
+using molecule::sim::Join;
 using molecule::sim::Mailbox;
 using molecule::sim::Semaphore;
 using molecule::sim::SemGuard;
@@ -198,6 +201,130 @@ TEST(Mailbox, TryPutRespectsCapacity)
     EXPECT_TRUE(box.tryPut("b"));
     EXPECT_FALSE(box.tryPut("c"));
     EXPECT_EQ(box.size(), 2u);
+}
+
+/** Pop one message and log it in pop order. */
+Task<>
+getOne(Mailbox<int> &box, std::vector<int> *popped)
+{
+    int v = co_await box.get();
+    popped->push_back(v);
+}
+
+TEST(Mailbox, InterleavedPutsAndGetsStayFifoAcrossRingGrowth)
+{
+    // Bursts of puts grow the ring; waves of getters drain it and
+    // block on it, so both queues wrap and regrow many times.
+    Simulation sim;
+    Mailbox<int> box(sim);
+    std::vector<int> popped;
+    std::uint64_t lcg = 12345;
+    auto next = [&lcg](std::uint64_t n) {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return (lcg >> 33) % n;
+    };
+    int put = 0;
+    std::size_t getters = 0;
+    for (int step = 0; step < 400; ++step) {
+        if (next(2) == 0) {
+            for (std::uint64_t k = next(9); k > 0; --k)
+                ASSERT_TRUE(box.tryPut(put++));
+        } else {
+            for (std::uint64_t k = next(9); k > 0; --k) {
+                sim.spawn(getOne(box, &popped));
+                ++getters;
+            }
+        }
+        if (next(3) == 0)
+            sim.run();
+        ASSERT_LE(popped.size(), std::size_t(put));
+    }
+    // Feed whoever is still blocked.
+    sim.run();
+    for (std::size_t k = box.waitingGetters(); k > 0; --k)
+        ASSERT_TRUE(box.tryPut(put++));
+    sim.run();
+    ASSERT_GT(put, 64);
+    ASSERT_EQ(popped.size(), getters);
+    EXPECT_EQ(box.size(), std::size_t(put) - getters);
+    EXPECT_EQ(box.waitingGetters(), 0u);
+    for (std::size_t i = 0; i < popped.size(); ++i)
+        ASSERT_EQ(popped[i], int(i)) << "pop " << i;
+}
+
+/** Log the message one blocked getter receives, tagged with its id. */
+Task<>
+getTagged(Mailbox<std::string> &box, int id,
+          std::vector<std::pair<int, std::string>> *log)
+{
+    std::string v = co_await box.get();
+    log->push_back({id, v});
+}
+
+TEST(Mailbox, PoisonWakesWrappedGettersInArrivalOrder)
+{
+    Simulation sim;
+    Mailbox<std::string> box(sim);
+    std::vector<std::pair<int, std::string>> log;
+    // Three getters block, two are served: the getter ring's head now
+    // sits mid-buffer, so the next four waiters wrap around its end.
+    for (int id = 0; id < 3; ++id)
+        sim.spawn(getTagged(box, id, &log));
+    ASSERT_TRUE(box.tryPut("a"));
+    ASSERT_TRUE(box.tryPut("b"));
+    sim.run();
+    for (int id = 3; id < 6; ++id)
+        sim.spawn(getTagged(box, id, &log));
+    ASSERT_EQ(box.waitingGetters(), 4u);
+
+    EXPECT_EQ(box.poisonGetters("!dead"), 4u);
+    EXPECT_EQ(box.waitingGetters(), 0u);
+    sim.run();
+    const std::vector<std::pair<int, std::string>> want = {
+        {0, "a"}, {1, "b"}, {2, "!dead"},
+        {3, "!dead"}, {4, "!dead"}, {5, "!dead"}};
+    EXPECT_EQ(log, want);
+    EXPECT_TRUE(box.empty());
+    EXPECT_EQ(box.poisonGetters("!dead"), 0u);
+}
+
+Task<>
+sleepFor(Simulation &sim, SimTime t)
+{
+    co_await sim.delay(t);
+}
+
+Task<>
+noop()
+{
+    co_return;
+}
+
+/** Fork @p spans as children, join them, log the join time. */
+Task<>
+forkJoin(Simulation &sim, const std::vector<SimTime> &spans,
+         std::vector<SimTime> *log)
+{
+    std::vector<SimTime> owned = spans;
+    Join kids(sim);
+    for (SimTime t : owned)
+        kids.spawn(t > SimTime(0) ? sleepFor(sim, t) : noop());
+    co_await kids.wait();
+    log->push_back(sim.now());
+}
+
+TEST(Join, ResumesParentWhenTheLastChildEnds)
+{
+    Simulation sim;
+    std::vector<SimTime> log;
+    sim.spawn(forkJoin(sim, {30_us, 10_us, 20_us}, &log));
+    // Children that never suspend are done before wait(): no event.
+    sim.spawn(forkJoin(sim, {SimTime(0), SimTime(0)}, &log));
+    sim.spawn(forkJoin(sim, {}, &log));
+    EXPECT_EQ(log, (std::vector<SimTime>{0_us, 0_us}));
+    EXPECT_EQ(sim.pendingEvents(), 3u);
+    sim.run();
+    EXPECT_EQ(log, (std::vector<SimTime>{0_us, 0_us, 30_us}));
 }
 
 } // namespace

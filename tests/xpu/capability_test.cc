@@ -349,6 +349,93 @@ TEST(CapabilityStore, MatchesReferenceModelOnRandomSequences)
                 return;
         }
     }
+
+    // Register @p id under @p uuid on both sides of @p r; the
+    // descriptor is built here and dies at return, so the store must
+    // hold its own.
+    auto reg = [](ReplicaPair &r, ObjId id, XpuPid owner,
+                  const std::string &uuid) {
+        DistributedObject o;
+        o.id = id;
+        o.owner = owner;
+        o.homePu = owner.pu;
+        o.uuid = uuid;
+        r.store.registerObject(o);
+        r.ref.registerObject(o);
+    };
+    auto remove = [](ReplicaPair &r, ObjId id) {
+        r.store.removeObject(id);
+        r.ref.removeObject(id);
+    };
+    auto grant = [](ReplicaPair &r, XpuPid pid, ObjId id, Perm perm) {
+        r.store.applyGrant(pid, id, perm);
+        r.ref.grant(pid, id, perm);
+    };
+
+    {
+        // One process holding far more grants than a process usually
+        // does, thinned by revokes and removals.
+        constexpr ObjId kMany = 40;
+        ReplicaPair r;
+        const XpuPid big = pids[3];
+        for (ObjId obj = 1; obj <= kMany; ++obj) {
+            grant(r, big, obj, Perm::Read | Perm::Write);
+            grant(r, pids[obj % 2], obj, Perm::Read);
+        }
+        expectSameState(r, pids, kMany, uuids, "many grants");
+        for (ObjId obj = 1; obj <= kMany; obj += 3) {
+            r.store.applyRevoke(big, obj, Perm::Read | Perm::Write);
+            r.ref.revoke(big, obj, Perm::Read | Perm::Write);
+        }
+        for (ObjId obj = 2; obj <= kMany; obj += 3) {
+            reg(r, obj, pids[0], "");
+            remove(r, obj);
+        }
+        expectSameState(r, pids, kMany, uuids, "many grants thinned");
+    }
+    {
+        // One uuid removed and re-registered on one replica, again and
+        // again, so recycled nodes and descriptors take its place.
+        ReplicaPair r;
+        for (ObjId round = 1; round <= 6; ++round) {
+            reg(r, round, pids[round % pids.size()], "a");
+            grant(r, pids[0], round, Perm::Write);
+            expectSameState(r, pids, kObjIds, uuids, "re-register");
+            remove(r, round);
+            expectSameState(r, pids, kObjIds, uuids, "re-removed");
+        }
+        // An overwrite leaves "b" naming id 7, now registered as "c";
+        // the "b" row must stay readable after that descriptor went.
+        reg(r, 7, pids[1], "b");
+        reg(r, 7, pids[2], "c");
+        expectSameState(r, pids, kObjIds, uuids, "overwrite");
+        reg(r, 8, pids[0], "b");
+        remove(r, 7);
+        expectSameState(r, pids, kObjIds, uuids, "overwrite removed");
+        reg(r, 7, pids[4], "b");
+        remove(r, 8);
+        expectSameState(r, pids, kObjIds, uuids, "stale row removed");
+    }
+    {
+        // A clone keeps its state while the source removes everything
+        // and reuses the uuids.
+        ReplicaPair src, clone;
+        for (ObjId obj = 1; obj <= 5; ++obj) {
+            reg(src, obj, pids[obj % pids.size()], uuids[obj]);
+            grant(src, pids[(obj + 1) % pids.size()], obj, Perm::Read);
+        }
+        clone.store.cloneFrom(src.store);
+        clone.ref = src.ref;
+        for (ObjId obj = 1; obj <= 5; ++obj)
+            remove(src, obj);
+        for (ObjId obj = 6; obj <= 9; ++obj)
+            reg(src, obj, pids[0], uuids[obj - 5]);
+        expectSameState(src, pids, kObjIds, uuids, "clone source");
+        expectSameState(clone, pids, kObjIds, uuids, "clone");
+        for (ObjId obj = 1; obj <= 5; ++obj)
+            remove(clone, obj);
+        expectSameState(clone, pids, kObjIds, uuids, "clone drained");
+    }
 }
 
 } // namespace
