@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
+
 namespace molecule::cluster {
 
 ClusterStats::ClusterStats(obs::Registry &registry)
@@ -30,20 +32,22 @@ ClusterStats::attachTelemetry(obs::TimeSeries *ts)
     tsQueueDepth_ = ts_->gaugeId("gateway.queue_depth");
     // Tenants/nodes touched before attachment get their series now;
     // later ones get theirs on first touch.
-    for (auto &[t, state] : tenants_) {
-        (void)state;
-        tenant(t);
-    }
-    for (auto &[n, state] : nodes_) {
-        (void)state;
-        node(n);
-    }
+    for (std::size_t t = 0; t < tenants_.size(); ++t)
+        if (tenants_[t].touched)
+            tenant(int(t));
+    for (std::size_t n = 0; n < nodes_.size(); ++n)
+        if (nodes_[n].touched)
+            node(int(n));
 }
 
 ClusterStats::TenantState &
 ClusterStats::tenant(int t)
 {
-    TenantState &s = tenants_[t];
+    MOLECULE_ASSERT(t >= 0, "negative tenant %d", t);
+    if (std::size_t(t) >= tenants_.size())
+        tenants_.resize(std::size_t(t) + 1);
+    TenantState &s = tenants_[std::size_t(t)];
+    s.touched = true;
     if (ts_ != nullptr && !s.tsReady) {
         s.tsReady = true;
         s.tsArrivals = ts_->counterId("tenant.arrivals", t);
@@ -58,9 +62,19 @@ ClusterStats::tenant(int t)
 }
 
 ClusterStats::NodeState &
+ClusterStats::nodeState(int n)
+{
+    MOLECULE_ASSERT(n >= 0, "negative node %d", n);
+    if (std::size_t(n) >= nodes_.size())
+        nodes_.resize(std::size_t(n) + 1);
+    return nodes_[std::size_t(n)];
+}
+
+ClusterStats::NodeState &
 ClusterStats::node(int n)
 {
-    NodeState &s = nodes_[n];
+    NodeState &s = nodeState(n);
+    s.touched = true;
     if (ts_ != nullptr && !s.tsReady) {
         s.tsReady = true;
         s.tsCompleted = ts_->counterId("node.completed", -1, n);
@@ -149,10 +163,11 @@ ClusterStats::onCompleted(int n, const obs::InvocationRecord &rec,
     ++ts.completed;
     ts.e2eUs.addTime(endToEnd);
     if (cost_ != nullptr) {
-        const auto it = puTypes_.find({n, rec.pu});
-        const hw::PuType kind = it != puTypes_.end()
-                                    ? it->second
-                                    : hw::PuType::HostCpu;
+        const hw::PuType kind =
+            std::size_t(n) < puTypes_.size() && rec.pu >= 0 &&
+                    std::size_t(rec.pu) < puTypes_[std::size_t(n)].size()
+                ? puTypes_[std::size_t(n)][std::size_t(rec.pu)]
+                : hw::PuType::HostCpu;
         const double dollars = cost_->invocationCost(
             kind, rec.execution, transferBytes);
         totalCost_ += dollars;
@@ -188,7 +203,12 @@ ClusterStats::onError(int n, std::uint8_t errc, int t)
 void
 ClusterStats::charge(int node, int pu, sim::SimTime busy)
 {
-    busy_[{node, pu}] += busy;
+    MOLECULE_ASSERT(pu >= 0, "negative PU %d", pu);
+    NodeState &s = nodeState(node);
+    if (std::size_t(pu) >= s.busy.size())
+        s.busy.resize(std::size_t(pu) + 1);
+    s.busy[std::size_t(pu)].time += busy;
+    s.busy[std::size_t(pu)].charged = true;
 }
 
 void
@@ -197,7 +217,18 @@ ClusterStats::setCostModel(
     std::map<std::pair<int, int>, hw::PuType> puTypes)
 {
     cost_ = model;
-    puTypes_ = std::move(puTypes);
+    puTypes_.clear();
+    for (const auto &[key, kind] : puTypes) {
+        MOLECULE_ASSERT(key.first >= 0 && key.second >= 0,
+                        "negative (node, pu) (%d, %d)", key.first,
+                        key.second);
+        if (std::size_t(key.first) >= puTypes_.size())
+            puTypes_.resize(std::size_t(key.first) + 1);
+        std::vector<hw::PuType> &row = puTypes_[std::size_t(key.first)];
+        if (std::size_t(key.second) >= row.size())
+            row.resize(std::size_t(key.second) + 1, hw::PuType::HostCpu);
+        row[std::size_t(key.second)] = kind;
+    }
 }
 
 ClusterSummary
@@ -224,21 +255,24 @@ ClusterStats::summarize(
     s.totalCost = totalCost_;
     if (s.completed > 0)
         s.costPerInvocation = totalCost_ / double(s.completed);
-    for (const auto &[key, busy] : busy_) {
+    forEachBusy([&](int node, int pu, sim::SimTime busy) {
         PuUtilization u;
-        u.node = key.first;
-        u.pu = key.second;
+        u.node = node;
+        u.pu = pu;
         u.busy = busy;
-        const auto it = cores.find(key);
+        const auto it = cores.find({node, pu});
         const int n = it != cores.end() ? std::max(it->second, 1) : 1;
         if (horizon.raw() > 0)
             u.utilization =
                 busy.toSeconds() / (horizon.toSeconds() * double(n));
         s.utilization.push_back(u);
-    }
-    for (const auto &[t, state] : tenants_) {
+    });
+    for (std::size_t t = 0; t < tenants_.size(); ++t) {
+        const TenantState &state = tenants_[t];
+        if (!state.touched)
+            continue;
         TenantSummary row;
-        row.tenant = t;
+        row.tenant = int(t);
         row.arrivals = state.arrivals;
         row.admitted = state.admitted;
         row.shed = state.shed;
@@ -266,12 +300,15 @@ ClusterStats::digest() const
     fp.mix(std::uint64_t(dropped_->value()));
     fp.mix(std::uint64_t(completed_->value()));
     fp.mix(std::uint64_t(errors_->value()));
-    for (const auto &[key, busy] : busy_) {
-        fp.mix(std::uint64_t(key.first));
-        fp.mix(std::uint64_t(key.second));
+    forEachBusy([&fp](int node, int pu, sim::SimTime busy) {
+        fp.mix(std::uint64_t(node));
+        fp.mix(std::uint64_t(pu));
         fp.mix(std::uint64_t(busy.raw()));
-    }
-    for (const auto &[t, state] : tenants_) {
+    });
+    for (std::size_t t = 0; t < tenants_.size(); ++t) {
+        const TenantState &state = tenants_[t];
+        if (!state.touched)
+            continue;
         fp.mix(std::uint64_t(t));
         fp.mix(std::uint64_t(state.arrivals));
         fp.mix(std::uint64_t(state.admitted));

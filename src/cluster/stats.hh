@@ -188,11 +188,12 @@ class ClusterStats
     /**
      * Per-tenant slice: exact counters, a private latency histogram
      * for the summary percentiles, and (when telemetry is attached)
-     * the tenant-labeled series ids. Tenants materialize on first
-     * touch, so the map stays as small as the traffic mix.
+     * the tenant-labeled series ids. A tenant joins the summary and
+     * the digest on first touch.
      */
     struct TenantState
     {
+        bool touched = false;
         std::int64_t arrivals = 0;
         std::int64_t admitted = 0;
         std::int64_t shed = 0;
@@ -211,18 +212,42 @@ class ClusterStats
         std::uint32_t tsE2eUs = 0;
     };
 
-    /** Per-node telemetry series ids (exact totals live in busy_). */
+    /** Per-node busy time and telemetry series ids. */
     struct NodeState
     {
+        bool touched = false;
+        /** Exact busy nanoseconds per PU; a PU joins the summary and
+         * the digest on its first charge. */
+        struct Busy
+        {
+            sim::SimTime time;
+            bool charged = false;
+        };
+        std::vector<Busy> busy;
         bool tsReady = false;
         std::uint32_t tsCompleted = 0;
         std::uint32_t tsErrors = 0;
         std::uint32_t tsExecUs = 0;
     };
 
+    /** Tenant / node state by dense id (labels are small indices). */
     TenantState &tenant(int t);
 
+    NodeState &nodeState(int n);
+
+    /** node() plus its telemetry series, once attached. */
     NodeState &node(int n);
+
+    /** Visit every charged (node, pu) in ascending order. */
+    template <typename F>
+    void
+    forEachBusy(F &&f) const
+    {
+        for (std::size_t n = 0; n < nodes_.size(); ++n)
+            for (std::size_t pu = 0; pu < nodes_[n].busy.size(); ++pu)
+                if (nodes_[n].busy[pu].charged)
+                    f(int(n), int(pu), nodes_[n].busy[pu].time);
+    }
 
     obs::Registry &reg_;
     obs::Counter *arrivals_;
@@ -237,11 +262,9 @@ class ClusterStats
     obs::Histogram *queueWaitUs_;
     obs::Histogram *execUs_;
 
-    /** Exact busy nanoseconds per (node, pu). */
-    std::map<std::pair<int, int>, sim::SimTime> busy_;
-
-    std::map<int, TenantState> tenants_;
-    std::map<int, NodeState> nodes_;
+    /** tenants_[tenant], nodes_[node]; grown on first touch. */
+    std::vector<TenantState> tenants_;
+    std::vector<NodeState> nodes_;
 
     /** Attached collector (null: telemetry mirroring off). */
     obs::TimeSeries *ts_ = nullptr;
@@ -249,7 +272,8 @@ class ClusterStats
 
     /** Attached price card (null: cost accounting off). */
     const CostModel *cost_ = nullptr;
-    std::map<std::pair<int, int>, hw::PuType> puTypes_;
+    /** puTypes_[node][pu]; HostCpu where the table had no entry. */
+    std::vector<std::vector<hw::PuType>> puTypes_;
     double totalCost_ = 0.0;
 
     sim::Fingerprint fp_;

@@ -50,7 +50,13 @@ void
 HistogramKeepAlive::onRequest(std::string_view fn, int pu,
                               sim::SimTime now)
 {
-    Intervals &iv = intervals_[PoolKey{std::string(fn), pu}];
+    // Only the first request of a (fn, pu) pair copies the name.
+    auto it = intervals_.lower_bound(PoolKeyView{fn, pu});
+    if (it == intervals_.end() ||
+        intervals_.key_comp()(PoolKeyView{fn, pu}, it->first))
+        it = intervals_.emplace_hint(it, PoolKey{std::string(fn), pu},
+                                     Intervals{});
+    Intervals &iv = it->second;
     if (iv.seen && now > iv.lastSeen) {
         const std::int64_t us = (now - iv.lastSeen).raw() / 1000;
         std::size_t bucket = 0;
@@ -91,7 +97,7 @@ HistogramKeepAlive::windowOf(const Intervals &iv) const
 sim::SimTime
 HistogramKeepAlive::window(std::string_view fn, int pu) const
 {
-    const auto it = intervals_.find(PoolKey{std::string(fn), pu});
+    const auto it = intervals_.find(PoolKeyView{fn, pu});
     if (it == intervals_.end())
         return sim::SimTime::fromMilliseconds(opts_.defaultWindowMs);
     return windowOf(it->second);

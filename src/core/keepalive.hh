@@ -183,6 +183,29 @@ class HistogramKeepAlive final : public KeepAliveStrategy
 
   private:
     using PoolKey = std::pair<std::string, int>;
+    using PoolKeyView = std::pair<std::string_view, int>;
+
+    /** Orders owned and borrowed (fn, pu) keys alike, so lookups by
+     * string_view build no string. */
+    struct PoolKeyLess
+    {
+        using is_transparent = void;
+
+        static PoolKeyView
+        view(const PoolKey &k)
+        {
+            return {k.first, k.second};
+        }
+
+        static PoolKeyView view(const PoolKeyView &k) { return k; }
+
+        template <typename A, typename B>
+        bool
+        operator()(const A &a, const B &b) const
+        {
+            return view(a) < view(b);
+        }
+    };
 
     /** Log2-bucketed reuse intervals (microseconds). */
     struct Intervals
@@ -196,7 +219,7 @@ class HistogramKeepAlive final : public KeepAliveStrategy
     sim::SimTime windowOf(const Intervals &iv) const;
 
     Options opts_;
-    std::map<PoolKey, Intervals> intervals_;
+    std::map<PoolKey, Intervals, PoolKeyLess> intervals_;
 };
 
 /**

@@ -87,127 +87,110 @@ Molecule::start()
     simulation().run();
 }
 
-sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invokeOnce(const FunctionDef &def, const InvokeOptions &opts,
-                     int attempt, obs::PuList exclude, sim::SimTime t0,
-                     obs::SpanContext rootCtx, AcquiredInstance *acqOut)
+int
+Molecule::admitAttempt(const FunctionDef &def, const InvokeOptions &opts,
+                       int attempt, const obs::PuList &tried,
+                       obs::SpanContext rootCtx, Error &err)
 {
-    const FunctionDef *defp = &def;
-    const InvokeOptions owned_opts = opts;
-    const obs::PuList owned_exclude =
-        owned_opts.failover ? exclude : obs::PuList{};
-    AcquiredInstance *out = acqOut;
-    auto &sim = simulation();
+    // Pure control-plane computation on the manager PU before any
+    // simulated time passes.
+    obs::Span admit(rootCtx, "gateway.admit", obs::Layer::Core,
+                    options_.managerPu);
+    obs::Span place(rootCtx, "sched.place", obs::Layer::Core,
+                    options_.managerPu);
+    const int requested =
+        attempt == 1 || !opts.failover ? opts.pu : -1;
+    const Expected<int> admitted = scheduler_->admit(
+        def, requested,
+        opts.failover ? tried.view() : std::span<const int>{});
+    if (!admitted.ok()) {
+        err = admitted.error();
+        return -1;
+    }
+    place.setArg(admitted.value());
+    return admitted.value();
+}
 
+Error
+Molecule::attemptError(Errc code, const char *before,
+                       const FunctionDef &def, const char *after, int pu)
+{
+    return Error(code, before + ("'" + def.name + "'") + after, pu);
+}
+
+bool
+Molecule::noteFailedAttempt(const Error &err, obs::PuList &tried)
+{
+    if (err.pu() >= 0 && !tried.contains(err.pu()))
+        tried.push_back(err.pu());
+    if (err.code() == Errc::DeadlineExceeded)
+        return false; // The budget is gone; a retry cannot make it.
+    if (options_.tracer != nullptr)
+        options_.tracer->metrics().counter("invoke.attempt_failed").inc();
+    return true;
+}
+
+sim::Simulation::DelayAwaiter
+Molecule::dispatchCost(const FunctionDef &def, int pu)
+{
+    const bool isNode =
+        def.cpuWork->image.language == sandbox::Language::Node;
+    const hw::ProcessingUnit &unit = dep_->osOn(pu).pu();
+    if (options_.dagMode == DagCommMode::BaselineHttp) {
+        return simulation().delay(unit.netCost(
+            calib::kHttpEdgeEndpointCost +
+            (isNode ? calib::kExpressDispatch : calib::kFlaskDispatch)));
+    }
+    return simulation().delay(unit.netCost(
+        calib::kIpcSerializeCost + (isNode ? calib::kFifoDispatchNode
+                                           : calib::kFifoDispatchPython)));
+}
+
+obs::InvocationRecord
+Molecule::completed(const FunctionDef &def, const AcquiredInstance &acq,
+                    int attempt, const obs::PuList &tried,
+                    sim::SimTime communication, sim::SimTime execution,
+                    sim::SimTime endToEnd, std::uint64_t traceId)
+{
     obs::InvocationRecord rec;
-    rec.function = defp->name;
-    rec.attempts = attempt;
-
-    // Admission + placement: pure control-plane computation on the
-    // manager PU before any simulated time passes.
-    int target = -1;
-    {
-        obs::Span admit(rootCtx, "gateway.admit", obs::Layer::Core,
-                        options_.managerPu);
-        obs::Span place(rootCtx, "sched.place", obs::Layer::Core,
-                        options_.managerPu);
-        const int requested = attempt == 1 || !owned_opts.failover
-                                  ? owned_opts.pu
-                                  : -1;
-        const Expected<int> admitted =
-            scheduler_->admit(*defp, requested, owned_exclude.view());
-        if (!admitted.ok())
-            co_return admitted.error();
-        target = admitted.value();
-        place.setArg(target);
-    }
-    rec.pu = target;
-    // Outstanding-work accounting for load-aware placement: every
-    // exit path below must balance this with noteComplete.
-    scheduler_->noteDispatch(target);
-
-    AcquiredInstance acq = co_await startup_->acquire(
-        *defp, target, options_.managerPu, rootCtx);
-    *out = acq;
-    if (acq.instance == nullptr) {
-        scheduler_->noteComplete(target);
-        co_return Error(Errc::NoMemory,
-                        "admission failed for '" + defp->name + "'",
-                        target);
-    }
-    if (dep_->puDown(target)) {
-        scheduler_->noteComplete(target);
-        co_return Error(Errc::PuCrashed,
-                        "'" + defp->name +
-                            "' lost its PU during startup",
-                        target);
-    }
+    rec.function = def.name;
+    rec.pu = acq.pu;
     rec.coldStart = acq.cold;
     rec.startup = acq.startupTime;
+    rec.communication = communication;
+    rec.execution = execution;
+    rec.endToEnd = endToEnd;
+    rec.traceId = traceId;
+    rec.attempts = attempt;
+    rec.pusTried = tried;
+    rec.failedOver = !tried.empty() && !tried.contains(acq.pu);
+    return rec;
+}
 
-    if (owned_opts.deadline > sim::SimTime(0) &&
-        sim.now() - t0 > owned_opts.deadline) {
-        if (!acq.instance->dead)
-            co_await startup_->release(*defp, acq);
-        scheduler_->noteComplete(target);
-        co_return Error(Errc::DeadlineExceeded,
-                        "'" + defp->name +
-                            "' missed its deadline after startup",
-                        target);
+Error
+Molecule::finalError(const FunctionDef &def, const Error &last,
+                     int attempts, const obs::PuList &tried)
+{
+    if (options_.tracer != nullptr)
+        options_.tracer->metrics().counter("invoke.failed").inc();
+    if (attempts <= 1 || last.code() == Errc::DeadlineExceeded) {
+        Error out = last;
+        out.withPusTried(tried.toVector());
+        return out;
     }
+    Error out(Errc::RetriesExhausted, "'" + def.name + "' failed after " +
+                                          std::to_string(attempts) +
+                                          " attempts");
+    out.causedBy(last)
+        .withRetries(attempts - 1)
+        .withPusTried(tried.toVector());
+    return out;
+}
 
-    // Request delivery from the runtime into the instance.
-    const auto commStart = sim.now();
-    auto &os = dep_->osOn(target);
-    {
-        obs::Span comm(rootCtx, "comm", obs::Layer::Core, target);
-        if (options_.managerPu != target) {
-            co_await dep_->shimNet().transfer(options_.managerPu,
-                                              target,
-                                              defp->cpuWork->msgBytes,
-                                              comm.ctx());
-        }
-        const bool isNode =
-            defp->cpuWork->image.language == sandbox::Language::Node;
-        obs::Span disp(comm.ctx(), "os.dispatch", obs::Layer::Os,
-                       target);
-        if (options_.dagMode == DagCommMode::BaselineHttp) {
-            co_await sim.delay(os.pu().netCost(
-                calib::kHttpEdgeEndpointCost +
-                (isNode ? calib::kExpressDispatch
-                        : calib::kFlaskDispatch)));
-        } else {
-            co_await sim.delay(os.pu().netCost(
-                calib::kIpcSerializeCost +
-                (isNode ? calib::kFifoDispatchNode
-                        : calib::kFifoDispatchPython)));
-        }
-    }
-    rec.communication = sim.now() - commStart;
-
-    if (owned_opts.deadline > sim::SimTime(0) &&
-        sim.now() - t0 > owned_opts.deadline) {
-        if (!acq.instance->dead && !dep_->puDown(target))
-            co_await startup_->release(*defp, acq);
-        scheduler_->noteComplete(target);
-        co_return Error(Errc::DeadlineExceeded,
-                        "'" + defp->name +
-                            "' missed its deadline before execution",
-                        target);
-    }
-
-    const auto execStart = sim.now();
-    const auto exec = acq.cold
-                          ? defp->cpuWork->execCost *
-                                defp->cpuWork->coldExecFactor
-                          : defp->cpuWork->execCost;
-    core::Status st = co_await dep_->runcOn(target).invoke(
-        *acq.instance, exec, rootCtx);
-    scheduler_->noteComplete(target);
-    if (!st.ok())
-        co_return st.error();
-    rec.execution = sim.now() - execStart;
-    co_return rec;
+sim::Task<Expected<obs::InvocationRecord>>
+Molecule::notFound(const std::string &fn)
+{
+    co_return Error(Errc::NotFound, "unknown function '" + fn + "'");
 }
 
 sim::Task<Expected<obs::InvocationRecord>>
@@ -215,93 +198,133 @@ Molecule::invoke(const std::string &fn, const InvokeOptions &opts)
 {
     const FunctionDef *def = registry_.findPtr(fn);
     if (def == nullptr)
-        co_return Error(Errc::NotFound, "unknown function '" + fn + "'");
-    co_return co_await invoke(*def, opts);
+        return notFound(fn);
+    return invoke(*def, opts);
 }
 
 sim::Task<Expected<obs::InvocationRecord>>
 Molecule::invoke(const FunctionDef &fn, const InvokeOptions &opts)
 {
+    // One frame covers every attempt; the non-suspending steps are
+    // plain member functions so this frame stays in the FramePool
+    // (DESIGN.md §4b). Every exit after noteDispatch balances it with
+    // noteComplete: load-aware placement reads the in-flight count.
     const FunctionDef *def = &fn;
-    const std::string &owned_fn = def->name;
-    InvokeOptions owned_opts = opts;
+    const InvokeOptions o = opts;
     MOLECULE_ASSERT(def->cpuWork != nullptr,
                     "'%s' is accelerator-only; use invokeFpga",
-                    owned_fn.c_str());
+                    def->name.c_str());
     auto &sim = simulation();
+    const int managerPu = options_.managerPu;
 
     // Root span of this invocation's trace: all attempts (and the
     // backoff pauses between them) nest under it.
     obs::Span root = obs::Span::root(options_.tracer, "invoke",
-                                     obs::Layer::Core,
-                                     options_.managerPu);
-    root.setDetail(owned_fn.c_str());
+                                     obs::Layer::Core, managerPu);
+    root.setDetail(def->name.c_str());
 
     const sim::SimTime t0 = sim.now();
-    const int maxAttempts =
-        owned_opts.maxAttempts < 1 ? 1 : owned_opts.maxAttempts;
+    const int maxAttempts = o.maxAttempts < 1 ? 1 : o.maxAttempts;
     obs::PuList tried;
     Error lastErr;
-    int attemptsMade = 0;
-
-    for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-        attemptsMade = attempt;
+    int attempt = 1;
+    for (; attempt <= maxAttempts; ++attempt) {
         if (attempt > 1) {
             obs::Span backoff(root.ctx(), "retry.backoff",
-                              obs::Layer::Core, options_.managerPu);
+                              obs::Layer::Core, managerPu);
             backoff.setArg(attempt);
             if (options_.tracer != nullptr)
-                options_.tracer->metrics()
-                    .counter("invoke.retry")
-                    .inc();
-            co_await sim.delay(owned_opts.retryBackoff);
+                options_.tracer->metrics().counter("invoke.retry").inc();
+            co_await sim.delay(o.retryBackoff);
         }
 
-        AcquiredInstance acq;
-        Expected<obs::InvocationRecord> r = co_await invokeOnce(
-            *def, owned_opts, attempt, tried, t0, root.ctx(), &acq);
-        if (r.ok()) {
-            obs::InvocationRecord rec = std::move(r.value());
-            rec.traceId = root.traceId();
-            rec.pusTried = tried;
-            rec.failedOver = !tried.empty() && !tried.contains(rec.pu);
-            rec.endToEnd = sim.now() - t0;
-            // The measured window ends here; the keep-alive release
-            // below is runtime bookkeeping and must not stretch the
-            // root span.
-            root.finish();
-            if (acq.instance != nullptr && !acq.instance->dead &&
-                !dep_->puDown(rec.pu)) {
+        const int target =
+            admitAttempt(*def, o, attempt, tried, root.ctx(), lastErr);
+        if (target < 0) {
+            if (!noteFailedAttempt(lastErr, tried))
+                break;
+            continue;
+        }
+        scheduler_->noteDispatch(target);
+
+        AcquiredInstance acq = co_await startup_->acquire(
+            *def, target, managerPu, root.ctx());
+        if (acq.instance == nullptr || dep_->puDown(target)) {
+            scheduler_->noteComplete(target);
+            lastErr = acq.instance == nullptr
+                          ? attemptError(Errc::NoMemory,
+                                         "admission failed for ", *def,
+                                         "", target)
+                          : attemptError(Errc::PuCrashed, "", *def,
+                                         " lost its PU during startup",
+                                         target);
+            if (!noteFailedAttempt(lastErr, tried))
+                break;
+            continue;
+        }
+        if (o.deadline > sim::SimTime(0) && sim.now() - t0 > o.deadline) {
+            if (!acq.instance->dead)
                 co_await startup_->release(*def, acq);
-            }
-            co_return rec;
+            scheduler_->noteComplete(target);
+            lastErr = attemptError(Errc::DeadlineExceeded, "", *def,
+                                   " missed its deadline after startup",
+                                   target);
+            noteFailedAttempt(lastErr, tried);
+            break;
         }
 
-        lastErr = r.error();
-        if (lastErr.pu() >= 0 && !tried.contains(lastErr.pu()))
-            tried.push_back(lastErr.pu());
-        if (lastErr.code() == Errc::DeadlineExceeded)
-            break; // The budget is gone; a retry cannot make it.
-        if (options_.tracer != nullptr)
-            options_.tracer->metrics()
-                .counter("invoke.attempt_failed")
-                .inc();
-    }
+        // Request delivery from the runtime into the instance.
+        const sim::SimTime commStart = sim.now();
+        {
+            obs::Span comm(root.ctx(), "comm", obs::Layer::Core, target);
+            if (managerPu != target) {
+                co_await dep_->shimNet().transfer(
+                    managerPu, target, def->cpuWork->msgBytes,
+                    comm.ctx());
+            }
+            obs::Span disp(comm.ctx(), "os.dispatch", obs::Layer::Os,
+                           target);
+            co_await dispatchCost(*def, target);
+        }
+        const sim::SimTime communication = sim.now() - commStart;
 
-    if (options_.tracer != nullptr)
-        options_.tracer->metrics().counter("invoke.failed").inc();
-    if (attemptsMade <= 1 || lastErr.code() == Errc::DeadlineExceeded) {
-        Error out = lastErr;
-        out.withPusTried(tried.toVector());
-        co_return out;
+        if (o.deadline > sim::SimTime(0) && sim.now() - t0 > o.deadline) {
+            if (!acq.instance->dead && !dep_->puDown(target))
+                co_await startup_->release(*def, acq);
+            scheduler_->noteComplete(target);
+            lastErr = attemptError(Errc::DeadlineExceeded, "", *def,
+                                   " missed its deadline before execution",
+                                   target);
+            noteFailedAttempt(lastErr, tried);
+            break;
+        }
+
+        const sim::SimTime execStart = sim.now();
+        const sim::SimTime exec =
+            acq.cold ? def->cpuWork->execCost * def->cpuWork->coldExecFactor
+                     : def->cpuWork->execCost;
+        const core::Status st = co_await dep_->runcOn(target).invoke(
+            *acq.instance, exec, root.ctx());
+        scheduler_->noteComplete(target);
+        if (!st.ok()) {
+            lastErr = st.error();
+            if (!noteFailedAttempt(lastErr, tried))
+                break;
+            continue;
+        }
+        const sim::SimTime execution = sim.now() - execStart;
+        const sim::SimTime endToEnd = sim.now() - t0;
+        const std::uint64_t traceId = root.traceId();
+        // The measured window ends here; the keep-alive release below
+        // is runtime bookkeeping and must not stretch the root span.
+        root.finish();
+        if (!acq.instance->dead && !dep_->puDown(target))
+            co_await startup_->release(*def, acq);
+        co_return completed(*def, acq, attempt, tried, communication,
+                            execution, endToEnd, traceId);
     }
-    Error out(Errc::RetriesExhausted,
-              "'" + owned_fn + "' failed after " +
-                  std::to_string(attemptsMade) + " attempts");
-    out.causedBy(lastErr)
-        .withRetries(attemptsMade - 1)
-        .withPusTried(tried.toVector());
-    co_return out;
+    co_return finalError(*def, lastErr, std::min(attempt, maxAttempts),
+                         tried);
 }
 
 sim::Task<Expected<obs::InvocationRecord>>

@@ -233,16 +233,47 @@ class Molecule
     Expected<T> runSync(sim::Task<Expected<T>> task,
                         const std::string &what);
 
-    /**
-     * One attempt of the CPU/DPU pipeline (no retry logic). On
-     * success @p acqOut holds the acquired instance so the caller can
-     * release it *after* closing the root span (keep-alive bookkeeping
-     * must not stretch the measured window).
-     */
+    /** NotFound for an unregistered name (the by-name invoke). */
     [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invokeOnce(const FunctionDef &def, const InvokeOptions &opts,
-               int attempt, obs::PuList exclude, sim::SimTime t0,
-               obs::SpanContext rootCtx, AcquiredInstance *acqOut);
+    notFound(const std::string &fn);
+
+    /** @name Non-suspending steps of invoke()
+     * Plain functions, so their locals stay off the coroutine frame
+     * (DESIGN.md §4b). */
+    ///@{
+
+    /** Admission + placement of one attempt on the manager PU.
+     * @return the target PU, or -1 with @p err set. */
+    int admitAttempt(const FunctionDef &def, const InvokeOptions &opts,
+                     int attempt, const obs::PuList &tried,
+                     obs::SpanContext rootCtx, Error &err);
+
+    /** The failure of one attempt on @p pu:
+     * "<before>'<fn>'<after>". */
+    static Error attemptError(Errc code, const char *before,
+                              const FunctionDef &def, const char *after,
+                              int pu);
+
+    /** Book a failed attempt: its PU joins @p tried. @return false
+     * when no retry can help (the deadline is gone). */
+    bool noteFailedAttempt(const Error &err, obs::PuList &tried);
+
+    /** The request-delivery cost inside the instance on @p pu. */
+    sim::Simulation::DelayAwaiter dispatchCost(const FunctionDef &def,
+                                               int pu);
+
+    /** The record of a successful attempt. */
+    static obs::InvocationRecord
+    completed(const FunctionDef &def, const AcquiredInstance &acq,
+              int attempt, const obs::PuList &tried,
+              sim::SimTime communication, sim::SimTime execution,
+              sim::SimTime endToEnd, std::uint64_t traceId);
+
+    /** The error of an invocation whose last attempt failed with
+     * @p last after @p attempts attempts. */
+    Error finalError(const FunctionDef &def, const Error &last,
+                     int attempts, const obs::PuList &tried);
+    ///@}
 
     hw::Computer &computer_;
     MoleculeOptions options_;

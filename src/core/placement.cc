@@ -1,6 +1,9 @@
 #include "core/placement.hh"
 
 #include <algorithm>
+#include <memory>
+
+#include "sim/logging.hh"
 
 namespace molecule::core {
 
@@ -18,30 +21,56 @@ priceBefore(const PuView &a, const PuView &b)
     return a.pu < b.pu;
 }
 
-std::vector<const PuView *>
-priceOrdered(const PlacementView &view)
+} // namespace
+
+void
+PlacementView::priceOrder(std::span<const PuView> rows,
+                          std::span<std::uint16_t> order)
 {
-    std::vector<const PuView *> order;
-    order.reserve(view.pus().size());
-    for (const PuView &v : view.pus())
-        order.push_back(&v);
-    std::sort(order.begin(), order.end(),
-              [](const PuView *a, const PuView *b) {
-                  return priceBefore(*a, *b);
-              });
-    return order;
+    MOLECULE_ASSERT(rows.size() <= 0xffff && order.size() == rows.size(),
+                    "price order of %zu rows into %zu slots",
+                    rows.size(), order.size());
+    // Insertion sort: stable and allocation-free; views are small.
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        std::size_t j = i;
+        for (; j > 0 && priceBefore(rows[i], rows[order[j - 1]]); --j)
+            order[j] = order[j - 1];
+        order[j] = std::uint16_t(i);
+    }
 }
 
-} // namespace
+PlacementView::PlacementView(std::vector<PuView> pus) : n_(pus.size())
+{
+    if (n_ > kInline) {
+        heap_ = std::move(pus);
+        heapOrder_.resize(n_);
+    } else {
+        std::uninitialized_copy(pus.begin(), pus.end(), inline_.rows);
+    }
+    priceOrder(this->pus(), order());
+}
+
+PlacementView::PlacementView(std::span<const PuView> rows,
+                             std::span<const std::uint16_t> order)
+    : n_(rows.size())
+{
+    if (n_ <= kInline) {
+        std::uninitialized_copy(rows.begin(), rows.end(), inline_.rows);
+        std::copy(order.begin(), order.end(), inlineOrder_.begin());
+    } else {
+        heap_.assign(rows.begin(), rows.end());
+        heapOrder_.assign(order.begin(), order.end());
+    }
+}
 
 int
 PriceOrderedPolicy::place(const PlacementRequest &req,
                           const PlacementView &view)
 {
     (void)req;
-    for (const PuView *v : priceOrdered(view))
-        if (v->eligible())
-            return v->pu;
+    for (std::size_t i = 0; i < view.size(); ++i)
+        if (view.byPrice(i).eligible())
+            return view.byPrice(i).pu;
     return -1;
 }
 
@@ -50,21 +79,20 @@ LoadAwarePolicy::place(const PlacementRequest &req,
                        const PlacementView &view)
 {
     (void)req;
-    const auto order = priceOrdered(view);
-
     // Pass 1: cheapest kind with headroom. The order is price-grouped,
     // so scanning for the least-loaded PU within the current (price,
     // rank) group before moving on implements "spill to the
     // next-cheapest kind only when this one is saturated".
+    const std::size_t n = view.size();
     std::size_t i = 0;
-    while (i < order.size()) {
-        const double price = order[i]->price;
-        const std::uint32_t rank = order[i]->profileRank;
+    while (i < n) {
+        const double price = view.byPrice(i).price;
+        const std::uint32_t rank = view.byPrice(i).profileRank;
         const PuView *best = nullptr;
-        for (; i < order.size() && order[i]->price == price &&
-               order[i]->profileRank == rank;
+        for (; i < n && view.byPrice(i).price == price &&
+               view.byPrice(i).profileRank == rank;
              ++i) {
-            const PuView *v = order[i];
+            const PuView *v = &view.byPrice(i);
             if (!v->eligible() ||
                 v->loadPerCore() >= opts_.spillThreshold)
                 continue;

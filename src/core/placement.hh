@@ -31,9 +31,11 @@
 #ifndef MOLECULE_CORE_PLACEMENT_HH
 #define MOLECULE_CORE_PLACEMENT_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/function.hh"
@@ -92,24 +94,96 @@ struct PuView
     }
 };
 
+class Scheduler;
+
 /**
  * The scheduler-built snapshot: one PuView per PU the function's
- * profiles allow, ascending PU id. Views are constructed fresh per
- * request — policies must not retain pointers into one.
+ * profiles allow, ascending PU id, plus the rows' price order. Views
+ * are constructed fresh per request -- policies must not retain
+ * pointers into one. A view of up to kInline PUs (every testbed
+ * computer) lives inline, so building one does not allocate.
  */
 class PlacementView
 {
   public:
-    explicit PlacementView(std::vector<PuView> pus)
-        : pus_(std::move(pus))
-    {}
+    static constexpr std::size_t kInline = 8;
 
-    std::span<const PuView> pus() const { return pus_; }
+    /** A view over @p pus (ascending PU id); sorts the price order. */
+    explicit PlacementView(std::vector<PuView> pus);
 
-    bool empty() const { return pus_.empty(); }
+    std::span<const PuView> pus() const
+    {
+        return n_ <= kInline ? std::span<const PuView>(inline_.rows, n_)
+                             : std::span<const PuView>(heap_);
+    }
+
+    bool empty() const { return n_ == 0; }
+
+    std::size_t size() const { return n_; }
+
+    /**
+     * The @p i-th row in price order: cheapest profile first
+     * (registration order breaks price ties), then ascending PU id.
+     */
+    const PuView &
+    byPrice(std::size_t i) const
+    {
+        return pus()[order()[i]];
+    }
 
   private:
-    std::vector<PuView> pus_;
+    friend class Scheduler;
+
+    /**
+     * Write the price order of @p rows into @p order (as many slots)
+     * as row indices. It reads only price, profileRank and pu -- a
+     * function's static fields -- so the scheduler computes it once
+     * per function.
+     */
+    static void priceOrder(std::span<const PuView> rows,
+                           std::span<std::uint16_t> order);
+
+    /** A copy of @p rows and their precomputed @p order. */
+    PlacementView(std::span<const PuView> rows,
+                  std::span<const std::uint16_t> order);
+
+    std::span<PuView>
+    rows()
+    {
+        return n_ <= kInline ? std::span<PuView>(inline_.rows, n_)
+                             : std::span<PuView>(heap_);
+    }
+
+    std::span<const std::uint16_t>
+    order() const
+    {
+        return n_ <= kInline
+                   ? std::span<const std::uint16_t>(inlineOrder_.data(), n_)
+                   : std::span<const std::uint16_t>(heapOrder_);
+    }
+
+    std::span<std::uint16_t>
+    order()
+    {
+        return n_ <= kInline
+                   ? std::span<std::uint16_t>(inlineOrder_.data(), n_)
+                   : std::span<std::uint16_t>(heapOrder_);
+    }
+
+    std::size_t n_ = 0;
+    /** Raw storage: only the first n_ rows are ever written, so a
+     * view does not construct kInline rows per request. PuView is
+     * trivially copyable, so copying the whole union copies a view. */
+    union InlineRows
+    {
+        InlineRows() {}
+        PuView rows[kInline];
+    } inline_;
+    static_assert(std::is_trivially_copyable_v<PuView>);
+    std::array<std::uint16_t, kInline> inlineOrder_{};
+    /** Rows and order of a view wider than kInline. */
+    std::vector<PuView> heap_;
+    std::vector<std::uint16_t> heapOrder_;
 };
 
 /**

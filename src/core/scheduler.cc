@@ -57,6 +57,8 @@ Scheduler::rowsOf(const FunctionDef &fn) const
               [](const PuView &a, const PuView &b) {
                   return a.pu < b.pu;
               });
+    cached.priceOrder.resize(pus.size());
+    PlacementView::priceOrder(pus, cached.priceOrder);
     return cached;
 }
 
@@ -66,8 +68,9 @@ Scheduler::view(const FunctionDef &fn,
 {
     const sim::SimTime now = dep_.simulation().now();
     const fault::FaultState *faults = dep_.faults();
-    std::vector<PuView> pus = rowsOf(fn).rows;
-    for (PuView &v : pus) {
+    const FnRows &cached = rowsOf(fn);
+    PlacementView view(cached.rows, cached.priceOrder);
+    for (PuView &v : view.rows()) {
         const int pu = v.pu;
         v.outstanding = outstanding(pu);
         v.warmSandboxes =
@@ -84,7 +87,7 @@ Scheduler::view(const FunctionDef &fn,
                 (lf->downUntil > now || lf->degradedUntil > now);
         }
     }
-    return PlacementView(std::move(pus));
+    return view;
 }
 
 int
@@ -96,8 +99,9 @@ Scheduler::place(const FunctionDef &fn, std::span<const int> exclude)
     req.exclude = exclude;
     const PlacementView v = view(fn, exclude);
     const int pick = policy_->place(req, v);
-    // Fold (function, pick) into the per-policy placement golden.
-    placeFp_.mix(rowsOf(fn).nameHash);
+    // Fold (function, pick) into the per-policy placement golden
+    // (view() just validated the cached rows).
+    placeFp_.mix(rows_[fn.id].nameHash);
     placeFp_.mix(std::uint64_t(std::int64_t(pick)));
     return pick;
 }

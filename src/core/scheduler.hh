@@ -116,14 +116,16 @@ class Scheduler
     }
 
   private:
-    /** A function's candidate rows (static fields only) and the name
-     * hash folded into the placement digest. */
+    /** A function's candidate rows (static fields only), their
+     * price order and the name hash folded into the placement
+     * digest. */
     struct FnRows
     {
         /** FunctionRegistry::revision built from (0: never). */
         std::uint32_t revision = 0;
         std::uint64_t nameHash = 0;
         std::vector<PuView> rows;
+        std::vector<std::uint16_t> priceOrder;
     };
 
     /** The cached rows of @p fn, rebuilt after a re-registration. */

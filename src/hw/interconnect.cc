@@ -117,37 +117,52 @@ Topology::hasRoute(int a, int b) const
            !routes_[std::size_t(a) * puSpan_ + std::size_t(b)].hops.empty();
 }
 
+Topology::Transfer::Transfer(Topology &topo, int a, int b,
+                             std::uint64_t bytes, obs::SpanContext ctx)
+    : topo_(topo), span_(ctx, "hw.link", obs::Layer::Hw, a),
+      route_(&topo.route(a, b)), bytes_(bytes)
+{
+    span_.setArg(std::int64_t(bytes));
+    if (topo.faults_ == nullptr)
+        return;
+    fault_ = topo.faults_->linkFault(a, b);
+    if (fault_ != nullptr && fault_->downUntil > topo.sim_.now()) {
+        // Full drop: the transfer stalls until the link returns (flap
+        // semantics, not loss).
+        span_.setDetail("link-down-stall");
+        stall_ = fault_->downUntil - topo.sim_.now();
+    }
+}
+
+sim::Simulation::DelayAwaiter
+Topology::Transfer::step()
+{
+    if (stall_ > sim::SimTime(0)) {
+        const sim::SimTime stall = stall_;
+        stall_ = sim::SimTime(0);
+        return topo_.sim_.delay(stall);
+    }
+    if (fault_ != nullptr) {
+        if (fault_->degradedUntil > topo_.sim_.now())
+            degrade_ = fault_->factor;
+        fault_ = nullptr;
+    }
+    if (hop_ > 0 && !forwarded_ && route_->forwardCost > sim::SimTime(0)) {
+        // Store-and-forward at the intermediate PU.
+        forwarded_ = true;
+        return topo_.sim_.delay(route_->forwardCost);
+    }
+    forwarded_ = false;
+    return route_->hops[hop_++]->transfer(bytes_, degrade_);
+}
+
 sim::Task<>
 Topology::transfer(int a, int b, std::uint64_t bytes,
                    obs::SpanContext ctx)
 {
-    obs::Span span(ctx, "hw.link", obs::Layer::Hw, a);
-    span.setArg(std::int64_t(bytes));
-    double degrade = 1.0;
-    if (faults_ != nullptr) {
-        const fault::LinkFault *lf = faults_->linkFault(a, b);
-        if (lf != nullptr) {
-            const sim::SimTime now = sim_.now();
-            if (lf->downUntil > now) {
-                // Full drop: the transfer stalls until the link
-                // returns (flap semantics, not loss).
-                span.setDetail("link-down-stall");
-                co_await sim_.delay(lf->downUntil - now);
-            }
-            if (lf->degradedUntil > sim_.now())
-                degrade = lf->factor;
-        }
-    }
-    const Route &r = route(a, b);
-    bool first = true;
-    for (Link *hop : r.hops) {
-        if (!first && r.forwardCost > sim::SimTime(0)) {
-            // Store-and-forward at the intermediate PU.
-            co_await sim_.delay(r.forwardCost);
-        }
-        first = false;
-        co_await hop->transfer(bytes, degrade);
-    }
+    Transfer t(*this, a, b, bytes, ctx);
+    while (t.pending())
+        co_await t.step();
 }
 
 sim::SimTime

@@ -118,8 +118,53 @@ class Topology
     bool hasRoute(int a, int b) const;
 
     /**
+     * One a -> b move, stepped by the coroutine that owns it:
+     *
+     *   Topology::Transfer t(topo, a, b, bytes, ctx);
+     *   while (t.pending())
+     *       co_await t.step();
+     *
+     * It opens the "hw.link" span and closes it when destroyed. Each
+     * step is one delay of the route (a link-down stall, a
+     * store-and-forward pause or a hop), drawn when it is taken. A
+     * caller that already owns a frame (XpuShimNetwork::transfer)
+     * thus moves bytes without a nested one.
+     */
+    class Transfer
+    {
+      public:
+        Transfer(Topology &topo, int a, int b, std::uint64_t bytes,
+                 obs::SpanContext ctx);
+
+        /** Delays remain to be taken. */
+        bool
+        pending() const
+        {
+            return stall_ > sim::SimTime(0) || hop_ < route_->hops.size();
+        }
+
+        /** The next delay; co_await it at once. */
+        sim::Simulation::DelayAwaiter step();
+
+      private:
+        Topology &topo_;
+        obs::Span span_;
+        const Route *route_;
+        std::uint64_t bytes_;
+        /** Link-down stall still to be taken. */
+        sim::SimTime stall_{};
+        /** Fault record read for degradation once the stall is over. */
+        const fault::LinkFault *fault_ = nullptr;
+        double degrade_ = 1.0;
+        std::size_t hop_ = 0;
+        /** The forwarding pause before hop_ was taken. */
+        bool forwarded_ = false;
+    };
+
+    /**
      * Move @p bytes from PU @p a to PU @p b across every hop of the
-     * route, charging forwarding costs at intermediate PUs.
+     * route, charging forwarding costs at intermediate PUs (one
+     * Transfer, stepped in a frame of its own).
      */
     sim::Task<> transfer(int a, int b, std::uint64_t bytes,
                          obs::SpanContext ctx = {});

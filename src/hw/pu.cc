@@ -31,17 +31,8 @@ ProcessingUnit::ProcessingUnit(sim::Simulation &sim, int id,
 sim::Task<>
 ProcessingUnit::compute(sim::SimTime hostCost)
 {
-    co_await cores_.acquire();
-    sim::SemGuard g(cores_);
-    co_await sim_.delay(computeCost(hostCost));
-}
-
-sim::Task<>
-ProcessingUnit::computeSw(sim::SimTime hostCost)
-{
-    co_await cores_.acquire();
-    sim::SemGuard g(cores_);
-    co_await sim_.delay(swCost(hostCost));
+    co_await acquireCore();
+    co_await occupyCore(hostCost);
 }
 
 bool

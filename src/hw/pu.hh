@@ -15,6 +15,7 @@
 #ifndef MOLECULE_HW_PU_HH
 #define MOLECULE_HW_PU_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -84,18 +85,53 @@ class ProcessingUnit
     }
 
     /**
-     * Occupy one core for a compute burst of @p hostCost (host-reference
-     * time); queues behind other bursts when all cores are busy.
+     * Holds a core taken with acquireCore() for one compute burst and
+     * hands it back when the burst ends, as the awaiter resumes.
+     * Trivially copyable: any co_await form is safe (task.hh rule 3).
      */
-    sim::Task<> compute(sim::SimTime hostCost);
+    class CoreBurst
+    {
+      public:
+        CoreBurst(sim::Semaphore &cores, sim::Simulation::DelayAwaiter burst)
+            : cores_(&cores), burst_(burst)
+        {}
+
+        bool await_ready() const noexcept { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            burst_.await_suspend(h);
+        }
+
+        void await_resume() const { cores_->release(); }
+
+      private:
+        sim::Semaphore *cores_;
+        sim::Simulation::DelayAwaiter burst_;
+    };
 
     /**
-     * Occupy one core for a software-path burst (scaled by swFactor).
+     * @name Core occupancy
+     * A compute burst is `co_await acquireCore(); co_await
+     * occupyCore(cost);` -- the core queue is FIFO, and the core is
+     * back before the awaiting coroutine continues. A coroutine that
+     * runs the two steps inline pays no frame of its own.
      */
-    sim::Task<> computeSw(sim::SimTime hostCost);
+    ///@{
+    auto acquireCore() { return cores_.acquire(); }
 
-    /** Core semaphore, exposed for schedulers that hold cores longer. */
-    sim::Semaphore &coreSemaphore() { return cores_; }
+    /** Occupy the acquired core for @p hostCost (host-reference
+     * time, scaled by computeFactor). */
+    CoreBurst
+    occupyCore(sim::SimTime hostCost)
+    {
+        return CoreBurst(cores_, sim_.delay(computeCost(hostCost)));
+    }
+
+    /** Both steps: queue for a core, then occupy it for @p hostCost. */
+    sim::Task<> compute(sim::SimTime hostCost);
+    ///@}
 
     /** @name Memory admission (bytes). The density experiment drives
      *  allocation through the OS layer; the PU tracks the budget. */

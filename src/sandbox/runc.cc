@@ -94,7 +94,7 @@ sim::Task<bool>
 RuncRuntime::create(const CreateRequest &req)
 {
     MOLECULE_ASSERT(req.image != nullptr, "create without an image");
-    if (instances_.count(req.sandboxId))
+    if (find(req.sandboxId) != nullptr)
         co_return false;
     auto inst = std::make_unique<Instance>();
     inst->id = req.sandboxId;
@@ -102,7 +102,7 @@ RuncRuntime::create(const CreateRequest &req)
     inst->image = req.image;
     inst->state = SandboxState::Creating;
     Instance *raw = inst.get();
-    instances_[req.sandboxId] = std::move(inst);
+    instances_.emplace(raw->id, std::move(inst));
 
     const bool useCfork = path_ != StartupPath::ColdBoot &&
                           hasTemplate(req.image->language);
@@ -115,7 +115,7 @@ RuncRuntime::create(const CreateRequest &req)
     else
         ok = co_await createCold(*raw, ctx);
     if (!ok) {
-        instances_.erase(raw->id);
+        eraseInstance(raw->id);
         co_return false;
     }
     raw->state = SandboxState::Created;
@@ -242,7 +242,7 @@ RuncRuntime::destroy(const std::string &sandboxId)
         os_.exitProcess(*inst->proc);
     if (inst->container)
         co_await os_.containers().destroy(*inst->container);
-    instances_.erase(id);
+    eraseInstance(id);
 }
 
 sim::Task<core::Status>
@@ -294,9 +294,11 @@ RuncRuntime::invoke(Instance &inst, sim::SimTime hostExecCost,
         inst.cowSettled = true;
     }
     {
+        // ProcessingUnit::compute, inline: no nested frame.
         obs::Span hwspan(span.ctx(), "hw.compute", obs::Layer::Hw,
                          os_.pu().id());
-        co_await os_.pu().compute(hostExecCost);
+        co_await os_.pu().acquireCore();
+        co_await os_.pu().occupyCore(hostExecCost);
     }
     // An injected kill may have landed while the body was executing:
     // the CPU time is spent, the result is lost.
@@ -348,6 +350,16 @@ RuncRuntime::crashPurge()
     }
     templates_.clear();
     pool_.clear();
+}
+
+void
+RuncRuntime::eraseInstance(std::string_view sandboxId)
+{
+    // Look up first: an erase by key could read a key that views the
+    // dying instance's own id.
+    const auto it = instances_.find(sandboxId);
+    if (it != instances_.end())
+        instances_.erase(it);
 }
 
 Instance *

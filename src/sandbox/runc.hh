@@ -30,6 +30,8 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <string_view>
+#include <unordered_map>
 
 #include "core/status.hh"
 #include "os/kernel.hh"
@@ -176,11 +178,19 @@ class RuncRuntime : public VectorizedSandboxRuntime
 
     sim::Task<bool> createCfork(Instance &inst, obs::SpanContext ctx);
 
+    /** Drop the row of @p sandboxId, if any. */
+    void eraseInstance(std::string_view sandboxId);
+
     os::LocalOs &os_;
     StartupPath path_ = StartupPath::CforkCpusetOpt;
     std::map<Language, TemplateState> templates_;
     std::deque<os::Container *> pool_;
-    std::map<std::string, std::unique_ptr<Instance>> instances_;
+    /** Live and dead instances by id. Each key views its own
+     * Instance::id, which lives as long as the row. Only the fault
+     * paths iterate it, and they schedule nothing, so the hash order
+     * never reaches the event queue. */
+    std::unordered_map<std::string_view, std::unique_ptr<Instance>>
+        instances_;
     std::uint64_t nextId_ = 0;
 };
 

@@ -530,7 +530,11 @@ XpuShimNetwork::transfer(PuId from, PuId to, std::uint64_t bytes,
         co_return;
     obs::Span span(ctx, "nipc.transfer", obs::Layer::Xpu, from);
     span.setArg(std::int64_t(bytes));
-    co_await computer_.topology().transfer(from, to, bytes, span.ctx());
+    // Topology::transfer's steps, inline: no nested frame.
+    hw::Topology::Transfer link(computer_.topology(), from, to, bytes,
+                                span.ctx());
+    while (link.pending())
+        co_await link.step();
 }
 
 sim::SimTime

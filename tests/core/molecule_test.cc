@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/molecule.hh"
 #include "hw/computer.hh"
+#include "obs/trace.hh"
 
 namespace {
 
 using molecule::core::ChainSpec;
 using molecule::core::DagCommMode;
+using molecule::core::Errc;
+using molecule::core::InvokeOptions;
 using molecule::core::Molecule;
 using molecule::core::MoleculeOptions;
 using molecule::hw::buildCpuDpuServer;
@@ -18,6 +24,7 @@ using molecule::hw::buildF1Server;
 using molecule::hw::Computer;
 using molecule::hw::DpuGeneration;
 using molecule::hw::PuType;
+using molecule::sim::SimTime;
 using molecule::sim::Simulation;
 using molecule::workloads::Catalog;
 
@@ -175,6 +182,121 @@ TEST_F(MoleculeFixture, KeepAliveCachesAndEvicts)
         ASSERT_TRUE(runtime->invokeSync("helloworld", 0).ok());
     EXPECT_LE(runtime->startup().warmCount("helloworld", 0), 2u);
     EXPECT_EQ(runtime->startup().coldStarts(), 1);
+}
+
+TEST_F(MoleculeFixture, ColdStartPastDeadlineIsNotRetriedAndParks)
+{
+    makeRuntime(MoleculeOptions{});
+    InvokeOptions opts;
+    opts.pu = 0;
+    opts.maxAttempts = 3;
+    // A cfork cold start on the host takes milliseconds.
+    opts.deadline = SimTime::microseconds(100);
+    auto r = runtime->invokeSync("helloworld", opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), Errc::DeadlineExceeded);
+    EXPECT_EQ(r.error().pu(), 0);
+    EXPECT_EQ(r.error().retries(), 0);
+    EXPECT_TRUE(r.error().causes().empty());
+    EXPECT_EQ(r.error().pusTried(), std::vector<int>{0});
+    EXPECT_EQ(runtime->startup().coldStarts(), 1);
+    // The instance the late start produced is parked, not lost.
+    EXPECT_EQ(runtime->startup().warmCount("helloworld", 0), 1u);
+    EXPECT_EQ(runtime->scheduler().outstanding(0), 0);
+
+    auto warm = runtime->invokeSync("helloworld", 0).value();
+    EXPECT_FALSE(warm.coldStart);
+    EXPECT_EQ(runtime->startup().coldStarts(), 1);
+    EXPECT_EQ(runtime->startup().warmHits(), 1);
+    EXPECT_EQ(runtime->scheduler().outstanding(0), 0);
+}
+
+TEST_F(MoleculeFixture, RemoteDeadlineExpiresBeforeExecution)
+{
+    makeRuntime(MoleculeOptions{});
+    ASSERT_TRUE(runtime->invokeSync("helloworld", 1).ok());
+    ASSERT_EQ(runtime->startup().warmCount("helloworld", 1), 1u);
+
+    // A warm hit starts inside the budget; the manager->DPU delivery
+    // then overruns it, so execution never begins.
+    InvokeOptions opts;
+    opts.pu = 1;
+    opts.maxAttempts = 3;
+    opts.deadline = SimTime::nanoseconds(1);
+    auto r = runtime->invokeSync("helloworld", opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), Errc::DeadlineExceeded);
+    EXPECT_EQ(r.error().pu(), 1);
+    EXPECT_NE(r.error().detail().find("before execution"),
+              std::string::npos);
+    EXPECT_EQ(r.error().retries(), 0);
+    EXPECT_EQ(runtime->startup().warmHits(), 1);
+    EXPECT_EQ(runtime->startup().warmCount("helloworld", 1), 1u);
+    EXPECT_EQ(runtime->scheduler().outstanding(1), 0);
+
+    auto again = runtime->invokeSync("helloworld", 1).value();
+    EXPECT_FALSE(again.coldStart);
+    EXPECT_EQ(runtime->startup().coldStarts(), 1);
+}
+
+/** One finished span as "#id name<parent @start+len pu=P arg=A",
+ * with ids and times (ns) relative to the root span's. */
+std::string
+spanLine(const molecule::obs::SpanBuffer &spans, std::size_t i,
+         const molecule::obs::SpanRecord &root)
+{
+    const auto &r = spans[i];
+    std::string parent = "-";
+    for (std::size_t j = 0; j < spans.size(); ++j)
+        if (r.parentId != 0 && spans[j].spanId == r.parentId)
+            parent = spans[j].name;
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "#%d %s<%s @%lld+%lld pu=%d arg=%lld",
+                  int(r.spanId - root.spanId), r.name, parent.c_str(),
+                  static_cast<long long>(r.start - root.start),
+                  static_cast<long long>(r.end - r.start), int(r.pu),
+                  static_cast<long long>(r.arg));
+    return buf;
+}
+
+TEST_F(MoleculeFixture, RemoteWarmInvocationSpanTree)
+{
+    molecule::obs::Tracer tracer(sim);
+    MoleculeOptions options;
+    options.tracer = &tracer;
+    makeRuntime(options);
+    ASSERT_TRUE(runtime->invokeSync("helloworld", 1).ok());
+    tracer.clear();
+
+    auto rec = runtime->invokeSync("helloworld", 1).value();
+    ASSERT_FALSE(rec.coldStart);
+    const auto &spans = tracer.records();
+    ASSERT_EQ(spans.size(), 10u);
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < spans.size(); ++i)
+        lines.push_back(spanLine(spans, i, spans.back()));
+    // Open order (ids), finish order, parents and sim-time intervals
+    // are all pinned.
+    const std::vector<std::string> expected = {
+        "#2 sched.place<invoke @0+0 pu=0 arg=1",
+        "#1 gateway.admit<invoke @0+0 pu=0 arg=0",
+        "#3 startup<invoke @0+0 pu=1 arg=0",
+        "#6 hw.link<nipc.transfer @0+2444 pu=0 arg=256",
+        "#5 nipc.transfer<comm @0+2444 pu=0 arg=256",
+        "#7 os.dispatch<comm @2444+462000 pu=1 arg=0",
+        "#4 comm<invoke @0+464444 pu=1 arg=0",
+        "#9 hw.compute<sandbox.exec @464444+2400000 pu=1 arg=0",
+        "#8 sandbox.exec<invoke @464444+2400000 pu=1 arg=0",
+        "#0 invoke<- @0+2864444 pu=0 arg=0",
+    };
+    EXPECT_EQ(lines, expected);
+    // Every span belongs to the invocation's trace; ids are unique.
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        EXPECT_EQ(spans[i].traceId, rec.traceId);
+        for (std::size_t j = i + 1; j < spans.size(); ++j)
+            EXPECT_NE(spans[i].spanId, spans[j].spanId);
+    }
+    EXPECT_EQ(spans.back().end - spans.back().start, rec.endToEnd.raw());
 }
 
 TEST(MoleculeFpga, InvokeColdAndWarm)

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "core/molecule.hh"
@@ -162,6 +164,157 @@ TEST(Locality, ColdStartFallsBackToLoadAware)
 {
     LocalityAffinityPolicy p;
     EXPECT_EQ(p.place(anyRequest(), PlacementView(cpuDpuViews())), 1);
+}
+
+// ---------------------------------------------------------------------
+// Differential check: the policies walk a price order the view carries
+// (sorted once per function by the scheduler); a sort-based reference
+// of each policy, kept here, must pick the same PU on random views.
+
+/** Rows sorted by the price heuristic, by pointer. */
+std::vector<const PuView *>
+referencePriceOrder(const std::vector<PuView> &rows)
+{
+    std::vector<const PuView *> order;
+    for (const PuView &v : rows)
+        order.push_back(&v);
+    std::sort(order.begin(), order.end(),
+              [](const PuView *a, const PuView *b) {
+                  if (a->price != b->price)
+                      return a->price < b->price;
+                  if (a->profileRank != b->profileRank)
+                      return a->profileRank < b->profileRank;
+                  return a->pu < b->pu;
+              });
+    return order;
+}
+
+int
+referencePriceOrdered(const std::vector<PuView> &rows)
+{
+    for (const PuView *v : referencePriceOrder(rows))
+        if (v->eligible())
+            return v->pu;
+    return -1;
+}
+
+int
+referenceLoadAware(const std::vector<PuView> &rows, double spill)
+{
+    const auto order = referencePriceOrder(rows);
+    std::size_t i = 0;
+    while (i < order.size()) {
+        const double price = order[i]->price;
+        const std::uint32_t rank = order[i]->profileRank;
+        const PuView *best = nullptr;
+        for (; i < order.size() && order[i]->price == price &&
+               order[i]->profileRank == rank;
+             ++i) {
+            const PuView *v = order[i];
+            if (!v->eligible() || v->loadPerCore() >= spill)
+                continue;
+            if (best == nullptr || v->loadPerCore() < best->loadPerCore())
+                best = v;
+        }
+        if (best != nullptr)
+            return best->pu;
+    }
+    const PuView *best = nullptr;
+    for (const PuView &v : rows) {
+        if (!v.eligible())
+            continue;
+        if (best == nullptr || v.loadPerCore() < best->loadPerCore() ||
+            (v.loadPerCore() == best->loadPerCore() && v.pu < best->pu))
+            best = &v;
+    }
+    return best != nullptr ? best->pu : -1;
+}
+
+int
+referenceLocality(const std::vector<PuView> &rows, double barrier,
+                  double spill)
+{
+    const auto order = referencePriceOrder(rows);
+    const auto rankOf = [&order](const PuView *v) {
+        return std::find(order.begin(), order.end(), v) - order.begin();
+    };
+    const PuView *warm = nullptr;
+    for (const PuView &v : rows) {
+        if (!v.eligible() || v.warmSandboxes == 0 ||
+            v.loadPerCore() >= barrier)
+            continue;
+        if (warm == nullptr || v.warmSandboxes > warm->warmSandboxes ||
+            (v.warmSandboxes == warm->warmSandboxes &&
+             rankOf(&v) < rankOf(warm)))
+            warm = &v;
+    }
+    if (warm != nullptr)
+        return warm->pu;
+    return referenceLoadAware(rows, spill);
+}
+
+/** Random rows over distinct ascending PU ids, with price ties, rank
+ * ties, skewed loads and every kind of ineligible row. */
+std::vector<PuView>
+randomRows(std::mt19937_64 &rng)
+{
+    const auto pick = [&rng](std::uint64_t n) {
+        return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(
+            rng);
+    };
+    const double prices[] = {0.3, 0.6, 1.0, 1.0, 2.0};
+    const int cores[] = {1, 8, 16, 96};
+    const std::size_t n = pick(13); // 0..12: inline and spilled views
+    std::vector<PuView> rows;
+    int pu = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        pu += 1 + int(pick(3));
+        PuView v;
+        v.pu = pu;
+        v.price = prices[pick(5)];
+        v.profileRank = std::uint32_t(pick(3));
+        v.cores = cores[pick(4)];
+        v.outstanding = int(pick(3)) == 0 ? 0 : int(pick(40));
+        v.warmSandboxes = pick(4);
+        v.needBytes = 1 << 20;
+        v.freeBytes = pick(6) == 0 ? (1 << 19) : (1 << 30);
+        v.down = pick(8) == 0;
+        v.excluded = pick(8) == 0;
+        rows.push_back(v);
+    }
+    return rows;
+}
+
+TEST(PlacementDifferential, PicksMatchSortBasedReference)
+{
+    std::mt19937_64 rng(20221028);
+    const double spills[] = {0.5, 1.0, 2.0};
+    const double barriers[] = {1.0, 2.0, 4.0};
+    for (int round = 0; round < 4000; ++round) {
+        const std::vector<PuView> rows = randomRows(rng);
+        const PlacementView view(rows);
+        ASSERT_EQ(view.pus().size(), rows.size());
+        const double spill = spills[round % 3];
+        const double barrier = barriers[(round / 3) % 3];
+
+        PriceOrderedPolicy price;
+        LoadAwarePolicy load(LoadAwarePolicy::Options{spill});
+        LocalityAffinityPolicy locality(
+            LocalityAffinityPolicy::Options{barrier, spill});
+        EXPECT_EQ(price.place(anyRequest(), view),
+                  referencePriceOrdered(rows))
+            << "round " << round;
+        EXPECT_EQ(load.place(anyRequest(), view),
+                  referenceLoadAware(rows, spill))
+            << "round " << round;
+        EXPECT_EQ(locality.place(anyRequest(), view),
+                  referenceLocality(rows, barrier, spill))
+            << "round " << round;
+        // A copied view decides identically.
+        const PlacementView copy = view;
+        EXPECT_EQ(load.place(anyRequest(), copy),
+                  referenceLoadAware(rows, spill));
+    }
 }
 
 TEST(PlacementConfig, MakeBuildsTheSelectedPolicy)

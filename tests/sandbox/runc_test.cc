@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "hw/calibration.hh"
 #include "hw/computer.hh"
@@ -148,6 +149,64 @@ TEST_F(RuncFixture, DuplicateSandboxIdRejected)
     sim.spawn(doIt(&runc, req, &ok));
     sim.run();
     EXPECT_FALSE(ok);
+}
+
+TEST_F(RuncFixture, RecreatedIdsStayExactAmongLiveInstances)
+{
+    prepare();
+    FunctionImage other = img;
+    other.funcId = "otherfn";
+    auto create = [](RuncRuntime *r, CreateRequest req,
+                     bool *out) -> Task<> {
+        *out = co_await r->create(req);
+        if (*out)
+            *out = co_await r->start(req.sandboxId);
+    };
+    auto destroy = [](RuncRuntime *r, std::string id) -> Task<> {
+        co_await r->destroy(id);
+    };
+    const auto make = [&](const std::string &id, const FunctionImage *fi) {
+        bool ok = false;
+        sim.spawn(create(&runc, CreateRequest{id, fi}, &ok));
+        sim.run();
+        ASSERT_TRUE(ok) << id;
+    };
+    // Live neighbours, short and long (heap-allocated) ids.
+    make("a", &img);
+    make("pyfn-neighbour-with-a-long-id", &img);
+    make("o1", &other);
+    make("otherfn-neighbour-with-a-long-id", &other);
+    ASSERT_EQ(runc.instanceCount(), 4u);
+
+    for (int i = 0; i < 100; ++i) {
+        const std::string id =
+            i % 2 == 0 ? "cycle" : "cycle-sandbox-with-a-long-id";
+        make(id, i % 3 == 0 ? &other : &img);
+        ASSERT_EQ(runc.instanceCount(), 5u);
+        ASSERT_NE(runc.find(id), nullptr);
+        EXPECT_EQ(runc.find(id)->id, id);
+        EXPECT_EQ(runc.state(id), SandboxState::Running);
+        sim.spawn(destroy(&runc, id));
+        sim.run();
+        ASSERT_EQ(runc.instanceCount(), 4u);
+        EXPECT_EQ(runc.find(id), nullptr);
+        EXPECT_EQ(runc.state(id), SandboxState::Unknown);
+    }
+    for (const char *id : {"a", "pyfn-neighbour-with-a-long-id", "o1",
+                           "otherfn-neighbour-with-a-long-id"}) {
+        ASSERT_NE(runc.find(id), nullptr) << id;
+        EXPECT_EQ(runc.find(id)->id, id);
+        EXPECT_EQ(runc.state(id), SandboxState::Running);
+    }
+
+    // The OOM kill takes exactly one function's instances.
+    EXPECT_EQ(runc.oomKill("otherfn"), 2);
+    EXPECT_TRUE(runc.find("o1")->dead);
+    EXPECT_TRUE(runc.find("otherfn-neighbour-with-a-long-id")->dead);
+    EXPECT_FALSE(runc.find("a")->dead);
+    EXPECT_FALSE(runc.find("pyfn-neighbour-with-a-long-id")->dead);
+    EXPECT_EQ(runc.oomKill("otherfn"), 0);
+    EXPECT_EQ(runc.instanceCount(), 4u);
 }
 
 TEST_F(RuncFixture, ForkedInstanceSharesMemory)
