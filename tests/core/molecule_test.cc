@@ -243,7 +243,7 @@ TEST_F(MoleculeFixture, RemoteDeadlineExpiresBeforeExecution)
  * with ids and times (ns) relative to the root span's. */
 std::string
 spanLine(const molecule::obs::SpanBuffer &spans, std::size_t i,
-         const molecule::obs::SpanRecord &root)
+         const molecule::obs::SpanRecord &root, bool withDetail = false)
 {
     const auto &r = spans[i];
     std::string parent = "-";
@@ -256,7 +256,10 @@ spanLine(const molecule::obs::SpanBuffer &spans, std::size_t i,
                   static_cast<long long>(r.start - root.start),
                   static_cast<long long>(r.end - r.start), int(r.pu),
                   static_cast<long long>(r.arg));
-    return buf;
+    std::string line = buf;
+    if (withDetail && r.detail[0] != '\0')
+        line += std::string(" \"") + r.detail + "\"";
+    return line;
 }
 
 TEST_F(MoleculeFixture, RemoteWarmInvocationSpanTree)
@@ -297,6 +300,84 @@ TEST_F(MoleculeFixture, RemoteWarmInvocationSpanTree)
             EXPECT_NE(spans[i].spanId, spans[j].spanId);
     }
     EXPECT_EQ(spans.back().end - spans.back().start, rec.endToEnd.raw());
+}
+
+TEST_F(MoleculeFixture, RemoteColdInvocationSpanTree)
+{
+    molecule::obs::Tracer tracer(sim);
+    MoleculeOptions options;
+    options.tracer = &tracer;
+    // Every release evicts, so every request cold-starts.
+    options.startup.warmCapacity = 0;
+    options.startup.pooledContainersPerPu = 1;
+    makeRuntime(options);
+    // The first cold start on PU 1 takes its one pooled container.
+    ASSERT_TRUE(runtime->invokeSync("helloworld", 1).ok());
+    auto &runc = runtime->deployment().runcOn(1);
+    auto &os = runc.localOs();
+    ASSERT_EQ(runc.pooledContainers(), 0u);
+    ASSERT_EQ(runc.instanceCount(), 0u);
+    const std::size_t containers = os.containers().containerCount();
+    const std::size_t procs = os.processCount();
+    const std::uint64_t memory = os.physicalUsed();
+    ASSERT_EQ(runtime->startup().evictions(), 1);
+    tracer.clear();
+
+    const SimTime t0 = sim.now();
+    auto rec = runtime->invokeSync("helloworld", 1).value();
+    ASSERT_TRUE(rec.coldStart);
+    const auto &spans = tracer.records();
+    ASSERT_EQ(spans.size(), 23u);
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < spans.size(); ++i)
+        lines.push_back(spanLine(spans, i, spans.back(), true));
+    // Open order (ids), finish order, parents, sim-time intervals,
+    // PUs, args and details are all pinned.
+    const std::vector<std::string> expected = {
+        "#2 sched.place<invoke @0+0 pu=0 arg=1",
+        "#1 gateway.admit<invoke @0+0 pu=0 arg=0",
+        "#6 hw.link<nipc.transfer @0+2430 pu=0 arg=160",
+        "#5 nipc.transfer<nipc.cmd-rtt @0+2430 pu=0 arg=160",
+        "#8 hw.link<nipc.transfer @7152430+2631 pu=1 arg=64",
+        "#7 nipc.transfer<nipc.cmd-rtt @7152430+2631 pu=1 arg=64",
+        "#4 nipc.cmd-rtt<startup @0+7155061 pu=0 arg=0",
+        "#10 cfork.thread-merge<sandbox.cfork @7155061+3900000 pu=1 arg=0",
+        "#11 os.fork<sandbox.cfork @11055061+6500000 pu=1 arg=0 "
+        "\"helloworld#1\"",
+        "#12 cfork.container<sandbox.cfork @17555061+159714282 pu=1 arg=0",
+        "#13 os.attach<sandbox.cfork @177269343+45964282 pu=1 arg=0",
+        "#14 cfork.expand-load<sandbox.cfork @223233625+34914282 pu=1 "
+        "arg=0",
+        "#9 sandbox.cfork<startup @7155061+250992846 pu=1 arg=0 "
+        "\"helloworld\"",
+        "#15 sandbox.start<startup @258147907+7800 pu=1 arg=0",
+        "#3 startup<invoke @0+258155707 pu=1 arg=0",
+        "#18 hw.link<nipc.transfer @258155707+2485 pu=0 arg=256",
+        "#17 nipc.transfer<comm @258155707+2485 pu=0 arg=256",
+        "#19 os.dispatch<comm @258158192+462000 pu=1 arg=0",
+        "#16 comm<invoke @258155707+464485 pu=1 arg=0",
+        "#21 sandbox.cow-settle<sandbox.exec @258620192+245700 pu=1 "
+        "arg=21",
+        "#22 hw.compute<sandbox.exec @258865892+2400000 pu=1 arg=0",
+        "#20 sandbox.exec<invoke @258620192+2645700 pu=1 arg=0",
+        "#0 invoke<- @0+261265892 pu=0 arg=0 \"helloworld\"",
+    };
+    EXPECT_EQ(lines, expected);
+    for (std::size_t i = 0; i < spans.size(); ++i)
+        EXPECT_EQ(spans[i].traceId, rec.traceId);
+    EXPECT_EQ(spans.back().end - spans.back().start, rec.endToEnd.raw());
+
+    // The eviction after the root span closes: the instance, its
+    // process, container and memory are gone, and it took the
+    // container delete's sim time.
+    EXPECT_EQ(runtime->startup().evictions(), 2);
+    EXPECT_EQ(runc.instanceCount(), 0u);
+    EXPECT_EQ(os.containers().containerCount(), containers);
+    EXPECT_EQ(os.processCount(), procs);
+    EXPECT_EQ(os.physicalUsed(), memory);
+    EXPECT_EQ((sim.now() - t0).raw() - rec.endToEnd.raw(), 58500000);
+    EXPECT_EQ(runtime->startup().evictionDigest(),
+              6587347890043281696ULL);
 }
 
 TEST(MoleculeFpga, InvokeColdAndWarm)
