@@ -3,7 +3,7 @@
  * Keep-alive strategies: swappable eviction behind the startup
  * manager (§5 "Keep-alive policies").
  *
- * The startup manager owns the warm pools (one deque per (function,
+ * The startup manager owns the warm pools (one ring per (function,
  * PU)) and the eviction *mechanics*; a KeepAliveStrategy owns the
  * eviction *order*. The manager scans the candidate entries and
  * evicts the one with the lowest strategy score — ties keep the

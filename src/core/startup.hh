@@ -20,7 +20,6 @@
 #ifndef MOLECULE_CORE_STARTUP_HH
 #define MOLECULE_CORE_STARTUP_HH
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -31,6 +30,7 @@
 #include "core/status.hh"
 #include "obs/trace.hh"
 #include "sim/stats.hh"
+#include "sim/sync.hh"
 
 namespace molecule::core {
 
@@ -199,7 +199,7 @@ class StartupManager
     /** Everything kept per (function, PU). */
     struct Slot
     {
-        std::deque<WarmEntry> pool;
+        sim::detail::Ring<WarmEntry> pool;
         /** Invocation frequency (greedy-dual). */
         std::int64_t freq = 0;
         /** Last measured cold-start cost, ms; < 0 until one ran. */
@@ -216,21 +216,31 @@ class StartupManager
     /** cfork templates and the container pool of @p pu. */
     sim::Task<> prepareTemplates(int pu);
 
-    /** Charge the manager->executor command round-trip over nIPC. */
-    sim::Task<> commandRoundTrip(int managerPu, int targetPu,
-                                 obs::SpanContext ctx);
-
-    /** The cold half of acquire(): cfork / baseline boot. */
+    /** The cold half of acquire(), in one frame: the executor command
+     * round-trip for a remote target, then runc's create and start of
+     * a new instance (cfork or baseline boot). */
     sim::Task<AcquiredInstance> coldStart(const FunctionDef &fn, int pu,
                                           int managerPu,
                                           obs::SpanContext ctx);
 
+    /** The row of the next "name#N" instance of @p fn on @p pu. */
+    sandbox::Instance *addInstance(const FunctionDef &fn, int pu);
+
     /** Evict until the pool of (@p fn, @p pu) fits the capacity, then
-     * until @p pu fits the global budget. */
+     * until @p pu fits the global budget, in one frame. */
     sim::Task<> evictIfNeeded(FnId fn, int pu);
 
-    /** Evict across all of @p pu's pools until the global budget fits. */
-    sim::Task<> evictGlobal(int pu);
+    /** Take the lowest-scored entry of (@p fn, @p pu)'s pool while the
+     * pool is over capacity; null once it fits. */
+    sandbox::Instance *evictLocal(FnId fn, int pu, sim::SimTime now);
+
+    /** Take the lowest-scored entry across @p pu's pools while the PU
+     * is over the global budget; null once it fits. */
+    sandbox::Instance *evictGlobal(int pu, sim::SimTime now);
+
+    /** Take entry @p i of (@p fn, @p pu)'s pool and record the
+     * eviction. */
+    sandbox::Instance *takeVictim(FnId fn, int pu, std::size_t i);
 
     /** Strategy view of one parked entry. */
     WarmEntryView entryView(FnId fn, int pu, const WarmEntry &entry) const;
@@ -260,6 +270,8 @@ class StartupManager
     std::int64_t evictions_ = 0;
     sim::Fingerprint evictFp_;
     std::uint64_t nextSandboxId_ = 0;
+    /** Scratch for instance ids. */
+    std::string idScratch_;
     bool bootstrapped_ = false;
 };
 

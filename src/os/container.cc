@@ -16,27 +16,53 @@ sim::Task<Container *>
 ContainerManager::create(const std::string &id)
 {
     std::string owned_id = id;
-    co_await os_.swDelay(calib::kContainerStartCost);
-    auto c = std::make_unique<Container>(std::move(owned_id), nextSeq_++);
-    c->state_ = ContainerState::Running;
-    Container *raw = c.get();
-    containers_.push_back(std::move(c));
-    co_return raw;
+    co_await startCost();
+    co_return &add(owned_id);
 }
 
-sim::Task<>
-ContainerManager::cpusetAttach()
+sim::Simulation::DelayAwaiter
+ContainerManager::startCost()
+{
+    return os_.swDelay(calib::kContainerStartCost);
+}
+
+Container &
+ContainerManager::add(std::string_view id)
+{
+    std::unique_ptr<Container> c;
+    if (spare_.empty()) {
+        c = std::make_unique<Container>(std::string(id), nextSeq_);
+    } else {
+        c = std::move(spare_.back());
+        spare_.pop_back();
+        c->id_.assign(id);
+        c->seq_ = nextSeq_;
+    }
+    ++nextSeq_;
+    c->state_ = ContainerState::Running;
+    containers_.push_back(std::move(c));
+    return *containers_.back();
+}
+
+sim::Simulation::DelayAwaiter
+ContainerManager::reconfigureCost(const Container &container)
+{
+    MOLECULE_ASSERT(container.state_ == ContainerState::Running,
+                    "attach to non-running container '%s'",
+                    container.id().c_str());
+    return os_.swDelay(calib::kNamespaceReconfigCost);
+}
+
+sim::Simulation::DelayAwaiter
+ContainerManager::cpusetHoldCost()
 {
     // The cpuset update runs under the kernel's global lock; the lock
     // *hold* time is what differs between the stock semaphore path and
     // the paper's mutex patch (Fig 11-a "Cpuset opt"), and holding it
     // long is also what makes concurrent startups convoy.
-    co_await cpusetLock_.acquire();
-    sim::SemGuard g(cpusetLock_);
-    const auto hold = cpusetMode_ == CpusetMode::StockSemaphore
-                          ? calib::kCpusetAttachSemaphore
-                          : calib::kCpusetAttachMutex;
-    co_await os_.swDelay(hold);
+    return os_.swDelay(cpusetMode_ == CpusetMode::StockSemaphore
+                           ? calib::kCpusetAttachSemaphore
+                           : calib::kCpusetAttachMutex);
 }
 
 sim::Task<>
@@ -44,29 +70,34 @@ ContainerManager::attach(Container &container, Process &proc,
                          obs::SpanContext ctx)
 {
     obs::Span span(ctx, "os.attach", obs::Layer::Os, os_.pu().id());
-    MOLECULE_ASSERT(container.state_ == ContainerState::Running,
-                    "attach to non-running container '%s'",
-                    container.id().c_str());
-    co_await os_.swDelay(calib::kNamespaceReconfigCost);
-    co_await cpusetAttach();
-    container.procs_.push_back(&proc);
-}
-
-sim::Task<>
-ContainerManager::attachCgroupOnly(Container &container, Process &proc)
-{
-    co_await cpusetAttach();
-    container.procs_.push_back(&proc);
+    co_await reconfigureCost(container);
+    co_await lockCpuset();
+    co_await cpusetHoldCost();
+    unlockCpuset();
+    settle(container, proc);
 }
 
 sim::Task<>
 ContainerManager::destroy(Container &container)
 {
-    co_await os_.swDelay(calib::kContainerDeleteCost);
+    co_await deleteCost();
+    reap(container);
+}
+
+sim::Simulation::DelayAwaiter
+ContainerManager::deleteCost()
+{
+    return os_.swDelay(calib::kContainerDeleteCost);
+}
+
+void
+ContainerManager::reap(Container &container)
+{
     container.state_ = ContainerState::Stopped;
     container.procs_.clear();
     for (auto it = containers_.begin(); it != containers_.end(); ++it) {
         if (it->get() == &container) {
+            spare_.push_back(std::move(*it));
             containers_.erase(it);
             break;
         }

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.hh"
@@ -83,24 +84,60 @@ class ContainerManager
     sim::Task<> attach(Container &container, Process &proc,
                        obs::SpanContext ctx = {});
 
-    /** Attach with only the cgroup step (already in the right ns). */
-    sim::Task<> attachCgroupOnly(Container &container, Process &proc);
-
     /** Tear a container down. */
     sim::Task<> destroy(Container &container);
+
+    /** @name create(), attach() and destroy() in steps
+     * For a caller that already owns a frame (DESIGN.md §4b): await
+     * each cost, then run the bookkeeping after it at once. An attach
+     * is reconfigureCost(), lockCpuset(), cpusetHoldCost(),
+     * unlockCpuset(), settle(). */
+    ///@{
+
+    /** The container start; then add(). */
+    sim::Simulation::DelayAwaiter startCost();
+
+    /** Record a started container (reusing a deleted one's record). */
+    Container &add(std::string_view id);
+
+    /** Namespace reconfiguration; asserts @p container is running. */
+    sim::Simulation::DelayAwaiter
+    reconfigureCost(const Container &container);
+
+    auto lockCpuset() { return cpusetLock_.acquire(); }
+
+    /** How long the lock is held: the Cpuset-opt ablation knob. */
+    sim::Simulation::DelayAwaiter cpusetHoldCost();
+
+    void unlockCpuset() { cpusetLock_.release(); }
+
+    void
+    settle(Container &container, Process &proc)
+    {
+        container.procs_.push_back(&proc);
+    }
+
+    /** The container delete; then reap(). */
+    sim::Simulation::DelayAwaiter deleteCost();
+
+    /** Drop @p container's row now, spending no sim time; its record
+     * is reused by a later add(). */
+    void reap(Container &container);
+    ///@}
 
     std::size_t containerCount() const { return containers_.size(); }
 
     Container *find(const std::string &id);
 
   private:
-    sim::Task<> cpusetAttach();
-
     LocalOs &os_;
     CpusetMode cpusetMode_ = CpusetMode::StockSemaphore;
     /** The kernel's global cpuset update lock. */
     sim::Semaphore cpusetLock_;
+    /** Live containers in creation order. */
     std::vector<std::unique_ptr<Container>> containers_;
+    /** Records of deleted containers, reused by add(). */
+    std::vector<std::unique_ptr<Container>> spare_;
     std::uint64_t nextSeq_ = 0;
 };
 

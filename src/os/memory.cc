@@ -15,7 +15,7 @@ AddressSpace::chargePhysical(std::int64_t delta)
 }
 
 MemRegionPtr
-AddressSpace::mapPrivate(const std::string &label, std::uint64_t bytes)
+AddressSpace::mapPrivate(std::string_view label, std::uint64_t bytes)
 {
     if (!chargePhysical(std::int64_t(bytes)))
         return nullptr;
@@ -70,6 +70,7 @@ AddressSpace::touchCow(const MemRegionPtr &region, std::uint64_t bytes)
 void
 AddressSpace::forkInto(AddressSpace &child) const
 {
+    child.mappings_.reserve(child.mappings_.size() + mappings_.size() + 1);
     for (const auto &m : mappings_)
         child.mapShared(m.region);
 }
@@ -116,7 +117,7 @@ AddressSpace::clear()
 }
 
 MemRegionPtr
-AddressSpace::findRegion(const std::string &label) const
+AddressSpace::findRegion(std::string_view label) const
 {
     for (const auto &m : mappings_)
         if (m.region->label() == label)

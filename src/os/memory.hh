@@ -32,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace molecule::os {
@@ -45,8 +46,8 @@ namespace molecule::os {
 class MemRegion
 {
   public:
-    MemRegion(std::string label, std::uint64_t bytes)
-        : label_(std::move(label)), bytes_(bytes)
+    MemRegion(std::string_view label, std::uint64_t bytes)
+        : label_(label), bytes_(bytes)
     {}
 
     const std::string &label() const { return label_; }
@@ -91,8 +92,7 @@ class AddressSpace
      * Allocate a fresh private region.
      * @return the region, or nullptr when physical memory is exhausted.
      */
-    MemRegionPtr mapPrivate(const std::string &label,
-                            std::uint64_t bytes);
+    MemRegionPtr mapPrivate(std::string_view label, std::uint64_t bytes);
 
     /**
      * Map an existing region (shared mapping). No physical charge.
@@ -114,6 +114,7 @@ class AddressSpace
      * shared mapping of the same regions (COW semantics); copied
      * overlays in the parent stay parent-private and are modelled as
      * re-shared (they form part of the regions again for simplicity).
+     * The child has room reserved for one more (private) mapping.
      */
     void forkInto(AddressSpace &child) const;
 
@@ -132,7 +133,7 @@ class AddressSpace
     std::size_t mappingCount() const { return mappings_.size(); }
 
     /** Find a mapped region by label (nullptr when absent). */
-    MemRegionPtr findRegion(const std::string &label) const;
+    MemRegionPtr findRegion(std::string_view label) const;
 
   private:
     struct Mapping

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "os/memory.hh"
 
@@ -54,6 +55,17 @@ class Process
 
   private:
     friend class LocalOs;
+
+    /** Take a record over for a new process (LocalOs reuses exited
+     * ones); the address space is empty and keeps its capacity. */
+    void
+    reset(Pid pid, std::string_view name)
+    {
+        pid_ = pid;
+        name_.assign(name);
+        state_ = ProcState::Running;
+        threads_ = 1;
+    }
 
     LocalOs &os_;
     Pid pid_;

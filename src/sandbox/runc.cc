@@ -94,62 +94,87 @@ sim::Task<bool>
 RuncRuntime::create(const CreateRequest &req)
 {
     MOLECULE_ASSERT(req.image != nullptr, "create without an image");
-    if (find(req.sandboxId) != nullptr)
-        co_return false;
-    auto inst = std::make_unique<Instance>();
-    inst->id = req.sandboxId;
-    inst->funcId = req.image->funcId;
-    inst->image = req.image;
-    inst->state = SandboxState::Creating;
-    Instance *raw = inst.get();
-    instances_.emplace(raw->id, std::move(inst));
+    Instance *inst = addInstance(req.sandboxId, *req.image);
+    if (inst == nullptr)
+        return sim::Task<bool>::ready(false);
+    return create(*inst, req.ctx);
+}
 
-    const bool useCfork = path_ != StartupPath::ColdBoot &&
-                          hasTemplate(req.image->language);
-    const obs::SpanContext ctx = req.ctx;
-    // GCC 12 rule (task.hh): co_await only as a full statement or the
-    // RHS of a simple assignment -- never inside ?: or if-conditions.
-    bool ok = false;
-    if (useCfork)
-        ok = co_await createCfork(*raw, ctx);
-    else
-        ok = co_await createCold(*raw, ctx);
-    if (!ok) {
-        eraseInstance(raw->id);
-        co_return false;
+Instance *
+RuncRuntime::addInstance(std::string_view id, const FunctionImage &image)
+{
+    Instance *inst = nullptr;
+    if (spareRows_.empty()) {
+        auto fresh = std::make_unique<Instance>();
+        fresh->id.assign(id);
+        inst = fresh.get();
+        if (!instances_.emplace(inst->id, std::move(fresh)).second)
+            return nullptr;
+    } else {
+        Rows::node_type row = std::move(spareRows_.back());
+        spareRows_.pop_back();
+        inst = row.mapped().get();
+        std::string keep = std::move(inst->id); // and its buffer
+        *inst = Instance{};
+        inst->id = std::move(keep);
+        inst->id.assign(id);
+        row.key() = inst->id;
+        auto placed = instances_.insert(std::move(row));
+        if (!placed.inserted) {
+            spareRows_.push_back(std::move(placed.node));
+            return nullptr;
+        }
     }
-    raw->state = SandboxState::Created;
-    co_return true;
+    inst->funcId = image.funcId;
+    inst->image = &image;
+    inst->state = SandboxState::Creating;
+    return inst;
+}
+
+sim::Task<bool>
+RuncRuntime::create(Instance &inst, obs::SpanContext ctx)
+{
+    if (path_ != StartupPath::ColdBoot &&
+        hasTemplate(inst.image->language))
+        return createCfork(inst, ctx);
+    return createCold(inst, ctx);
 }
 
 sim::Task<bool>
 RuncRuntime::createCold(Instance &inst, obs::SpanContext ctx)
 {
-    obs::Span span(ctx, "sandbox.cold-boot", obs::Layer::Sandbox,
-                   os_.pu().id());
-    span.setDetail(inst.funcId.c_str());
+    const int pu = os_.pu().id();
+    obs::Span span(ctx, "sandbox.cold-boot", obs::Layer::Sandbox, pu);
+    span.setDetail(inst.image->funcId.c_str());
     // Baseline path: fresh container, cold language runtime, imports.
-    inst.container = co_await os_.containers().create(inst.id);
-    inst.proc = co_await os_.spawnProcess(inst.funcId, 0, span.ctx());
+    co_await os_.containers().startCost();
+    inst.container = &os_.containers().add(inst.id);
+    {
+        obs::Span st(span.ctx(), "os.spawn", obs::Layer::Os, pu);
+        st.setDetail(inst.image->funcId.c_str());
+        co_await os_.spawnCost();
+        inst.proc = os_.finishSpawn(inst.funcId, 0);
+    }
     if (!inst.proc)
-        co_return false;
+        co_return abandon(inst);
     co_await os_.swDelay(runtimeColdStart(inst.image->language) +
                          inst.image->importCost);
+    label_.assign(inst.funcId);
+    label_ += "/cold";
     if (!inst.proc->addressSpace().mapPrivate(
-            inst.funcId + "/cold", inst.image->mem.coldTotal())) {
-        os_.exitProcess(*inst.proc);
-        co_return false;
-    }
+            label_, inst.image->mem.coldTotal()))
+        co_return abandon(inst);
     co_await os_.swDelay(calib::kInstanceSettleCost);
+    inst.state = SandboxState::Created;
     co_return true;
 }
 
 sim::Task<bool>
 RuncRuntime::createCfork(Instance &inst, obs::SpanContext ctx)
 {
-    obs::Span span(ctx, "sandbox.cfork", obs::Layer::Sandbox,
-                   os_.pu().id());
-    span.setDetail(inst.funcId.c_str());
+    const int pu = os_.pu().id();
+    obs::Span span(ctx, "sandbox.cfork", obs::Layer::Sandbox, pu);
+    span.setDetail(inst.image->funcId.c_str());
     TemplateState &tmpl = templates_.at(inst.image->language);
 
     // 1. The forkable runtime merges the template's threads into one
@@ -157,31 +182,31 @@ RuncRuntime::createCfork(Instance &inst, obs::SpanContext ctx)
     tmpl.proc->setThreads(1);
     {
         obs::Span st(span.ctx(), "cfork.thread-merge",
-                     obs::Layer::Sandbox, os_.pu().id());
+                     obs::Layer::Sandbox, pu);
         co_await os_.swDelay(calib::kThreadMergeCost);
     }
 
     // 2. fork() the template: all regions are COW-shared.
-    inst.proc = co_await os_.fork(*tmpl.proc, inst.id, span.ctx());
-    if (!inst.proc)
-        co_return false;
+    {
+        obs::Span st(span.ctx(), "os.fork", obs::Layer::Os, pu);
+        st.setDetail(inst.id.c_str());
+        co_await os_.forkCost(*tmpl.proc);
+        inst.proc = &os_.finishFork(*tmpl.proc, inst.id);
+    }
     inst.forked = true;
 
     // 3. Children do not keep template-only state; they get their own
     //    private heap instead.
-    if (auto extra = inst.proc->addressSpace().findRegion("template-extra"))
-        inst.proc->addressSpace().unmap(extra);
-    if (!inst.proc->addressSpace().mapPrivate(
-            inst.funcId + "/heap", inst.image->mem.privateBytes)) {
-        os_.exitProcess(*inst.proc);
-        co_return false;
-    }
+    if (!mapChildHeap(inst))
+        co_return abandon(inst);
 
     // 4. Function container: fresh (naive) or pre-initialized.
+    os::ContainerManager &containers = os_.containers();
     if (path_ == StartupPath::CforkNaive || pool_.empty()) {
-        obs::Span st(span.ctx(), "cfork.container",
-                     obs::Layer::Sandbox, os_.pu().id());
-        inst.container = co_await os_.containers().create(inst.id);
+        obs::Span st(span.ctx(), "cfork.container", obs::Layer::Sandbox,
+                     pu);
+        co_await containers.startCost();
+        inst.container = &containers.add(inst.id);
     } else {
         inst.container = pool_.front();
         pool_.pop_front();
@@ -189,34 +214,73 @@ RuncRuntime::createCfork(Instance &inst, obs::SpanContext ctx)
 
     // 5. Reconfigure namespaces + cpuset cgroup attach. The cpuset
     //    lock discipline is the CpusetOpt ablation knob.
-    os_.containers().setCpusetMode(
-        path_ == StartupPath::CforkCpusetOpt
-            ? os::CpusetMode::MutexPatch
-            : os::CpusetMode::StockSemaphore);
-    co_await os_.containers().attach(*inst.container, *inst.proc,
-                                     span.ctx());
+    containers.setCpusetMode(path_ == StartupPath::CforkCpusetOpt
+                                 ? os::CpusetMode::MutexPatch
+                                 : os::CpusetMode::StockSemaphore);
+    {
+        obs::Span st(span.ctx(), "os.attach", obs::Layer::Os, pu);
+        os::Container &box = *inst.container;
+        os::Process &child = *inst.proc;
+        co_await containers.reconfigureCost(box);
+        co_await containers.lockCpuset();
+        co_await containers.cpusetHoldCost();
+        containers.unlockCpuset();
+        containers.settle(box, child);
+    }
 
     // 6. Child re-expands its threads, loads the function's code and
     //    connects back to the runtime.
     {
         obs::Span st(span.ctx(), "cfork.expand-load",
-                     obs::Layer::Sandbox, os_.pu().id());
+                     obs::Layer::Sandbox, pu);
         co_await os_.swDelay(calib::kThreadExpandCost +
                              inst.image->funcLoadCost +
                              calib::kInstanceSettleCost);
     }
+    inst.state = SandboxState::Created;
     co_return true;
+}
+
+bool
+RuncRuntime::mapChildHeap(Instance &inst)
+{
+    os::AddressSpace &space = inst.proc->addressSpace();
+    if (auto extra = space.findRegion("template-extra"))
+        space.unmap(extra);
+    label_.assign(inst.funcId);
+    label_ += "/heap";
+    return space.mapPrivate(label_, inst.image->mem.privateBytes) !=
+           nullptr;
+}
+
+bool
+RuncRuntime::abandon(Instance &inst)
+{
+    if (inst.proc != nullptr) {
+        os_.exitProcess(*inst.proc);
+        inst.proc = nullptr;
+    }
+    if (inst.container != nullptr) {
+        os_.containers().reap(*inst.container);
+        inst.container = nullptr;
+    }
+    eraseInstance(inst);
+    return false;
 }
 
 sim::Task<bool>
 RuncRuntime::start(const std::string &sandboxId)
 {
     Instance *inst = find(sandboxId);
-    if (!inst || inst->state != SandboxState::Created)
+    if (!inst)
         co_return false;
-    co_await os_.syscall();
-    inst->state = SandboxState::Running;
-    co_return true;
+    co_return co_await start(*inst);
+}
+
+RuncRuntime::Start
+RuncRuntime::start(Instance &inst)
+{
+    return Start(inst, os_.syscall());
 }
 
 sim::Task<>
@@ -233,16 +297,29 @@ RuncRuntime::kill(const std::string &sandboxId, int signal)
 sim::Task<>
 RuncRuntime::destroy(const std::string &sandboxId)
 {
-    // Owned: callers may pass the id of the instance erased below.
-    const std::string id = sandboxId;
-    Instance *inst = find(id);
+    Instance *inst = find(sandboxId);
     if (!inst)
         co_return;
-    if (inst->proc)
-        os_.exitProcess(*inst->proc);
-    if (inst->container)
-        co_await os_.containers().destroy(*inst->container);
-    eraseInstance(id);
+    co_await destroy(*inst);
+}
+
+RuncRuntime::Teardown
+RuncRuntime::destroy(Instance &inst)
+{
+    if (inst.proc != nullptr) {
+        os_.exitProcess(*inst.proc);
+        inst.proc = nullptr;
+    }
+    return Teardown(*this, inst, inst.container,
+                    os_.containers().deleteCost());
+}
+
+void
+RuncRuntime::finishDestroy(Instance &inst, os::Container *container)
+{
+    if (container != nullptr)
+        os_.containers().reap(*container);
+    eraseInstance(inst);
 }
 
 sim::Task<core::Status>
@@ -337,8 +414,9 @@ RuncRuntime::oomKill(const std::string &funcId)
 void
 RuncRuntime::crashPurge()
 {
-    // Pointer-drop only: LocalOs::crashReset() reaps the processes and
-    // containers wholesale, so exiting them here would double-free.
+    // Pointer-drop only: LocalOs::crashReset() reaps the processes, so
+    // exiting them here would exit them twice. The container rows are
+    // not reaped by anyone and stay in the ContainerManager.
     for (auto &[id, inst] : instances_) {
         if (!inst->dead) {
             inst->dead = true;
@@ -353,13 +431,15 @@ RuncRuntime::crashPurge()
 }
 
 void
-RuncRuntime::eraseInstance(std::string_view sandboxId)
+RuncRuntime::eraseInstance(Instance &inst)
 {
-    // Look up first: an erase by key could read a key that views the
-    // dying instance's own id.
-    const auto it = instances_.find(sandboxId);
-    if (it != instances_.end())
+    const auto it = instances_.find(inst.id);
+    MOLECULE_ASSERT(it != instances_.end() && it->second.get() == &inst,
+                    "instance '%s' has no row", inst.id.c_str());
+    if (inst.dead)
         instances_.erase(it);
+    else
+        spareRows_.push_back(instances_.extract(it));
 }
 
 Instance *

@@ -27,11 +27,14 @@
 #ifndef MOLECULE_SANDBOX_RUNC_HH
 #define MOLECULE_SANDBOX_RUNC_HH
 
+#include <coroutine>
 #include <deque>
 #include <map>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
+#include <vector>
 
 #include "core/status.hh"
 #include "os/kernel.hh"
@@ -53,7 +56,8 @@ const char *toString(StartupPath p);
 struct Instance
 {
     std::string id;
-    std::string funcId;
+    /** Views image->funcId. */
+    std::string_view funcId;
     SandboxState state = SandboxState::Unknown;
     os::Process *proc = nullptr;
     os::Container *container = nullptr;
@@ -114,6 +118,102 @@ class RuncRuntime : public VectorizedSandboxRuntime
     sim::Task<> destroy(const std::string &sandboxId) override;
     ///@}
 
+    /** Awaiter of start(Instance &). */
+    class Start
+    {
+      public:
+        bool await_ready() const noexcept { return !ok_; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            syscall_.await_suspend(h);
+        }
+
+        bool
+        await_resume() const noexcept
+        {
+            if (ok_)
+                inst_->state = SandboxState::Running;
+            return ok_;
+        }
+
+      private:
+        friend class RuncRuntime;
+
+        Start(Instance &inst, sim::Simulation::DelayAwaiter syscall)
+            : inst_(&inst), syscall_(syscall),
+              ok_(inst.state == SandboxState::Created)
+        {}
+
+        Instance *inst_;
+        sim::Simulation::DelayAwaiter syscall_;
+        bool ok_;
+    };
+
+    /** Awaiter of destroy(Instance &). */
+    class Teardown
+    {
+      public:
+        bool await_ready() const noexcept { return container_ == nullptr; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            delete_.await_suspend(h);
+        }
+
+        void
+        await_resume() const
+        {
+            runc_->finishDestroy(*inst_, container_);
+        }
+
+      private:
+        friend class RuncRuntime;
+
+        Teardown(RuncRuntime &runc, Instance &inst,
+                 os::Container *container,
+                 sim::Simulation::DelayAwaiter del)
+            : runc_(&runc), inst_(&inst), container_(container),
+              delete_(del)
+        {}
+
+        RuncRuntime *runc_;
+        Instance *inst_;
+        os::Container *container_;
+        sim::Simulation::DelayAwaiter delete_;
+    };
+
+    /** @name The lifecycle by reference
+     * What a cold start and an eviction run (DESIGN.md §4b); the OCI
+     * calls above are thin wrappers over it. start() and destroy() do
+     * their work at call time, so co_await their awaiters at once. */
+    ///@{
+
+    /**
+     * Add the row of a new instance of @p image named @p id, in state
+     * Creating; a destroyed instance's row is reused.
+     * @return null when the id is taken.
+     */
+    Instance *addInstance(std::string_view id, const FunctionImage &image);
+
+    /**
+     * Boot @p inst, a row from addInstance(), by cfork or the cold
+     * path, in one frame. It ends Created; on failure its row and
+     * everything the boot took are released at once.
+     */
+    sim::Task<bool> create(Instance &inst, obs::SpanContext ctx);
+
+    /** One syscall, then Running; yields false at once unless @p inst
+     * is Created. */
+    Start start(Instance &inst);
+
+    /** The process exits now; the container delete is the one delay;
+     * the row goes as the caller resumes. */
+    Teardown destroy(Instance &inst);
+    ///@}
+
     /**
      * Execute one request in a running instance: first execution after
      * cfork pays COW page faults on the shared runtime region, then
@@ -146,8 +246,9 @@ class RuncRuntime : public VectorizedSandboxRuntime
     /**
      * The PU crashed: every instance, template and pooled container
      * dies. Instance records stay (flagged dead) for in-flight
-     * pointers; the OS-side objects are reclaimed by
-     * LocalOs::crashReset(), so only the pointers are dropped here.
+     * pointers; LocalOs::crashReset() reaps the processes, so only the
+     * pointers are dropped here. Container rows stay in the
+     * ContainerManager.
      */
     void crashPurge();
     ///@}
@@ -174,12 +275,27 @@ class RuncRuntime : public VectorizedSandboxRuntime
         const FunctionImage *image = nullptr;
     };
 
+    using Rows =
+        std::unordered_map<std::string_view, std::unique_ptr<Instance>>;
+
     sim::Task<bool> createCold(Instance &inst, obs::SpanContext ctx);
 
     sim::Task<bool> createCfork(Instance &inst, obs::SpanContext ctx);
 
-    /** Drop the row of @p sandboxId, if any. */
-    void eraseInstance(std::string_view sandboxId);
+    /** cfork step 3: drop template-only state, map the private heap. */
+    bool mapChildHeap(Instance &inst);
+
+    /** A failed boot: release what @p inst took, spending no sim time,
+     * and drop its row. @return false. */
+    bool abandon(Instance &inst);
+
+    void finishDestroy(Instance &inst, os::Container *container);
+
+    /** Drop the row of @p inst. A dead instance's row is freed, never
+     * reused: were a stale pointer to it still held (fault paths keep
+     * dead rows for in-flight invokes), it must not alias a new
+     * instance. */
+    void eraseInstance(Instance &inst);
 
     os::LocalOs &os_;
     StartupPath path_ = StartupPath::CforkCpusetOpt;
@@ -189,10 +305,17 @@ class RuncRuntime : public VectorizedSandboxRuntime
      * Instance::id, which lives as long as the row. Only the fault
      * paths iterate it, and they schedule nothing, so the hash order
      * never reaches the event queue. */
-    std::unordered_map<std::string_view, std::unique_ptr<Instance>>
-        instances_;
+    Rows instances_;
+    /** Rows of destroyed instances, node and record, for reuse. */
+    std::vector<Rows::node_type> spareRows_;
+    /** Scratch for region labels. */
+    std::string label_;
     std::uint64_t nextId_ = 0;
 };
+
+static_assert(std::is_trivially_copyable_v<RuncRuntime::Start> &&
+                  std::is_trivially_copyable_v<RuncRuntime::Teardown>,
+              "lifecycle awaiters are returned by value (task.hh rule 3)");
 
 } // namespace molecule::sandbox
 

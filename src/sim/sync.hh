@@ -61,6 +61,36 @@ class Ring
         return v;
     }
 
+    /** Entry @p i, counting from the oldest. */
+    T &
+    operator[](std::size_t i)
+    {
+        return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+
+    const T &
+    operator[](std::size_t i) const
+    {
+        return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+
+    /** Remove entry @p i; the others keep their order. Moves the
+     * shorter side of the ring by one slot. */
+    void
+    erase(std::size_t i)
+    {
+        MOLECULE_ASSERT(i < count_, "ring erase past the end");
+        if (i < count_ / 2) {
+            for (std::size_t j = i; j > 0; --j)
+                (*this)[j] = std::move((*this)[j - 1]);
+            head_ = (head_ + 1) & (slots_.size() - 1);
+        } else {
+            for (std::size_t j = i; j + 1 < count_; ++j)
+                (*this)[j] = std::move((*this)[j + 1]);
+        }
+        --count_;
+    }
+
     /** The live entries, oldest first, as at most two spans. */
     std::pair<std::span<const T>, std::span<const T>>
     spans() const

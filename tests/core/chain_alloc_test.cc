@@ -12,70 +12,12 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "core/molecule.hh"
 #include "hw/computer.hh"
 #include "workloads/catalog.hh"
-
-static std::uint64_t g_allocCount = 0;
-
-#if !defined(__SANITIZE_ADDRESS__)
-
-// Malloc-backed on purpose; GCC's mismatched-new-delete heuristic
-// cannot see that new and delete still pair up.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void *
-operator new(std::size_t n)
-{
-    ++g_allocCount;
-    void *p = std::malloc(n ? n : 1);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](std::size_t n)
-{
-    ++g_allocCount;
-    void *p = std::malloc(n ? n : 1);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-#pragma GCC diagnostic pop
-
-#endif
+#include "count_new.hh"
 
 namespace {
 

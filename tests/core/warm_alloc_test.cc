@@ -15,68 +15,10 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
 #include "cluster/gateway.hh"
 #include "sim/simulation.hh"
-
-static std::uint64_t g_allocCount = 0;
-
-#if !defined(__SANITIZE_ADDRESS__)
-
-// Malloc-backed on purpose; GCC's mismatched-new-delete heuristic
-// cannot see that new and delete still pair up.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void *
-operator new(std::size_t n)
-{
-    ++g_allocCount;
-    void *p = std::malloc(n ? n : 1);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](std::size_t n)
-{
-    ++g_allocCount;
-    void *p = std::malloc(n ? n : 1);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-#pragma GCC diagnostic pop
-
-#endif
+#include "count_new.hh"
 
 namespace {
 
@@ -140,7 +82,7 @@ TEST(WarmAllocations, SteadyWarmRequestsStayWithinBudget)
     const double perRequest = double(allocs) / double(hits);
     std::printf("global allocations per warm request: %.3f\n",
                 perRequest);
-    EXPECT_LE(perRequest, 0.2);
+    EXPECT_LE(perRequest, 0.05);
 }
 
 } // namespace

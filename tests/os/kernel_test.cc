@@ -94,6 +94,37 @@ TEST_F(OsFixture, ExitReleasesMemory)
     EXPECT_EQ(hostOs.processCount(), 0u);
 }
 
+TEST_F(OsFixture, ExitedRecordsAreReusedCrashReapedOnesAreNot)
+{
+    Process *a = nullptr;
+    Process *b = nullptr;
+    sim.spawn(spawnIt(hostOs, "a", 1 << 20, &a));
+    sim.run();
+    const auto pidA = a->pid();
+    hostOs.exitProcess(*a);
+    // The exited record comes back under a new pid and name, empty.
+    sim.spawn(spawnIt(hostOs, "b", 0, &b));
+    sim.run();
+    EXPECT_EQ(b, a);
+    EXPECT_GT(b->pid(), pidA);
+    EXPECT_EQ(b->name(), "b");
+    EXPECT_TRUE(b->alive());
+    EXPECT_EQ(b->addressSpace().mappingCount(), 0u);
+    EXPECT_EQ(hostOs.findProcess(pidA), nullptr);
+    EXPECT_EQ(hostOs.findProcess(b->pid()), b);
+
+    // A crash retires the records it reaps: a pointer held across it
+    // keeps reading a zombie, never a later process.
+    hostOs.crashReset();
+    EXPECT_FALSE(b->alive());
+    Process *c = nullptr;
+    sim.spawn(spawnIt(hostOs, "c", 0, &c));
+    sim.run();
+    EXPECT_NE(c, b);
+    EXPECT_FALSE(b->alive());
+    EXPECT_EQ(hostOs.processCount(), 1u);
+}
+
 TEST_F(OsFixture, SpawnFailsWhenMemoryExhausted)
 {
     Process *p = nullptr;

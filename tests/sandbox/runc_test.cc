@@ -106,6 +106,88 @@ TEST_F(RuncFixture, ColdBootWithoutTemplateStillWorks)
     EXPECT_FALSE(runc.find("s0")->forked);
 }
 
+TEST_F(RuncFixture, FailedColdBootLeavesNoContainer)
+{
+    // More memory than the PU has: the cold boot starts a container
+    // and a process, then fails to map the instance's memory.
+    img.mem.runtimeShared = computer->pu(0).memoryCapacity() + 1;
+    runc.setStartupPath(StartupPath::ColdBoot);
+    const std::size_t containers = os.containers().containerCount();
+    const std::size_t procs = os.processCount();
+    const std::uint64_t memory = os.physicalUsed();
+    bool ok = true;
+    auto doIt = [](RuncRuntime *r, CreateRequest req, bool *out) -> Task<> {
+        *out = co_await r->create(req);
+    };
+    CreateRequest req{"too-big", &img};
+    sim.spawn(doIt(&runc, req, &ok));
+    sim.run();
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(os.containers().containerCount(), containers);
+    EXPECT_EQ(os.containers().find("too-big"), nullptr);
+    EXPECT_EQ(os.processCount(), procs);
+    EXPECT_EQ(os.physicalUsed(), memory);
+    EXPECT_EQ(runc.instanceCount(), 0u);
+    EXPECT_EQ(runc.state("too-big"), SandboxState::Unknown);
+}
+
+TEST_F(RuncFixture, DestroyedRowsAreReusedDeadOnesAreNot)
+{
+    prepare();
+    auto destroyIt = [](RuncRuntime *r, std::string id) -> Task<> {
+        co_await r->destroy(id);
+    };
+    timeCreate(StartupPath::CforkCpusetOpt, "killed");
+    timeCreate(StartupPath::CforkCpusetOpt, "spare");
+    const molecule::sandbox::Instance *killed = runc.find("killed");
+    const molecule::sandbox::Instance *spare = runc.find("spare");
+    sim.spawn(destroyIt(&runc, "spare"));
+    sim.run();
+    // An OOM-killed instance's row is dropped, not kept for reuse:
+    // in-flight invokes may have held it.
+    EXPECT_EQ(runc.oomKill("pyfn"), 1);
+    sim.spawn(destroyIt(&runc, "killed"));
+    sim.run();
+    EXPECT_EQ(runc.instanceCount(), 0u);
+
+    timeCreate(StartupPath::CforkCpusetOpt, "next");
+    const molecule::sandbox::Instance *next = runc.find("next");
+    EXPECT_EQ(next, spare);
+    EXPECT_NE(next, killed);
+    EXPECT_EQ(next->id, "next");
+    EXPECT_FALSE(next->dead);
+    EXPECT_TRUE(next->forked);
+    EXPECT_EQ(next->funcId, "pyfn");
+    EXPECT_EQ(runc.state("next"), SandboxState::Created);
+}
+
+TEST_F(RuncFixture, OomKillDuringTeardownSparesTheReusedProcess)
+{
+    prepare();
+    timeCreate(StartupPath::CforkCpusetOpt, "a");
+    auto destroyIt = [](RuncRuntime *r) -> Task<> {
+        co_await r->destroy("a");
+    };
+    auto spawnIt = [](LocalOs *o, molecule::os::Process **out) -> Task<> {
+        *out = co_await o->spawnProcess("other", 0);
+    };
+    // The instance's process exits at once; its container delete
+    // takes longer than a spawn, which reuses the exited record.
+    molecule::os::Process *other = nullptr;
+    sim.spawn(destroyIt(&runc));
+    sim.spawn(spawnIt(&os, &other));
+    sim.runUntil(sim.now() + calib::kSpawnProcessCost);
+    ASSERT_NE(other, nullptr);
+    ASSERT_EQ(runc.instanceCount(), 1u);
+    // The dying instance no longer names a process to kill.
+    EXPECT_EQ(runc.oomKill("pyfn"), 1);
+    EXPECT_TRUE(other->alive());
+    EXPECT_EQ(os.findProcess(other->pid()), other);
+    sim.run();
+    EXPECT_EQ(runc.instanceCount(), 0u);
+    EXPECT_TRUE(other->alive());
+}
+
 TEST_F(RuncFixture, OciLifecycle)
 {
     prepare();

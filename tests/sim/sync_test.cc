@@ -1,8 +1,10 @@
-/** @file Unit tests for SimEvent, Semaphore and Mailbox. */
+/** @file Unit tests for SimEvent, Semaphore, Mailbox and the Ring
+ * behind them. */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -325,6 +327,39 @@ TEST(Join, ResumesParentWhenTheLastChildEnds)
     EXPECT_EQ(sim.pendingEvents(), 3u);
     sim.run();
     EXPECT_EQ(log, (std::vector<SimTime>{0_us, 0_us, 30_us}));
+}
+
+TEST(Ring, IndexAndEraseMatchADequeAcrossWraps)
+{
+    // Seeded mix of pushes, pops and erases at every position, so
+    // both shift directions run on wrapped and unwrapped rings.
+    molecule::sim::detail::Ring<int> ring;
+    std::deque<int> ref;
+    std::uint64_t x = 88172645463325252ULL;
+    auto next = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    int value = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t op = next() % 8;
+        if (op < 4 || ref.empty()) {
+            ring.push_back(value);
+            ref.push_back(value++);
+        } else if (op < 5) {
+            ASSERT_EQ(ring.pop_front(), ref.front());
+            ref.pop_front();
+        } else {
+            const std::size_t i = std::size_t(next() % ref.size());
+            ring.erase(i);
+            ref.erase(ref.begin() + std::ptrdiff_t(i));
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ring[i], ref[i]) << "step " << step;
+    }
 }
 
 } // namespace
