@@ -18,6 +18,7 @@ FunctionRegistry::add(FunctionDef def)
     }
     defs_.push_back(std::move(def));
     revisions_.push_back(1);
+    names_.push_back(it->first);
     idsByName_.clear();
     for (const auto &[name, id] : byName_)
         idsByName_.push_back(id);

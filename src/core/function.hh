@@ -83,6 +83,10 @@ class FunctionRegistry
     /** Definition of a registered id. */
     const FunctionDef &at(FnId id) const { return defs_[id]; }
 
+    /** Name of a registered id, from a dense table (no definition is
+     * touched). */
+    std::string_view name(FnId id) const { return names_[id]; }
+
     /** Bumped by every add() of @p id (cache invalidation). */
     std::uint32_t revision(FnId id) const { return revisions_[id]; }
 
@@ -99,6 +103,8 @@ class FunctionRegistry
     std::deque<FunctionDef> defs_;
     std::vector<std::uint32_t> revisions_;
     std::map<std::string, FnId, std::less<>> byName_;
+    /** names_[id] views byName_'s key, which never moves. */
+    std::vector<std::string_view> names_;
     std::vector<FnId> idsByName_;
 };
 
