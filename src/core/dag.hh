@@ -109,9 +109,9 @@ class DagEngine
 {
   public:
     DagEngine(Deployment &dep, StartupManager &startup,
-              const FunctionRegistry &registry)
-        : dep_(dep), startup_(startup), registry_(registry)
-    {}
+              const FunctionRegistry &registry);
+
+    ~DagEngine();
 
     /**
      * The plan of @p spec with @p placement (PU per node) and the
@@ -148,6 +148,9 @@ class DagEngine
     struct Endpoint;
 
   private:
+    /** A pooled endpoint array with its first @p n entries reset. */
+    std::vector<Endpoint> takeEndpoints(std::size_t n);
+
     Deployment &dep_;
     StartupManager &startup_;
     const FunctionRegistry &registry_;
@@ -156,6 +159,9 @@ class DagEngine
     std::unordered_multimap<std::uint64_t, std::unique_ptr<ChainPlan>>
         plans_;
     std::uint64_t nextUuid_ = 0;
+    /** Endpoint arrays of finished runs, reused by later ones so a
+     * run's names and fd tables keep their buffers. */
+    std::vector<std::vector<Endpoint>> spareEndpoints_;
 };
 
 } // namespace molecule::core

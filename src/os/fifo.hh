@@ -54,6 +54,13 @@ class LocalFifo
 
     std::size_t depth() const { return queue_.size(); }
 
+    /** No message queued and no reader blocked. */
+    bool
+    idle() const
+    {
+        return queue_.empty() && queue_.waitingGetters() == 0;
+    }
+
     /**
      * Fault path: wake every blocked reader with a sentinel message
      * (zero bytes, @p tag starting with "!") so no coroutine hangs on
@@ -69,6 +76,8 @@ class LocalFifo
     }
 
   private:
+    friend class LocalOs;
+
     LocalOs &os_;
     std::string name_;
     sim::Mailbox<FifoMessage> queue_;

@@ -115,7 +115,8 @@ class LocalOs
     /** @name Named FIFOs */
     ///@{
 
-    /** Create a FIFO; fatal if the name exists. */
+    /** Create a FIFO; fatal if the name exists. An idle removed
+     * FIFO's record, name buffers and queue are reused. */
     LocalFifo *createFifo(const std::string &name);
 
     /** Look up a FIFO (nullptr when absent). */
@@ -156,6 +157,9 @@ class LocalOs
     std::vector<LiveProc>::iterator lowerBound(Pid pid);
 
     hw::ProcessingUnit &pu_;
+    /** Shared by every address space of this OS; declared first so it
+     * outlives the processes. */
+    RegionPool regions_;
     ContainerManager containers_;
     /** Live processes in pid order (pids only grow, so a new one goes
      * last). */
@@ -167,7 +171,10 @@ class LocalOs
     std::vector<std::unique_ptr<Process>> deadProcs_;
     /** Scratch for spawn region labels. */
     std::string label_;
-    std::map<std::string, std::unique_ptr<LocalFifo>> fifos_;
+    using Fifos = std::map<std::string, std::unique_ptr<LocalFifo>>;
+    Fifos fifos_;
+    /** Removed idle FIFOs with their map nodes, for createFifo. */
+    std::vector<Fifos::node_type> spareFifos_;
     /** FIFOs retired by crashReset(); kept alive (not reachable by
      * name) because poisoned readers still resume against them. */
     std::vector<std::unique_ptr<LocalFifo>> deadFifos_;

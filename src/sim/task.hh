@@ -44,6 +44,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <new>
 #include <optional>
@@ -85,9 +86,10 @@ class FramePool
     allocate(std::size_t bytes)
     {
         const std::size_t c = classOf(bytes);
+        Lists &l = lists();
+        ++l.allocated;
         if (c >= kClasses)
             return ::operator new(bytes);
-        Lists &l = lists();
         if (void *block = l.heads[c]) {
             unpoison(block, blockBytes(c));
             l.heads[c] = *static_cast<void **>(block);
@@ -114,12 +116,17 @@ class FramePool
         poison(block, blockBytes(c));
     }
 
+    /** Frames this thread has allocated, pooled or not: the frame
+     * budgets of the allocation tests read it. */
+    static std::uint64_t allocated() { return lists().allocated; }
+
   private:
     /** Trivially destructible, so it stays readable while the
      * thread's other thread_locals are destroyed. */
     struct Lists
     {
         void *heads[kClasses] = {};
+        std::uint64_t allocated = 0;
         bool closed = false;
     };
 
@@ -183,6 +190,20 @@ class FramePool
     }
 };
 
+/**
+ * Told when a detached task it watches finishes, from the task's
+ * final suspend: what sim::Join counts its children with, so a child
+ * needs no wrapper frame.
+ */
+class DoneSink
+{
+  public:
+    virtual void childDone() noexcept = 0;
+
+  protected:
+    ~DoneSink() = default;
+};
+
 /** State shared by all task promises, independent of the result type. */
 struct PromiseBase
 {
@@ -203,6 +224,8 @@ struct PromiseBase
     std::coroutine_handle<> continuation{};
     /** Detached tasks self-destroy at final suspend. */
     bool detached = false;
+    /** Told as a detached task finishes (may be null). */
+    DoneSink *sink = nullptr;
     std::exception_ptr exception{};
 
     std::suspend_always
@@ -241,6 +264,8 @@ struct PromiseBase
             // No awaiter exists to receive the exception.
             panic("exception escaped a detached simulation task");
         }
+        if (sink != nullptr)
+            sink->childDone();
         return {detached};
     }
 
@@ -329,17 +354,22 @@ class [[nodiscard]] Task
     /**
      * Release ownership, mark detached and start execution.
      * Used by Simulation::spawn; the frame self-destroys on completion.
+     * @p sink, when set, is told as the task finishes (at once for a
+     * ready task).
      */
     void
-    detachAndStart()
+    detachAndStart(detail::DoneSink *sink = nullptr)
     {
         MOLECULE_ASSERT(valid(), "detaching an empty task");
         if (!handle_) {
             ready_.reset(); // ready: already ran to completion
+            if (sink != nullptr)
+                sink->childDone();
             return;
         }
         handle_type h = std::exchange(handle_, nullptr);
         h.promise().detached = true;
+        h.promise().sink = sink;
         h.resume();
     }
 
