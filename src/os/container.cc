@@ -45,12 +45,23 @@ ContainerManager::add(std::string_view id)
 }
 
 sim::Simulation::DelayAwaiter
-ContainerManager::reconfigureCost(const Container &container)
+ContainerManager::reconfigureCost(Container &container)
 {
     MOLECULE_ASSERT(container.state_ == ContainerState::Running,
                     "attach to non-running container '%s'",
                     container.id().c_str());
+    ++container.holds_;
     return os_.swDelay(calib::kNamespaceReconfigCost);
+}
+
+void
+ContainerManager::settle(Container &container, Process &proc)
+{
+    --container.holds_;
+    if (!container.retired_)
+        container.procs_.push_back(&proc);
+    else if (container.holds_ == 0)
+        bury(container);
 }
 
 sim::Simulation::DelayAwaiter
@@ -80,19 +91,27 @@ ContainerManager::attach(Container &container, Process &proc,
 sim::Task<>
 ContainerManager::destroy(Container &container)
 {
-    co_await deleteCost();
+    co_await deleteCost(container);
     reap(container);
 }
 
 sim::Simulation::DelayAwaiter
-ContainerManager::deleteCost()
+ContainerManager::deleteCost(Container &container)
 {
+    ++container.holds_;
     return os_.swDelay(calib::kContainerDeleteCost);
 }
 
 void
 ContainerManager::reap(Container &container)
 {
+    if (container.holds_ > 0)
+        --container.holds_;
+    if (container.retired_) {
+        if (container.holds_ == 0)
+            bury(container);
+        return;
+    }
     container.state_ = ContainerState::Stopped;
     container.procs_.clear();
     for (auto it = containers_.begin(); it != containers_.end(); ++it) {
@@ -100,6 +119,35 @@ ContainerManager::reap(Container &container)
             spare_.push_back(std::move(*it));
             containers_.erase(it);
             break;
+        }
+    }
+}
+
+void
+ContainerManager::retire(Container &container)
+{
+    if (container.retired_)
+        return;
+    container.retired_ = true;
+    container.state_ = ContainerState::Stopped;
+    container.procs_.clear();
+    for (auto it = containers_.begin(); it != containers_.end(); ++it) {
+        if (it->get() == &container) {
+            if (container.holds_ > 0)
+                graveyard_.push_back(std::move(*it));
+            containers_.erase(it);
+            return;
+        }
+    }
+}
+
+void
+ContainerManager::bury(Container &container)
+{
+    for (auto it = graveyard_.begin(); it != graveyard_.end(); ++it) {
+        if (it->get() == &container) {
+            graveyard_.erase(it);
+            return;
         }
     }
 }

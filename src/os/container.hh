@@ -58,6 +58,10 @@ class Container
     std::uint64_t seq_;
     ContainerState state_ = ContainerState::Created;
     std::vector<Process *> procs_;
+    /** In-flight attaches and deletes that touch the record again. */
+    int holds_ = 0;
+    /** Dropped by retire(): never reused. */
+    bool retired_ = false;
 };
 
 /**
@@ -100,9 +104,9 @@ class ContainerManager
     /** Record a started container (reusing a deleted one's record). */
     Container &add(std::string_view id);
 
-    /** Namespace reconfiguration; asserts @p container is running. */
-    sim::Simulation::DelayAwaiter
-    reconfigureCost(const Container &container);
+    /** Namespace reconfiguration; asserts @p container is running.
+     * Holds the record until settle(). */
+    sim::Simulation::DelayAwaiter reconfigureCost(Container &container);
 
     auto lockCpuset() { return cpusetLock_.acquire(); }
 
@@ -111,25 +115,37 @@ class ContainerManager
 
     void unlockCpuset() { cpusetLock_.release(); }
 
-    void
-    settle(Container &container, Process &proc)
-    {
-        container.procs_.push_back(&proc);
-    }
+    /** Settle @p proc in @p container, unless it was retired while
+     * the attach ran. */
+    void settle(Container &container, Process &proc);
 
-    /** The container delete; then reap(). */
-    sim::Simulation::DelayAwaiter deleteCost();
+    /** The delete of @p container; then reap(). Holds the record
+     * until reap(). */
+    sim::Simulation::DelayAwaiter deleteCost(Container &container);
 
     /** Drop @p container's row now, spending no sim time; its record
-     * is reused by a later add(). */
+     * is reused by a later add(). A retired record is freed instead,
+     * once nothing holds it. */
     void reap(Container &container);
     ///@}
 
+    /**
+     * Drop @p container's row for good, spending no sim time: its
+     * cgroup died with a crash or an OOM kill. The record goes to a
+     * graveyard, is never reused, and is freed as soon as no in-flight
+     * attach or delete holds it.
+     */
+    void retire(Container &container);
+
+    /** Live containers (retired ones are not counted). */
     std::size_t containerCount() const { return containers_.size(); }
 
     Container *find(const std::string &id);
 
   private:
+    /** Free a retired record nothing holds any more. */
+    void bury(Container &container);
+
     LocalOs &os_;
     CpusetMode cpusetMode_ = CpusetMode::StockSemaphore;
     /** The kernel's global cpuset update lock. */
@@ -138,6 +154,8 @@ class ContainerManager
     std::vector<std::unique_ptr<Container>> containers_;
     /** Records of deleted containers, reused by add(). */
     std::vector<std::unique_ptr<Container>> spare_;
+    /** Retired records an in-flight attach or delete still holds. */
+    std::vector<std::unique_ptr<Container>> graveyard_;
     std::uint64_t nextSeq_ = 0;
 };
 

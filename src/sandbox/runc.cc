@@ -310,8 +310,11 @@ RuncRuntime::destroy(Instance &inst)
         os_.exitProcess(*inst.proc);
         inst.proc = nullptr;
     }
-    return Teardown(*this, inst, inst.container,
-                    os_.containers().deleteCost());
+    os::Container *box = inst.container;
+    return Teardown(*this, inst, box,
+                    box != nullptr
+                        ? os_.containers().deleteCost(*box)
+                        : os_.simulation().delay(sim::SimTime(0)));
 }
 
 void
@@ -403,9 +406,12 @@ RuncRuntime::oomKill(const std::string &funcId)
             os_.exitProcess(*inst->proc);
             inst->proc = nullptr;
         }
-        // The container record is abandoned, not recycled: a killed
+        // The container record is retired, not recycled: a killed
         // instance's cgroup is torn down by the kernel, not reused.
-        inst->container = nullptr;
+        if (inst->container != nullptr) {
+            os_.containers().retire(*inst->container);
+            inst->container = nullptr;
+        }
         ++killed;
     }
     return killed;
@@ -414,9 +420,10 @@ RuncRuntime::oomKill(const std::string &funcId)
 void
 RuncRuntime::crashPurge()
 {
-    // Pointer-drop only: LocalOs::crashReset() reaps the processes, so
-    // exiting them here would exit them twice. The container rows are
-    // not reaped by anyone and stay in the ContainerManager.
+    // LocalOs::crashReset() reaps the processes, so exiting them here
+    // would exit them twice: only their pointers are dropped. Every
+    // container died with the PU, so its row is retired.
+    os::ContainerManager &containers = os_.containers();
     for (auto &[id, inst] : instances_) {
         if (!inst->dead) {
             inst->dead = true;
@@ -424,9 +431,16 @@ RuncRuntime::crashPurge()
         }
         inst->state = SandboxState::Stopped;
         inst->proc = nullptr;
+        if (inst->container != nullptr)
+            containers.retire(*inst->container);
         inst->container = nullptr;
     }
+    for (auto &[lang, tmpl] : templates_)
+        if (tmpl.container != nullptr)
+            containers.retire(*tmpl.container);
     templates_.clear();
+    for (os::Container *c : pool_)
+        containers.retire(*c);
     pool_.clear();
 }
 

@@ -247,8 +247,7 @@ class RuncRuntime : public VectorizedSandboxRuntime
      * The PU crashed: every instance, template and pooled container
      * dies. Instance records stay (flagged dead) for in-flight
      * pointers; LocalOs::crashReset() reaps the processes, so only the
-     * pointers are dropped here. Container rows stay in the
-     * ContainerManager.
+     * pointers are dropped here. Every container row is retired.
      */
     void crashPurge();
     ///@}

@@ -188,6 +188,72 @@ TEST_F(RuncFixture, OomKillDuringTeardownSparesTheReusedProcess)
     EXPECT_TRUE(other->alive());
 }
 
+TEST_F(RuncFixture, CrashRetiresContainerRowsRestartRefillsThem)
+{
+    prepare();
+    const std::size_t baseline = os.containers().containerCount();
+    ASSERT_EQ(baseline, 5u); // the template's and 4 pooled
+    timeCreate(StartupPath::CforkCpusetOpt, "a");
+    // A third cold start is caught in its cpuset attach by the crash.
+    bool done = false;
+    auto createIt = [](RuncRuntime *r, const FunctionImage *fi,
+                       bool *out) -> Task<> {
+        CreateRequest req{"b", fi};
+        (void)co_await r->create(req);
+        *out = true;
+    };
+    sim.spawn(createIt(&runc, &img, &done));
+    while (runc.find("b") == nullptr ||
+           runc.find("b")->container == nullptr)
+        ASSERT_TRUE(sim.step());
+    runc.crashPurge();
+    os.crashReset();
+    EXPECT_EQ(os.containers().containerCount(), 0u);
+    sim.run(); // the attach ends on a retired record
+    EXPECT_TRUE(done);
+    EXPECT_EQ(os.containers().containerCount(), 0u);
+
+    // Restart: the template and the pool come back, nothing else.
+    prepare();
+    EXPECT_EQ(os.containers().containerCount(), baseline);
+}
+
+TEST_F(RuncFixture, OomKillRetiresTheContainerRow)
+{
+    prepare(0);
+    const std::size_t baseline = os.containers().containerCount();
+    timeCreate(StartupPath::CforkCpusetOpt, "a");
+    ASSERT_EQ(os.containers().containerCount(), baseline + 1);
+    EXPECT_EQ(runc.oomKill("pyfn"), 1);
+    EXPECT_EQ(os.containers().containerCount(), baseline);
+    auto destroyIt = [](RuncRuntime *r) -> Task<> {
+        co_await r->destroy("a");
+    };
+    sim.spawn(destroyIt(&runc));
+    sim.run();
+    EXPECT_EQ(runc.instanceCount(), 0u);
+    EXPECT_EQ(os.containers().containerCount(), baseline);
+}
+
+TEST_F(RuncFixture, OomKillDuringContainerDeleteFreesTheRowOnce)
+{
+    prepare(0);
+    const std::size_t baseline = os.containers().containerCount();
+    timeCreate(StartupPath::CforkCpusetOpt, "a");
+    auto destroyIt = [](RuncRuntime *r) -> Task<> {
+        co_await r->destroy("a");
+    };
+    sim.spawn(destroyIt(&runc));
+    sim.runUntil(sim.now() + calib::kSpawnProcessCost);
+    ASSERT_EQ(runc.instanceCount(), 1u);
+    // The delete still holds the record the kill retires.
+    EXPECT_EQ(runc.oomKill("pyfn"), 1);
+    EXPECT_EQ(os.containers().containerCount(), baseline);
+    sim.run();
+    EXPECT_EQ(runc.instanceCount(), 0u);
+    EXPECT_EQ(os.containers().containerCount(), baseline);
+}
+
 TEST_F(RuncFixture, OciLifecycle)
 {
     prepare();
