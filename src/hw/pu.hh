@@ -15,7 +15,6 @@
 #ifndef MOLECULE_HW_PU_HH
 #define MOLECULE_HW_PU_HH
 
-#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -84,32 +83,9 @@ class ProcessingUnit
         return hostCost * desc_.netFactor;
     }
 
-    /**
-     * Holds a core taken with acquireCore() for one compute burst and
-     * hands it back when the burst ends, as the awaiter resumes.
-     * Trivially copyable: any co_await form is safe (task.hh rule 3).
-     */
-    class CoreBurst
-    {
-      public:
-        CoreBurst(sim::Semaphore &cores, sim::Simulation::DelayAwaiter burst)
-            : cores_(&cores), burst_(burst)
-        {}
-
-        bool await_ready() const noexcept { return false; }
-
-        void
-        await_suspend(std::coroutine_handle<> h) const
-        {
-            burst_.await_suspend(h);
-        }
-
-        void await_resume() const { cores_->release(); }
-
-      private:
-        sim::Semaphore *cores_;
-        sim::Simulation::DelayAwaiter burst_;
-    };
+    /** Holds a core taken with acquireCore() for one compute burst;
+     * the core is back as the awaiter resumes. */
+    using CoreBurst = sim::HeldDelay;
 
     /**
      * @name Core occupancy
