@@ -7,10 +7,14 @@
 namespace {
 
 using molecule::os::AddressSpace;
+using molecule::os::MemRegion;
+using molecule::os::MemRegionPtr;
+using molecule::os::RegionPool;
 
 TEST(Memory, PrivateMappingCountsFullyEverywhere)
 {
-    AddressSpace as;
+    RegionPool pool;
+    AddressSpace as{{}, pool};
     as.mapPrivate("heap", 1000);
     EXPECT_EQ(as.rss(), 1000u);
     EXPECT_DOUBLE_EQ(as.pss(), 1000.0);
@@ -19,7 +23,8 @@ TEST(Memory, PrivateMappingCountsFullyEverywhere)
 
 TEST(Memory, SharedMappingSplitsPss)
 {
-    AddressSpace a, b;
+    RegionPool pool;
+    AddressSpace a{{}, pool}, b{{}, pool};
     auto region = a.mapPrivate("runtime", 1000);
     b.mapShared(region);
     EXPECT_EQ(a.rss(), 1000u);
@@ -31,7 +36,8 @@ TEST(Memory, SharedMappingSplitsPss)
 
 TEST(Memory, ForkSharesEverything)
 {
-    AddressSpace parent, child;
+    RegionPool pool;
+    AddressSpace parent{{}, pool}, child{{}, pool};
     parent.mapPrivate("runtime", 800);
     parent.mapPrivate("heap", 200);
     parent.forkInto(child);
@@ -42,7 +48,8 @@ TEST(Memory, ForkSharesEverything)
 
 TEST(Memory, CowTouchMovesBytesPrivate)
 {
-    AddressSpace parent, child;
+    RegionPool pool;
+    AddressSpace parent{{}, pool}, child{{}, pool};
     auto region = parent.mapPrivate("runtime", 1000);
     parent.forkInto(child);
     const auto pages = child.touchCow(region, 400);
@@ -58,7 +65,8 @@ TEST(Memory, CowTouchMovesBytesPrivate)
 
 TEST(Memory, CowTouchIsCappedAtRegionSize)
 {
-    AddressSpace a, b;
+    RegionPool pool;
+    AddressSpace a{{}, pool}, b{{}, pool};
     auto region = a.mapPrivate("r", 100);
     a.forkInto(b);
     EXPECT_GT(b.touchCow(region, 1000), 0);
@@ -73,7 +81,8 @@ TEST(Memory, UnmapReleasesAndLastUnmapFreesPhysical)
         physical += d;
         return true;
     };
-    AddressSpace a{hook}, b{hook};
+    RegionPool pool;
+    AddressSpace a{hook, pool}, b{hook, pool};
     auto region = a.mapPrivate("r", 1000);
     EXPECT_EQ(physical, 1000);
     b.mapShared(region);
@@ -96,12 +105,13 @@ TEST(Memory, AdmissionFailureIsReported)
         physical += d;
         return true;
     };
-    AddressSpace a{hook};
+    RegionPool pool;
+    AddressSpace a{hook, pool};
     EXPECT_NE(a.mapPrivate("one", 1000), nullptr);
     EXPECT_EQ(a.mapPrivate("two", 1000), nullptr);
     EXPECT_EQ(a.rss(), 1000u);
 
-    AddressSpace b{hook};
+    AddressSpace b{hook, pool};
     auto r = a.findRegion("one");
     b.mapShared(r);
     EXPECT_EQ(b.touchCow(r, 1000), -1); // copy would exceed capacity
@@ -114,7 +124,8 @@ TEST(Memory, ClearUnmapsEverything)
         physical += d;
         return true;
     };
-    AddressSpace a{hook};
+    RegionPool pool;
+    AddressSpace a{hook, pool};
     a.mapPrivate("x", 100);
     a.mapPrivate("y", 200);
     a.clear();
@@ -125,7 +136,8 @@ TEST(Memory, ClearUnmapsEverything)
 
 TEST(Memory, FindRegionByLabel)
 {
-    AddressSpace a;
+    RegionPool pool;
+    AddressSpace a{{}, pool};
     a.mapPrivate("runtime", 100);
     EXPECT_NE(a.findRegion("runtime"), nullptr);
     EXPECT_EQ(a.findRegion("missing"), nullptr);
@@ -142,13 +154,14 @@ TEST(Memory, PssSumApproximatesPhysicalAcrossSharers)
         physical += d;
         return true;
     };
-    AddressSpace t{hook};
+    RegionPool pool;
+    AddressSpace t{hook, pool};
     t.mapPrivate("runtime", 5000);
     t.mapPrivate("tmpl", 1500);
 
     std::vector<AddressSpace> children;
     for (int i = 0; i < 8; ++i) {
-        AddressSpace c{hook};
+        AddressSpace c{hook, pool};
         t.findRegion("runtime");
         c.mapShared(t.findRegion("runtime"));
         c.mapPrivate("priv" + std::to_string(i), 700);
@@ -163,6 +176,52 @@ TEST(Memory, PssSumApproximatesPhysicalAcrossSharers)
         pssSum += c.pss();
     EXPECT_LE(pssSum, double(physical) + 1e-6);
     EXPECT_GE(pssSum, double(physical - std::int64_t(copiedTotal)) - 1e-6);
+}
+
+TEST(Memory, RegionPoolReusesARetiredRecordWithItsNewLabel)
+{
+    std::int64_t physical = 0;
+    auto hook = [&](std::int64_t d) {
+        physical += d;
+        return true;
+    };
+    RegionPool pool;
+    AddressSpace a{hook, pool};
+    MemRegion *first = a.mapPrivate("fn-with-a-long-name/heap", 4096).get();
+    a.clear();
+    EXPECT_EQ(pool.spareCount(), 1u);
+    EXPECT_EQ(physical, 0);
+
+    AddressSpace b{hook, pool};
+    MemRegionPtr again = b.mapPrivate("other/heap", 100);
+    EXPECT_EQ(again.get(), first);
+    EXPECT_EQ(again->label(), "other/heap");
+    EXPECT_EQ(again->bytes(), 100u);
+    EXPECT_EQ(again->sharers(), 1);
+    EXPECT_EQ(physical, 100);
+    EXPECT_EQ(b.rss(), 100u);
+    EXPECT_EQ(b.findRegion("fn-with-a-long-name/heap"), nullptr);
+    EXPECT_EQ(pool.spareCount(), 0u);
+}
+
+TEST(Memory, RegionPoolNeverReusesARecordSomeoneStillHolds)
+{
+    RegionPool pool;
+    AddressSpace a{{}, pool};
+    MemRegionPtr kept = a.mapPrivate("runtime", 1000);
+    a.unmap(kept);
+    EXPECT_EQ(pool.spareCount(), 1u);
+
+    MemRegionPtr fresh = a.mapPrivate("heap", 10);
+    EXPECT_NE(fresh.get(), kept.get());
+    // The held record still reads as it was left.
+    EXPECT_EQ(kept->label(), "runtime");
+    EXPECT_EQ(kept->bytes(), 1000u);
+    EXPECT_EQ(kept->sharers(), 0);
+
+    const MemRegion *keptAt = kept.get();
+    kept.reset();
+    EXPECT_EQ(a.mapPrivate("heap2", 20).get(), keptAt);
 }
 
 } // namespace
