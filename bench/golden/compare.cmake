@@ -1,15 +1,19 @@
-# Run BIN and compare its full stdout with the committed GOLDEN file:
-#   cmake -DBIN=<binary> -DGOLDEN=<file> -P compare.cmake
+# Run BIN (with the space-separated ARGS, if any) and compare its full
+# stdout with the committed GOLDEN file:
+#   cmake -DBIN=<binary> [-DARGS="<args>"] -DGOLDEN=<file> -P compare.cmake
 # On a mismatch the actual output is left next to the binary as
-# <binary>.out, to diff against the golden file.
-execute_process(COMMAND ${BIN} OUTPUT_VARIABLE actual
+# <golden name>.out, to diff against the golden file.
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${BIN} ${args} OUTPUT_VARIABLE actual
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
-    message(FATAL_ERROR "${BIN} exited with ${status}")
+    message(FATAL_ERROR "${BIN} ${ARGS} exited with ${status}")
 endif()
 file(READ ${GOLDEN} expected)
 if(NOT actual STREQUAL expected)
-    file(WRITE ${BIN}.out "${actual}")
+    get_filename_component(dir ${BIN} DIRECTORY)
+    get_filename_component(name ${GOLDEN} NAME_WE)
+    file(WRITE ${dir}/${name}.out "${actual}")
     message(FATAL_ERROR "output differs from the golden file:\n"
-                        "  diff ${GOLDEN} ${BIN}.out")
+                        "  diff ${GOLDEN} ${dir}/${name}.out")
 endif()
