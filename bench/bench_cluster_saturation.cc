@@ -3,7 +3,7 @@
  * Cluster-substrate wall-clock bench: how fast the simulator chews
  * through open-loop load, as generator-only streams (arrivals
  * produced per wall second, one row per arrival process) and as the
- * full saturated fleet scenario of tools/cluster_report (invocations
+ * saturated rung of `cluster_report ladder` (invocations
  * completed per wall second, admission + dispatch + the whole
  * per-node Molecule pipeline).
  *
@@ -16,9 +16,8 @@
 #include <chrono>
 
 #include "bench/common.hh"
-#include "cluster/gateway.hh"
+#include "cluster/scenario.hh"
 #include "load/generator.hh"
-#include "sim/simulation.hh"
 
 namespace {
 
@@ -67,48 +66,27 @@ generatorRate(load::ArrivalKind kind)
 
 /**
  * Completed invocations per wall second for the saturated rung of the
- * cluster_report scenario, scaled down to bench length (~48k
- * arrivals, ~30k served).
+ * cluster_report ladder, scaled down to bench length (~48k arrivals,
+ * ~30k served). Only the drive is timed, not the fleet's boot.
  */
 double
 clusterRate()
 {
-    sim::Simulation sim(42);
-    cluster::FleetSpec fleetSpec;
-    fleetSpec.nodes = 4;
-    fleetSpec.dpusPerNode = 2;
-    cluster::Fleet fleet(sim, fleetSpec);
-
-    load::TraceSpec spec = baseSpec(480.0);
-    spec.duration = SimTime::fromSeconds(100.0);
-    for (const auto &fn : spec.functions)
-        fleet.registerCpuFunction(fn,
-                                  {hw::PuType::HostCpu, hw::PuType::Dpu});
-    fleet.start();
-
-    obs::Registry registry;
-    cluster::ClusterStats stats(registry);
-    cluster::LeastOutstandingPolicy policy;
-    cluster::AdmissionOptions admission;
-    admission.tokensPerSecond = 300.0;
-    admission.bucketCapacity = 200.0;
-    admission.queueCapacity = 2048;
-    admission.maxOutstandingPerNode = 96;
-    admission.invoke.maxAttempts = 2;
-    cluster::GatewayConfig gwCfg =
-        cluster::GatewayConfig::forFunctions(spec.functions, stats);
-    gwCfg.admission = admission;
-    gwCfg.dispatch = &policy;
-    cluster::ClusterGateway gateway(fleet, gwCfg);
-
-    load::OpenLoopGenerator gen(spec);
+    cluster::ScenarioSpec spec;
+    spec.fleet.nodes = 4;
+    spec.fleet.dpusPerNode = 2;
+    spec.trace = baseSpec(480.0);
+    spec.trace.duration = SimTime::fromSeconds(100.0);
+    spec.admission.tokensPerSecond = 300.0;
+    spec.admission.bucketCapacity = 200.0;
+    spec.admission.queueCapacity = 2048;
+    spec.admission.maxOutstandingPerNode = 96;
+    spec.admission.invoke.maxAttempts = 2;
+    cluster::Scenario scenario(spec);
     const auto t0 = std::chrono::steady_clock::now();
-    sim.spawn(load::drive(sim, gen, gateway));
-    sim.run();
+    scenario.drive();
     const double wall = wallSeconds(t0);
-    const auto summary =
-        stats.summarize(sim.now(), fleet.coreTable());
-    return double(summary.completed) / wall;
+    return double(scenario.result().summary.completed) / wall;
 }
 
 } // namespace

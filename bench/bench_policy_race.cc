@@ -1,7 +1,7 @@
 /**
  * @file
  * Policy-layer wall-clock bench: how fast the simulator chews through
- * the policy_report race scenario under each placement x keep-alive
+ * the `cluster_report policy` race under each placement x keep-alive
  * combo (invocations completed per wall second, full admission +
  * placement + keep-alive + cost accounting pipeline).
  *
@@ -14,10 +14,7 @@
 #include <chrono>
 
 #include "bench/common.hh"
-#include "cluster/cost.hh"
-#include "cluster/gateway.hh"
-#include "load/generator.hh"
-#include "sim/simulation.hh"
+#include "cluster/scenario.hh"
 
 namespace {
 
@@ -36,54 +33,37 @@ wallSeconds(std::chrono::steady_clock::time_point t0)
 
 /**
  * Completed invocations per wall second for one policy combo on the
- * saturated rung of the tools/policy_report scenario (open gateway,
- * 4-node 2xBF2 fleet, cost model attached).
+ * saturated rung of the `cluster_report policy` race (open gateway,
+ * 4-node 2xBF2 fleet, cost model attached). Only the drive is timed,
+ * not the fleet's boot.
  */
 double
 policyRate(const core::PlacementConfig &placement,
            const core::KeepAliveConfig &keepAlive)
 {
-    sim::Simulation sim(42);
-    cluster::FleetSpec fleetSpec;
-    fleetSpec.nodes = 4;
-    fleetSpec.dpusPerNode = 2;
-    fleetSpec.runtime.placement = placement;
-    fleetSpec.runtime.startup.keepAlive = keepAlive;
-    cluster::Fleet fleet(sim, fleetSpec);
-
-    load::TraceSpec spec;
-    spec.seed = 42;
-    spec.ratePerSecond = 768.0; // 1.6x the DPU-bound ceiling
-    spec.duration = SimTime::fromSeconds(60.0);
-    spec.functions = {"helloworld", "pyaes", "dd", "gzip-compression"};
-    spec.tenants = {
+    cluster::ScenarioSpec spec;
+    spec.fleet.nodes = 4;
+    spec.fleet.dpusPerNode = 2;
+    spec.fleet.runtime.placement = placement;
+    spec.fleet.runtime.startup.keepAlive = keepAlive;
+    spec.trace.seed = 42;
+    spec.trace.ratePerSecond = 768.0; // 1.6x the DPU-bound ceiling
+    spec.trace.duration = SimTime::fromSeconds(60.0);
+    spec.trace.functions = {"helloworld", "pyaes", "dd",
+                            "gzip-compression"};
+    spec.trace.tenants = {
         {"alpha", 3.0, 1.1, 1},
         {"beta", 1.0, 0.8, 2},
     };
-    for (const auto &fn : spec.functions)
-        fleet.registerCpuFunction(fn,
-                                  {hw::PuType::HostCpu, hw::PuType::Dpu});
-    fleet.start();
-
-    obs::Registry registry;
-    cluster::ClusterStats stats(registry);
-    cluster::CostModel cost;
-    stats.setCostModel(&cost, fleet.puTypeTable());
-    cluster::GatewayConfig gwCfg =
-        cluster::GatewayConfig::forFunctions(spec.functions, stats);
-    gwCfg.admission.tokensPerSecond = 0.0;
-    gwCfg.admission.queueCapacity = 2048;
-    gwCfg.admission.maxOutstandingPerNode = 96;
-    gwCfg.admission.invoke.maxAttempts = 2;
-    cluster::ClusterGateway gateway(fleet, gwCfg);
-
-    load::OpenLoopGenerator gen(spec);
+    spec.admission.queueCapacity = 2048;
+    spec.admission.maxOutstandingPerNode = 96;
+    spec.admission.invoke.maxAttempts = 2;
+    spec.cost = true;
+    cluster::Scenario scenario(spec);
     const auto t0 = std::chrono::steady_clock::now();
-    sim.spawn(load::drive(sim, gen, gateway));
-    sim.run();
+    scenario.drive();
     const double wall = wallSeconds(t0);
-    const auto summary = stats.summarize(sim.now(), fleet.coreTable());
-    return double(summary.completed) / wall;
+    return double(scenario.result().summary.completed) / wall;
 }
 
 } // namespace
@@ -95,7 +75,7 @@ main()
 
     banner("policy race wall-clock throughput",
            "placement x keep-alive combos on the saturated "
-           "policy_report rung");
+           "cluster_report policy rung");
 
     PerfSnapshot snap("items_per_second");
     sim::Table table("Wall-clock throughput, best of 3 repetitions");

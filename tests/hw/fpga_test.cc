@@ -29,8 +29,11 @@ twoSlotImage()
 }
 
 Task<>
-programIt(FpgaDevice &dev, FpgaImage img, ProgramMode mode, bool retain)
+programIt(FpgaDevice &dev, const FpgaImage &img_in, ProgramMode mode,
+          bool retain)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const FpgaImage img = img_in;
     const molecule::core::Status st =
         co_await dev.program(img, mode, retain);
     EXPECT_TRUE(st.ok());
@@ -94,9 +97,11 @@ TEST(Fpga, EraseTakesSecondsAndDropsImage)
 }
 
 Task<>
-invokeIt(FpgaDevice &dev, std::string fn, SimTime t,
+invokeIt(FpgaDevice &dev, const std::string &fn_in, SimTime t,
          std::vector<SimTime> *done, Simulation &sim)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const std::string fn = fn_in;
     co_await dev.invoke(fn, t);
     done->push_back(sim.now());
 }

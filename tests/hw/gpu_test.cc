@@ -15,15 +15,19 @@ using molecule::sim::Task;
 using namespace molecule::sim::literals;
 
 Task<>
-load(GpuDevice &gpu, std::string fn)
+load(GpuDevice &gpu, const std::string &fn_in)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const std::string fn = fn_in;
     co_await gpu.loadModule(fn);
 }
 
 Task<>
-launchIt(GpuDevice &gpu, std::string fn, SimTime t,
+launchIt(GpuDevice &gpu, const std::string &fn_in, SimTime t,
          std::vector<SimTime> *done, Simulation &sim)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const std::string fn = fn_in;
     co_await gpu.launch(fn, t);
     done->push_back(sim.now());
 }

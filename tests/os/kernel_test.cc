@@ -35,9 +35,11 @@ struct OsFixture : ::testing::Test
 };
 
 Task<>
-spawnIt(LocalOs &os, std::string name, std::uint64_t bytes,
+spawnIt(LocalOs &os, const std::string &name_in, std::uint64_t bytes,
         Process **out)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    std::string name = name_in;
     *out = co_await os.spawnProcess(std::move(name), bytes);
 }
 
@@ -135,16 +137,20 @@ TEST_F(OsFixture, SpawnFailsWhenMemoryExhausted)
 }
 
 Task<>
-fifoWriter(LocalOs &os, std::string name, std::uint64_t bytes)
+fifoWriter(LocalOs &os, const std::string &name_in, std::uint64_t bytes)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const std::string name = name_in;
     FifoMessage msg{bytes, "req"};
     co_await os.findFifo(name)->write(msg);
 }
 
 Task<>
-fifoReader(LocalOs &os, std::string name, SimTime *when,
+fifoReader(LocalOs &os, const std::string &name_in, SimTime *when,
            FifoMessage *out)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const std::string name = name_in;
     *out = co_await os.findFifo(name)->read();
     *when = os.simulation().now();
 }
@@ -205,8 +211,10 @@ TEST_F(OsFixture, FifoNamesAreManaged)
 }
 
 Task<>
-makeContainer(LocalOs &os, std::string id, Container **out)
+makeContainer(LocalOs &os, const std::string &id_in, Container **out)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    std::string id = id_in;
     *out = co_await os.containers().create(std::move(id));
 }
 

@@ -56,14 +56,18 @@ struct RunfFixture : ::testing::Test
 };
 
 Task<>
-createOne(RunfRuntime *r, CreateRequest req, bool *ok)
+createOne(RunfRuntime *r, const CreateRequest &req_in, bool *ok)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const CreateRequest req = req_in;
     *ok = co_await r->create(req);
 }
 
 Task<>
-startOne(RunfRuntime *r, std::string id, bool *ok)
+startOne(RunfRuntime *r, const std::string &id_in, bool *ok)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const std::string id = id_in;
     *ok = co_await r->start(id);
 }
 

@@ -81,15 +81,20 @@ struct ShimFixture : ::testing::Test
 };
 
 Task<>
-initFifo(XpuClient &client, std::string uuid, FdOutcome *out)
+initFifo(XpuClient &client, const std::string &uuid_in, FdOutcome *out)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const std::string uuid = uuid_in;
     FdOutcome r = co_await client.xfifoInit(uuid);
     *out = std::move(r);
 }
 
 Task<>
-connectFifo(XpuClient &client, std::string uuid, FdOutcome *out)
+connectFifo(XpuClient &client, const std::string &uuid_in,
+            FdOutcome *out)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const std::string uuid = uuid_in;
     FdOutcome r = co_await client.xfifoConnect(uuid);
     *out = std::move(r);
 }
@@ -206,9 +211,11 @@ struct NipcResult
 };
 
 Task<>
-nipcWriter(XpuClient &client, std::string uuid, std::uint64_t bytes,
-           NipcResult *out, Simulation &sim)
+nipcWriter(XpuClient &client, const std::string &uuid_in,
+           std::uint64_t bytes, NipcResult *out, Simulation &sim)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const std::string uuid = uuid_in;
     FdOutcome fd = co_await client.xfifoConnect(uuid);
     const XpuFd rawFd = fd.ok() ? fd.value() : XpuFd(-1);
     const SimTime start = sim.now();
@@ -217,8 +224,11 @@ nipcWriter(XpuClient &client, std::string uuid, std::uint64_t bytes,
 }
 
 Task<>
-nipcReader(XpuClient &client, std::string uuid, NipcResult *out)
+nipcReader(XpuClient &client, const std::string &uuid_in,
+           NipcResult *out)
 {
+    // Copy before the first suspension (task.hh rule 1).
+    const std::string uuid = uuid_in;
     FdOutcome fd = co_await client.xfifoInit(uuid);
     ReadOutcome r = co_await client.xfifoRead(fd.value());
     if (r.ok())

@@ -194,6 +194,147 @@ markAmbiguousCallables(const SourceFile &f,
     }
 }
 
+/**
+ * Data-member declarations of the class body @p body (the text between
+ * its braces): depth-0 statements, minus member functions, nested
+ * bodies, static members and aliases.
+ */
+std::vector<std::string>
+memberDecls(const std::string &body)
+{
+    static const std::set<std::string> kNotData{"static", "using",
+                                                "typedef", "friend"};
+    std::vector<std::string> out;
+    std::string cur;
+    bool function = false; // a '(' before any '=' at depth 0
+    bool assigned = false;
+    int paren = 0;
+    int brace = 0;
+    int angle = 0;
+    const auto end = [&] {
+        std::size_t b = 0;
+        while (b < cur.size() && !identChar(cur[b]))
+            ++b;
+        std::size_t e = b;
+        while (e < cur.size() && identChar(cur[e]))
+            ++e;
+        if (!function && e > b && !kNotData.count(cur.substr(b, e - b)))
+            out.push_back(cur);
+        cur.clear();
+        function = assigned = false;
+        angle = 0;
+    };
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        const char c = body[i];
+        if (c == '(') {
+            if (paren++ == 0 && brace == 0 && angle == 0 && !assigned)
+                function = true;
+            continue;
+        }
+        if (c == ')') {
+            --paren;
+            continue;
+        }
+        if (paren > 0)
+            continue;
+        if (c == '{') {
+            ++brace;
+            continue;
+        }
+        if (c == '}') {
+            if (--brace == 0)
+                end();
+            continue;
+        }
+        if (brace > 0)
+            continue;
+        if (c == ';') {
+            end();
+        } else if (c == ':' && body.compare(i, 2, "::") != 0 &&
+                   (i == 0 || body[i - 1] != ':')) {
+            cur.clear(); // an access label (`public:`)
+        } else {
+            if (c == '<')
+                ++angle;
+            else if (c == '>' && angle > 0)
+                --angle;
+            else if (c == '=')
+                assigned = true;
+            cur += c;
+        }
+    }
+    return out;
+}
+
+/** (name, data-member declarations) of every class defined in @p code. */
+void
+collectClasses(
+    const std::string &code,
+    std::vector<std::pair<std::string, std::vector<std::string>>> &out)
+{
+    for (const char *kw : {"struct", "class"}) {
+        for (std::size_t pos : findWord(code, kw)) {
+            std::size_t k = pos + std::strlen(kw);
+            const auto skipSpace = [&] {
+                while (k < code.size() &&
+                       std::isspace(static_cast<unsigned char>(code[k])))
+                    ++k;
+            };
+            skipSpace();
+            const std::size_t b = k;
+            while (k < code.size() && identChar(code[k]))
+                ++k;
+            if (k == b)
+                continue;
+            const std::string name = code.substr(b, k - b);
+            // `enum class E` is no class; skip past a base clause.
+            const std::size_t before = code.rfind("enum", pos);
+            if (before != std::string::npos &&
+                code.find_first_not_of(" \t\n", before + 4) == pos)
+                continue;
+            skipSpace();
+            if (code.compare(k, 5, "final") == 0) {
+                k += 5;
+                skipSpace();
+            }
+            if (k < code.size() && code[k] == ':' &&
+                code.compare(k, 2, "::") != 0)
+                k = code.find_first_of("{;", k);
+            if (k >= code.size() || code[k] != '{')
+                continue;
+            const std::size_t close = matchBracket(code, k);
+            if (close == std::string::npos)
+                continue;
+            out.emplace_back(name,
+                             memberDecls(code.substr(k + 1, close - k - 2)));
+        }
+    }
+}
+
+/** Fill Project::owningTypes, to a fixpoint over nested members. */
+void
+harvestOwningTypes(const std::vector<SourceFile> &files,
+                   std::set<std::string> &out)
+{
+    std::vector<std::pair<std::string, std::vector<std::string>>> classes;
+    for (const auto &f : files)
+        collectClasses(f.code, classes);
+    for (bool grew = true; grew;) {
+        grew = false;
+        for (const auto &[name, members] : classes) {
+            if (out.count(name) != 0)
+                continue;
+            for (const std::string &m : members) {
+                if (ownsByValue(m, out)) {
+                    out.insert(name);
+                    grew = true;
+                    break;
+                }
+            }
+        }
+    }
+}
+
 /** Canonical module layering ranks (DESIGN.md §7). */
 std::map<std::string, int>
 layeringRanks()
@@ -237,6 +378,7 @@ buildProject(const std::vector<SourceFile> &files)
         markAmbiguousCallables(f, p.outcomeCallables, ambiguous);
     for (const auto &name : ambiguous)
         p.outcomeCallables.erase(name);
+    harvestOwningTypes(files, p.owningTypes);
     return p;
 }
 

@@ -74,6 +74,12 @@ struct Project
 
     /** Cross-cutting vocabulary headers exempt from the layering wall. */
     std::set<std::string> exemptHeaders;
+    /**
+     * Names of structs and classes that hold a data member of a std
+     * owning type by value, directly or through another such struct
+     * (see ownsByValue): copying one is not trivial.
+     */
+    std::set<std::string> owningTypes;
 };
 
 /** Emits findings for one prepared file. */

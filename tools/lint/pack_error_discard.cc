@@ -107,7 +107,7 @@ class ErrorDiscardRule final : public Rule
                     ++open;
                 if (open >= code.size() || code[open] != '(')
                     continue;
-                const std::size_t close = matchParen(code, open);
+                const std::size_t close = matchBracket(code, open);
                 if (close == std::string::npos)
                     continue;
                 std::size_t semi = close;

@@ -19,8 +19,17 @@
  *    std::span(local)` where `local` is a function-local container,
  *    or `= make().span()`-style chains through an rvalue.
  *
- * All three scan src/ only: tests drive the simulator synchronously
- * inside one frame, where by-reference captures are legitimate.
+ *  - coroutine-param: a named function returning Task<...> whose body
+ *    is a coroutine and that takes a parameter of a std owning type,
+ *    or of a project type holding one (Project::owningTypes), by
+ *    value. GCC 12 can clobber such a frame copy across suspension;
+ *    task.hh rule 1 takes it by const & and copies it to a named local
+ *    before the first suspension.
+ *
+ * The first three scan src/ only: tests drive the simulator
+ * synchronously inside one frame, where by-reference captures are
+ * legitimate. coroutine-param scans every file, since a test
+ * coroutine's frame is miscompiled just the same.
  */
 
 #include <cctype>
@@ -101,7 +110,7 @@ class RefCaptureEscapeRule final : public Rule
                     ++open;
                 if (open >= code.size() || code[open] != '(')
                     continue;
-                const std::size_t close = matchParen(code, open);
+                const std::size_t close = matchBracket(code, open);
                 if (close == std::string::npos)
                     continue;
                 scanArgs(f, code, open, close, sink, out);
@@ -412,6 +421,130 @@ class ViewOfTemporaryRule final : public Rule
     }
 };
 
+// ---------------------------------------------------------------------
+// coroutine-param
+// ---------------------------------------------------------------------
+
+class CoroutineParamRule final : public Rule
+{
+  public:
+    CoroutineParamRule()
+        : Rule("lifetime", "coroutine-param",
+               "coroutine takes a non-trivially-copyable parameter by "
+               "value")
+    {}
+
+    bool inScope(const std::string &) const override { return true; }
+
+    void
+    run(const Project &project, const SourceFile &f,
+        std::vector<Finding> &out) const override
+    {
+        const std::string &code = f.code;
+        for (std::size_t pos : findWord(code, "Task")) {
+            std::size_t k = pos + 4;
+            skipSpace(code, k);
+            if (k >= code.size() || code[k] != '<')
+                continue;
+            int depth = 0;
+            for (; k < code.size(); ++k) {
+                if (code[k] == '<')
+                    ++depth;
+                else if (code[k] == '>' && --depth == 0)
+                    break;
+                else if (code[k] == ';' || code[k] == '{')
+                    break; // a comparison, not a template
+            }
+            if (k >= code.size() || code[k] != '>')
+                continue;
+            // The name: `Task<> Scope::name (`.
+            std::string name;
+            do {
+                k += name.empty() ? 1 : 2;
+                skipSpace(code, k);
+                const std::size_t b = k;
+                while (k < code.size() && identChar(code[k]))
+                    ++k;
+                name = code.substr(b, k - b);
+            } while (!name.empty() && code.compare(k, 2, "::") == 0);
+            skipSpace(code, k);
+            if (name.empty() || k >= code.size() || code[k] != '(')
+                continue;
+            const std::size_t close = matchBracket(code, k);
+            if (close == std::string::npos ||
+                !coroutineBodyAt(code, close))
+                continue;
+            checkParams(f, project, name, k + 1, close - 1, out);
+        }
+    }
+
+  private:
+    static void
+    skipSpace(const std::string &code, std::size_t &k)
+    {
+        while (k < code.size() &&
+               std::isspace(static_cast<unsigned char>(code[k])))
+            ++k;
+    }
+
+    /** Is the declarator ending at @p k followed by a coroutine body? */
+    static bool
+    coroutineBodyAt(const std::string &code, std::size_t k)
+    {
+        for (;;) {
+            skipSpace(code, k);
+            const std::size_t b = k;
+            while (k < code.size() && identChar(code[k]))
+                ++k;
+            if (k == b)
+                break; // past const / noexcept / override
+        }
+        if (k >= code.size() || code[k] != '{')
+            return false;
+        const std::size_t end = matchBracket(code, k);
+        const std::string body = code.substr(k, end - k);
+        for (const char *kw : {"co_await", "co_return", "co_yield"})
+            if (!findWord(body, kw).empty())
+                return true;
+        return false;
+    }
+
+    /** Flag the by-value owning parameters in [@p begin, @p end). */
+    void
+    checkParams(const SourceFile &f, const Project &project,
+                const std::string &fn, std::size_t begin,
+                std::size_t end, std::vector<Finding> &out) const
+    {
+        const std::string &code = f.code;
+        int depth = 0;
+        std::size_t start = begin;
+        for (std::size_t i = begin; i <= end; ++i) {
+            const char c = i < end ? code[i] : ',';
+            if (c == '(' || c == '<' || c == '{' || c == '[')
+                ++depth;
+            else if (c == ')' || c == '>' || c == '}' || c == ']')
+                --depth;
+            if (c != ',' || depth != 0)
+                continue;
+            std::string param = code.substr(start, i - start);
+            param = param.substr(0, param.find('='));
+            if (ownsByValue(param, project.owningTypes)) {
+                const std::size_t b = param.find_first_not_of(" \t\n");
+                const std::size_t e = param.find_last_not_of(" \t\n");
+                emit(f, start + b,
+                     "coroutine '" + fn + "' takes '" +
+                         param.substr(b, e - b + 1) +
+                         "' by value: GCC 12 can clobber the frame "
+                         "copy; take it by const & and copy it to a "
+                         "named local before the first suspension "
+                         "(task.hh rule 1)",
+                     out);
+            }
+            start = i + 1;
+        }
+    }
+};
+
 } // namespace
 
 void
@@ -420,6 +553,7 @@ registerLifetime(Registry &registry)
     registry.add(std::make_unique<RefCaptureEscapeRule>());
     registry.add(std::make_unique<ArenaEscapeRule>());
     registry.add(std::make_unique<ViewOfTemporaryRule>());
+    registry.add(std::make_unique<CoroutineParamRule>());
 }
 
 } // namespace molecule::lint

@@ -27,7 +27,8 @@ void registerSimPurity(Registry &registry);
  * to schedule/spawn), arena-escape (sim::Arena / obs::SpanBuffer
  * pointers used across reset()/clear()/dropOldest — the copy-out-
  * before-reset rule of DESIGN.md §4d), view-of-temporary (spans /
- * data() bound to a temporary's storage).
+ * data() bound to a temporary's storage), coroutine-param (a Task
+ * coroutine taking an owning type by value, task.hh rule 1).
  */
 void registerLifetime(Registry &registry);
 

@@ -247,6 +247,48 @@ fixtures()
                        "}\n"),
                    {}});
 
+    // The FpgaImage-by-value coroutine of an older fpga_test.cc: the
+    // image's std::vector makes the frame copy non-trivial.
+    out.push_back({"lifetime", "owning struct by value into coroutine",
+                   one("tests/hw/fpga_test.cc",
+                       "struct FpgaImage {\n"
+                       "    std::string name;\n"
+                       "    std::vector<FpgaSlot> slots;\n"
+                       "    FpgaResources totalResources() const;\n"
+                       "};\n"
+                       "Task<>\n"
+                       "programIt(FpgaDevice &dev, FpgaImage img, "
+                       "ProgramMode mode, bool retain)\n"
+                       "{\n"
+                       "    const molecule::core::Status st =\n"
+                       "        co_await dev.program(img, mode, "
+                       "retain);\n"
+                       "    EXPECT_TRUE(st.ok());\n"
+                       "}\n"),
+                   {"coroutine-param"}});
+    out.push_back({"lifetime", "std::string by value into coroutine",
+                   one("src/xpu/client.cc",
+                       "sim::Task<core::Status>\n"
+                       "XpuClient::init(const std::string uuid) {\n"
+                       "    co_await enterCall();\n"
+                       "    co_return core::Status();\n"
+                       "}\n"),
+                   {"coroutine-param"}});
+    out.push_back({"lifetime", "const & and trivially copyable ok",
+                   one("tests/hw/fpga_test.cc",
+                       "struct FpgaImage { std::vector<FpgaSlot> slots; };\n"
+                       "struct Slot { int luts; SimTime t; "
+                       "std::string name() const; };\n"
+                       "Task<> programIt(FpgaDevice &dev, "
+                       "const FpgaImage &img_in, Slot slot, int *out)\n"
+                       "{\n"
+                       "    const FpgaImage img = img_in;\n"
+                       "    co_await dev.program(img, slot);\n"
+                       "}\n"
+                       "Task<> declared(std::string fn);\n"
+                       "Task<> leaf(std::string fn) { return run(fn); }\n"),
+                   {}});
+
     // -----------------------------------------------------------------
     // error-discard
     // -----------------------------------------------------------------

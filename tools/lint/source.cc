@@ -225,18 +225,72 @@ firstTemplateArg(const std::string &code, std::size_t open)
 }
 
 std::size_t
-matchParen(const std::string &code, std::size_t open)
+matchBracket(const std::string &code, std::size_t open)
 {
+    const char opener = code[open];
+    const char closer = opener == '{' ? '}' : ')';
     int depth = 0;
     for (std::size_t i = open; i < code.size(); ++i) {
-        if (code[i] == '(') {
+        if (code[i] == opener) {
             ++depth;
-        } else if (code[i] == ')') {
+        } else if (code[i] == closer) {
             if (--depth == 0)
                 return i + 1;
         }
     }
     return std::string::npos;
+}
+
+bool
+ownsByValue(const std::string &decl, const std::set<std::string> &owners)
+{
+    static const std::set<std::string> kStdOwning{
+        "string",   "vector",   "map",        "deque",
+        "optional", "function", "shared_ptr", "unique_ptr"};
+    static const std::set<std::string> kQualifiers{
+        "const", "volatile", "mutable", "struct", "class", "typename"};
+    // Template arguments do not matter (a vector of pointers owns).
+    std::string flat;
+    int depth = 0;
+    for (const char c : decl) {
+        if (c == '<')
+            ++depth;
+        else if (c == '>' && depth > 0)
+            --depth;
+        else if (depth == 0)
+            flat += c;
+    }
+    if (flat.find_first_of("&*") != std::string::npos)
+        return false;
+    // The leading qualified type name, after cv and elaborated
+    // keywords: `const std::string name` -> {std, string}.
+    std::vector<std::string> chain;
+    std::size_t i = 0;
+    for (;;) {
+        while (i < flat.size() &&
+               std::isspace(static_cast<unsigned char>(flat[i])))
+            ++i;
+        const std::size_t b = i;
+        while (i < flat.size() && identChar(flat[i]))
+            ++i;
+        if (i == b)
+            break;
+        const std::string word = flat.substr(b, i - b);
+        if (chain.empty() && kQualifiers.count(word) != 0)
+            continue;
+        chain.push_back(word);
+        while (i < flat.size() &&
+               std::isspace(static_cast<unsigned char>(flat[i])))
+            ++i;
+        if (flat.compare(i, 2, "::") != 0)
+            break;
+        i += 2;
+    }
+    if (chain.empty())
+        return false;
+    if (chain.size() == 2 && chain[0] == "std")
+        return kStdOwning.count(chain[1]) != 0;
+    return owners.count(chain.back()) != 0;
 }
 
 std::vector<Function>

@@ -91,10 +91,20 @@ std::vector<std::size_t> findWord(const std::string &code,
 std::string firstTemplateArg(const std::string &code, std::size_t open);
 
 /**
- * Offset just past the ')' matching the '(' at @p open; npos when the
- * list never closes.
+ * Offset just past the ')' or '}' matching the '(' or '{' at @p open;
+ * npos when it never closes.
  */
-std::size_t matchParen(const std::string &code, std::size_t open);
+std::size_t matchBracket(const std::string &code, std::size_t open);
+
+/**
+ * Whether the declaration @p decl (a parameter or data member, its
+ * name optional) holds a value of a std owning type (string, vector,
+ * map, deque, optional, function, shared_ptr, unique_ptr) or of one
+ * of the project types in @p owners. Pointers and references own
+ * nothing.
+ */
+bool ownsByValue(const std::string &decl,
+                 const std::set<std::string> &owners);
 
 /** A brace-matched function (or lambda) body. */
 struct Function
