@@ -270,11 +270,7 @@ DagEngine::plan(const ChainSpec &spec, const std::vector<int> &placement,
 std::vector<DagEngine::Endpoint>
 DagEngine::takeEndpoints(std::size_t n)
 {
-    std::vector<Endpoint> eps;
-    if (!spareEndpoints_.empty()) {
-        eps = std::move(spareEndpoints_.back());
-        spareEndpoints_.pop_back();
-    }
+    std::vector<Endpoint> eps = spareEndpoints_.take();
     // Never shrunk: a shorter chain leaves the tail's buffers alone.
     if (eps.size() < n)
         eps.resize(n);
@@ -390,7 +386,7 @@ DagEngine::run(const ChainPlan &plan, DagCommMode mode, bool prewarm,
     // The entry-edge process dies with the chain (no sim time).
     if (run.gatewayProc != nullptr)
         dep_.osOn(managerPu).exitProcess(*run.gatewayProc);
-    spareEndpoints_.push_back(std::move(eps));
+    spareEndpoints_.put(std::move(eps));
     co_return record;
 }
 

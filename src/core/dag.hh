@@ -27,6 +27,7 @@
 
 #include "core/startup.hh"
 #include "obs/records.hh"
+#include "sim/spares.hh"
 
 namespace molecule::core {
 
@@ -159,9 +160,9 @@ class DagEngine
     std::unordered_multimap<std::uint64_t, std::unique_ptr<ChainPlan>>
         plans_;
     std::uint64_t nextUuid_ = 0;
-    /** Endpoint arrays of finished runs, reused by later ones so a
-     * run's names and fd tables keep their buffers. */
-    std::vector<std::vector<Endpoint>> spareEndpoints_;
+    /** Endpoint arrays of finished runs: names and fd tables keep
+     * their buffers. */
+    sim::Spares<std::vector<Endpoint>> spareEndpoints_;
 };
 
 } // namespace molecule::core

@@ -29,16 +29,10 @@ ContainerManager::startCost()
 Container &
 ContainerManager::add(std::string_view id)
 {
-    std::unique_ptr<Container> c;
-    if (spare_.empty()) {
-        c = std::make_unique<Container>(std::string(id), nextSeq_);
-    } else {
-        c = std::move(spare_.back());
-        spare_.pop_back();
-        c->id_.assign(id);
-        c->seq_ = nextSeq_;
-    }
-    ++nextSeq_;
+    std::unique_ptr<Container> c = spare_.take();
+    if (c == nullptr)
+        c = std::make_unique<Container>();
+    c->id_.assign(id);
     c->state_ = ContainerState::Running;
     containers_.push_back(std::move(c));
     return *containers_.back();
@@ -61,7 +55,7 @@ ContainerManager::settle(Container &container, Process &proc)
     if (!container.retired_)
         container.procs_.push_back(&proc);
     else if (container.holds_ == 0)
-        bury(container);
+        graveyard_.release(container);
 }
 
 sim::Simulation::DelayAwaiter
@@ -109,14 +103,14 @@ ContainerManager::reap(Container &container)
         --container.holds_;
     if (container.retired_) {
         if (container.holds_ == 0)
-            bury(container);
+            graveyard_.release(container);
         return;
     }
     container.state_ = ContainerState::Stopped;
     container.procs_.clear();
     for (auto it = containers_.begin(); it != containers_.end(); ++it) {
         if (it->get() == &container) {
-            spare_.push_back(std::move(*it));
+            spare_.put(std::move(*it));
             containers_.erase(it);
             break;
         }
@@ -134,19 +128,8 @@ ContainerManager::retire(Container &container)
     for (auto it = containers_.begin(); it != containers_.end(); ++it) {
         if (it->get() == &container) {
             if (container.holds_ > 0)
-                graveyard_.push_back(std::move(*it));
+                graveyard_.bury(std::move(*it));
             containers_.erase(it);
-            return;
-        }
-    }
-}
-
-void
-ContainerManager::bury(Container &container)
-{
-    for (auto it = graveyard_.begin(); it != graveyard_.end(); ++it) {
-        if (it->get() == &container) {
-            graveyard_.erase(it);
             return;
         }
     }

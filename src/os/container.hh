@@ -22,6 +22,7 @@
 
 #include "obs/trace.hh"
 #include "os/process.hh"
+#include "sim/spares.hh"
 #include "sim/sync.hh"
 
 namespace molecule::os {
@@ -41,10 +42,6 @@ enum class ContainerState { Created, Running, Stopped };
 class Container
 {
   public:
-    Container(std::string id, std::uint64_t seq)
-        : id_(std::move(id)), seq_(seq)
-    {}
-
     const std::string &id() const { return id_; }
 
     ContainerState state() const { return state_; }
@@ -55,7 +52,6 @@ class Container
     friend class ContainerManager;
 
     std::string id_;
-    std::uint64_t seq_;
     ContainerState state_ = ContainerState::Created;
     std::vector<Process *> procs_;
     /** In-flight attaches and deletes that touch the record again. */
@@ -143,20 +139,16 @@ class ContainerManager
     Container *find(const std::string &id);
 
   private:
-    /** Free a retired record nothing holds any more. */
-    void bury(Container &container);
-
     LocalOs &os_;
     CpusetMode cpusetMode_ = CpusetMode::StockSemaphore;
     /** The kernel's global cpuset update lock. */
     sim::Semaphore cpusetLock_;
     /** Live containers in creation order. */
     std::vector<std::unique_ptr<Container>> containers_;
-    /** Records of deleted containers, reused by add(). */
-    std::vector<std::unique_ptr<Container>> spare_;
+    /** Records of deleted containers. */
+    sim::Spares<std::unique_ptr<Container>> spare_;
     /** Retired records an in-flight attach or delete still holds. */
-    std::vector<std::unique_ptr<Container>> graveyard_;
-    std::uint64_t nextSeq_ = 0;
+    sim::Graveyard<Container> graveyard_;
 };
 
 } // namespace molecule::os

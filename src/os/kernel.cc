@@ -63,7 +63,7 @@ LocalOs::finishSpawn(std::string_view name, std::uint64_t privateBytes)
         label_.assign(name);
         label_ += "/image";
         if (!proc->addressSpace().mapPrivate(label_, privateBytes)) {
-            spareProcs_.push_back(std::move(proc));
+            spareProcs_.put(std::move(proc));
             return nullptr; // admission failure
         }
     }
@@ -101,11 +101,10 @@ LocalOs::finishFork(Process &parent, std::string_view childName)
 std::unique_ptr<Process>
 LocalOs::takeRecord()
 {
-    if (spareProcs_.empty())
-        return std::make_unique<Process>(*this, 0, std::string(),
+    std::unique_ptr<Process> proc = spareProcs_.take();
+    if (proc == nullptr)
+        proc = std::make_unique<Process>(*this, 0, std::string(),
                                          makeAddressSpace());
-    std::unique_ptr<Process> proc = std::move(spareProcs_.back());
-    spareProcs_.pop_back();
     return proc;
 }
 
@@ -133,7 +132,7 @@ LocalOs::exitProcess(Process &proc)
     proc.addressSpace().clear();
     const auto it = lowerBound(proc.pid());
     if (it != procs_.end() && it->proc.get() == &proc) {
-        spareProcs_.push_back(std::move(it->proc));
+        spareProcs_.put(std::move(it->proc));
         procs_.erase(it);
     }
 }
@@ -151,19 +150,15 @@ LocalOs::createFifo(const std::string &name)
 {
     if (fifos_.count(name))
         sim::fatal("FIFO '%s' already exists", name.c_str());
-    if (spareFifos_.empty()) {
-        auto fifo = std::make_unique<LocalFifo>(*this, name);
-        LocalFifo *raw = fifo.get();
-        fifos_[name] = std::move(fifo);
-        return raw;
-    }
-    Fifos::node_type node = std::move(spareFifos_.back());
-    spareFifos_.pop_back();
-    node.key() = name;
-    LocalFifo *raw = node.mapped().get();
-    raw->name_ = name;
-    fifos_.insert(std::move(node));
-    return raw;
+    auto init = [&](std::unique_ptr<LocalFifo> &fifo)
+        -> const std::string & {
+        if (fifo == nullptr)
+            fifo = std::make_unique<LocalFifo>(*this, name);
+        else
+            fifo->name_ = name;
+        return name;
+    };
+    return spareFifos_.insertInto(fifos_, init).first->second.get();
 }
 
 LocalFifo *
@@ -180,7 +175,7 @@ LocalOs::removeFifo(const std::string &name)
     // Only an idle FIFO is reused; one still holding messages or
     // readers goes with its name.
     if (!node.empty() && node.mapped()->idle())
-        spareFifos_.push_back(std::move(node));
+        spareFifos_.put(std::move(node));
 }
 
 void
@@ -189,7 +184,7 @@ LocalOs::crashReset()
     for (LiveProc &live : procs_) {
         live.proc->state_ = ProcState::Zombie;
         live.proc->addressSpace().clear();
-        deadProcs_.push_back(std::move(live.proc));
+        deadProcs_.bury(std::move(live.proc));
     }
     procs_.clear();
     // Poison blocked readers, then retire the FIFOs to the graveyard:
@@ -197,7 +192,7 @@ LocalOs::crashReset()
     // later this tick, so the objects must outlive the crash instant.
     for (auto &[name, fifo] : fifos_) {
         fifo->poison("!fault:pu-crash");
-        deadFifos_.push_back(std::move(fifo));
+        deadFifos_.bury(std::move(fifo));
     }
     fifos_.clear();
 }

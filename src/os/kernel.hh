@@ -24,6 +24,7 @@
 #include "os/fifo.hh"
 #include "os/process.hh"
 #include "sim/analysis.hh"
+#include "sim/spares.hh"
 
 namespace molecule::os {
 
@@ -159,25 +160,25 @@ class LocalOs
     hw::ProcessingUnit &pu_;
     /** Shared by every address space of this OS; declared first so it
      * outlives the processes. */
-    RegionPool regions_;
+    sim::SpareRecords<MemRegion> regions_;
     ContainerManager containers_;
     /** Live processes in pid order (pids only grow, so a new one goes
      * last). */
     std::vector<LiveProc> procs_;
-    /** Records of exited processes, reused by later spawns and forks. */
-    std::vector<std::unique_ptr<Process>> spareProcs_;
-    /** Records of the processes a crash reaped; kept (never reused) so
-     * that a pointer held across the crash still reads a zombie. */
-    std::vector<std::unique_ptr<Process>> deadProcs_;
+    /** Records of exited processes. */
+    sim::Spares<std::unique_ptr<Process>> spareProcs_;
+    /** Records of the processes a crash reaped: a pointer held across
+     * the crash still reads a zombie. */
+    sim::Graveyard<Process> deadProcs_;
     /** Scratch for spawn region labels. */
     std::string label_;
     using Fifos = std::map<std::string, std::unique_ptr<LocalFifo>>;
     Fifos fifos_;
-    /** Removed idle FIFOs with their map nodes, for createFifo. */
-    std::vector<Fifos::node_type> spareFifos_;
-    /** FIFOs retired by crashReset(); kept alive (not reachable by
-     * name) because poisoned readers still resume against them. */
-    std::vector<std::unique_ptr<LocalFifo>> deadFifos_;
+    /** Removed idle FIFOs with their map nodes. */
+    sim::Spares<Fifos::node_type> spareFifos_;
+    /** FIFOs crashReset() poisoned: their readers still resume
+     * against them. */
+    sim::Graveyard<LocalFifo> deadFifos_;
     /** Pid allocation order is visible in results (tracked: two
      * same-tick spawns would race on it via the seq tie-break). */
     sim::analysis::Tracked<Pid> nextPid_{100, "os.nextPid"};

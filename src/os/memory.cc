@@ -6,17 +6,6 @@
 
 namespace molecule::os {
 
-MemRegionPtr
-RegionPool::take(std::string_view label, std::uint64_t bytes)
-{
-    MemRegionPtr region = spare_.take();
-    if (region == nullptr)
-        return std::make_shared<MemRegion>(label, bytes);
-    region->label_.assign(label);
-    region->bytes_ = bytes;
-    return region;
-}
-
 bool
 AddressSpace::chargePhysical(std::int64_t delta)
 {
@@ -30,7 +19,9 @@ AddressSpace::mapPrivate(std::string_view label, std::uint64_t bytes)
 {
     if (!chargePhysical(std::int64_t(bytes)))
         return nullptr;
-    MemRegionPtr region = pool_->take(label, bytes);
+    MemRegionPtr region = pool_->take();
+    region->label_.assign(label);
+    region->bytes_ = bytes;
     region->sharers_ = 1;
     mappings_.push_back(Mapping{region, 0});
     return region;
@@ -57,7 +48,7 @@ AddressSpace::unmap(const MemRegionPtr &region)
     --region->sharers_;
     if (region->sharers_ == 0) {
         chargePhysical(-std::int64_t(region->bytes()));
-        pool_->retire(region);
+        pool_->put(region);
     }
     mappings_.erase(it);
 }

@@ -48,10 +48,6 @@ namespace molecule::os {
 class MemRegion
 {
   public:
-    MemRegion(std::string_view label, std::uint64_t bytes)
-        : label_(label), bytes_(bytes)
-    {}
-
     const std::string &label() const { return label_; }
 
     std::uint64_t bytes() const { return bytes_; }
@@ -60,37 +56,13 @@ class MemRegion
 
   private:
     friend class AddressSpace;
-    friend class RegionPool;
 
     std::string label_;
-    std::uint64_t bytes_;
+    std::uint64_t bytes_ = 0;
     int sharers_ = 0;
 };
 
 using MemRegionPtr = std::shared_ptr<MemRegion>;
-
-/**
- * Region records whose last mapping went away, reused (record and
- * label buffer) by later mapPrivate calls of the address spaces that
- * share the pool, under sim::SpareRecords' rule: only once nobody
- * else holds them.
- */
-class RegionPool
-{
-  public:
-    /** A record for a new private region: a retired one when one is
-     * free, else a new one. */
-    MemRegionPtr take(std::string_view label, std::uint64_t bytes);
-
-    /** @p region lost its last mapping. */
-    void retire(MemRegionPtr region) { spare_.put(std::move(region)); }
-
-    /** Retired records kept for reuse. */
-    std::size_t spareCount() const { return spare_.size(); }
-
-  private:
-    sim::SpareRecords<MemRegion> spare_;
-};
 
 /**
  * Per-process view of memory: a set of region mappings, each with a
@@ -103,9 +75,10 @@ class AddressSpace
      *  the last mapping goes away. Set by LocalOs to charge the PU. */
     using PhysicalHook = std::function<bool(std::int64_t)>;
 
-    /** @p pool recycles the region records; it must outlive this
-     * address space. @p hook may be empty (no physical charge). */
-    AddressSpace(PhysicalHook hook, RegionPool &pool)
+    /** @p pool keeps the records of regions whose last mapping went,
+     * for mapPrivate; it must outlive this address space. @p hook may
+     * be empty (no physical charge). */
+    AddressSpace(PhysicalHook hook, sim::SpareRecords<MemRegion> &pool)
         : hook_(std::move(hook)), pool_(&pool)
     {}
 
@@ -174,7 +147,7 @@ class AddressSpace
     bool chargePhysical(std::int64_t delta);
 
     PhysicalHook hook_;
-    RegionPool *pool_;
+    sim::SpareRecords<MemRegion> *pool_;
     std::vector<Mapping> mappings_;
 };
 

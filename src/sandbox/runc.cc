@@ -103,28 +103,21 @@ RuncRuntime::create(const CreateRequest &req)
 Instance *
 RuncRuntime::addInstance(std::string_view id, const FunctionImage &image)
 {
-    Instance *inst = nullptr;
-    if (spareRows_.empty()) {
-        auto fresh = std::make_unique<Instance>();
-        fresh->id.assign(id);
-        inst = fresh.get();
-        if (!instances_.emplace(inst->id, std::move(fresh)).second)
-            return nullptr;
-    } else {
-        Rows::node_type row = std::move(spareRows_.back());
-        spareRows_.pop_back();
-        inst = row.mapped().get();
-        std::string keep = std::move(inst->id); // and its buffer
-        *inst = Instance{};
-        inst->id = std::move(keep);
-        inst->id.assign(id);
-        row.key() = inst->id;
-        auto placed = instances_.insert(std::move(row));
-        if (!placed.inserted) {
-            spareRows_.push_back(std::move(placed.node));
-            return nullptr;
+    auto init = [id](std::unique_ptr<Instance> &inst) {
+        if (inst == nullptr) {
+            inst = std::make_unique<Instance>();
+        } else {
+            std::string keep = std::move(inst->id); // and its buffer
+            *inst = Instance{};
+            inst->id = std::move(keep);
         }
-    }
+        inst->id.assign(id);
+        return std::string_view(inst->id);
+    };
+    const auto [row, added] = spareRows_.insertInto(instances_, init);
+    if (!added)
+        return nullptr;
+    Instance *inst = row->second.get();
     inst->funcId = image.funcId;
     inst->image = &image;
     inst->state = SandboxState::Creating;
@@ -453,7 +446,7 @@ RuncRuntime::eraseInstance(Instance &inst)
     if (inst.dead)
         instances_.erase(it);
     else
-        spareRows_.push_back(instances_.extract(it));
+        spareRows_.put(instances_.extract(it));
 }
 
 Instance *

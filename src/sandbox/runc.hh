@@ -39,6 +39,7 @@
 #include "core/status.hh"
 #include "os/kernel.hh"
 #include "sandbox/oci.hh"
+#include "sim/spares.hh"
 
 namespace molecule::sandbox {
 
@@ -305,8 +306,8 @@ class RuncRuntime : public VectorizedSandboxRuntime
      * paths iterate it, and they schedule nothing, so the hash order
      * never reaches the event queue. */
     Rows instances_;
-    /** Rows of destroyed instances, node and record, for reuse. */
-    std::vector<Rows::node_type> spareRows_;
+    /** Rows of destroyed instances, node and record. */
+    sim::Spares<Rows::node_type> spareRows_;
     /** Scratch for region labels. */
     std::string label_;
     std::uint64_t nextId_ = 0;

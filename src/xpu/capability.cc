@@ -69,12 +69,9 @@ CapabilityStore::objectRow(ObjId id)
     auto it = objects_.find(id);
     if (it != objects_.end())
         return it->second;
-    if (spareObjects_.empty())
-        return objects_[id];
-    ObjectTable::node_type node = std::move(spareObjects_.back());
-    spareObjects_.pop_back();
-    node.key() = id;
-    return objects_.insert(std::move(node)).position->second;
+    return spareObjects_
+        .insertInto(objects_, [id](ObjectEntry &) { return id; })
+        .first->second;
 }
 
 void
@@ -83,7 +80,7 @@ CapabilityStore::eraseObjectRow(ObjectTable::iterator it)
     ObjectTable::node_type node = objects_.extract(it);
     node.mapped().desc.reset();
     node.mapped().holders.clear();
-    spareObjects_.push_back(std::move(node));
+    spareObjects_.put(std::move(node));
 }
 
 void
@@ -93,13 +90,13 @@ CapabilityStore::eraseUuidRow(UuidTable::iterator it)
     // The key views keyOwner's uuid: blank both together.
     node.key() = std::string_view();
     node.mapped().keyOwner.reset();
-    spareUuids_.push_back(std::move(node));
+    spareUuids_.put(std::move(node));
 }
 
 void
 CapabilityStore::eraseGroup(GroupTable::iterator it)
 {
-    spareGroups_.push_back(groups_.extract(it));
+    spareGroups_.put(groups_.extract(it));
 }
 
 void
@@ -120,15 +117,12 @@ CapabilityStore::registerObject(ObjectRef obj)
         // stays until that uuid is removed, as in the plain model.
         if (auto u = byUuid_.find(uuid); u != byUuid_.end()) {
             u->second.id = id;
-        } else if (spareUuids_.empty()) {
-            byUuid_.emplace(uuid, UuidEntry{id, obj});
         } else {
-            UuidTable::node_type node = std::move(spareUuids_.back());
-            spareUuids_.pop_back();
-            node.key() = uuid;
-            node.mapped().id = id;
-            node.mapped().keyOwner = obj;
-            byUuid_.insert(std::move(node));
+            spareUuids_.insertInto(byUuid_, [&](UuidEntry &row) {
+                row.id = id;
+                row.keyOwner = obj;
+                return uuid;
+            });
         }
     }
     ObjectEntry &row = objectRow(id);
@@ -174,15 +168,13 @@ CapabilityStore::applyGrant(XpuPid pid, ObjId obj, Perm perm)
     const std::uint64_t key = pid.encode();
     auto g = groups_.find(key);
     if (g == groups_.end()) {
-        if (spareGroups_.empty()) {
-            g = groups_.try_emplace(key, pid).first;
-        } else {
-            GroupTable::node_type node = std::move(spareGroups_.back());
-            spareGroups_.pop_back();
-            node.key() = key;
-            node.mapped().reuseFor(pid);
-            g = groups_.insert(std::move(node)).position;
-        }
+        g = spareGroups_
+                .insertInto(groups_,
+                            [pid, key](CapGroup &group) {
+                                group.reuseFor(pid);
+                                return key;
+                            })
+                .first;
     }
     if (g->second.add(obj, perm))
         objectRow(obj).holders.push_back(key);

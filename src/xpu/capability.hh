@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/analysis.hh"
+#include "sim/spares.hh"
 #include "xpu/types.hh"
 
 namespace molecule::xpu {
@@ -202,12 +203,11 @@ class CapabilityStore
     GroupTable groups_; // XpuPid::encode()
     /** Rows with a descriptor. */
     std::size_t registered_ = 0;
-    /** Nodes of erased rows, reused by the next insertion so a
-     * steady register/grant/remove cycle allocates nothing. Their
-     * values are already cleared: no descriptor is kept alive. */
-    std::vector<ObjectTable::node_type> spareObjects_;
-    std::vector<UuidTable::node_type> spareUuids_;
-    std::vector<GroupTable::node_type> spareGroups_;
+    /** Nodes of erased rows, values cleared: no descriptor is kept
+     * alive. */
+    sim::Spares<ObjectTable::node_type> spareObjects_;
+    sim::Spares<UuidTable::node_type> spareUuids_;
+    sim::Spares<GroupTable::node_type> spareGroups_;
     /** Groups a revoke left empty. They stay until the next
      * removeObject, which drops every empty group. */
     std::vector<std::uint64_t> emptied_;

@@ -180,7 +180,7 @@ XpuClient::xfifoInit(const std::string &globalUuid)
 {
     // The new object's descriptor doubles as the named copy of the
     // uuid taken before the first suspension (task.hh, rule 1).
-    XpuShim::Descriptor obj = shim_.takeDescriptor();
+    XpuShim::Descriptor obj = shim_.retiredObjects_.take();
     obj->uuid.assign(globalUuid);
     obs::Span span(ctx_, "xpu.xfifoInit", obs::Layer::Xpu, shim_.puId());
     co_await enterCall(32 + obj->uuid.size());
@@ -190,7 +190,7 @@ XpuClient::xfifoInit(const std::string &globalUuid)
         core::Error taken(core::Errc::AlreadyExists,
                           "fifo uuid '" + obj->uuid + "' taken",
                           shim_.puId());
-        shim_.giveBackDescriptor(std::move(obj));
+        shim_.retiredObjects_.put(std::move(obj));
         co_await leaveCall(16);
         co_return taken;
     }

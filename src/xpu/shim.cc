@@ -139,13 +139,8 @@ XpuShim::flushLazy()
     if (lazyQueue_.empty())
         co_return;
     lazyEpoch_.fetchAdd(1);
-    // Flushes may overlap, so each takes its batch vector from a
-    // spare list and hands it back: no capacity is ever dropped.
-    std::vector<SyncMessage> batch;
-    if (!spareBatches_.empty()) {
-        batch = std::move(spareBatches_.back());
-        spareBatches_.pop_back();
-    }
+    // Flushes may overlap, so each borrows its own batch vector.
+    std::vector<SyncMessage> batch = spareBatches_.take();
     batch.swap(lazyQueue_);
     std::uint64_t bytes = 0;
     for (const auto &m : batch)
@@ -167,41 +162,20 @@ XpuShim::flushLazy()
         }
     }
     batch.clear();
-    spareBatches_.push_back(std::move(batch));
-}
-
-XpuShim::Descriptor
-XpuShim::takeDescriptor()
-{
-    Descriptor desc = retiredObjects_.take();
-    if (desc == nullptr)
-        return std::make_shared<DistributedObject>();
-    return desc;
-}
-
-void
-XpuShim::giveBackDescriptor(Descriptor desc)
-{
-    retiredObjects_.put(std::move(desc));
+    spareBatches_.put(std::move(batch));
 }
 
 void
 XpuShim::openHomed(Descriptor desc)
 {
     const ObjId obj = desc->id;
-    if (spareHomed_.empty()) {
-        HomedFifo &homed = queues_[obj];
-        homed.queue = std::make_unique<Queue>(os_.simulation());
+    spareHomed_.insertInto(queues_, [&](HomedFifo &homed) {
+        if (homed.queue == nullptr)
+            homed.queue = std::make_unique<Queue>(os_.simulation());
         homed.refCount = 1;
         homed.desc = std::move(desc);
-        return;
-    }
-    HomedQueues::node_type node = std::move(spareHomed_.back());
-    spareHomed_.pop_back();
-    node.key() = obj;
-    node.mapped().refCount = 1;
-    node.mapped().desc = std::move(desc);
-    queues_.insert(std::move(node));
+        return obj;
+    });
 }
 
 void
@@ -213,7 +187,7 @@ XpuShim::closeHomed(ObjId obj)
     // readers goes, as its FIFO does.
     const Queue &queue = *node.mapped().queue;
     if (queue.empty() && queue.waitingGetters() == 0)
-        spareHomed_.push_back(std::move(node));
+        spareHomed_.put(std::move(node));
 }
 
 XpuShim::HomedFifo *
@@ -253,7 +227,7 @@ XpuShim::crashLocal()
         const std::size_t waiting = queue->waitingGetters();
         for (std::size_t i = 0; i < waiting; ++i)
             queue->tryPut(os::FifoMessage{0, "!fault:pu-crash"});
-        deadQueues_.push_back(std::move(queue));
+        deadQueues_.bury(std::move(queue));
     }
     queues_.clear();
     lazyQueue_.clear();

@@ -215,13 +215,6 @@ class XpuShim
     /** @name The home side of an XPU-FIFO */
     ///@{
 
-    /** A descriptor for a new fifo: a retired one that no replica or
-     * message holds any more, else a new one. */
-    Descriptor takeDescriptor();
-
-    /** Hand back a descriptor no replica has seen (a failed init). */
-    void giveBackDescriptor(Descriptor desc);
-
     HomedFifo *findHomed(ObjId obj);
 
     /** Home a new fifo's queue here, reusing a closed one's. */
@@ -253,22 +246,19 @@ class XpuShim
     using HomedQueues = std::unordered_map<ObjId, HomedFifo>;
     /** Never iterated in hash order: crashLocal sorts the ids first. */
     HomedQueues queues_;
-    /** Closed fifos' table nodes and empty queues, kept for reuse so
-     * a steady stream of short-lived fifos allocates nothing. */
-    std::vector<HomedQueues::node_type> spareHomed_;
-    /** Descriptors of closed fifos. Replicas drop theirs as the lazy
-     * removals flush, in close order, so the oldest come free first.
-     * A crash drops its pending removals, and the peers then hold
-     * those descriptors for good: the list skips them until later
-     * closes push them out. */
+    /** Closed fifos' table nodes with their idle queues. */
+    sim::Spares<HomedQueues::node_type> spareHomed_;
+    /** Descriptors of closed fifos, and of failed inits no replica
+     * saw. Replicas drop theirs as the lazy removals flush; a crash
+     * drops its pending removals, and the peers then hold those
+     * descriptors for good. */
     sim::SpareRecords<DistributedObject> retiredObjects_;
-    /** Poisoned queues retired at crash: suspended getters woken by
-     * the poison still touch the mailbox when they resume, so it must
-     * outlive the crash instant. */
-    std::vector<std::unique_ptr<Queue>> deadQueues_;
+    /** Queues poisoned at crash: the woken getters still touch them
+     * when they resume. */
+    sim::Graveyard<Queue> deadQueues_;
     std::vector<SyncMessage> lazyQueue_;
-    /** Drained batch vectors, capacity kept for the next flush. */
-    std::vector<std::vector<SyncMessage>> spareBatches_;
+    /** Drained batch vectors: overlapping flushes each borrow one. */
+    sim::Spares<std::vector<SyncMessage>> spareBatches_;
     /** Tracked: a same-tick enqueue/flush pair changes which batch a
      * lazy update rides in, decided only by the event tie-break. */
     sim::analysis::Tracked<std::uint64_t> lazyEpoch_{0, "xpu.lazyQueue"};

@@ -8,7 +8,7 @@
  * g_allocCount, and those above the frame pool's largest size class,
  * as an outgrown coroutine frame makes, into g_bigAllocCount as well.
  * Nothing is replaced under ASan, whose own operator new checks
- * new/delete pairing; the tests skip there.
+ * new/delete pairing; the tests skip their budget checks there.
  */
 
 #ifndef MOLECULE_TESTS_CORE_COUNT_NEW_HH

@@ -7,8 +7,9 @@
  * FramePool, placement builds its view inline, and the stats index
  * densely. A frame that outgrows the pool's largest size class falls
  * back to operator new once per request and fails the budget. Every
- * operator new in this binary is counted; the test skips under ASan,
- * whose own operator new checks new/delete pairing.
+ * operator new in this binary is counted. Under ASan, whose own
+ * operator new checks new/delete pairing, the path runs and is
+ * checked, and only the budget is skipped.
  */
 
 #include <gtest/gtest.h>
@@ -40,9 +41,6 @@ trace(std::uint64_t seed, double seconds)
 
 TEST(WarmAllocations, SteadyWarmRequestsStayWithinBudget)
 {
-#if defined(__SANITIZE_ADDRESS__)
-    GTEST_SKIP() << "ASan replaces operator new; nothing to count";
-#endif
     sim::Simulation sim(7);
     cluster::FleetSpec spec;
     spec.nodes = 1;
@@ -79,6 +77,10 @@ TEST(WarmAllocations, SteadyWarmRequestsStayWithinBudget)
     ASSERT_GT(hits, 2000);
     EXPECT_EQ(startup.coldStarts(), coldBefore);
     EXPECT_TRUE(gateway.idle());
+#if defined(__SANITIZE_ADDRESS__)
+    GTEST_SKIP() << "ASan replaces operator new: the path ran, nothing "
+                    "was counted";
+#endif
     const double perRequest = double(allocs) / double(hits);
     std::printf("global allocations per warm request: %.3f\n",
                 perRequest);

@@ -9,11 +9,12 @@ namespace {
 using molecule::os::AddressSpace;
 using molecule::os::MemRegion;
 using molecule::os::MemRegionPtr;
-using molecule::os::RegionPool;
+/** The records of unmapped regions, shared by address spaces. */
+using Regions = molecule::sim::SpareRecords<MemRegion>;
 
 TEST(Memory, PrivateMappingCountsFullyEverywhere)
 {
-    RegionPool pool;
+    Regions pool;
     AddressSpace as{{}, pool};
     as.mapPrivate("heap", 1000);
     EXPECT_EQ(as.rss(), 1000u);
@@ -23,7 +24,7 @@ TEST(Memory, PrivateMappingCountsFullyEverywhere)
 
 TEST(Memory, SharedMappingSplitsPss)
 {
-    RegionPool pool;
+    Regions pool;
     AddressSpace a{{}, pool}, b{{}, pool};
     auto region = a.mapPrivate("runtime", 1000);
     b.mapShared(region);
@@ -36,7 +37,7 @@ TEST(Memory, SharedMappingSplitsPss)
 
 TEST(Memory, ForkSharesEverything)
 {
-    RegionPool pool;
+    Regions pool;
     AddressSpace parent{{}, pool}, child{{}, pool};
     parent.mapPrivate("runtime", 800);
     parent.mapPrivate("heap", 200);
@@ -48,7 +49,7 @@ TEST(Memory, ForkSharesEverything)
 
 TEST(Memory, CowTouchMovesBytesPrivate)
 {
-    RegionPool pool;
+    Regions pool;
     AddressSpace parent{{}, pool}, child{{}, pool};
     auto region = parent.mapPrivate("runtime", 1000);
     parent.forkInto(child);
@@ -65,7 +66,7 @@ TEST(Memory, CowTouchMovesBytesPrivate)
 
 TEST(Memory, CowTouchIsCappedAtRegionSize)
 {
-    RegionPool pool;
+    Regions pool;
     AddressSpace a{{}, pool}, b{{}, pool};
     auto region = a.mapPrivate("r", 100);
     a.forkInto(b);
@@ -81,7 +82,7 @@ TEST(Memory, UnmapReleasesAndLastUnmapFreesPhysical)
         physical += d;
         return true;
     };
-    RegionPool pool;
+    Regions pool;
     AddressSpace a{hook, pool}, b{hook, pool};
     auto region = a.mapPrivate("r", 1000);
     EXPECT_EQ(physical, 1000);
@@ -105,7 +106,7 @@ TEST(Memory, AdmissionFailureIsReported)
         physical += d;
         return true;
     };
-    RegionPool pool;
+    Regions pool;
     AddressSpace a{hook, pool};
     EXPECT_NE(a.mapPrivate("one", 1000), nullptr);
     EXPECT_EQ(a.mapPrivate("two", 1000), nullptr);
@@ -124,7 +125,7 @@ TEST(Memory, ClearUnmapsEverything)
         physical += d;
         return true;
     };
-    RegionPool pool;
+    Regions pool;
     AddressSpace a{hook, pool};
     a.mapPrivate("x", 100);
     a.mapPrivate("y", 200);
@@ -136,7 +137,7 @@ TEST(Memory, ClearUnmapsEverything)
 
 TEST(Memory, FindRegionByLabel)
 {
-    RegionPool pool;
+    Regions pool;
     AddressSpace a{{}, pool};
     a.mapPrivate("runtime", 100);
     EXPECT_NE(a.findRegion("runtime"), nullptr);
@@ -154,7 +155,7 @@ TEST(Memory, PssSumApproximatesPhysicalAcrossSharers)
         physical += d;
         return true;
     };
-    RegionPool pool;
+    Regions pool;
     AddressSpace t{hook, pool};
     t.mapPrivate("runtime", 5000);
     t.mapPrivate("tmpl", 1500);
@@ -185,11 +186,11 @@ TEST(Memory, RegionPoolReusesARetiredRecordWithItsNewLabel)
         physical += d;
         return true;
     };
-    RegionPool pool;
+    Regions pool;
     AddressSpace a{hook, pool};
     MemRegion *first = a.mapPrivate("fn-with-a-long-name/heap", 4096).get();
     a.clear();
-    EXPECT_EQ(pool.spareCount(), 1u);
+    EXPECT_EQ(pool.size(), 1u);
     EXPECT_EQ(physical, 0);
 
     AddressSpace b{hook, pool};
@@ -201,16 +202,16 @@ TEST(Memory, RegionPoolReusesARetiredRecordWithItsNewLabel)
     EXPECT_EQ(physical, 100);
     EXPECT_EQ(b.rss(), 100u);
     EXPECT_EQ(b.findRegion("fn-with-a-long-name/heap"), nullptr);
-    EXPECT_EQ(pool.spareCount(), 0u);
+    EXPECT_EQ(pool.size(), 0u);
 }
 
 TEST(Memory, RegionPoolNeverReusesARecordSomeoneStillHolds)
 {
-    RegionPool pool;
+    Regions pool;
     AddressSpace a{{}, pool};
     MemRegionPtr kept = a.mapPrivate("runtime", 1000);
     a.unmap(kept);
-    EXPECT_EQ(pool.spareCount(), 1u);
+    EXPECT_EQ(pool.size(), 1u);
 
     MemRegionPtr fresh = a.mapPrivate("heap", 10);
     EXPECT_NE(fresh.get(), kept.get());

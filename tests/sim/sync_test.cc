@@ -1,5 +1,5 @@
 /** @file Unit tests for SimEvent, Semaphore, Mailbox, the Ring
- * behind them and the SpareRecords reuse list built on it. */
+ * behind them and the three record-reuse lists of sim/spares.hh. */
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,8 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -432,9 +434,10 @@ TEST(Ring, IndexAndEraseMatchADequeAcrossWraps)
 TEST(SpareRecords, TakesTheOldestFreeRecordAndSkipsHeldOnes)
 {
     molecule::sim::SpareRecords<int> spares;
-    EXPECT_EQ(spares.take(), nullptr);
+    EXPECT_EQ(*spares.take(), 0); // nothing kept: a new record
     auto held = std::make_shared<int>(1);
     auto keep = held; // an outside holder
+    int *heldAt = held.get();
     auto older = std::make_shared<int>(2);
     auto newer = std::make_shared<int>(3);
     int *olderAt = older.get();
@@ -445,10 +448,10 @@ TEST(SpareRecords, TakesTheOldestFreeRecordAndSkipsHeldOnes)
     // The held record stays put; the free ones come out oldest first.
     EXPECT_EQ(spares.take().get(), olderAt);
     EXPECT_EQ(spares.take().get(), newerAt);
-    EXPECT_EQ(spares.take(), nullptr);
+    EXPECT_NE(spares.take().get(), heldAt);
     EXPECT_EQ(spares.size(), 1u);
     keep.reset();
-    EXPECT_NE(spares.take(), nullptr);
+    EXPECT_EQ(spares.take().get(), heldAt);
     EXPECT_EQ(spares.size(), 0u);
 }
 
@@ -462,12 +465,139 @@ TEST(SpareRecords, RecordsHeldForGoodArePushedOutAtCapacity)
         spares.put(holders.back());
         EXPECT_LE(spares.size(), Spares::kCapacity);
     }
-    EXPECT_EQ(spares.take(), nullptr);
+    // Every kept record is held: take() makes a new one.
+    EXPECT_EQ(spares.take().use_count(), 1);
+    EXPECT_EQ(spares.size(), Spares::kCapacity);
     // Free records put after them are still reused.
     auto free = std::make_shared<int>(-1);
     int *freeAt = free.get();
     spares.put(std::move(free));
     EXPECT_EQ(spares.take().get(), freeAt);
+}
+
+/** xorshift64, the op source of the reference-model tests. */
+struct OpSource
+{
+    std::uint64_t x = 88172645463325252ULL;
+
+    std::uint64_t
+    operator()()
+    {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    }
+};
+
+TEST(Spares, TakesTheLastPutAndNeverHandsAValueOutTwice)
+{
+    molecule::sim::Spares<std::unique_ptr<int>> spares;
+    std::vector<int *> ref; // the list, top last
+    std::vector<std::unique_ptr<int>> out;
+    OpSource next;
+    int made = 0;
+    for (int step = 0; step < 5000; ++step) {
+        const std::uint64_t op = next() % 3;
+        if (op == 0) {
+            out.push_back(std::make_unique<int>(made++));
+        } else if (op == 1 && !out.empty()) {
+            const std::size_t i = std::size_t(next() % out.size());
+            ref.push_back(out[i].get());
+            spares.put(std::move(out[i]));
+            out.erase(out.begin() + std::ptrdiff_t(i));
+        } else {
+            std::unique_ptr<int> got = spares.take();
+            if (ref.empty()) {
+                ASSERT_EQ(got, nullptr) << "step " << step;
+                continue;
+            }
+            ASSERT_EQ(got.get(), ref.back()) << "step " << step;
+            ref.pop_back();
+            for (const auto &o : out)
+                ASSERT_NE(o.get(), got.get()) << "step " << step;
+            out.push_back(std::move(got));
+        }
+        ASSERT_EQ(spares.size(), ref.size());
+    }
+}
+
+TEST(Spares, MapInsertThroughSpareNodesMatchesAPlainMap)
+{
+    // Rows keyed by a view of their own name, as the instance table
+    // is: the key is right only if it is set after the init.
+    struct Row
+    {
+        std::string name;
+        int value = 0;
+    };
+    using Rows = std::unordered_map<std::string_view, std::unique_ptr<Row>>;
+    Rows rows;
+    molecule::sim::Spares<Rows::node_type> spares;
+    std::unordered_map<std::string, int> ref;
+    std::size_t spareCount = 0;
+    OpSource next;
+    for (int step = 0; step < 20000; ++step) {
+        const std::string key = "row-with-a-long-name-" +
+                                std::to_string(next() % 64);
+        if (next() % 2 == 0) {
+            const auto [it, added] = spares.insertInto(
+                rows, [&](std::unique_ptr<Row> &row) {
+                    if (row == nullptr)
+                        row = std::make_unique<Row>();
+                    row->name = key;
+                    row->value = step;
+                    return std::string_view(row->name);
+                });
+            const bool refAdded = ref.try_emplace(key, step).second;
+            ASSERT_EQ(added, refAdded) << "step " << step;
+            ASSERT_EQ(it->first, key);
+            ASSERT_EQ(it->first.data(), it->second->name.data());
+            if (added && spareCount > 0)
+                --spareCount;
+        } else if (auto it = rows.find(key); it != rows.end()) {
+            spares.put(rows.extract(it));
+            ref.erase(key);
+            ++spareCount;
+        }
+        ASSERT_EQ(spares.size(), spareCount) << "step " << step;
+        ASSERT_EQ(rows.size(), ref.size()) << "step " << step;
+        for (const auto &[name, value] : ref) {
+            const auto it = rows.find(name);
+            ASSERT_NE(it, rows.end()) << "step " << step;
+            ASSERT_EQ(it->second->name, name);
+            ASSERT_EQ(it->second->value, value) << "step " << step;
+        }
+    }
+}
+
+template <typename G>
+concept HandsRecordsBack = requires(G g) { g.take(); };
+
+TEST(Graveyard, KeepsBuriedRecordsReadableUntilReleased)
+{
+    static_assert(!HandsRecordsBack<molecule::sim::Graveyard<int>>);
+    molecule::sim::Graveyard<std::string> graveyard;
+    std::vector<const std::string *> buried;
+    for (int i = 0; i < 3; ++i) {
+        auto record = std::make_unique<std::string>(
+            "a buried record too long for the inline buffer " +
+            std::to_string(i));
+        buried.push_back(record.get());
+        graveyard.bury(std::move(record));
+    }
+    EXPECT_EQ(graveyard.size(), 3u);
+    const std::string stranger = "not buried";
+    graveyard.release(stranger);
+    EXPECT_EQ(graveyard.size(), 3u);
+    // Only the named record goes; the others stay readable.
+    graveyard.release(*buried[1]);
+    EXPECT_EQ(graveyard.size(), 2u);
+    EXPECT_EQ(buried[0]->back(), '0');
+    EXPECT_EQ(buried[2]->back(), '2');
+    graveyard.release(*buried[0]);
+    graveyard.release(*buried[2]);
+    EXPECT_EQ(graveyard.size(), 0u);
 }
 
 } // namespace

@@ -28,7 +28,9 @@ void registerSimPurity(Registry &registry);
  * pointers used across reset()/clear()/dropOldest — the copy-out-
  * before-reset rule of DESIGN.md §4d), view-of-temporary (spans /
  * data() bound to a temporary's storage), coroutine-param (a Task
- * coroutine taking an owning type by value, task.hh rule 1).
+ * coroutine taking an owning type by value, task.hh rule 1),
+ * hand-rolled-spares (a reuse list kept in a plain std::vector
+ * outside sim/spares.hh).
  */
 void registerLifetime(Registry &registry);
 

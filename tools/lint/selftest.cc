@@ -289,6 +289,38 @@ fixtures()
                        "Task<> leaf(std::string fn) { return run(fn); }\n"),
                    {}});
 
+    out.push_back({"lifetime", "hand-rolled spare and dead lists",
+                   one("src/os/kernel.hh",
+                       "class LocalOs {\n"
+                       "    std::vector<Fifos::node_type> fifoNodes_;\n"
+                       "    std::vector<std::unique_ptr<Process>> "
+                       "spareProcs_;\n"
+                       "    std::vector<std::unique_ptr<LocalFifo>> "
+                       "deadFifos_;\n"
+                       "    std::vector<std::unique_ptr<C>> graveyard_;\n"
+                       "};\n"
+                       "void f() { std::vector<Rows::node_type> n; }\n"),
+                   {"hand-rolled-spares", "hand-rolled-spares",
+                    "hand-rolled-spares", "hand-rolled-spares",
+                    "hand-rolled-spares"}});
+    out.push_back({"lifetime", "sim/spares.hh types and look-alikes ok",
+                   one("src/os/kernel.hh",
+                       "class LocalOs {\n"
+                       "    sim::Spares<Fifos::node_type> spareFifos_;\n"
+                       "    sim::Graveyard<Process> deadProcs_;\n"
+                       "    std::vector<SimTime> deadlines_;\n"
+                       "    std::vector<int> spareIds() const;\n"
+                       "    double spareNormal_ = 0.0;\n"
+                       "};\n"
+                       "void f() { std::vector<int> spare; }\n"),
+                   {}});
+    out.push_back({"lifetime", "sim/spares.hh itself is the home",
+                   one("src/sim/spares.hh",
+                       "template <typename T> class Graveyard {\n"
+                       "    std::vector<std::unique_ptr<T>> dead_;\n"
+                       "};\n"),
+                   {}});
+
     // -----------------------------------------------------------------
     // error-discard
     // -----------------------------------------------------------------
