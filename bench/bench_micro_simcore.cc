@@ -8,8 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <new>
 #include <string>
 #include <vector>
@@ -107,6 +110,9 @@ pingPong(sim::Simulation &sim, int hops)
         co_await sim.delay(1_us);
 }
 
+// A lone coroutine: every delay after the first (made inside spawn)
+// wakes before any other event and runs ahead, so this times the
+// run-ahead check and an in-place resume, not a queue round trip.
 void
 BM_CoroutineDelayChain(benchmark::State &state)
 {
@@ -114,10 +120,30 @@ BM_CoroutineDelayChain(benchmark::State &state)
         sim::Simulation sim;
         sim.spawn(pingPong(sim, 1000));
         sim.run();
+        if (sim.delaysInPlace() != 999)
+            state.SkipWithError("the lone chain did not run ahead");
     }
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_CoroutineDelayChain);
+
+// Two coroutines in lockstep: each wake-up lands on the other's older
+// event at the same instant, so none runs ahead and every delay pays
+// the schedule, pop and resume of a queue round trip.
+void
+BM_CoroutineDelayChainContended(benchmark::State &state)
+{
+    for (auto _ : state) {
+        sim::Simulation sim;
+        sim.spawn(pingPong(sim, 500));
+        sim.spawn(pingPong(sim, 500));
+        sim.run();
+        if (sim.delaysInPlace() != 0)
+            state.SkipWithError("a contended delay ran ahead");
+    }
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_CoroutineDelayChainContended);
 
 sim::Task<>
 producer(sim::Mailbox<int> &box, int n)
@@ -317,6 +343,21 @@ BM_LocalFifoRoundTrip(benchmark::State &state)
 }
 BENCHMARK(BM_LocalFifoRoundTrip);
 
+/** The host CPU's model name, as /proc/cpuinfo gives it. */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            return colon == std::string::npos ? line
+                                              : line.substr(colon + 2);
+        }
+    return "unknown";
+}
+
 /**
  * Console reporter that additionally captures items/sec into a
  * PerfSnapshot so every run leaves a BENCH_simcore.json next to the
@@ -369,6 +410,9 @@ main(int argc, char **argv)
         return 1;
 
     molecule::bench::PerfSnapshot snap("items_per_second");
+    snap.machine({cpuModel(),
+                  unsigned(sysconf(_SC_NPROCESSORS_ONLN)),
+                  MOLECULE_BENCH_COMPILER, MOLECULE_BENCH_BUILD_TYPE});
     // Baselines document what each perf PR was judged against:
     // seed kernel (tombstone priority_queue + std::function) for the
     // first two, the pre-timer-wheel slab kernel for the rest.

@@ -110,6 +110,20 @@ class PerfSnapshot
         return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
     }
 
+    /** The machine a snapshot was taken on; its numbers mean little
+     * on another. */
+    struct Machine
+    {
+        std::string cpu;
+        unsigned nproc = 0;
+        std::string compiler;
+        std::string buildType;
+    };
+
+    /** Record the machine: written as a "machine" object ahead of
+     * the results (perf_check reads only the results). */
+    void machine(Machine m) { machine_ = std::move(m); }
+
     /** Write the snapshot as JSON. @retval false open/write failed. */
     bool
     writeJson(const std::string &path) const
@@ -117,8 +131,16 @@ class PerfSnapshot
         std::FILE *f = std::fopen(path.c_str(), "w");
         if (f == nullptr)
             return false;
-        std::fprintf(f, "{\n  \"metric\": \"%s\",\n  \"results\": {",
-                     metric_.c_str());
+        std::fprintf(f, "{\n  \"metric\": \"%s\",", metric_.c_str());
+        if (machine_.nproc > 0) {
+            std::fprintf(f,
+                         "\n  \"machine\": {\"cpu\": \"%s\", \"nproc\": %u, "
+                         "\"compiler\": \"%s\", \"build_type\": \"%s\"},",
+                         machine_.cpu.c_str(), machine_.nproc,
+                         machine_.compiler.c_str(),
+                         machine_.buildType.c_str());
+        }
+        std::fprintf(f, "\n  \"results\": {");
         const char *sep = "\n";
         for (const auto &e : entries_) {
             std::fprintf(f, "%s    \"%s\": {\n      \"value\": %.1f",
@@ -181,6 +203,7 @@ class PerfSnapshot
 
     std::string metric_;
     std::vector<Entry> entries_;
+    Machine machine_;
 };
 
 } // namespace molecule::bench

@@ -125,10 +125,10 @@ class RuncRuntime : public VectorizedSandboxRuntime
       public:
         bool await_ready() const noexcept { return !ok_; }
 
-        void
+        [[nodiscard]] bool
         await_suspend(std::coroutine_handle<> h) const
         {
-            syscall_.await_suspend(h);
+            return syscall_.await_suspend(h);
         }
 
         bool
@@ -158,10 +158,10 @@ class RuncRuntime : public VectorizedSandboxRuntime
       public:
         bool await_ready() const noexcept { return container_ == nullptr; }
 
-        void
+        [[nodiscard]] bool
         await_suspend(std::coroutine_handle<> h) const
         {
-            delete_.await_suspend(h);
+            return delete_.await_suspend(h);
         }
 
         void

@@ -243,17 +243,19 @@ EventQueue::seqOfEvent(EventId id) const
     return slotAt(slot).seq;
 }
 
-std::pair<SimTime, InlineCallback>
-EventQueue::popNext()
+bool
+EventQueue::takeHead(std::int64_t until, Node &top)
 {
-    MOLECULE_ASSERT(live_ > 0, "popNext() on empty event queue");
     settle();
-    Node top;
-    if (runPos_ < run_.size() &&
-        (heap_.empty() || before(run_[runPos_], heap_.front()))) {
-        top = run_[runPos_++];
+    const bool fromRun =
+        runPos_ < run_.size() &&
+        (heap_.empty() || before(run_[runPos_], heap_.front()));
+    top = fromRun ? run_[runPos_] : heap_.front();
+    if (top.when > until)
+        return false;
+    if (fromRun) {
+        ++runPos_;
     } else {
-        top = heap_.front();
         const Node last = heap_.back();
         heap_.pop_back();
         if (!heap_.empty()) {
@@ -262,32 +264,13 @@ EventQueue::popNext()
         }
         skipStale();
     }
-    InlineCallback fn = std::move(slotAt(top.slot).fn);
-    releaseSlot(top.slot);
     --live_;
-    return {SimTime(top.when), std::move(fn)};
+    return true;
 }
 
 void
-EventQueue::fireNext()
+EventQueue::fire(const Node &top)
 {
-    MOLECULE_ASSERT(live_ > 0, "fireNext() on empty event queue");
-    settle();
-    Node top;
-    if (runPos_ < run_.size() &&
-        (heap_.empty() || before(run_[runPos_], heap_.front()))) {
-        top = run_[runPos_++];
-    } else {
-        top = heap_.front();
-        const Node last = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty()) {
-            heap_.front() = last;
-            siftDown(0);
-        }
-        skipStale();
-    }
-    --live_;
     // The event is out of the queue; invalidate its id (a callback
     // cancelling the event that is firing must get `false`), run the
     // callback from its slot, and only then recycle the slot, so a
@@ -300,40 +283,38 @@ EventQueue::fireNext()
     freeSlot(top.slot);
 }
 
+std::pair<SimTime, InlineCallback>
+EventQueue::popNext()
+{
+    MOLECULE_ASSERT(live_ > 0, "popNext() on empty event queue");
+    Node top;
+    takeHead(kNoDeadline, top);
+    InlineCallback fn = std::move(slotAt(top.slot).fn);
+    releaseSlot(top.slot);
+    return {SimTime(top.when), std::move(fn)};
+}
+
+void
+EventQueue::fireNext()
+{
+    MOLECULE_ASSERT(live_ > 0, "fireNext() on empty event queue");
+    Node top;
+    takeHead(kNoDeadline, top);
+    fire(top);
+}
+
 std::size_t
 EventQueue::drain(SimTime &clock, SimTime deadline,
                   std::size_t maxEvents)
 {
     std::size_t fired = 0;
-    while (fired < maxEvents && live_ > 0) {
-        settle();
-        Node top;
-        const bool fromRun =
-            runPos_ < run_.size() &&
-            (heap_.empty() || before(run_[runPos_], heap_.front()));
-        top = fromRun ? run_[runPos_] : heap_.front();
-        if (top.when > deadline.raw())
-            break;
-        if (fromRun) {
-            ++runPos_;
-        } else {
-            const Node last = heap_.back();
-            heap_.pop_back();
-            if (!heap_.empty()) {
-                heap_.front() = last;
-                siftDown(0);
-            }
-            skipStale();
-        }
-        --live_;
+    Node top;
+    while (fired < maxEvents && live_ > 0 &&
+           takeHead(deadline.raw(), top)) {
         // The clock must advance before the callback runs so resumed
         // coroutines observe the firing time.
         clock = SimTime(top.when);
-        Slot &s = slotAt(top.slot);
-        invalidateSlot(s);
-        s.fn();
-        s.fn.reset();
-        freeSlot(top.slot);
+        fire(top);
         ++fired;
     }
     return fired;

@@ -11,6 +11,7 @@
 #define MOLECULE_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -150,6 +151,36 @@ class EventQueue
     std::uint64_t seqOfEvent(EventId id) const;
 
     /**
+     * True when an event scheduled now for @p when would be the next
+     * one popped: @p when is strictly earlier than every live event.
+     * Settles only when the wheel's hint() cannot decide. Inline: a
+     * delay that is queued pays for this check on top of schedule().
+     */
+    bool
+    precedesAll(SimTime when)
+    {
+        const std::int64_t t = when.raw();
+        if (!wheel_.empty() && t >= wheel_.hint()) {
+            settle(); // the hint is too loose to rule the wheel out
+        } else {
+            while (runPos_ < run_.size() && stale(run_[runPos_]))
+                ++runPos_;
+        }
+        // Both heads are live now. Strict <: an equal-time event holds
+        // a smaller sequence number.
+        return (runPos_ == run_.size() || t < run_[runPos_].when) &&
+               (heap_.empty() || t < heap_.front().when);
+    }
+
+    /**
+     * Consume one sequence number without queueing anything: the
+     * stand-in for an event that precedesAll() said would fire next
+     * and that the caller ran at once. Later events are numbered as
+     * if it had been scheduled and popped.
+     */
+    void skipSeq() { ++nextSeq_; }
+
+    /**
      * Pop the next live event without running it, so the driver can
      * advance the clock to the event's timestamp before executing the
      * callback (coroutines resumed by the callback must observe the
@@ -273,6 +304,22 @@ class EventQueue
 
     /** Earlier of live run head / heap head; null when both empty. */
     const Node *minHead() const;
+
+    static constexpr std::int64_t kNoDeadline =
+        std::numeric_limits<std::int64_t>::max();
+
+    /**
+     * The one pop: settle, then take the earlier of run head and heap
+     * head into @p top and drop the stale heap nodes behind it —
+     * unless it is due after @p until. Queue must not be empty.
+     * @retval false the head is due after @p until; nothing taken.
+     * Inline (defined in event_queue.cc, its only user): the hot
+     * loops must not pay a call per event.
+     */
+    inline bool takeHead(std::int64_t until, Node &top);
+
+    /** Run a taken event's callback in its slot, then free the slot. */
+    inline void fire(const Node &top);
 
     void siftUp(std::size_t pos);
     void siftDown(std::size_t pos);

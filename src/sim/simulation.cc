@@ -26,6 +26,7 @@ Simulation::run()
         return now_;
     }
     const SimTime forever(std::numeric_limits<std::int64_t>::max());
+    const RunAheadScope runAhead(*this, forever);
     while (events_.drain(now_, forever, kDrainChunk) > 0) {
     }
     return now_;
@@ -41,7 +42,10 @@ Simulation::runUntil(SimTime deadline)
             now_ = deadline;
         return now_;
     }
-    while (events_.drain(now_, deadline, kDrainChunk) > 0) {
+    {
+        const RunAheadScope runAhead(*this, deadline);
+        while (events_.drain(now_, deadline, kDrainChunk) > 0) {
+        }
     }
     if (now_ < deadline)
         now_ = deadline;
@@ -53,6 +57,8 @@ Simulation::step()
 {
     if (events_.empty())
         return false;
+    // One call, one queue event: nothing the event resumes runs ahead.
+    const RunAheadScope noRunAhead(*this, kNoRunAhead);
     // Advance the clock *before* running the callback so resumed
     // coroutines observe the firing time.
     now_ = events_.nextTime();
@@ -67,6 +73,28 @@ Simulation::step()
         return true;
     }
     events_.fireNext();
+    return true;
+}
+
+bool
+Simulation::suspendDelay(std::coroutine_handle<> h, SimTime amount)
+{
+    ++delaySuspensions_;
+    const SimTime wake = now_ + amount;
+    // Strictly earlier than every pending event, the wake-up would be
+    // the next event the drain loop pops, and the coroutine the loop
+    // resumed has nothing left to run behind it: resume in place.
+    if (wake <= runAheadLimit_ && inlineStarts_ == 0 && !log_ &&
+        events_.precedesAll(wake)) {
+        events_.skipSeq();
+        now_ = wake;
+        ++delaysInPlace_;
+        return false;
+    }
+    // The handle is stored directly in the event slot: no closure, no
+    // allocation.
+    events_.schedule(wake, h);
+    noteScheduled();
     return true;
 }
 

@@ -4,14 +4,27 @@
  *
  * A Simulation owns the virtual clock and the pending-event set, spawns
  * root coroutine tasks and provides the fundamental awaitable (delay).
- * All coroutine resumptions are funnelled through the event queue so
- * same-instant wakeups fire in a deterministic order.
+ * Coroutine resumptions are funnelled through the event queue so
+ * same-instant wakeups fire in a deterministic (time, sequence) order.
+ *
+ * One exception keeps that order and skips the queue: run-ahead. A
+ * delay whose wake time is strictly earlier than every pending event
+ * would be the very next event popped, so it resumes in place — the
+ * clock advances and the coroutine continues without a schedule, pop
+ * and resume. It does so only when the run()/runUntil() drain loop
+ * resumed the coroutine directly (no inline task start is under way
+ * that has work of its own left at the current instant, no step(), no
+ * conflict tracking) and the wake time is within the run's deadline.
+ * It consumes the event's sequence number, so every later event is
+ * numbered, and ordered, exactly as if the delay had been queued.
  */
 
 #ifndef MOLECULE_SIM_SIMULATION_HH
 #define MOLECULE_SIM_SIMULATION_HH
 
 #include <coroutine>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -24,6 +37,8 @@
 #include "sim/time.hh"
 
 namespace molecule::sim {
+
+class Join;
 
 /**
  * Virtual-time executor for coroutine tasks.
@@ -85,7 +100,7 @@ class Simulation
     void
     spawn(Task<> task)
     {
-        task.detachAndStart();
+        startInline(task, nullptr);
     }
 
     /**
@@ -103,13 +118,14 @@ class Simulation
 
         bool await_ready() const noexcept { return false; }
 
-        void
+        /** @retval false the delay ran ahead: resume at once, the
+         * clock already at the wake time. A wrapper must return this
+         * too; dropping it leaves the coroutine suspended with nothing
+         * scheduled to resume it. */
+        [[nodiscard]] bool
         await_suspend(std::coroutine_handle<> h) const
         {
-            // Fast path: the handle is stored directly in the event
-            // slot — no closure, no allocation.
-            sim_->events_.schedule(sim_->now_ + amount_, h);
-            sim_->noteScheduled();
+            return sim_->suspendDelay(h, amount_);
         }
 
         void await_resume() const noexcept {}
@@ -179,6 +195,13 @@ class Simulation
     /** Number of pending events (diagnostics). */
     std::size_t pendingEvents() const { return events_.size(); }
 
+    /** DelayAwaiter suspensions so far, run ahead or queued. */
+    std::uint64_t delaySuspensions() const { return delaySuspensions_; }
+
+    /** Delays resumed in place (run-ahead) so far; divided by
+     * delaySuspensions() it is the in-place share. */
+    std::uint64_t delaysInPlace() const { return delaysInPlace_; }
+
     /** @name Sim-time conflict detector (see sim/analysis.hh) */
     ///@{
 
@@ -201,6 +224,57 @@ class Simulation
     ///@}
 
   private:
+    friend class Join;
+
+    /** Run-ahead limit outside a drain loop: no wake time is at or
+     * below it, so no delay runs ahead. */
+    static constexpr SimTime kNoRunAhead{
+        std::numeric_limits<std::int64_t>::min()};
+
+    /** Sets the run-ahead limit for one drain loop or step() and puts
+     * the enclosing one's back after (run() may nest in a callback). */
+    class RunAheadScope
+    {
+      public:
+        RunAheadScope(Simulation &sim, SimTime limit)
+            : sim_(sim), saved_(sim.runAheadLimit_)
+        {
+            sim.runAheadLimit_ = limit;
+        }
+
+        RunAheadScope(const RunAheadScope &) = delete;
+        RunAheadScope &operator=(const RunAheadScope &) = delete;
+
+        ~RunAheadScope() { sim_.runAheadLimit_ = saved_; }
+
+      private:
+        Simulation &sim_;
+        SimTime saved_;
+    };
+
+    /**
+     * Start @p task inline, up to its first suspension (spawn and
+     * Join::spawn). The starter still has work at this instant, so no
+     * delay may run ahead of it meanwhile.
+     */
+    template <typename T>
+    void
+    startInline(Task<T> &task, detail::DoneSink *sink)
+    {
+        ++inlineStarts_;
+        task.detachAndStart(sink);
+        --inlineStarts_;
+    }
+
+    /**
+     * DelayAwaiter::await_suspend, out of line so each co_await site
+     * grows by a call and a branch only. Runs ahead (advances the
+     * clock, consumes the event's sequence number, returns false)
+     * when the rule in this file's comment allows; otherwise queues
+     * @p h at the wake time and returns true.
+     */
+    bool suspendDelay(std::coroutine_handle<> h, SimTime amount);
+
     /** Tell the detector about the event the queue just accepted. */
     void
     noteScheduled()
@@ -225,6 +299,13 @@ class Simulation
     Rng rng_;
     Arena arena_;
     std::unique_ptr<analysis::AccessLog> log_;
+    /** Latest wake time a delay may run ahead to: the deadline of the
+     * drain loop under way, kNoRunAhead outside one. */
+    SimTime runAheadLimit_ = kNoRunAhead;
+    /** Tasks being started inline right now (startInline nesting). */
+    std::uint32_t inlineStarts_ = 0;
+    std::uint64_t delaySuspensions_ = 0;
+    std::uint64_t delaysInPlace_ = 0;
 };
 
 static_assert(std::is_trivially_copyable_v<Simulation::DelayAwaiter>,

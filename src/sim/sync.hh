@@ -9,7 +9,9 @@
  * Join       - fork/join over child tasks.
  *
  * All wakeups are routed through the Simulation event queue at the
- * current instant, preserving deterministic ordering.
+ * current instant, preserving deterministic ordering. Join starts its
+ * children inline through the Simulation, so no delay runs ahead of
+ * the parent's remaining work (simulation.hh).
  */
 
 #ifndef MOLECULE_SIM_SYNC_HH
@@ -180,10 +182,11 @@ class HeldDelay
 
     bool await_ready() const noexcept { return false; }
 
-    void
+    /** Forwards the delay's run-ahead verdict (false: resume now). */
+    [[nodiscard]] bool
     await_suspend(std::coroutine_handle<> h) const
     {
-        delay_.await_suspend(h);
+        return delay_.await_suspend(h);
     }
 
     void await_resume() const { sem_->release(); }
@@ -442,7 +445,7 @@ class Join final : private detail::DoneSink
     spawn(Task<T> task)
     {
         ++pending_;
-        task.detachAndStart(this);
+        sim_.startInline(task, this);
     }
 
     /** Children still running. */
