@@ -68,7 +68,7 @@ runTrace(const KeepAliveConfig &keepAlive, std::size_t budget)
         for (const auto &ev : *events) {
             if (ev.at > s.now())
                 co_await s.delay(ev.at - s.now());
-            auto rec = co_await m->invoke(ev.fn, 0);
+            auto rec = co_await m->invoke(ev.fn, {.pu = 0});
             hist->addTime(rec.value().startup);
         }
     };

@@ -39,13 +39,16 @@ measure(MoleculeOptions options)
     runtime.start();
 
     Measured out;
-    out.startup = runtime.invokeSync("helloworld", 0).value().startup;
+    out.startup =
+        runtime.runSync(runtime.invoke("helloworld", {.pu = 0}))
+            .value()
+            .startup;
 
     // Image-processing pair: front pulls, second processes (<1 KB).
     auto spec = ChainSpec::linear("img-pair",
                                   {"image-resize", "mr-splitter"});
     std::vector<int> placement{0, 0};
-    auto rec = runtime.invokeChainSync(spec, placement).value();
+    auto rec = runtime.runSync(runtime.invokeChain(spec, placement)).value();
     out.comm = rec.edgeLatencies.at(0);
     return out;
 }

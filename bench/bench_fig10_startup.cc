@@ -35,7 +35,7 @@ startupOn(bool cfork, const std::string &fn, int pu, int managerPu)
     Molecule runtime(*computer, options);
     runtime.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
     runtime.start();
-    return runtime.invokeSync(fn, pu).value().startup;
+    return runtime.runSync(runtime.invoke(fn, {.pu = pu})).value().startup;
 }
 
 /** One FPGA create+start with the given runf options. */

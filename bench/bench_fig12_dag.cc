@@ -50,7 +50,8 @@ edges(DagCommMode mode, const std::vector<int> &placement)
     for (const auto &fn : Catalog::alexaChain())
         runtime.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
     runtime.start();
-    auto rec = runtime.invokeChainSync(alexaSpec(), placement).value();
+    auto rec =
+        runtime.runSync(runtime.invokeChain(alexaSpec(), placement)).value();
     return rec.edgeLatencies;
 }
 

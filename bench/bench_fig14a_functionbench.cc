@@ -47,7 +47,9 @@ coldE2e(bool cfork, DpuGeneration gen, const std::string &fn, int pu)
     Setup s(cfork, gen);
     // Manage from the same PU (the paper boots DPU instances remotely
     // for Molecule; homo runs entirely on one PU).
-    return s.runtime->invokeSync(fn, pu).value().endToEnd;
+    return s.runtime->runSync(s.runtime->invoke(fn, {.pu = pu}))
+        .value()
+        .endToEnd;
 }
 
 /** Warm end-to-end latency: instance pre-created and cached. */
@@ -66,7 +68,7 @@ warmE2e(bool cfork, const std::string &fn, int pu)
     };
     runtime.simulation().spawn(prewarm(&runtime, fn, pu));
     runtime.simulation().run();
-    return runtime.invokeSync(fn, pu).value().endToEnd;
+    return runtime.runSync(runtime.invoke(fn, {.pu = pu})).value().endToEnd;
 }
 
 void

@@ -31,7 +31,9 @@ chainE2e(bool moleculeMode, const std::vector<std::string> &fns,
         runtime.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
     runtime.start();
     auto spec = ChainSpec::linear(fns.front(), fns);
-    return runtime.invokeChainSync(spec, placement).value().endToEnd;
+    return runtime.runSync(runtime.invokeChain(spec, placement))
+        .value()
+        .endToEnd;
 }
 
 } // namespace

@@ -37,8 +37,10 @@ fpgaGzip(std::uint64_t bytes)
     Molecule runtime(*computer, MoleculeOptions{});
     runtime.registerFpgaFunction("fpga-gzip");
     runtime.start();
-    (void)runtime.invokeFpgaSync("fpga-gzip", 0, 1); // warm it up
-    return runtime.invokeFpgaSync("fpga-gzip", 0, bytes).value().execution;
+    (void)runtime.runSync(runtime.invoke("fpga-gzip")); // warm it up
+    return runtime.runSync(runtime.invoke("fpga-gzip", {.units = bytes}))
+        .value()
+        .execution;
 }
 
 } // namespace

@@ -36,8 +36,10 @@ fpgaAml(std::uint64_t entries)
     Molecule runtime(*computer, MoleculeOptions{});
     runtime.registerFpgaFunction("fpga-aml");
     runtime.start();
-    (void)runtime.invokeFpgaSync("fpga-aml", 0, 1);
-    return runtime.invokeFpgaSync("fpga-aml", 0, entries).value().execution;
+    (void)runtime.runSync(runtime.invoke("fpga-aml"));
+    return runtime.runSync(runtime.invoke("fpga-aml", {.units = entries}))
+        .value()
+        .execution;
 }
 
 } // namespace

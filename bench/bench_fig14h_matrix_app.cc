@@ -47,8 +47,8 @@ struct F1Runtime
     sim::SimTime
     warmKernel(const std::string &name)
     {
-        (void)runtime.invokeFpgaSync(name, 0, 1); // warm
-        return runtime.invokeFpgaSync(name, 0, 1).value().execution;
+        (void)runtime.runSync(runtime.invoke(name)); // warm
+        return runtime.runSync(runtime.invoke(name)).value().execution;
     }
 
     sim::SimTime

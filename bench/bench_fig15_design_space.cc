@@ -46,14 +46,20 @@ measure(std::uint64_t seed)
     runtime.start();
 
     Position p;
-    p.startup = runtime.invokeSync("helloworld", 0).value().startup;
+    p.startup = runtime.runSync(runtime.invoke("helloworld", {.pu = 0}))
+                    .value()
+                    .startup;
 
     auto spec = ChainSpec::linear("pair", {"mr-splitter", "mr-mapper"});
     std::vector<int> same{0, 0};
-    p.samePuComm = runtime.invokeChainSync(spec, same).value().edgeLatencies[0];
+    p.samePuComm = runtime.runSync(runtime.invokeChain(spec, same))
+                       .value()
+                       .edgeLatencies[0];
     std::vector<int> cross{0, 1};
     p.crossPuComm =
-        runtime.invokeChainSync(spec, cross).value().edgeLatencies[0];
+        runtime.runSync(runtime.invokeChain(spec, cross))
+            .value()
+            .edgeLatencies[0];
     return p;
 }
 

@@ -48,16 +48,20 @@ main()
     const bool fpgaRunf = dep.runfCount() > 0;
     const bool gpuRung = dep.rungCount() > 0;
     const bool cpuCfork = [&] {
-        auto rec = runtime.invokeSync("helloworld", 0).value();
+        auto rec =
+            runtime.runSync(runtime.invoke("helloworld", {.pu = 0})).value();
         return rec.startup.toMilliseconds() < 30.0; // cfork, not cold
     }();
     const bool dpuCfork = [&] {
-        auto rec = runtime.invokeSync("helloworld", 1).value();
+        auto rec =
+            runtime.runSync(runtime.invoke("helloworld", {.pu = 1})).value();
         return rec.startup.toMilliseconds() < 80.0;
     }();
     const bool fpgaVsCaching = [&] {
-        (void)runtime.invokeFpgaSync("fpga-vmult", 0, 1);
-        return !runtime.invokeFpgaSync("fpga-vmult", 0, 1).value().coldStart;
+        (void)runtime.runSync(runtime.invoke("fpga-vmult"));
+        return !runtime.runSync(runtime.invoke("fpga-vmult"))
+                    .value()
+                    .coldStart;
     }();
 
     Table t("Table 1: abstractions and optimizations per PU");

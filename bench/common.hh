@@ -143,6 +143,11 @@ class PerfSnapshot
         std::fprintf(f, "\n  \"results\": {");
         const char *sep = "\n";
         for (const auto &e : entries_) {
+            // A baseline whose benchmark did not run (a filtered run)
+            // has no value to report; writing 0.0 would read as a
+            // regression.
+            if (e.samples.empty())
+                continue;
             std::fprintf(f, "%s    \"%s\": {\n      \"value\": %.1f",
                          sep, e.name.c_str(), e.value);
             if (e.baseline > 0.0) {

@@ -63,9 +63,7 @@ class RuntimeSink final : public load::ArrivalSink
     sim::Task<>
     serve(std::uint32_t fn)
     {
-        auto rec =
-            co_await runtime_.invoke(functions_.at(fn),
-                                     core::InvokeOptions{});
+        auto rec = co_await runtime_.invoke(functions_.at(fn));
         if (!rec.ok()) {
             ++errors_;
             co_return;

@@ -36,7 +36,9 @@ main()
     for (std::uint64_t bytes : {mib, 10 * mib, 50 * mib, 112 * mib}) {
         const auto &work = runtime.catalog().fpga("fpga-gzip");
         const auto cpuEst = work.cpuTime(bytes);
-        auto rec = runtime.invokeFpgaSync("fpga-gzip", 0, bytes).value();
+        auto rec =
+            runtime.runSync(runtime.invoke("fpga-gzip", {.units = bytes}))
+                .value();
         const bool offload = rec.execution < cpuEst;
         std::printf("%3lluMB      %-12s %-12s %s%s\n",
                     (unsigned long long)(bytes / mib),
@@ -48,7 +50,7 @@ main()
     }
 
     // The sibling kernels were cached by the same image: instant warm.
-    auto madd = runtime.invokeFpgaSync("fpga-madd", 0, 1).value();
+    auto madd = runtime.runSync(runtime.invoke("fpga-madd")).value();
     std::printf("\nfpga-madd piggybacked in the image: cold=%s "
                 "startup=%s exec=%s\n",
                 madd.coldStart ? "yes" : "no",

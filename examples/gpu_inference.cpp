@@ -33,7 +33,7 @@ main()
     std::printf("%-14s %-6s %-12s %-12s %s\n", "function", "cold?",
                 "startup", "exec", "e2e");
     for (const char *fn : {"gnn-gather", "gnn-apply", "embed-lookup"}) {
-        auto rec = runtime.invokeGpuSync(fn, 0).value();
+        auto rec = runtime.runSync(runtime.invoke(fn)).value();
         std::printf("%-14s %-6s %-12s %-12s %s\n", fn,
                     rec.coldStart ? "yes" : "no",
                     rec.startup.toString().c_str(),
@@ -44,7 +44,7 @@ main()
     // Steady state: every module resident, dispatch is launch-only.
     std::printf("\nsteady-state invocations (all warm):\n");
     for (int i = 0; i < 3; ++i) {
-        auto rec = runtime.invokeGpuSync("embed-lookup", 0).value();
+        auto rec = runtime.runSync(runtime.invoke("embed-lookup")).value();
         std::printf("  embed-lookup e2e=%s\n",
                     rec.endToEnd.toString().c_str());
     }

@@ -41,7 +41,7 @@ main()
     // Spread the pipeline: host CPU (0) and the two DPUs (1, 2).
     std::vector<int> placement{0, 1, 0, 1, 2};
 
-    auto rec = runtime.invokeChainSync(spec, placement).value();
+    auto rec = runtime.runSync(runtime.invokeChain(spec, placement)).value();
     std::printf("alexa pipeline across CPU+2xDPU: e2e=%s\n\n",
                 rec.endToEnd.toString().c_str());
     static const char *edges[] = {"front->interact",
@@ -56,7 +56,7 @@ main()
     }
 
     // Compare with keeping everything on one PU (chain affinity).
-    auto affinity = runtime.invokeChainSync(spec).value();
+    auto affinity = runtime.runSync(runtime.invokeChain(spec)).value();
     std::printf("\nsame pipeline with chain-affinity placement: "
                 "e2e=%s\n",
                 affinity.endToEnd.toString().c_str());

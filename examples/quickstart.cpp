@@ -37,12 +37,12 @@ main()
     //    templates are prepared.
     runtime.start();
 
-    // 5. Invoke. Outcomes are typed: invokeSync returns
+    // 5. Invoke. Outcomes are typed: runSync(invoke(...)) returns
     //    core::Expected<obs::InvocationRecord>, so a failure (e.g. an
     //    injected fault) surfaces as a core::Error instead of a crash.
     //    The first request cold-starts an instance via cfork; the
     //    second hits the keep-alive cache.
-    auto outcome = runtime.invokeSync("image-resize");
+    auto outcome = runtime.runSync(runtime.invoke("image-resize"));
     if (!outcome.ok()) {
         std::fprintf(stderr, "invoke failed: %s\n",
                      outcome.error().toString().c_str());
@@ -57,7 +57,9 @@ main()
                 cold.execution.toString().c_str(),
                 cold.endToEnd.toString().c_str());
 
-    auto warm = runtime.invokeSync("image-resize", cold.pu).value();
+    auto warm =
+        runtime.runSync(runtime.invoke("image-resize", {.pu = cold.pu}))
+            .value();
     std::printf("warm : pu=%d (%s)  startup=%s  comm=%s  exec=%s  "
                 "e2e=%s\n",
                 warm.pu, hw::toString(computer->pu(warm.pu).type()),

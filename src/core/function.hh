@@ -47,8 +47,6 @@ struct FunctionDef
     const workloads::CpuWorkload *cpuWork = nullptr;
     /** Execution model on FPGAs (null: no FPGA profile). */
     const workloads::FpgaWorkload *fpgaWork = nullptr;
-    /** FPGA size parameter (bytes/entries) used per invocation. */
-    std::uint64_t fpgaUnits = 1;
     /** GPU kernel time per invocation (zero: no GPU profile). */
     sim::SimTime gpuKernelTime;
     /** GPU per-invocation DMA bytes (in and out). */

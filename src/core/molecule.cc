@@ -49,13 +49,11 @@ Molecule::registerCpuFunction(const std::string &name,
 }
 
 void
-Molecule::registerFpgaFunction(const std::string &name,
-                               std::uint64_t units)
+Molecule::registerFpgaFunction(const std::string &name)
 {
     FunctionDef def;
     def.name = name;
     def.fpgaWork = &catalog_.fpga(name);
-    def.fpgaUnits = units;
     // FPGA is the most expensive profile (§4.1).
     def.profiles.push_back(Profile{hw::PuType::FpgaHost, 3.0});
     registry_.add(std::move(def));
@@ -128,6 +126,15 @@ Molecule::noteFailedAttempt(const Error &err, obs::PuList &tried)
     if (options_.tracer != nullptr)
         options_.tracer->metrics().counter("invoke.attempt_failed").inc();
     return true;
+}
+
+sim::Simulation::DelayAwaiter
+Molecule::retryBackoff(obs::Span &span, int attempt, sim::SimTime pause)
+{
+    span.setArg(attempt);
+    if (options_.tracer != nullptr)
+        options_.tracer->metrics().counter("invoke.retry").inc();
+    return simulation().delay(pause);
 }
 
 sim::Simulation::DelayAwaiter
@@ -205,15 +212,20 @@ Molecule::invoke(const std::string &fn, const InvokeOptions &opts)
 sim::Task<Expected<obs::InvocationRecord>>
 Molecule::invoke(const FunctionDef &fn, const InvokeOptions &opts)
 {
+    if (fn.cpuWork != nullptr)
+        return invokeCpu(fn, opts);
+    return invokeAccelerator(fn, opts);
+}
+
+sim::Task<Expected<obs::InvocationRecord>>
+Molecule::invokeCpu(const FunctionDef &fn, const InvokeOptions &opts)
+{
     // One frame covers every attempt; the non-suspending steps are
     // plain member functions so this frame stays in the FramePool
     // (DESIGN.md §4b). Every exit after noteDispatch balances it with
     // noteComplete: load-aware placement reads the in-flight count.
     const FunctionDef *def = &fn;
     const InvokeOptions o = opts;
-    MOLECULE_ASSERT(def->cpuWork != nullptr,
-                    "'%s' is accelerator-only; use invokeFpga",
-                    def->name.c_str());
     auto &sim = simulation();
     const int managerPu = options_.managerPu;
 
@@ -232,10 +244,7 @@ Molecule::invoke(const FunctionDef &fn, const InvokeOptions &opts)
         if (attempt > 1) {
             obs::Span backoff(root.ctx(), "retry.backoff",
                               obs::Layer::Core, managerPu);
-            backoff.setArg(attempt);
-            if (options_.tracer != nullptr)
-                options_.tracer->metrics().counter("invoke.retry").inc();
-            co_await sim.delay(o.retryBackoff);
+            co_await retryBackoff(backoff, attempt, o.retryBackoff);
         }
 
         const int target =
@@ -328,196 +337,99 @@ Molecule::invoke(const FunctionDef &fn, const InvokeOptions &opts)
 }
 
 sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invoke(const std::string &fn, int pu)
+Molecule::invokeAccelerator(const FunctionDef &fn,
+                            const InvokeOptions &opts)
 {
-    InvokeOptions opts;
-    opts.pu = pu;
-    co_return co_await invoke(fn, opts);
-}
-
-template <typename T>
-Expected<T>
-Molecule::runSync(sim::Task<Expected<T>> task, const std::string &what)
-{
-    // Watchdog slot: if the simulation drains with the task still
-    // pending — some fault left it blocked forever — the Hang error is
-    // what the caller sees instead of a silent garbage record.
-    Expected<T> out(Error(
-        Errc::Hang, what + " did not complete before the simulation drained"));
-    auto run = [](sim::Task<Expected<T>> t,
-                  Expected<T> *slot) -> sim::Task<> {
-        Expected<T> r = co_await std::move(t);
-        *slot = std::move(r);
-    };
-    simulation().spawn(run(std::move(task), &out));
-    simulation().run();
-    return out;
-}
-
-Expected<obs::InvocationRecord>
-Molecule::invokeSync(const std::string &fn, const InvokeOptions &opts)
-{
-    return runSync(invoke(fn, opts), "invocation of '" + fn + "'");
-}
-
-Expected<obs::InvocationRecord>
-Molecule::invokeSync(const std::string &fn, int pu)
-{
-    InvokeOptions opts;
-    opts.pu = pu;
-    return invokeSync(fn, opts);
-}
-
-sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invokeFpga(const std::string &fn, int fpgaIndex,
-                     std::uint64_t units, const InvokeOptions &opts)
-{
-    std::string owned_fn = fn;
-    InvokeOptions owned_opts = opts;
-    const int idx = fpgaIndex;
-    const std::uint64_t owned_units = units;
-    const FunctionDef *def = registry_.findPtr(owned_fn);
-    if (def == nullptr)
-        co_return Error(Errc::NotFound,
-                        "unknown function '" + owned_fn + "'");
-    MOLECULE_ASSERT(def->fpgaWork != nullptr, "'%s' has no FPGA profile",
-                    owned_fn.c_str());
+    // The same attempt loop as invokeCpu, on the host PU of card 0.
+    // A retry re-attempts on that card: reconfiguration faults are
+    // transient and count-limited, so there is no failover.
+    const FunctionDef *def = &fn;
+    const InvokeOptions o = opts;
+    const bool fpga = def->fpgaWork != nullptr;
+    MOLECULE_ASSERT(fpga || def->gpuKernelTime > sim::SimTime(0),
+                    "'%s' has no CPU, FPGA or GPU profile",
+                    def->name.c_str());
     auto &sim = simulation();
-    const int hostPu = dep_->computer().fpga(idx).hostPuId();
+    const int hostPu = fpga ? computer_.fpga(0).hostPuId()
+                            : computer_.gpuDev(0).hostPuId();
 
     obs::Span root = obs::Span::root(options_.tracer, "invoke",
                                      obs::Layer::Core, hostPu);
-    root.setDetail(owned_fn.c_str());
+    root.setDetail(def->name.c_str());
 
     const sim::SimTime t0 = sim.now();
-    const int maxAttempts =
-        owned_opts.maxAttempts < 1 ? 1 : owned_opts.maxAttempts;
+    const int maxAttempts = o.maxAttempts < 1 ? 1 : o.maxAttempts;
+    obs::PuList tried;
     Error lastErr;
-    int attemptsMade = 0;
-
-    // Reconfiguration failures are transient and count-limited, so
-    // retries re-attempt on the same card — no cross-card failover.
-    for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-        attemptsMade = attempt;
+    int attempt = 1;
+    for (; attempt <= maxAttempts; ++attempt) {
         if (attempt > 1) {
             obs::Span backoff(root.ctx(), "retry.backoff",
                               obs::Layer::Core, hostPu);
-            backoff.setArg(attempt);
-            if (options_.tracer != nullptr)
-                options_.tracer->metrics()
-                    .counter("invoke.retry")
-                    .inc();
-            co_await sim.delay(owned_opts.retryBackoff);
+            co_await retryBackoff(backoff, attempt, o.retryBackoff);
         }
-        if (owned_opts.deadline > sim::SimTime(0) &&
-            sim.now() - t0 > owned_opts.deadline) {
-            lastErr = Error(Errc::DeadlineExceeded,
-                            "'" + owned_fn +
-                                "' missed its deadline at admission",
-                            hostPu);
+        if (o.deadline > sim::SimTime(0) && sim.now() - t0 > o.deadline) {
+            lastErr = attemptError(Errc::DeadlineExceeded, "", *def,
+                                   " missed its deadline at admission",
+                                   hostPu);
+            noteFailedAttempt(lastErr, tried);
             break;
         }
         if (dep_->puDown(hostPu)) {
             lastErr = Error(Errc::PuCrashed,
-                            "FPGA host PU is down", hostPu);
+                            fpga ? "FPGA host PU is down"
+                                 : "GPU host PU is down",
+                            hostPu);
+            if (!noteFailedAttempt(lastErr, tried))
+                break;
             continue;
         }
 
-        Expected<AcquiredFpga> acq =
-            co_await startup_->acquireFpga(*def, idx, root.ctx());
+        Expected<AcquiredFpga> acq = AcquiredFpga{};
+        if (fpga)
+            acq = co_await startup_->acquireFpga(*def, 0, root.ctx());
+        else
+            acq = co_await startup_->acquireGpu(*def, 0, root.ctx());
         if (!acq.ok()) {
             lastErr = acq.error();
+            if (!noteFailedAttempt(lastErr, tried))
+                break;
             continue;
         }
+        if (o.deadline > sim::SimTime(0) && sim.now() - t0 > o.deadline) {
+            lastErr = attemptError(Errc::DeadlineExceeded, "", *def,
+                                   " missed its deadline after startup",
+                                   hostPu);
+            noteFailedAttempt(lastErr, tried);
+            break;
+        }
 
-        obs::InvocationRecord rec;
-        rec.function = owned_fn;
-        rec.pu = hostPu;
-        rec.traceId = root.traceId();
-        rec.attempts = attempt;
-        rec.coldStart = acq.value().cold;
-        rec.startup = acq.value().startupTime;
-
-        const auto execStart = sim.now();
-        co_await dep_->runf(idx).invoke(
-            acq.value().sandboxId,
-            def->fpgaWork->kernelTime(owned_units),
-            def->fpgaWork->dmaInBytes(owned_units),
-            def->fpgaWork->dmaOutBytes(owned_units), false, false,
-            root.ctx());
-        rec.execution = sim.now() - execStart;
-        rec.endToEnd = sim.now() - t0;
-        co_return rec;
+        const sim::SimTime execStart = sim.now();
+        if (fpga) {
+            co_await dep_->runf(0).invoke(
+                acq.value().sandboxId, def->fpgaWork->kernelTime(o.units),
+                def->fpgaWork->dmaInBytes(o.units),
+                def->fpgaWork->dmaOutBytes(o.units), false, false,
+                root.ctx());
+        } else {
+            co_await dep_->rung(0).invoke(
+                acq.value().sandboxId, def->gpuKernelTime,
+                def->gpuIoBytes, def->gpuIoBytes, root.ctx());
+        }
+        const AcquiredInstance ran{nullptr, hostPu, acq.value().cold,
+                                   acq.value().startupTime};
+        co_return completed(*def, ran, attempt, tried, sim::SimTime(),
+                            sim.now() - execStart, sim.now() - t0,
+                            root.traceId());
     }
-
-    if (options_.tracer != nullptr)
-        options_.tracer->metrics().counter("invoke.failed").inc();
-    if (attemptsMade <= 1 || lastErr.code() == Errc::DeadlineExceeded)
-        co_return lastErr;
-    Error out(Errc::RetriesExhausted,
-              "'" + owned_fn + "' failed after " +
-                  std::to_string(attemptsMade) + " attempts");
-    out.causedBy(lastErr).withRetries(attemptsMade - 1);
-    co_return out;
-}
-
-Expected<obs::InvocationRecord>
-Molecule::invokeFpgaSync(const std::string &fn, int fpgaIndex,
-                         std::uint64_t units, const InvokeOptions &opts)
-{
-    return runSync(invokeFpga(fn, fpgaIndex, units, opts),
-                   "invocation of '" + fn + "'");
-}
-
-sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invokeGpu(const std::string &fn, int gpuIndex)
-{
-    std::string owned_fn = fn;
-    const int idx = gpuIndex;
-    const FunctionDef *def = registry_.findPtr(owned_fn);
-    if (def == nullptr)
-        co_return Error(Errc::NotFound,
-                        "unknown function '" + owned_fn + "'");
-    MOLECULE_ASSERT(def->gpuKernelTime > sim::SimTime(0),
-                    "'%s' has no GPU profile", owned_fn.c_str());
-    auto &sim = simulation();
-    obs::InvocationRecord rec;
-    rec.function = owned_fn;
-    rec.pu = dep_->computer().gpuDev(idx).hostPuId();
-
-    obs::Span root = obs::Span::root(options_.tracer, "invoke",
-                                     obs::Layer::Core, rec.pu);
-    root.setDetail(owned_fn.c_str());
-    rec.traceId = root.traceId();
-
-    if (dep_->puDown(rec.pu))
-        co_return Error(Errc::PuCrashed, "GPU host PU is down",
-                        rec.pu);
-
-    const auto t0 = sim.now();
-    AcquiredFpga acq =
-        co_await startup_->acquireGpu(*def, idx, root.ctx());
-    rec.coldStart = acq.cold;
-    rec.startup = acq.startupTime;
-
-    const auto execStart = sim.now();
-    co_await dep_->rung(idx).invoke(acq.sandboxId, def->gpuKernelTime,
-                                    def->gpuIoBytes, def->gpuIoBytes,
-                                    root.ctx());
-    rec.execution = sim.now() - execStart;
-    rec.endToEnd = sim.now() - t0;
-    co_return rec;
-}
-
-Expected<obs::InvocationRecord>
-Molecule::invokeGpuSync(const std::string &fn, int gpuIndex)
-{
-    return runSync(invokeGpu(fn, gpuIndex), "invocation of '" + fn + "'");
+    co_return finalError(*def, lastErr, std::min(attempt, maxAttempts),
+                         tried);
 }
 
 // `placement` is moved to a local at once, but its by-value frame
 // slot remains (task.hh rule 1). The fleet benchmark calls this
-// overload as it is; it goes with the single invoke entry point.
+// signature as it is, so the by-value parameter stays until that
+// benchmark moves to a by-reference one.
 sim::Task<Expected<obs::ChainRecord>> // lint:allow(coroutine-param)
 Molecule::invokeChain(const ChainSpec &spec, std::vector<int> placement,
                       bool prewarm)
@@ -543,14 +455,6 @@ Molecule::invokeChain(const ChainSpec &spec, std::vector<int> placement,
     obs::ChainRecord record = co_await dag_->run(
         plan, options_.dagMode, prewarm, root.ctx());
     co_return record;
-}
-
-Expected<obs::ChainRecord>
-Molecule::invokeChainSync(const ChainSpec &spec,
-                          std::vector<int> placement, bool prewarm)
-{
-    return runSync(invokeChain(spec, std::move(placement), prewarm),
-                   "chain '" + spec.name + "'");
 }
 
 } // namespace molecule::core

@@ -24,7 +24,7 @@
  *   runtime.registerCpuFunction("helloworld",
  *                               {hw::PuType::HostCpu, hw::PuType::Dpu});
  *   runtime.start();
- *   auto record = runtime.invokeSync("helloworld");
+ *   auto record = runtime.runSync(runtime.invoke("helloworld"));
  *   if (record.ok())
  *       use(record.value().endToEnd);
  * @endcode
@@ -83,23 +83,37 @@ struct MoleculeOptions
     }
 };
 
-/** Per-invocation resilience knobs (§ fault injection & recovery). */
+/**
+ * Per-invocation knobs: placement, input size and resilience
+ * (§ fault injection & recovery). The two ints lead so the struct
+ * packs into 40 bytes: invoke coroutines copy it into their frame.
+ */
 struct InvokeOptions
 {
-    /** Explicit placement; -1 lets the scheduler pick. */
+    /**
+     * Explicit placement of a CPU/DPU function; -1 lets the scheduler
+     * pick. Accelerator functions always run on card 0.
+     */
     int pu = -1;
+    /** Total attempts (1 = no retry). */
+    int maxAttempts = 1;
     /**
      * End-to-end sim-time budget enforced at admission and between
      * phases; zero disables. Exceeding it returns DeadlineExceeded
      * (never retried — the budget is already gone).
      */
     sim::SimTime deadline{};
-    /** Total attempts (1 = no retry). */
-    int maxAttempts = 1;
     /** Sim-time pause before each retry attempt. */
     sim::SimTime retryBackoff = sim::SimTime::milliseconds(5);
-    /** Allow retries to fail over to another allowed PU. */
+    /**
+     * Allow retries to fail over to another allowed PU. Accelerator
+     * retries always re-attempt on the same card: reconfiguration
+     * faults are transient and count-limited.
+     */
     bool failover = true;
+    /** FPGA input size (bytes or entries) of this invocation; other
+     * functions ignore it. */
+    std::uint64_t units = 1;
 };
 
 /**
@@ -145,8 +159,7 @@ class Molecule
                              const std::vector<hw::PuType> &kinds);
 
     /** Register an FPGA function from the catalog. */
-    void registerFpgaFunction(const std::string &name,
-                              std::uint64_t units = 1);
+    void registerFpgaFunction(const std::string &name);
 
     /** Register a GPU (CUDA) function with a kernel-time model. */
     void registerGpuFunction(const std::string &name,
@@ -160,84 +173,57 @@ class Molecule
      */
     void start();
 
-    /** @name Invocation (synchronous helpers run the simulation) */
+    /** @name Invocation */
     ///@{
 
     /**
-     * One invocation with full resilience control. Retries run the
-     * whole admission/startup/comm/exec pipeline again after
-     * @ref InvokeOptions::retryBackoff; with failover enabled the
+     * One invocation of a function held by registry(), on whichever
+     * target its definition names: a CPU/DPU instance (cpuWork), the
+     * FPGA of card 0 (fpgaWork) or the GPU of card 0 (a kernel time).
+     * Retries run the whole attempt again after
+     * @ref InvokeOptions::retryBackoff; with failover enabled a CPU/DPU
      * retry excludes every PU a previous attempt failed on. On
      * exhaustion the RetriesExhausted error carries the last cause,
-     * the retry count and the PUs tried. @p fn must be a definition
-     * held by registry().
+     * the retry count and the PUs tried. The task copies @p opts when
+     * it starts, so a temporary may be passed in the full expression
+     * that awaits or runs it.
      */
     [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
     invoke(const FunctionDef &fn, const InvokeOptions &opts);
 
     /** invoke() by name: one registry lookup, NotFound when unknown. */
     [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invoke(const std::string &fn, const InvokeOptions &opts);
-
-    /** One invocation; @p pu -1 lets the scheduler pick. */
-    [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invoke(const std::string &fn, int pu = -1);
-
-    /**
-     * Run the simulation until @ref invoke completes. If the
-     * simulation drains while the invocation is still pending (a hang
-     * — some fault left it blocked forever), returns Errc::Hang.
-     */
-    [[nodiscard]] Expected<obs::InvocationRecord>
-    invokeSync(const std::string &fn, const InvokeOptions &opts);
-
-    [[nodiscard]] Expected<obs::InvocationRecord>
-    invokeSync(const std::string &fn, int pu = -1);
-
-    /**
-     * One FPGA invocation with @p units of input. Injected
-     * reconfiguration failures surface as FpgaReconfigFailed; retries
-     * (per @p opts) re-attempt on the same card — reconfiguration
-     * faults are transient and count-limited, so there is no cross-
-     * card failover.
-     */
-    [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invokeFpga(const std::string &fn, int fpgaIndex,
-               std::uint64_t units, const InvokeOptions &opts);
-
-    [[nodiscard]] Expected<obs::InvocationRecord>
-    invokeFpgaSync(const std::string &fn, int fpgaIndex,
-                   std::uint64_t units, const InvokeOptions &opts = {});
-
-    /** One GPU invocation (§6.8 generality path). */
-    [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invokeGpu(const std::string &fn, int gpuIndex);
-
-    [[nodiscard]] Expected<obs::InvocationRecord>
-    invokeGpuSync(const std::string &fn, int gpuIndex);
+    invoke(const std::string &fn, const InvokeOptions &opts = {});
 
     /** Run a chain; empty placement lets the scheduler place it. */
     [[nodiscard]] sim::Task<Expected<obs::ChainRecord>>
     invokeChain(const ChainSpec &spec, std::vector<int> placement = {},
                 bool prewarm = true);
 
-    [[nodiscard]] Expected<obs::ChainRecord>
-    invokeChainSync(const ChainSpec &spec,
-                    std::vector<int> placement = {},
-                    bool prewarm = true);
+    /**
+     * Run the simulation until @p task completes and return its
+     * outcome. If the simulation drains while the task is still
+     * pending (a hang: some fault left it blocked forever), returns
+     * Errc::Hang.
+     */
+    template <typename T>
+    [[nodiscard]] Expected<T> runSync(sim::Task<Expected<T>> task);
     ///@}
 
   private:
-    /** Run @p task (@p what, for the Hang error) to completion. */
-    template <typename T>
-    Expected<T> runSync(sim::Task<Expected<T>> task,
-                        const std::string &what);
-
     /** NotFound for an unregistered name (the by-name invoke). */
     [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
     notFound(const std::string &fn);
 
-    /** @name Non-suspending steps of invoke()
+    /** invoke() of a CPU/DPU function. */
+    [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
+    invokeCpu(const FunctionDef &fn, const InvokeOptions &opts);
+
+    /** invoke() of an FPGA or GPU function, on card 0. */
+    [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
+    invokeAccelerator(const FunctionDef &fn, const InvokeOptions &opts);
+
+    /** @name Non-suspending steps of the invoke coroutines
      * Plain functions, so their locals stay off the coroutine frame
      * (DESIGN.md §4b). */
     ///@{
@@ -257,6 +243,11 @@ class Molecule
     /** Book a failed attempt: its PU joins @p tried. @return false
      * when no retry can help (the deadline is gone). */
     bool noteFailedAttempt(const Error &err, obs::PuList &tried);
+
+    /** Book the pause before retry @p attempt, timed by @p span. */
+    sim::Simulation::DelayAwaiter retryBackoff(obs::Span &span,
+                                               int attempt,
+                                               sim::SimTime pause);
 
     /** The request-delivery cost inside the instance on @p pu. */
     sim::Simulation::DelayAwaiter dispatchCost(const FunctionDef &def,
@@ -286,6 +277,26 @@ class Molecule
     std::unique_ptr<RecoveryManager> recovery_;
     bool started_ = false;
 };
+
+template <typename T>
+Expected<T>
+Molecule::runSync(sim::Task<Expected<T>> task)
+{
+    // Watchdog slot: if the simulation drains with the task still
+    // pending, the Hang error is what the caller sees instead of a
+    // silent garbage record.
+    Expected<T> out(Error(
+        Errc::Hang, "invocation did not complete before the simulation "
+                    "drained"));
+    auto run = [](sim::Task<Expected<T>> t,
+                  Expected<T> *slot) -> sim::Task<> {
+        Expected<T> r = co_await std::move(t);
+        *slot = std::move(r);
+    };
+    simulation().spawn(run(std::move(task), &out));
+    simulation().run();
+    return out;
+}
 
 } // namespace molecule::core
 

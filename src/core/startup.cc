@@ -372,7 +372,7 @@ StartupManager::acquireFpga(const FunctionDef &fn, int fpgaIndex,
     co_return Expected<AcquiredFpga>(std::move(out));
 }
 
-sim::Task<AcquiredFpga>
+sim::Task<Expected<AcquiredFpga>>
 StartupManager::acquireGpu(const FunctionDef &fn, int gpuIndex,
                            obs::SpanContext ctx)
 {
@@ -406,7 +406,7 @@ StartupManager::acquireGpu(const FunctionDef &fn, int gpuIndex,
         ++warmHits_;
     }
     out.startupTime = sim.now() - t0;
-    co_return out;
+    co_return Expected<AcquiredFpga>(std::move(out));
 }
 
 sandbox::FunctionImage *

@@ -64,7 +64,7 @@ struct AcquiredInstance
     sim::SimTime startupTime;
 };
 
-/** Result of acquiring an FPGA sandbox. */
+/** Result of acquiring an FPGA or GPU sandbox. */
 struct AcquiredFpga
 {
     std::string sandboxId;
@@ -127,10 +127,11 @@ class StartupManager
     /**
      * Get a dispatchable GPU sandbox (§6.8): GPUs keep many modules
      * resident concurrently, so a cold acquire just loads the module.
+     * Typed like acquireFpga(); it does not fail today.
      */
-    sim::Task<AcquiredFpga> acquireGpu(const FunctionDef &fn,
-                                       int gpuIndex,
-                                       obs::SpanContext ctx = {});
+    sim::Task<Expected<AcquiredFpga>>
+    acquireGpu(const FunctionDef &fn, int gpuIndex,
+               obs::SpanContext ctx = {});
 
     /** @name Fault recovery (driven by core::RecoveryManager) */
     ///@{

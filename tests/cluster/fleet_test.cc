@@ -57,7 +57,8 @@ TEST(FleetTest, RegistrationFansOutToEveryNode)
                               {hw::PuType::HostCpu, hw::PuType::Dpu});
     fleet.start();
     for (int i = 0; i < fleet.size(); ++i) {
-        const auto rec = fleet.node(i).invokeSync("helloworld");
+        const auto rec =
+            fleet.node(i).runSync(fleet.node(i).invoke("helloworld"));
         ASSERT_TRUE(rec.ok()) << "node " << i;
         EXPECT_GT(rec.value().endToEnd, SimTime(0));
     }

@@ -66,10 +66,10 @@ TEST_F(DagFixture, ChainTeardownExitsTheEntryProcess)
     os::LocalOs &manager = runtime.deployment().osOn(0);
     const ChainSpec spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     const std::vector<int> spread = {0, 1, 0, 1, 0};
-    ASSERT_TRUE(runtime.invokeChainSync(spec, spread).ok());
+    ASSERT_TRUE(runtime.runSync(runtime.invokeChain(spec, spread)).ok());
     const std::size_t before = manager.processCount();
     for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(runtime.invokeChainSync(spec, spread).ok());
+        ASSERT_TRUE(runtime.runSync(runtime.invokeChain(spec, spread)).ok());
     EXPECT_EQ(manager.processCount(), before);
 }
 
@@ -77,11 +77,11 @@ TEST_F(DagFixture, FanOutRunsLeavesConcurrently)
 {
     // DAG e2e: the two leaves overlap, so the total is one leaf
     // shorter than the linear chain of the same five functions.
-    auto dag = runtime.invokeChainSync(alexaDag(),
-                                       std::vector<int>(5, 0)).value();
-    auto linear = runtime.invokeChainSync(
-        ChainSpec::linear("alexa-linear", Catalog::alexaChain()),
-        std::vector<int>(5, 0)).value();
+    const std::vector<int> onCpu(5, 0);
+    auto dag = runtime.runSync(runtime.invokeChain(alexaDag(), onCpu)).value();
+    const ChainSpec line =
+        ChainSpec::linear("alexa-linear", Catalog::alexaChain());
+    auto linear = runtime.runSync(runtime.invokeChain(line, onCpu)).value();
     const double execMs =
         runtime.catalog().cpu("alexa-front").execCost.toMilliseconds();
     EXPECT_NEAR(linear.endToEnd.toMilliseconds() -
@@ -93,7 +93,8 @@ TEST_F(DagFixture, PrewarmExcludesAcquisition)
 {
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> onCpu(5, 0);
-    auto prewarmed = runtime.invokeChainSync(spec, onCpu, true).value();
+    auto prewarmed =
+        runtime.runSync(runtime.invokeChain(spec, onCpu, true)).value();
     // Not prewarmed: cold startup of five instances is inside e2e.
     sim::Simulation sim2;
     auto computer2 = hw::buildCpuDpuServer(sim2,
@@ -102,7 +103,7 @@ TEST_F(DagFixture, PrewarmExcludesAcquisition)
     for (const auto &fn : Catalog::alexaChain())
         cold.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
     cold.start();
-    auto coldRun = cold.invokeChainSync(spec, onCpu, false).value();
+    auto coldRun = cold.runSync(cold.invokeChain(spec, onCpu, false)).value();
     EXPECT_GT(coldRun.endToEnd,
               prewarmed.endToEnd + sim::SimTime::fromMilliseconds(20));
 }
@@ -112,7 +113,7 @@ TEST_F(DagFixture, EntryEdgeIsCharged)
     // A one-node "chain" still pays the gateway -> instance edge.
     auto spec = ChainSpec::linear("single", {"alexa-front"});
     std::vector<int> placement{0};
-    auto rec = runtime.invokeChainSync(spec, placement).value();
+    auto rec = runtime.runSync(runtime.invokeChain(spec, placement)).value();
     EXPECT_EQ(rec.edgeLatencies.size(), 0u);
     const double execMs =
         runtime.catalog().cpu("alexa-front").execCost.toMilliseconds();
@@ -123,9 +124,9 @@ TEST_F(DagFixture, RepeatedRunsReuseWarmInstances)
 {
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> onCpu(5, 0);
-    (void)runtime.invokeChainSync(spec, onCpu);
+    (void)runtime.runSync(runtime.invokeChain(spec, onCpu));
     const auto coldStartsAfterFirst = runtime.startup().coldStarts();
-    (void)runtime.invokeChainSync(spec, onCpu);
+    (void)runtime.runSync(runtime.invokeChain(spec, onCpu));
     EXPECT_EQ(runtime.startup().coldStarts(), coldStartsAfterFirst);
 }
 
@@ -133,7 +134,7 @@ TEST_F(DagFixture, InvocationRecordsCarryPlacement)
 {
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> cross{0, 1, 0, 1, 0};
-    auto rec = runtime.invokeChainSync(spec, cross).value();
+    auto rec = runtime.runSync(runtime.invokeChain(spec, cross)).value();
     ASSERT_EQ(rec.invocations.size(), 5u);
     for (std::size_t i = 0; i < 5; ++i) {
         EXPECT_EQ(rec.invocations[i].pu, cross[i]);

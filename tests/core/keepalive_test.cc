@@ -1,17 +1,12 @@
 /**
  * @file
  * Unit tests for the keep-alive strategy seam: histogram idle-window
- * learning and eviction ordering, strategy configs, and the SLO-driven
- * warm-pool autoscaler (grow/shrink/clamp/digest).
+ * learning and eviction ordering, and strategy configs.
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "core/autoscaler.hh"
-#include "core/molecule.hh"
-#include "hw/computer.hh"
+#include "core/keepalive.hh"
 
 namespace {
 
@@ -19,11 +14,7 @@ using namespace molecule;
 using namespace molecule::sim::literals;
 using core::HistogramKeepAlive;
 using core::KeepAliveConfig;
-using core::Molecule;
-using core::MoleculeOptions;
 using core::WarmEntryView;
-using core::WarmPoolAutoscaler;
-using hw::PuType;
 using sim::SimTime;
 
 // ---------------------------------------------------------------------
@@ -109,90 +100,6 @@ TEST(KeepAliveConfig, MakeBuildsTheSelectedStrategy)
     EXPECT_DOUBLE_EQ(c.histogramOpts.defaultWindowMs, 50.0);
     EXPECT_STREQ(core::toString(KeepAliveConfig::Kind::Histogram),
                  "histogram");
-}
-
-// ---------------------------------------------------------------------
-// Warm-pool autoscaler.
-// ---------------------------------------------------------------------
-
-struct AutoscalerFixture : ::testing::Test
-{
-    sim::Simulation sim;
-    std::unique_ptr<hw::Computer> computer =
-        hw::buildCpuDpuServer(sim, 0, hw::DpuGeneration::Bf1);
-    Molecule runtime{*computer, MoleculeOptions{}};
-
-    obs::AlertEvent
-    alert(bool fired, std::uint32_t tenant = 1)
-    {
-        obs::AlertEvent a;
-        a.at = sim.now();
-        a.tenant = tenant;
-        a.fired = fired;
-        return a;
-    }
-};
-
-TEST_F(AutoscalerFixture, FiredAlertGrowsResolvedShrinks)
-{
-    WarmPoolAutoscaler scaler;
-    scaler.addTarget(&runtime.startup());
-    const std::size_t base = runtime.startup().options().warmCapacity;
-    ASSERT_EQ(base, 64u);
-
-    scaler.onAlert(alert(true));
-    EXPECT_EQ(runtime.startup().options().warmCapacity, 128u);
-    EXPECT_EQ(scaler.scaleUps(), 1);
-
-    scaler.onAlert(alert(false));
-    EXPECT_EQ(runtime.startup().options().warmCapacity, 64u);
-    EXPECT_EQ(scaler.scaleDowns(), 1);
-}
-
-TEST_F(AutoscalerFixture, CapacityClampsToFloorAndCeiling)
-{
-    WarmPoolAutoscaler::Options opts;
-    opts.minCapacity = 32;
-    opts.maxCapacity = 256;
-    WarmPoolAutoscaler scaler(opts);
-    scaler.addTarget(&runtime.startup());
-
-    for (int i = 0; i < 6; ++i)
-        scaler.onAlert(alert(true));
-    EXPECT_EQ(runtime.startup().options().warmCapacity, 256u);
-
-    for (int i = 0; i < 10; ++i)
-        scaler.onAlert(alert(false));
-    EXPECT_EQ(runtime.startup().options().warmCapacity, 32u);
-    EXPECT_EQ(scaler.scaleUps(), 6);
-    EXPECT_EQ(scaler.scaleDowns(), 10);
-}
-
-TEST_F(AutoscalerFixture, DigestPinsTheScalingHistory)
-{
-    auto history = [this](const std::vector<bool> &fires) {
-        Molecule rt(*computer, MoleculeOptions{});
-        WarmPoolAutoscaler scaler;
-        scaler.addTarget(&rt.startup());
-        for (bool f : fires)
-            scaler.onAlert(alert(f));
-        return scaler.digest();
-    };
-    const std::vector<bool> seq{true, true, false, true, false};
-    EXPECT_EQ(history(seq), history(seq));
-    EXPECT_NE(history(seq), history({true, false, true, true, false}));
-    EXPECT_NE(WarmPoolAutoscaler().digest(), history(seq));
-}
-
-TEST_F(AutoscalerFixture, DrivesEveryRegisteredTarget)
-{
-    Molecule other(*computer, MoleculeOptions{});
-    WarmPoolAutoscaler scaler;
-    scaler.addTarget(&runtime.startup());
-    scaler.addTarget(&other.startup());
-    scaler.onAlert(alert(true));
-    EXPECT_EQ(runtime.startup().options().warmCapacity, 128u);
-    EXPECT_EQ(other.startup().options().warmCapacity, 128u);
 }
 
 } // namespace

@@ -53,13 +53,15 @@ struct MoleculeFixture : ::testing::Test
 TEST_F(MoleculeFixture, ColdThenWarmInvocation)
 {
     makeRuntime(MoleculeOptions{});
-    auto cold = runtime->invokeSync("helloworld", 0).value();
+    auto cold =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 0})).value();
     EXPECT_TRUE(cold.coldStart);
     // cfork on the host CPU: low double-digit milliseconds.
     EXPECT_GT(cold.startup.toMilliseconds(), 5.0);
     EXPECT_LT(cold.startup.toMilliseconds(), 25.0);
 
-    auto warm = runtime->invokeSync("helloworld", 0).value();
+    auto warm =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 0})).value();
     EXPECT_FALSE(warm.coldStart);
     EXPECT_LT(warm.startup.toMilliseconds(), 0.1);
     EXPECT_LT(warm.endToEnd, cold.endToEnd);
@@ -69,7 +71,8 @@ TEST_F(MoleculeFixture, ColdThenWarmInvocation)
 TEST_F(MoleculeFixture, HomoBaselineColdStartIsSlower)
 {
     makeRuntime(MoleculeOptions::homo());
-    auto cold = runtime->invokeSync("helloworld", 0).value();
+    auto cold =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 0})).value();
     EXPECT_TRUE(cold.coldStart);
     // Full container + interpreter boot: >100 ms on the server CPU.
     EXPECT_GT(cold.startup.toMilliseconds(), 100.0);
@@ -78,7 +81,8 @@ TEST_F(MoleculeFixture, HomoBaselineColdStartIsSlower)
 TEST_F(MoleculeFixture, CforkIsRoughly10xOverBaseline)
 {
     makeRuntime(MoleculeOptions{});
-    auto mol = runtime->invokeSync("image-resize", 0).value();
+    auto mol =
+        runtime->runSync(runtime->invoke("image-resize", {.pu = 0})).value();
 
     Simulation sim2;
     auto computer2 = buildCpuDpuServer(sim2, 2, DpuGeneration::Bf1);
@@ -86,7 +90,7 @@ TEST_F(MoleculeFixture, CforkIsRoughly10xOverBaseline)
     homo.registerCpuFunction("image-resize",
                              {PuType::HostCpu, PuType::Dpu});
     homo.start();
-    auto base = homo.invokeSync("image-resize", 0).value();
+    auto base = homo.runSync(homo.invoke("image-resize", {.pu = 0})).value();
 
     EXPECT_GT(base.startup.toMilliseconds() /
                   mol.startup.toMilliseconds(),
@@ -99,8 +103,10 @@ TEST_F(MoleculeFixture, RemoteStartAddsSmallNipcCost)
     // Same function cold-started locally vs on the DPU: the remote
     // path adds the executor command round-trip (~1-3 ms at DPU
     // speed), on top of the DPU's slower cfork.
-    auto local = runtime->invokeSync("helloworld", 0).value();
-    auto remote = runtime->invokeSync("helloworld", 1).value();
+    auto local =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 0})).value();
+    auto remote =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1})).value();
     EXPECT_TRUE(remote.coldStart);
     EXPECT_GT(remote.startup, local.startup);
     // DPU cfork ~= 6.5x the CPU one + a few ms of command round-trip.
@@ -111,16 +117,24 @@ TEST_F(MoleculeFixture, RemoteStartAddsSmallNipcCost)
 TEST_F(MoleculeFixture, SchedulerPrefersCheaperDpu)
 {
     makeRuntime(MoleculeOptions{});
-    auto rec = runtime->invokeSync("helloworld").value();
+    auto rec = runtime->runSync(runtime->invoke("helloworld")).value();
     // DPU profiles are priced lower, so the scheduler picks a DPU.
     EXPECT_EQ(computer->pu(rec.pu).type(), PuType::Dpu);
+}
+
+TEST_F(MoleculeFixture, UnknownNameIsATypedNotFound)
+{
+    makeRuntime(MoleculeOptions{});
+    auto out = runtime->runSync(runtime->invoke("no-such-function"));
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.error().code(), Errc::NotFound);
 }
 
 TEST_F(MoleculeFixture, ChainRunsOnSinglePuByAffinity)
 {
     makeRuntime(MoleculeOptions{});
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
-    auto rec = runtime->invokeChainSync(spec).value();
+    auto rec = runtime->runSync(runtime->invokeChain(spec)).value();
     ASSERT_EQ(rec.invocations.size(), 5u);
     const int pu0 = rec.invocations[0].pu;
     for (const auto &inv : rec.invocations)
@@ -133,7 +147,7 @@ TEST_F(MoleculeFixture, IpcChainBeatsHttpChain)
     makeRuntime(MoleculeOptions{});
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> onCpu(5, 0);
-    auto ipc = runtime->invokeChainSync(spec, onCpu).value();
+    auto ipc = runtime->runSync(runtime->invokeChain(spec, onCpu)).value();
 
     Simulation sim2;
     auto computer2 = buildCpuDpuServer(sim2, 2, DpuGeneration::Bf1);
@@ -141,7 +155,7 @@ TEST_F(MoleculeFixture, IpcChainBeatsHttpChain)
     for (const auto &fn : Catalog::alexaChain())
         homo.registerCpuFunction(fn, {PuType::HostCpu});
     homo.start();
-    auto http = homo.invokeChainSync(spec, onCpu).value();
+    auto http = homo.runSync(homo.invokeChain(spec, onCpu)).value();
 
     // Fig 14-e: 2.04-2.47x less end-to-end latency for Alexa.
     const double ratio = http.endToEnd.toMilliseconds() /
@@ -164,7 +178,7 @@ TEST_F(MoleculeFixture, CrossPuChainUsesNipc)
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     // Alternate CPU/DPU so every edge crosses PUs (Fig 14-e CrossPU).
     std::vector<int> cross{0, 1, 0, 1, 0};
-    auto rec = runtime->invokeChainSync(spec, cross).value();
+    auto rec = runtime->runSync(runtime->invokeChain(spec, cross)).value();
     ASSERT_EQ(rec.edgeLatencies.size(), 4u);
     for (const auto &edge : rec.edgeLatencies) {
         // nIPC edges stay sub-millisecond (Fig 12-c/d Molecule bars).
@@ -179,7 +193,8 @@ TEST_F(MoleculeFixture, KeepAliveCachesAndEvicts)
     options.startup.warmCapacity = 2;
     makeRuntime(options);
     for (int i = 0; i < 5; ++i)
-        ASSERT_TRUE(runtime->invokeSync("helloworld", 0).ok());
+        ASSERT_TRUE(
+            runtime->runSync(runtime->invoke("helloworld", {.pu = 0})).ok());
     EXPECT_LE(runtime->startup().warmCount("helloworld", 0), 2u);
     EXPECT_EQ(runtime->startup().coldStarts(), 1);
 }
@@ -192,7 +207,7 @@ TEST_F(MoleculeFixture, ColdStartPastDeadlineIsNotRetriedAndParks)
     opts.maxAttempts = 3;
     // A cfork cold start on the host takes milliseconds.
     opts.deadline = SimTime::microseconds(100);
-    auto r = runtime->invokeSync("helloworld", opts);
+    auto r = runtime->runSync(runtime->invoke("helloworld", opts));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code(), Errc::DeadlineExceeded);
     EXPECT_EQ(r.error().pu(), 0);
@@ -204,7 +219,8 @@ TEST_F(MoleculeFixture, ColdStartPastDeadlineIsNotRetriedAndParks)
     EXPECT_EQ(runtime->startup().warmCount("helloworld", 0), 1u);
     EXPECT_EQ(runtime->scheduler().outstanding(0), 0);
 
-    auto warm = runtime->invokeSync("helloworld", 0).value();
+    auto warm =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 0})).value();
     EXPECT_FALSE(warm.coldStart);
     EXPECT_EQ(runtime->startup().coldStarts(), 1);
     EXPECT_EQ(runtime->startup().warmHits(), 1);
@@ -214,7 +230,8 @@ TEST_F(MoleculeFixture, ColdStartPastDeadlineIsNotRetriedAndParks)
 TEST_F(MoleculeFixture, RemoteDeadlineExpiresBeforeExecution)
 {
     makeRuntime(MoleculeOptions{});
-    ASSERT_TRUE(runtime->invokeSync("helloworld", 1).ok());
+    ASSERT_TRUE(
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1})).ok());
     ASSERT_EQ(runtime->startup().warmCount("helloworld", 1), 1u);
 
     // A warm hit starts inside the budget; the manager->DPU delivery
@@ -223,7 +240,7 @@ TEST_F(MoleculeFixture, RemoteDeadlineExpiresBeforeExecution)
     opts.pu = 1;
     opts.maxAttempts = 3;
     opts.deadline = SimTime::nanoseconds(1);
-    auto r = runtime->invokeSync("helloworld", opts);
+    auto r = runtime->runSync(runtime->invoke("helloworld", opts));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code(), Errc::DeadlineExceeded);
     EXPECT_EQ(r.error().pu(), 1);
@@ -234,7 +251,8 @@ TEST_F(MoleculeFixture, RemoteDeadlineExpiresBeforeExecution)
     EXPECT_EQ(runtime->startup().warmCount("helloworld", 1), 1u);
     EXPECT_EQ(runtime->scheduler().outstanding(1), 0);
 
-    auto again = runtime->invokeSync("helloworld", 1).value();
+    auto again =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1})).value();
     EXPECT_FALSE(again.coldStart);
     EXPECT_EQ(runtime->startup().coldStarts(), 1);
 }
@@ -268,10 +286,12 @@ TEST_F(MoleculeFixture, RemoteWarmInvocationSpanTree)
     MoleculeOptions options;
     options.tracer = &tracer;
     makeRuntime(options);
-    ASSERT_TRUE(runtime->invokeSync("helloworld", 1).ok());
+    ASSERT_TRUE(
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1})).ok());
     tracer.clear();
 
-    auto rec = runtime->invokeSync("helloworld", 1).value();
+    auto rec =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1})).value();
     ASSERT_FALSE(rec.coldStart);
     const auto &spans = tracer.records();
     ASSERT_EQ(spans.size(), 10u);
@@ -312,7 +332,8 @@ TEST_F(MoleculeFixture, RemoteColdInvocationSpanTree)
     options.startup.pooledContainersPerPu = 1;
     makeRuntime(options);
     // The first cold start on PU 1 takes its one pooled container.
-    ASSERT_TRUE(runtime->invokeSync("helloworld", 1).ok());
+    ASSERT_TRUE(
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1})).ok());
     auto &runc = runtime->deployment().runcOn(1);
     auto &os = runc.localOs();
     ASSERT_EQ(runc.pooledContainers(), 0u);
@@ -324,7 +345,8 @@ TEST_F(MoleculeFixture, RemoteColdInvocationSpanTree)
     tracer.clear();
 
     const SimTime t0 = sim.now();
-    auto rec = runtime->invokeSync("helloworld", 1).value();
+    auto rec =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1})).value();
     ASSERT_TRUE(rec.coldStart);
     const auto &spans = tracer.records();
     ASSERT_EQ(spans.size(), 23u);
@@ -389,12 +411,12 @@ TEST(MoleculeFpga, InvokeColdAndWarm)
     runtime.registerFpgaFunction("fpga-madd");
     runtime.start();
 
-    auto cold = runtime.invokeFpgaSync("fpga-vmult", 0, 1).value();
+    auto cold = runtime.runSync(runtime.invoke("fpga-vmult")).value();
     EXPECT_TRUE(cold.coldStart);
     // Cold FPGA start: program + sandbox prep, seconds.
     EXPECT_GT(cold.startup.toSeconds(), 1.0);
 
-    auto warm = runtime.invokeFpgaSync("fpga-vmult", 0, 1).value();
+    auto warm = runtime.runSync(runtime.invoke("fpga-vmult")).value();
     EXPECT_FALSE(warm.coldStart);
     EXPECT_LT(warm.startup.toMilliseconds(), 1.0);
     // Warm execution ~= kernel + invoke overheads.
@@ -413,12 +435,12 @@ TEST(MoleculeFpga, HotSetKeepsSiblingsCached)
 
     runtime.startup().setFpgaHotSet(
         0, {"fpga-vmult", "fpga-madd", "fpga-mscale"});
-    auto first = runtime.invokeFpgaSync("fpga-vmult", 0, 1).value();
+    auto first = runtime.runSync(runtime.invoke("fpga-vmult")).value();
     EXPECT_TRUE(first.coldStart);
     // Siblings were packed into the same image: warm for them too.
-    auto second = runtime.invokeFpgaSync("fpga-madd", 0, 1).value();
+    auto second = runtime.runSync(runtime.invoke("fpga-madd")).value();
     EXPECT_FALSE(second.coldStart);
-    auto third = runtime.invokeFpgaSync("fpga-mscale", 0, 1).value();
+    auto third = runtime.runSync(runtime.invoke("fpga-mscale")).value();
     EXPECT_FALSE(third.coldStart);
     EXPECT_EQ(computer->fpga(0).programCount(), 1);
 }

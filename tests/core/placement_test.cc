@@ -395,7 +395,7 @@ TEST_F(SpillFixture, ConcurrentBurstLandsOnHostAndDpu)
     auto rt = makeRuntime(PlacementConfig::loadAware());
     int hostRuns = 0, dpuRuns = 0;
     auto one = [](Molecule *m, int *host, int *dpu) -> sim::Task<> {
-        auto rec = co_await m->invoke("helloworld", -1);
+        auto rec = co_await m->invoke("helloworld");
         EXPECT_TRUE(rec.ok());
         if (rec.ok())
             (rec.value().pu == 0 ? *host : *dpu) += 1;

@@ -34,7 +34,7 @@ TEST(Startup, GlobalBudgetEnforcedAcrossFunctions)
     std::size_t total = 0;
     for (const auto &fn :
          {"helloworld", "pyaes", "dd", "matmul", "linpack"}) {
-        (void)runtime.invokeSync(fn, 0);
+        (void)runtime.runSync(runtime.invoke(fn, {.pu = 0}));
         total = 0;
         for (const auto &g :
              {"helloworld", "pyaes", "dd", "matmul", "linpack"})
@@ -67,19 +67,19 @@ TEST(Startup, GlobalBudgetCountTracksPurges)
     };
 
     for (const char *fn : {"helloworld", "pyaes", "dd"})
-        ASSERT_TRUE(runtime.invokeSync(fn, 0).ok());
+        ASSERT_TRUE(runtime.runSync(runtime.invoke(fn, {.pu = 0})).ok());
     EXPECT_EQ(warmOn0(), 3u);
     startup.purgeFunction("pyaes", 0);
-    ASSERT_TRUE(runtime.invokeSync("matmul", 0).ok());
+    ASSERT_TRUE(runtime.runSync(runtime.invoke("matmul", {.pu = 0})).ok());
     EXPECT_EQ(startup.evictions(), 0);
-    ASSERT_TRUE(runtime.invokeSync("linpack", 0).ok());
+    ASSERT_TRUE(runtime.runSync(runtime.invoke("linpack", {.pu = 0})).ok());
     EXPECT_EQ(startup.evictions(), 1);
     EXPECT_EQ(warmOn0(), 3u);
 
     startup.purgePu(0);
     EXPECT_EQ(warmOn0(), 0u);
     for (const char *fn : {"helloworld", "pyaes", "dd"})
-        ASSERT_TRUE(runtime.invokeSync(fn, 0).ok());
+        ASSERT_TRUE(runtime.runSync(runtime.invoke(fn, {.pu = 0})).ok());
     EXPECT_EQ(startup.evictions(), 1);
     EXPECT_EQ(warmOn0(), 3u);
 }
@@ -106,7 +106,7 @@ TEST(Startup, GlobalEvictionBreaksTiesInNameOrder)
     }
     runtime.start();
     for (const char *name : {"zeta", "alpha", "mid"})
-        ASSERT_TRUE(runtime.invokeSync(name, 0).ok());
+        ASSERT_TRUE(runtime.runSync(runtime.invoke(name, {.pu = 0})).ok());
 
     EXPECT_EQ(runtime.startup().evictions(), 1);
     EXPECT_EQ(runtime.startup().warmCount("alpha", 0), 0u);
@@ -134,8 +134,9 @@ TEST(Startup, GreedyDualKeepsHighestColdCostDensity)
         runtime.registerCpuFunction("pyaes", {PuType::HostCpu});
         runtime.start();
         for (int i = 0; i < 4; ++i) {
-            (void)runtime.invokeSync("helloworld", 0);
-            (void)runtime.invokeSync("pyaes", 0); // always most recent
+            (void)runtime.runSync(runtime.invoke("helloworld", {.pu = 0}));
+            // pyaes is always the most recent.
+            (void)runtime.runSync(runtime.invoke("pyaes", {.pu = 0}));
         }
         return runtime.startup().warmCount("helloworld", 0);
     };
@@ -153,12 +154,14 @@ TEST(Startup, FpgaHotSetRecomposesOnMiss)
     runtime.start();
 
     runtime.startup().setFpgaHotSet(0, {"fpga-gzip"});
-    auto first = runtime.invokeFpgaSync("fpga-gzip", 0, 1024).value();
+    auto first =
+        runtime.runSync(runtime.invoke("fpga-gzip", {.units = 1024})).value();
     EXPECT_TRUE(first.coldStart);
     EXPECT_EQ(computer->fpga(0).programCount(), 1);
 
     // A miss on fpga-aml recomposes: hot set + the missed function.
-    auto second = runtime.invokeFpgaSync("fpga-aml", 0, 6000).value();
+    auto second =
+        runtime.runSync(runtime.invoke("fpga-aml", {.units = 6000})).value();
     EXPECT_TRUE(second.coldStart);
     EXPECT_EQ(computer->fpga(0).programCount(), 2);
     EXPECT_TRUE(runtime.deployment().runf(0).cached("fpga-gzip"));
@@ -173,19 +176,19 @@ TEST(Startup, GpuPathColdAndWarm)
     runtime.registerGpuFunction("gnn-train-step", 4_ms, 2 << 20);
     runtime.start();
 
-    auto cold = runtime.invokeGpuSync("gnn-train-step", 0).value();
+    auto cold = runtime.runSync(runtime.invoke("gnn-train-step")).value();
     EXPECT_TRUE(cold.coldStart);
     // Context creation + module load dominate the cold start.
     EXPECT_GT(cold.startup.toMilliseconds(), 200.0);
     EXPECT_GT(cold.execution.toMilliseconds(), 4.0);
 
-    auto warm = runtime.invokeGpuSync("gnn-train-step", 0).value();
+    auto warm = runtime.runSync(runtime.invoke("gnn-train-step")).value();
     EXPECT_FALSE(warm.coldStart);
     EXPECT_LT(warm.startup.toMilliseconds(), 0.1);
     // MPS keeps many modules resident: a second function does not
     // re-create the context.
     runtime.registerGpuFunction("gnn-agg", 1_ms);
-    auto other = runtime.invokeGpuSync("gnn-agg", 0).value();
+    auto other = runtime.runSync(runtime.invoke("gnn-agg")).value();
     EXPECT_TRUE(other.coldStart);
     EXPECT_LT(other.startup.toMilliseconds(), 50.0);
 }

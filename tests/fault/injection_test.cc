@@ -51,7 +51,7 @@ TEST_F(FaultFixture, ExplicitPlacementOnDownPuFailsTyped)
     faults.crashPu(1);
     InvokeOptions opts;
     opts.pu = 1;
-    auto out = runtime->invokeSync("helloworld", opts);
+    auto out = runtime->runSync(runtime->invoke("helloworld", opts));
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.error().code(), Errc::PuCrashed);
     EXPECT_EQ(out.error().pu(), 1);
@@ -63,7 +63,7 @@ TEST_F(FaultFixture, FailoverMovesTheRetryToALivePu)
     InvokeOptions opts;
     opts.pu = 1;
     opts.maxAttempts = 3;
-    auto out = runtime->invokeSync("helloworld", opts);
+    auto out = runtime->runSync(runtime->invoke("helloworld", opts));
     ASSERT_TRUE(out.ok()) << out.error().toString();
     EXPECT_NE(out.value().pu, 1);
     EXPECT_TRUE(out.value().failedOver);
@@ -78,7 +78,7 @@ TEST_F(FaultFixture, RetriesExhaustedCarriesTheCauseChain)
     opts.pu = 1;
     opts.maxAttempts = 3;
     opts.failover = false; // pinned placement: every attempt fails
-    auto out = runtime->invokeSync("helloworld", opts);
+    auto out = runtime->runSync(runtime->invoke("helloworld", opts));
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.error().code(), Errc::RetriesExhausted);
     EXPECT_EQ(out.error().retries(), 2);
@@ -90,7 +90,8 @@ TEST_F(FaultFixture, RetriesExhaustedCarriesTheCauseChain)
 TEST_F(FaultFixture, PlannedCrashIsPurgedAndRecovered)
 {
     // Warm an instance on the DPU, then crash it under a plan.
-    ASSERT_TRUE(runtime->invokeSync("helloworld", 1).ok());
+    ASSERT_TRUE(
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1})).ok());
     EXPECT_GE(runtime->startup().warmCount("helloworld", 1), 1u);
 
     fault::Injector injector(sim, faults, nullptr);
@@ -108,7 +109,7 @@ TEST_F(FaultFixture, PlannedCrashIsPurgedAndRecovered)
     EXPECT_TRUE(faults.puUp(1));
     // The crash killed the warm pool; the PU still serves (cold).
     EXPECT_EQ(runtime->startup().warmCount("helloworld", 1), 0u);
-    auto again = runtime->invokeSync("helloworld", 1);
+    auto again = runtime->runSync(runtime->invoke("helloworld", {.pu = 1}));
     ASSERT_TRUE(again.ok()) << again.error().toString();
     EXPECT_TRUE(again.value().coldStart);
 }
@@ -127,15 +128,18 @@ TEST_F(FaultFixture, MidFlightCrashRetriesToCompletion)
     opts.pu = 1;
     opts.maxAttempts = 4;
     opts.failover = false;
-    auto out = runtime->invokeSync("helloworld", opts);
+    auto out = runtime->runSync(runtime->invoke("helloworld", opts));
     ASSERT_TRUE(out.ok()) << out.error().toString();
     EXPECT_EQ(out.value().pu, 1);
 }
 
 TEST_F(FaultFixture, LinkBlackoutStallsRemoteInvocations)
 {
-    ASSERT_TRUE(runtime->invokeSync("helloworld", 1).ok()); // warm it
-    const auto warm = runtime->invokeSync("helloworld", 1);
+    // Warm it.
+    ASSERT_TRUE(
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1})).ok());
+    const auto warm =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1}));
     ASSERT_TRUE(warm.ok());
 
     fault::LinkFault lf;
@@ -144,7 +148,8 @@ TEST_F(FaultFixture, LinkBlackoutStallsRemoteInvocations)
     lf.factor = 1.0;
     faults.setLinkFault(0, 1, lf);
 
-    const auto stalled = runtime->invokeSync("helloworld", 1);
+    const auto stalled =
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 1}));
     ASSERT_TRUE(stalled.ok());
     // The gateway->DPU transfer waited out most of the blackout.
     EXPECT_GT(stalled.value().endToEnd,
@@ -164,7 +169,8 @@ TEST(FaultInjection, FpgaReconfigFailureIsTypedAndRetryable)
 
     const int hostPu = computer->fpga(0).hostPuId();
     faults.armFpgaReconfigFailure(hostPu, 1);
-    auto failed = runtime.invokeFpgaSync("fpga-gzip", 0, 1024);
+    auto failed =
+        runtime.runSync(runtime.invoke("fpga-gzip", {.units = 1024}));
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.error().code(), Errc::FpgaReconfigFailed);
 
@@ -172,19 +178,77 @@ TEST(FaultInjection, FpgaReconfigFailureIsTypedAndRetryable)
     faults.armFpgaReconfigFailure(hostPu, 1);
     InvokeOptions retry;
     retry.maxAttempts = 2;
-    auto ok = runtime.invokeFpgaSync("fpga-gzip", 0, 1024, retry);
+    retry.units = 1024;
+    auto ok = runtime.runSync(runtime.invoke("fpga-gzip", retry));
     ASSERT_TRUE(ok.ok()) << ok.error().toString();
+}
+
+TEST(FaultInjection, GpuInvocationsTakeTheSameRetryAndDeadlinePath)
+{
+    // GPU functions go through the accelerator coroutine FPGA functions
+    // use, so they honour InvokeOptions like every other invocation.
+    sim::Simulation sim;
+    auto computer = hw::buildFullHetero(sim);
+    FaultState faults;
+    MoleculeOptions opts;
+    opts.faults = &faults;
+    Molecule runtime(*computer, opts);
+    runtime.registerGpuFunction("gnn-agg", SimTime::milliseconds(1));
+    runtime.start();
+    const int hostPu = computer->gpuDev(0).hostPuId();
+
+    faults.crashPu(hostPu);
+    InvokeOptions retry;
+    retry.maxAttempts = 3;
+    auto exhausted = runtime.runSync(runtime.invoke("gnn-agg", retry));
+    ASSERT_FALSE(exhausted.ok());
+    EXPECT_EQ(exhausted.error().code(), Errc::RetriesExhausted);
+    EXPECT_EQ(exhausted.error().retries(), 2);
+    ASSERT_FALSE(exhausted.error().causes().empty());
+    EXPECT_EQ(exhausted.error().causes().front().code, Errc::PuCrashed);
+    EXPECT_EQ(exhausted.error().pusTried(), std::vector<int>{hostPu});
+
+    // The backoff before the second attempt outlasts the budget.
+    InvokeOptions tight = retry;
+    tight.deadline = SimTime::milliseconds(1);
+    auto late = runtime.runSync(runtime.invoke("gnn-agg", tight));
+    ASSERT_FALSE(late.ok());
+    EXPECT_EQ(late.error().code(), Errc::DeadlineExceeded);
+
+    // The cold start (context creation, module load) alone outlasts
+    // the budget.
+    faults.restartPu(hostPu);
+    sim.run();
+    auto slow = runtime.runSync(runtime.invoke("gnn-agg", tight));
+    ASSERT_FALSE(slow.ok());
+    EXPECT_EQ(slow.error().code(), Errc::DeadlineExceeded);
+    EXPECT_NE(slow.error().detail().find("after startup"),
+              std::string::npos);
+
+    // A crash shorter than the backoff: the retry finds the PU back.
+    fault::Injector injector(sim, faults, nullptr);
+    InjectionPlan plan;
+    plan.crashPu(hostPu, sim.now(), SimTime::milliseconds(2));
+    injector.arm(plan);
+    sim.runUntil(sim.now()); // The crash fires; the restart is pending.
+    ASSERT_FALSE(faults.puUp(hostPu));
+    auto ok = runtime.runSync(runtime.invoke("gnn-agg", retry));
+    ASSERT_TRUE(ok.ok()) << ok.error().toString();
+    EXPECT_EQ(ok.value().attempts, 2);
+    EXPECT_EQ(ok.value().pu, hostPu);
+    EXPECT_FALSE(ok.value().failedOver);
 }
 
 TEST_F(FaultFixture, OomKillEvictsTheWarmPool)
 {
-    ASSERT_TRUE(runtime->invokeSync("helloworld", 0).ok());
+    ASSERT_TRUE(
+        runtime->runSync(runtime->invoke("helloworld", {.pu = 0})).ok());
     EXPECT_GE(runtime->startup().warmCount("helloworld", 0), 1u);
 
     faults.oomKill(0, "helloworld");
     EXPECT_EQ(runtime->startup().warmCount("helloworld", 0), 0u);
 
-    auto again = runtime->invokeSync("helloworld", 0);
+    auto again = runtime->runSync(runtime->invoke("helloworld", {.pu = 0}));
     ASSERT_TRUE(again.ok()) << again.error().toString();
     EXPECT_TRUE(again.value().coldStart);
 }

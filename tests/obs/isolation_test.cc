@@ -57,9 +57,10 @@ scenarioFingerprint(bool traced, std::string *jsonOut = nullptr)
         fp.push_back(rec.endToEnd.raw());
         fp.push_back(rec.coldStart ? 1 : 0);
     };
-    record(runtime.invokeSync("image-resize", 0).value()); // cold
-    record(runtime.invokeSync("image-resize", 0).value()); // warm
-    record(runtime.invokeSync("helloworld", 1).value());   // cold, remote PU
+    // Cold, then warm, then cold on a remote PU.
+    record(runtime.runSync(runtime.invoke("image-resize", {.pu = 0})).value());
+    record(runtime.runSync(runtime.invoke("image-resize", {.pu = 0})).value());
+    record(runtime.runSync(runtime.invoke("helloworld", {.pu = 1})).value());
 
     if (traced && jsonOut != nullptr)
         *jsonOut = obs::chromeTraceJson(tracer.records());

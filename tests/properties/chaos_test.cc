@@ -71,16 +71,19 @@ emptyPlanDigest(std::uint64_t seed)
     injector.arm(InjectionPlan{});
 
     sim::Fingerprint fp;
-    auto cold = runtime.invokeSync("helloworld", 0).value();
+    auto cold =
+        runtime.runSync(runtime.invoke("helloworld", {.pu = 0})).value();
     fp.mix(std::uint64_t(cold.endToEnd.raw()));
-    auto warm = runtime.invokeSync("helloworld", 0).value();
+    auto warm =
+        runtime.runSync(runtime.invoke("helloworld", {.pu = 0})).value();
     fp.mix(std::uint64_t(warm.endToEnd.raw()));
-    auto remote = runtime.invokeSync("helloworld", 1).value();
+    auto remote =
+        runtime.runSync(runtime.invoke("helloworld", {.pu = 1})).value();
     fp.mix(std::uint64_t(remote.startup.raw()));
 
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> cross{0, 1, 0, 1, 0};
-    auto rec = runtime.invokeChainSync(spec, cross).value();
+    auto rec = runtime.runSync(runtime.invokeChain(spec, cross)).value();
     fp.mix(std::uint64_t(rec.endToEnd.raw()));
     for (const auto &edge : rec.edgeLatencies)
         fp.mix(std::uint64_t(edge.raw()));
@@ -139,9 +142,9 @@ chaosDigest(std::uint64_t seed, const InjectionPlan &plan,
     retry.maxAttempts = 3;
     for (int round = 0; round < 4; ++round) {
         retry.pu = 1;
-        track(runtime.invokeSync("helloworld", retry));
+        track(runtime.runSync(runtime.invoke("helloworld", retry)));
         retry.pu = -1;
-        track(runtime.invokeSync("image-resize", retry));
+        track(runtime.runSync(runtime.invoke("image-resize", retry)));
     }
     if (sawHang != nullptr)
         *sawHang = hang;

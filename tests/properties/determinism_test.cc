@@ -52,16 +52,19 @@ scenario(std::uint64_t seed, std::size_t *conflictsOut = nullptr,
     runtime.start();
 
     std::vector<std::int64_t> fingerprint;
-    auto cold = runtime.invokeSync("helloworld", 0).value();
+    auto cold =
+        runtime.runSync(runtime.invoke("helloworld", {.pu = 0})).value();
     fingerprint.push_back(cold.endToEnd.raw());
-    auto warm = runtime.invokeSync("helloworld", 0).value();
+    auto warm =
+        runtime.runSync(runtime.invoke("helloworld", {.pu = 0})).value();
     fingerprint.push_back(warm.endToEnd.raw());
-    auto remote = runtime.invokeSync("helloworld", 1).value();
+    auto remote =
+        runtime.runSync(runtime.invoke("helloworld", {.pu = 1})).value();
     fingerprint.push_back(remote.startup.raw());
 
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> cross{0, 1, 0, 1, 0};
-    auto rec = runtime.invokeChainSync(spec, cross).value();
+    auto rec = runtime.runSync(runtime.invokeChain(spec, cross)).value();
     fingerprint.push_back(rec.endToEnd.raw());
     for (const auto &edge : rec.edgeLatencies)
         fingerprint.push_back(edge.raw());

@@ -148,7 +148,7 @@ TEST(MemoryConservation, CreateDestroyReturnsToBaseline)
 
     for (int round = 0; round < 3; ++round) {
         for (int i = 0; i < 4; ++i)
-            (void)runtime.invokeSync("image-resize", 0);
+            (void)runtime.runSync(runtime.invoke("image-resize", {.pu = 0}));
         EXPECT_EQ(computer->pu(0).memoryUsed(), baseline)
             << "round " << round;
     }
@@ -164,7 +164,7 @@ TEST(MemoryConservation, WarmInstancesHoldExactlyTheirFootprint)
                                 {PuType::HostCpu, PuType::Dpu});
     runtime.start();
     const auto baseline = computer->pu(0).memoryUsed();
-    (void)runtime.invokeSync("image-resize", 0);
+    (void)runtime.runSync(runtime.invoke("image-resize", {.pu = 0}));
     const auto &img = runtime.catalog().cpu("image-resize").image;
     // One cfork'd warm instance: private heap plus the COW pages its
     // first execution dirtied (the runtime region itself stays shared
@@ -247,7 +247,7 @@ TEST_P(KeepAliveSweep, PoolNeverExceedsCapacity)
     runtime.registerCpuFunction("helloworld", {PuType::HostCpu});
     runtime.start();
     for (int i = 0; i < 10; ++i) {
-        (void)runtime.invokeSync("helloworld", 0);
+        (void)runtime.runSync(runtime.invoke("helloworld", {.pu = 0}));
         EXPECT_LE(runtime.startup().warmCount("helloworld", 0), 3u);
     }
 }

@@ -58,7 +58,7 @@ fire(Molecule *m, const std::string &fn_in)
 {
     // Copy before the first suspension (task.hh rule 1).
     const std::string fn = fn_in;
-    (void)co_await m->invoke(fn, -1); // -1: the scheduler picks
+    (void)co_await m->invoke(fn); // The scheduler picks the PU.
 }
 
 sim::Task<>

@@ -178,7 +178,7 @@ class ChainSweep : public ::testing::TestWithParam<ChainCase>
         for (int i = 0; i < length; ++i)
             placement.push_back(cross ? i % 2 : 0);
         auto spec = ChainSpec::linear("sweep", chain);
-        return runtime.invokeChainSync(spec, placement).value();
+        return runtime.runSync(runtime.invokeChain(spec, placement)).value();
     }
 };
 
@@ -241,7 +241,9 @@ class StartupSweep
         runtime.registerCpuFunction("image-resize",
                                     {PuType::HostCpu, PuType::Dpu});
         runtime.start();
-        return runtime.invokeSync("image-resize", pu).value().startup;
+        return runtime.runSync(runtime.invoke("image-resize", {.pu = pu}))
+            .value()
+            .startup;
     }
 };
 

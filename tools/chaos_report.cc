@@ -142,16 +142,17 @@ runDpuCrashRestart(std::uint64_t seed)
     InvokeOptions opts;
     opts.pu = 1;
     opts.maxAttempts = 3;
-    h.track(h.runtime->invokeSync("helloworld", opts)); // warm pu 1
+    // Warm pu 1.
+    h.track(h.runtime->runSync(h.runtime->invoke("helloworld", opts)));
 
     InjectionPlan plan;
     plan.crashPu(1, h.sim.now(), SimTime::milliseconds(6));
     h.injector->arm(plan);
     // Admission sees the down PU: backoff, then fail over.
-    h.track(h.runtime->invokeSync("helloworld", opts));
+    h.track(h.runtime->runSync(h.runtime->invoke("helloworld", opts)));
     // After the restart the PU serves again (cold, re-warmed pools).
-    h.track(h.runtime->invokeSync("helloworld", opts));
-    h.track(h.runtime->invokeSync("image-resize", opts));
+    h.track(h.runtime->runSync(h.runtime->invoke("helloworld", opts)));
+    h.track(h.runtime->runSync(h.runtime->invoke("image-resize", opts)));
     return h.finish();
 }
 
@@ -163,14 +164,14 @@ runLinkFlap(std::uint64_t seed)
     InvokeOptions opts;
     opts.pu = 1;
     opts.maxAttempts = 3;
-    h.track(h.runtime->invokeSync("helloworld", opts));
+    h.track(h.runtime->runSync(h.runtime->invoke("helloworld", opts)));
     for (int flap = 0; flap < 2; ++flap) {
         InjectionPlan plan;
         plan.degradeLink(0, 1, h.sim.now(), SimTime::milliseconds(3),
                          SimTime::milliseconds(9), 4.0);
         h.injector->arm(plan);
-        h.track(h.runtime->invokeSync("helloworld", opts));
-        h.track(h.runtime->invokeSync("image-resize", opts));
+        h.track(h.runtime->runSync(h.runtime->invoke("helloworld", opts)));
+        h.track(h.runtime->runSync(h.runtime->invoke("image-resize", opts)));
     }
     return h.finish();
 }
@@ -186,8 +187,9 @@ runFpgaReconfigFail(std::uint64_t seed)
 
     InvokeOptions opts;
     opts.maxAttempts = 3;
-    h.track(h.runtime->invokeFpgaSync("fpga-gzip", 0, 4096, opts));
-    h.track(h.runtime->invokeFpgaSync("fpga-gzip", 0, 4096, opts));
+    opts.units = 4096;
+    h.track(h.runtime->runSync(h.runtime->invoke("fpga-gzip", opts)));
+    h.track(h.runtime->runSync(h.runtime->invoke("fpga-gzip", opts)));
     return h.finish();
 }
 
@@ -199,13 +201,13 @@ runOomKill(std::uint64_t seed)
     InvokeOptions opts;
     opts.pu = 1;
     opts.maxAttempts = 3;
-    h.track(h.runtime->invokeSync("image-resize", opts));
+    h.track(h.runtime->runSync(h.runtime->invoke("image-resize", opts)));
 
     InjectionPlan plan;
     plan.oomKill(1, "image-resize", h.sim.now());
     h.injector->arm(plan);
-    h.track(h.runtime->invokeSync("image-resize", opts));
-    h.track(h.runtime->invokeSync("image-resize", opts));
+    h.track(h.runtime->runSync(h.runtime->invoke("image-resize", opts)));
+    h.track(h.runtime->runSync(h.runtime->invoke("image-resize", opts)));
     return h.finish();
 }
 

@@ -52,12 +52,12 @@ invokeScenario(std::uint64_t seed)
         runtime.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
     runtime.start();
 
-    (void)runtime.invokeSync("helloworld", 0);
-    (void)runtime.invokeSync("helloworld", 0);
-    (void)runtime.invokeSync("helloworld", 1);
+    (void)runtime.runSync(runtime.invoke("helloworld", {.pu = 0}));
+    (void)runtime.runSync(runtime.invoke("helloworld", {.pu = 0}));
+    (void)runtime.runSync(runtime.invoke("helloworld", {.pu = 1}));
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> cross{0, 1, 0, 1, 0};
-    (void)runtime.invokeChainSync(spec, cross);
+    (void)runtime.runSync(runtime.invokeChain(spec, cross));
 
     ScenarioResult r;
     r.name = "invoke-chain seed=" + std::to_string(seed);

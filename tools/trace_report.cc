@@ -129,7 +129,7 @@ runFig10Scenario()
     runtime.registerCpuFunction("image-resize",
                                 {hw::PuType::HostCpu, hw::PuType::Dpu});
     runtime.start();
-    (void)runtime.invokeSync("image-resize", 0);
+    (void)runtime.runSync(runtime.invoke("image-resize", {.pu = 0}));
     return tracer.records().snapshot();
 }
 
@@ -158,7 +158,7 @@ runFig12Scenario()
     spec.nodes.push_back(core::ChainNode{fns[2], 1});
     spec.nodes.push_back(core::ChainNode{fns[3], 2});
     spec.nodes.push_back(core::ChainNode{fns[4], 2});
-    (void)runtime.invokeChainSync(spec, {0, 1, 0, 1, 1});
+    (void)runtime.runSync(runtime.invokeChain(spec, {0, 1, 0, 1, 1}));
     return tracer.records().snapshot();
 }
 
@@ -402,14 +402,16 @@ runRecoveryScenario()
     core::InvokeOptions opts;
     opts.pu = 1;
     opts.maxAttempts = 3;
-    (void)runtime.invokeSync("image-resize", opts); // warm the DPU
+    // Warm the DPU.
+    (void)runtime.runSync(runtime.invoke("image-resize", opts));
 
     fault::Injector injector(simu, faults, &tracer);
     fault::InjectionPlan plan;
     plan.crashPu(1, simu.now(), sim::SimTime::milliseconds(6));
     injector.arm(plan);
-    (void)runtime.invokeSync("image-resize", opts); // fails over
-    (void)runtime.invokeSync("image-resize", opts); // back on the DPU
+    (void)runtime.runSync(runtime.invoke("image-resize", opts)); // fails over
+    // Back on the DPU.
+    (void)runtime.runSync(runtime.invoke("image-resize", opts));
     return tracer.records().snapshot();
 }
 
