@@ -12,7 +12,7 @@
  */
 
 #include "bench/common.hh"
-#include "workloads/loadgen.hh"
+#include "load/generator.hh"
 
 namespace {
 
@@ -22,7 +22,6 @@ using core::Molecule;
 using core::MoleculeOptions;
 using hw::PuType;
 using workloads::Catalog;
-using workloads::LoadGenerator;
 
 struct Outcome
 {
@@ -52,27 +51,28 @@ runTrace(const KeepAliveConfig &keepAlive, std::size_t budget)
         runtime.registerCpuFunction(fn, {PuType::HostCpu});
     runtime.start();
 
-    sim::Rng traceRng(1234); // trace fixed across policies
-    LoadGenerator::Options lg;
-    lg.requestsPerSecond = 20;
-    lg.zipfExponent = 1.2;
-    lg.duration = sim::SimTime::seconds(120);
-    LoadGenerator gen(traceRng, fns, lg);
-    const auto trace = gen.generate();
+    load::TraceSpec spec; // trace fixed across policies
+    spec.seed = 1234;
+    spec.ratePerSecond = 20;
+    spec.duration = sim::SimTime::seconds(120);
+    spec.functions = fns;
+    spec.tenants = {{"default", 1.0, 1.2, 0}};
+    load::OpenLoopGenerator gen(std::move(spec));
 
     sim::Histogram startup;
-    auto drive = [](Molecule *m,
-                    const std::vector<workloads::TraceEvent> *events,
+    auto drive = [](Molecule *m, load::OpenLoopGenerator *g,
                     sim::Histogram *hist) -> sim::Task<> {
         auto &s = m->simulation();
-        for (const auto &ev : *events) {
-            if (ev.at > s.now())
-                co_await s.delay(ev.at - s.now());
-            auto rec = co_await m->invoke(ev.fn, {.pu = 0});
+        const auto &names = g->spec().functions;
+        load::Arrival a;
+        while (g->next(a)) {
+            if (a.at > s.now())
+                co_await s.delay(a.at - s.now());
+            auto rec = co_await m->invoke(names[a.fn], {.pu = 0});
             hist->addTime(rec.value().startup);
         }
     };
-    sim.spawn(drive(&runtime, &trace, &startup));
+    sim.spawn(drive(&runtime, &gen, &startup));
     sim.run();
 
     Outcome out;

@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation kernel itself:
- * event-queue throughput, coroutine task switching, mailbox traffic
- * and a full nIPC write. These guard the wall-clock cost of the DES
- * substrate (every figure bench runs millions of these operations).
+ * event-queue throughput, coroutine task switching, mailbox traffic,
+ * a full nIPC write and open-loop arrival generation. These guard the
+ * wall-clock cost of the DES substrate (every figure bench runs
+ * millions of these operations).
  */
 
 #include <benchmark/benchmark.h>
@@ -19,6 +20,7 @@
 
 #include "bench/common.hh"
 #include "hw/computer.hh"
+#include "load/generator.hh"
 #include "os/kernel.hh"
 #include "sim/sync.hh"
 
@@ -342,6 +344,34 @@ BM_LocalFifoRoundTrip(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_LocalFifoRoundTrip);
+
+// The cluster gateway's load source: a ~1M-arrival two-tenant stream
+// per iteration (gap, tenant and function draws per arrival) under
+// the arrival process named by the argument.
+void
+BM_OpenLoopGenerator(benchmark::State &state, load::ArrivalKind kind)
+{
+    load::TraceSpec spec;
+    spec.seed = 42;
+    spec.ratePerSecond = 100000.0;
+    spec.duration = sim::SimTime::seconds(10);
+    spec.arrival = kind;
+    spec.functions = {"helloworld", "pyaes", "dd", "gzip-compression"};
+    spec.tenants = {{"alpha", 3.0, 1.1, 1}, {"beta", 1.0, 0.8, 2}};
+    load::OpenLoopGenerator gen(std::move(spec));
+    load::Arrival a;
+    std::int64_t arrivals = 0;
+    for (auto _ : state) {
+        gen.reset();
+        while (gen.next(a))
+            ++arrivals;
+        benchmark::DoNotOptimize(a);
+    }
+    state.SetItemsProcessed(arrivals);
+}
+BENCHMARK_CAPTURE(BM_OpenLoopGenerator, poisson, load::ArrivalKind::Poisson);
+BENCHMARK_CAPTURE(BM_OpenLoopGenerator, mmpp, load::ArrivalKind::Mmpp);
+BENCHMARK_CAPTURE(BM_OpenLoopGenerator, diurnal, load::ArrivalKind::Diurnal);
 
 /** The host CPU's model name, as /proc/cpuinfo gives it. */
 std::string

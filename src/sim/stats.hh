@@ -1,6 +1,6 @@
 /**
  * @file
- * Measurement collection: counters, summaries and sample histograms.
+ * Measurement collection: summaries and sample histograms.
  *
  * Experiments record per-invocation latencies into Histogram objects and
  * report percentiles like the paper's harness (avg/50/75/90/95/99).
@@ -16,20 +16,6 @@
 #include "sim/time.hh"
 
 namespace molecule::sim {
-
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    void inc(std::int64_t by = 1) { value_ += by; }
-
-    std::int64_t value() const { return value_; }
-
-    void reset() { value_ = 0; }
-
-  private:
-    std::int64_t value_ = 0;
-};
 
 /**
  * Exact-sample distribution.

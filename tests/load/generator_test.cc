@@ -153,6 +153,22 @@ TEST(OpenLoopGeneratorTest, ZipfSkewsTheFunctionPopularity)
     EXPECT_GT(counts.front(), 0u);
 }
 
+TEST(OpenLoopGeneratorTest, ZipfExponentZeroIsUniform)
+{
+    TraceSpec spec = baseSpec();
+    spec.tenants = {{"t", 1.0, 0.0, 0}};
+    OpenLoopGenerator gen(spec);
+    Arrival a;
+    std::map<std::uint32_t, std::uint64_t> byFn;
+    while (gen.next(a))
+        byFn[a.fn]++;
+    ASSERT_EQ(byFn.size(), spec.functions.size());
+    const double uniform = 1.0 / double(spec.functions.size());
+    for (const auto &[fn, n] : byFn)
+        EXPECT_NEAR(double(n) / double(gen.emitted()), uniform, 0.05)
+            << "function " << fn;
+}
+
 TEST(OpenLoopGeneratorTest, TenantSharesSplitTheStream)
 {
     TraceSpec spec = baseSpec();

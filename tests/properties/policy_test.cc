@@ -26,8 +26,8 @@
 
 #include "core/molecule.hh"
 #include "hw/computer.hh"
+#include "load/generator.hh"
 #include "sim/sweep.hh"
-#include "workloads/loadgen.hh"
 
 namespace {
 
@@ -37,7 +37,6 @@ using core::Molecule;
 using core::MoleculeOptions;
 using core::PlacementConfig;
 using hw::PuType;
-using workloads::LoadGenerator;
 
 struct Triple
 {
@@ -61,18 +60,26 @@ fire(Molecule *m, const std::string &fn_in)
     (void)co_await m->invoke(fn); // The scheduler picks the PU.
 }
 
-sim::Task<>
-drive(Molecule *m, const std::vector<workloads::TraceEvent> *events)
+/**
+ * Open loop: every arrival spawns its invocation, so arrivals overlap
+ * and in-flight counts and warm pools actually exercise the policies.
+ */
+struct Spawner final : load::ArrivalSink
 {
-    auto &s = m->simulation();
-    for (const auto &ev : *events) {
-        if (ev.at > s.now())
-            co_await s.delay(ev.at - s.now());
-        // Open loop: arrivals overlap, so in-flight counts and warm
-        // pools actually exercise the policies.
-        s.spawn(fire(m, ev.fn));
+    Molecule &m;
+    const std::vector<std::string> &fns;
+
+    Spawner(Molecule &runtime, const std::vector<std::string> &names)
+        : m(runtime), fns(names)
+    {
     }
-}
+
+    void
+    onArrival(const load::Arrival &a) override
+    {
+        m.simulation().spawn(fire(&m, fns[a.fn]));
+    }
+};
 
 /**
  * One seeded burst against a CPU+2xDPU server: 200 req/s of a
@@ -101,14 +108,14 @@ runScenario(std::uint64_t seed, const PlacementConfig &placement,
         runtime.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
     runtime.start();
 
-    sim::Rng traceRng(seed);
-    LoadGenerator::Options lg;
-    lg.requestsPerSecond = 200;
-    lg.zipfExponent = 1.1;
-    lg.duration = sim::SimTime::seconds(5);
-    LoadGenerator gen(traceRng, fns, lg);
-    const auto trace = gen.generate();
-    sim.spawn(drive(&runtime, &trace));
+    load::TraceSpec spec;
+    spec.seed = seed;
+    spec.ratePerSecond = 200;
+    spec.duration = sim::SimTime::seconds(5);
+    spec.functions = fns;
+    load::OpenLoopGenerator gen(std::move(spec));
+    Spawner spawner(runtime, fns);
+    sim.spawn(load::drive(sim, gen, spawner));
     sim.run();
 
     Triple t;

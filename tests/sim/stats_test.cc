@@ -1,4 +1,4 @@
-/** @file Unit tests for counters, histograms and the table renderer. */
+/** @file Unit tests for histograms and the table renderer. */
 
 #include <gtest/gtest.h>
 
@@ -8,21 +8,9 @@
 
 namespace {
 
-using molecule::sim::Counter;
 using molecule::sim::Histogram;
 using molecule::sim::Table;
 using namespace molecule::sim::literals;
-
-TEST(Counter, IncrementAndReset)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0);
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5);
-    c.reset();
-    EXPECT_EQ(c.value(), 0);
-}
 
 TEST(Histogram, BasicMoments)
 {

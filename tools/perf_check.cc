@@ -4,8 +4,7 @@
  * committed reference and fail on regression.
  *
  * Usage:
- *   perf_check <reference.json> <fresh.json>
- *              [--tolerance 0.20] [--warn-only]
+ *   perf_check <reference.json> <fresh.json> [--tolerance 0.20]
  *
  * Every benchmark present in BOTH files is compared on its headline
  * "value" (items/sec, best-of-repetitions). A benchmark regresses
@@ -14,10 +13,9 @@
  * Benchmarks present only on one side are reported but never fail
  * the gate (new benches have no reference yet).
  *
- * --warn-only (or MOLECULE_PERF_WARN_ONLY=1 in the environment)
- * downgrades regressions to warnings — the escape hatch for known-
- * noisy CI pools — while keeping the full comparison table in the
- * log.
+ * MOLECULE_PERF_WARN_ONLY=1 in the environment downgrades regressions
+ * to warnings — the escape hatch for known-noisy CI pools — while
+ * keeping the full comparison table in the log.
  *
  * The parser is deliberately minimal: it understands exactly the
  * snapshot shape PerfSnapshot::writeJson emits (a flat "results"
@@ -99,8 +97,6 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--tolerance" && i + 1 < argc) {
             tolerance = std::strtod(argv[++i], nullptr);
-        } else if (arg == "--warn-only") {
-            warnOnly = true;
         } else if (refPath.empty()) {
             refPath = arg;
         } else if (freshPath.empty()) {
@@ -114,7 +110,7 @@ main(int argc, char **argv)
     if (refPath.empty() || freshPath.empty()) {
         std::fprintf(stderr,
                      "usage: perf_check <reference.json> <fresh.json>"
-                     " [--tolerance 0.20] [--warn-only]\n");
+                     " [--tolerance 0.20]\n");
         return 2;
     }
 
