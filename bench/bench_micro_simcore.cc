@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulation kernel itself:
  * event-queue throughput, coroutine task switching, mailbox traffic,
- * a full nIPC write and open-loop arrival generation. These guard the
- * wall-clock cost of the DES substrate (every figure bench runs
- * millions of these operations).
+ * a full nIPC write, capability-replica churn and open-loop arrival
+ * generation. These guard the wall-clock cost of the DES substrate
+ * (every figure bench runs millions of these operations).
  */
 
 #include <benchmark/benchmark.h>
@@ -23,6 +23,7 @@
 #include "load/generator.hh"
 #include "os/kernel.hh"
 #include "sim/sync.hh"
+#include "xpu/capability.hh"
 
 /**
  * Global allocation counter: every operator new in this binary bumps
@@ -373,6 +374,50 @@ BENCHMARK_CAPTURE(BM_OpenLoopGenerator, poisson, load::ArrivalKind::Poisson);
 BENCHMARK_CAPTURE(BM_OpenLoopGenerator, mmpp, load::ArrivalKind::Mmpp);
 BENCHMARK_CAPTURE(BM_OpenLoopGenerator, diurnal, load::ArrivalKind::Diurnal);
 
+// The replica work behind every nIPC fifo on one XPU-Shim: register
+// its descriptor, grant the owner, resolve the uuid, check a
+// permission and remove it, with 32 other objects live (chain_nipc's
+// replicas hold about 20 to 40). One item is one such cycle.
+void
+BM_CapabilityReplicaChurn(benchmark::State &state)
+{
+    constexpr std::size_t kLive = 32;
+    constexpr std::size_t kPool = 2 * kLive;
+    xpu::CapabilityStore store(0);
+    std::vector<xpu::ObjectRef> pool;
+    for (std::size_t i = 0; i < kPool; ++i) {
+        xpu::DistributedObject obj;
+        obj.id = store.allocateId();
+        obj.owner = xpu::XpuPid{0, os::Pid(100 + i)};
+        obj.homePu = 0;
+        obj.uuid = "self/alexa/" + std::to_string(1000 + i);
+        pool.push_back(std::make_shared<const xpu::DistributedObject>(obj));
+    }
+    const xpu::Perm owner =
+        xpu::Perm::Read | xpu::Perm::Write | xpu::Perm::Owner;
+    auto open = [&](const xpu::ObjectRef &obj) {
+        store.registerObject(obj);
+        store.applyGrant(obj->owner, obj->id, owner);
+    };
+    for (std::size_t i = 0; i < kLive; ++i)
+        open(pool[i]);
+    std::size_t next = kLive;
+    std::int64_t granted = 0;
+    for (auto _ : state) {
+        const xpu::ObjectRef &obj = pool[next % kPool];
+        open(obj);
+        const xpu::DistributedObject *found = store.findByUuid(obj->uuid);
+        granted += store.check(obj->owner, found->id, xpu::Perm::Write);
+        store.removeObject(pool[(next - kLive) % kPool]->id);
+        ++next;
+    }
+    benchmark::DoNotOptimize(granted);
+    if (granted != std::int64_t(state.iterations()))
+        state.SkipWithError("owner grant not visible to check()");
+    state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_CapabilityReplicaChurn);
+
 /** The host CPU's model name, as /proc/cpuinfo gives it. */
 std::string
 cpuModel()
@@ -445,11 +490,13 @@ main(int argc, char **argv)
                   MOLECULE_BENCH_COMPILER, MOLECULE_BENCH_BUILD_TYPE});
     // Baselines document what each perf PR was judged against:
     // seed kernel (tombstone priority_queue + std::function) for the
-    // first two, the pre-timer-wheel slab kernel for the rest.
+    // first two, the pre-timer-wheel slab kernel for the next two and
+    // the std::unordered_map replica tables for the churn row.
     snap.baseline("BM_EventQueueScheduleRun", 7.445e6);
     snap.baseline("BM_CoroutineDelayChain", 16.647e6);
     snap.baseline("BM_EventQueueCancelHeavy", 15.884e6);
     snap.baseline("BM_EventQueueTimerResetChurn", 26.779e6);
+    snap.baseline("BM_CapabilityReplicaChurn", 4.883e6);
 
     SnapshotReporter reporter(&snap);
     benchmark::RunSpecifiedBenchmarks(&reporter);

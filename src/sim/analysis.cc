@@ -7,8 +7,6 @@ namespace molecule::sim::analysis {
 
 namespace {
 
-thread_local AccessLog *tlsCurrentLog = nullptr;
-
 /** Deterministic ordering for the conflict scan: group accesses to one
  * cell at one instant together, then order by firing (seq) order. The
  * cell pointer participates only to separate same-named cells; report
@@ -192,20 +190,14 @@ AccessLog::clear()
     curSchedAt_ = 0;
 }
 
-AccessLog *
-AccessLog::current()
+AccessLog::Scope::Scope(AccessLog *log) : prev_(current_)
 {
-    return tlsCurrentLog;
-}
-
-AccessLog::Scope::Scope(AccessLog *log) : prev_(tlsCurrentLog)
-{
-    tlsCurrentLog = log;
+    current_ = log;
 }
 
 AccessLog::Scope::~Scope()
 {
-    tlsCurrentLog = prev_;
+    current_ = prev_;
 }
 
 } // namespace molecule::sim::analysis

@@ -147,8 +147,9 @@ class AccessLog
     void clear();
     ///@}
 
-    /** The calling thread's active log (nullptr outside tracking). */
-    static AccessLog *current();
+    /** The calling thread's active log (nullptr outside tracking).
+     * Inline: every Tracked<T> access reads it. */
+    static AccessLog *current() { return current_; }
 
     /** RAII guard installing a log as the thread's current one. */
     class Scope
@@ -165,6 +166,8 @@ class AccessLog
     };
 
   private:
+    static inline constinit thread_local AccessLog *current_ = nullptr;
+
     std::vector<AccessRecord> ring_;
     std::size_t capacity_;
     std::size_t head_ = 0; // next overwrite position once full

@@ -278,6 +278,7 @@ EventQueue::fire(const Node &top)
     // the running callable.
     Slot &s = slotAt(top.slot);
     invalidateSlot(s);
+    ++fired_;
     s.fn();
     s.fn.reset();
     freeSlot(top.slot);

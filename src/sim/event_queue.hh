@@ -147,6 +147,9 @@ class EventQueue
     /** Sequence assigned by the most recent schedule() call. */
     std::uint64_t lastScheduledSeq() const { return nextSeq_ - 1; }
 
+    /** Events fired so far (run-ahead streaks restart at each). */
+    std::uint64_t firedCount() const { return fired_; }
+
     /** Sequence of a pending event; 0 when @p id is stale/invalid. */
     std::uint64_t seqOfEvent(EventId id) const;
 
@@ -371,6 +374,7 @@ class EventQueue
     std::uint32_t freeHead_ = kNoSlot;
     std::size_t live_ = 0;
     std::uint64_t nextSeq_ = 1; // 0 marks a free slab slot
+    std::uint64_t fired_ = 0;
     /** Exact count of stale nodes per structure (see kInHeap). */
     std::size_t staleHeap_ = 0;
     std::size_t staleWheel_ = 0;

@@ -83,13 +83,21 @@ Simulation::suspendDelay(std::coroutine_handle<> h, SimTime amount)
     const SimTime wake = now_ + amount;
     // Strictly earlier than every pending event, the wake-up would be
     // the next event the drain loop pops, and the coroutine the loop
-    // resumed has nothing left to run behind it: resume in place.
+    // resumed has nothing left to run behind it: resume in place,
+    // unless this event's streak is at its bound.
     if (wake <= runAheadLimit_ && inlineStarts_ == 0 && !log_ &&
         events_.precedesAll(wake)) {
-        events_.skipSeq();
-        now_ = wake;
-        ++delaysInPlace_;
-        return false;
+        if (events_.firedCount() != streakEvent_) {
+            streakEvent_ = events_.firedCount();
+            streak_ = 0;
+        }
+        if (streak_ < kMaxRunAheadStreak) {
+            ++streak_;
+            events_.skipSeq();
+            now_ = wake;
+            ++delaysInPlace_;
+            return false;
+        }
     }
     // The handle is stored directly in the event slot: no closure, no
     // allocation.

@@ -14,9 +14,11 @@
  * and resume. It does so only when the run()/runUntil() drain loop
  * resumed the coroutine directly (no inline task start is under way
  * that has work of its own left at the current instant, no step(), no
- * conflict tracking) and the wake time is within the run's deadline.
- * It consumes the event's sequence number, so every later event is
- * numbered, and ordered, exactly as if the delay had been queued.
+ * conflict tracking), the wake time is within the run's deadline and
+ * the event has resumed fewer than kMaxRunAheadStreak delays in place
+ * so far. It consumes the event's sequence number, so every later
+ * event is numbered, and ordered, exactly as if the delay had been
+ * queued.
  */
 
 #ifndef MOLECULE_SIM_SIMULATION_HH
@@ -202,6 +204,16 @@ class Simulation
      * delaySuspensions() it is the in-place share. */
     std::uint64_t delaysInPlace() const { return delaysInPlace_; }
 
+    /**
+     * Most delays one fired event may resume in place in a row. Each
+     * resumes inside the frame that fired the event, and an
+     * unoptimised build does not turn the symmetric transfers that
+     * follow (a finished child task resuming its awaiter) into tail
+     * calls, so an unbounded streak, such as a closed loop of
+     * invokes, overflows the stack. The next delay is queued.
+     */
+    static constexpr std::uint32_t kMaxRunAheadStreak = 256;
+
     /** @name Sim-time conflict detector (see sim/analysis.hh) */
     ///@{
 
@@ -306,6 +318,10 @@ class Simulation
     std::uint32_t inlineStarts_ = 0;
     std::uint64_t delaySuspensions_ = 0;
     std::uint64_t delaysInPlace_ = 0;
+    /** The current run-ahead streak: the event it runs under
+     * (firedCount()) and its length. */
+    std::uint64_t streakEvent_ = 0;
+    std::uint32_t streak_ = 0;
 };
 
 static_assert(std::is_trivially_copyable_v<Simulation::DelayAwaiter>,

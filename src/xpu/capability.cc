@@ -66,37 +66,16 @@ CapabilityStore::allocateId()
 CapabilityStore::ObjectEntry &
 CapabilityStore::objectRow(ObjId id)
 {
-    auto it = objects_.find(id);
-    if (it != objects_.end())
-        return it->second;
-    return spareObjects_
-        .insertInto(objects_, [id](ObjectEntry &) { return id; })
-        .first->second;
+    return *objects_.tryEmplace(id).first;
 }
 
 void
-CapabilityStore::eraseObjectRow(ObjectTable::iterator it)
+CapabilityStore::eraseObjectRow(ObjId id)
 {
-    ObjectTable::node_type node = objects_.extract(it);
-    node.mapped().desc.reset();
-    node.mapped().holders.clear();
-    spareObjects_.put(std::move(node));
-}
-
-void
-CapabilityStore::eraseUuidRow(UuidTable::iterator it)
-{
-    UuidTable::node_type node = byUuid_.extract(it);
-    // The key views keyOwner's uuid: blank both together.
-    node.key() = std::string_view();
-    node.mapped().keyOwner.reset();
-    spareUuids_.put(std::move(node));
-}
-
-void
-CapabilityStore::eraseGroup(GroupTable::iterator it)
-{
-    spareGroups_.put(groups_.extract(it));
+    objects_.erase(id, [](ObjectEntry &row) {
+        row.desc.reset();
+        row.holders.clear();
+    });
 }
 
 void
@@ -110,20 +89,14 @@ CapabilityStore::registerObject(ObjectRef obj)
 {
     version_.fetchAdd(1);
     const ObjId id = obj->id;
-    const std::string_view uuid = obj->uuid;
-    if (!uuid.empty()) {
+    if (!obj->uuid.empty()) {
         // An existing row keeps its key and the descriptor behind it;
         // only the id moves. A row left naming an overwritten object
         // stays until that uuid is removed, as in the plain model.
-        if (auto u = byUuid_.find(uuid); u != byUuid_.end()) {
-            u->second.id = id;
-        } else {
-            spareUuids_.insertInto(byUuid_, [&](UuidEntry &row) {
-                row.id = id;
-                row.keyOwner = obj;
-                return uuid;
-            });
-        }
+        auto [named, fresh] = byUuid_.tryEmplace(obj->uuid);
+        named->id = id;
+        if (fresh)
+            named->keyOwner = obj;
     }
     ObjectEntry &row = objectRow(id);
     if (row.desc == nullptr)
@@ -134,29 +107,30 @@ CapabilityStore::registerObject(ObjectRef obj)
 void
 CapabilityStore::removeObject(ObjId id)
 {
-    auto it = objects_.find(id);
-    if (it == objects_.end() || it->second.desc == nullptr)
+    const ObjectEntry *row = objects_.find(id);
+    if (row == nullptr || row->desc == nullptr)
         return;
     version_.fetchAdd(1);
     --registered_;
-    if (!it->second.desc->uuid.empty()) {
-        if (auto u = byUuid_.find(it->second.desc->uuid);
-            u != byUuid_.end())
-            eraseUuidRow(u);
-    }
+    // The key views the row's descriptor, which outlives the erase.
+    if (!row->desc->uuid.empty())
+        byUuid_.erase(row->desc->uuid,
+                      [](UuidEntry &named) { named.keyOwner.reset(); });
     // Grants die with their object; a group left empty goes too, and
-    // so does every group an earlier revoke emptied.
-    for (std::uint64_t key : it->second.holders) {
-        auto g = groups_.find(key);
-        g->second.drop(id);
-        if (g->second.size() == 0)
-            eraseGroup(g);
+    // so does every group an earlier revoke emptied. A group is empty
+    // when it goes, so it has nothing to scrub.
+    const auto keepAll = [](CapGroup &) {};
+    for (std::uint64_t key : row->holders) {
+        CapGroup *g = groups_.find(key);
+        g->drop(id);
+        if (g->size() == 0)
+            groups_.erase(key, keepAll);
     }
-    eraseObjectRow(it);
+    eraseObjectRow(id);
     for (std::uint64_t key : emptied_) {
-        auto g = groups_.find(key);
-        if (g != groups_.end() && g->second.size() == 0)
-            eraseGroup(g);
+        const CapGroup *g = groups_.find(key);
+        if (g != nullptr && g->size() == 0)
+            groups_.erase(key, keepAll);
     }
     emptied_.clear();
 }
@@ -166,17 +140,10 @@ CapabilityStore::applyGrant(XpuPid pid, ObjId obj, Perm perm)
 {
     version_.fetchAdd(1);
     const std::uint64_t key = pid.encode();
-    auto g = groups_.find(key);
-    if (g == groups_.end()) {
-        g = spareGroups_
-                .insertInto(groups_,
-                            [pid, key](CapGroup &group) {
-                                group.reuseFor(pid);
-                                return key;
-                            })
-                .first;
-    }
-    if (g->second.add(obj, perm))
+    auto [group, fresh] = groups_.tryEmplace(key);
+    if (fresh)
+        group->reuseFor(pid);
+    if (group->add(obj, perm))
         objectRow(obj).holders.push_back(key);
 }
 
@@ -185,14 +152,14 @@ CapabilityStore::applyRevoke(XpuPid pid, ObjId obj, Perm perm)
 {
     version_.fetchAdd(1);
     const std::uint64_t key = pid.encode();
-    auto g = groups_.find(key);
-    if (g == groups_.end() || !g->second.remove(obj, perm))
+    CapGroup *group = groups_.find(key);
+    if (group == nullptr || !group->remove(obj, perm))
         return;
-    auto row = objects_.find(obj);
-    std::erase(row->second.holders, key);
-    if (row->second.holders.empty() && row->second.desc == nullptr)
-        eraseObjectRow(row);
-    if (g->second.size() == 0)
+    ObjectEntry *row = objects_.find(obj);
+    std::erase(row->holders, key);
+    if (row->holders.empty() && row->desc == nullptr)
+        eraseObjectRow(obj);
+    if (group->size() == 0)
         emptied_.push_back(key);
 }
 
@@ -200,16 +167,16 @@ const DistributedObject *
 CapabilityStore::findObject(ObjId id) const
 {
     version_.read();
-    auto it = objects_.find(id);
-    return it == objects_.end() ? nullptr : it->second.desc.get();
+    const ObjectEntry *row = objects_.find(id);
+    return row == nullptr ? nullptr : row->desc.get();
 }
 
 const DistributedObject *
 CapabilityStore::findByUuid(std::string_view uuid) const
 {
     version_.read();
-    auto it = byUuid_.find(uuid);
-    return it == byUuid_.end() ? nullptr : findObject(it->second.id);
+    const UuidEntry *named = byUuid_.find(uuid);
+    return named == nullptr ? nullptr : findObject(named->id);
 }
 
 bool
@@ -222,8 +189,8 @@ Perm
 CapabilityStore::lookup(XpuPid pid, ObjId obj) const
 {
     version_.read();
-    auto it = groups_.find(pid.encode());
-    return it == groups_.end() ? Perm::None : it->second.lookup(obj);
+    const CapGroup *group = groups_.find(pid.encode());
+    return group == nullptr ? Perm::None : group->lookup(obj);
 }
 
 void

@@ -12,15 +12,15 @@
 #ifndef MOLECULE_XPU_CAPABILITY_HH
 #define MOLECULE_XPU_CAPABILITY_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sim/analysis.hh"
-#include "sim/spares.hh"
+#include "sim/flat_map.hh"
 #include "xpu/types.hh"
 
 namespace molecule::xpu {
@@ -180,34 +180,23 @@ class CapabilityStore
         ObjectRef keyOwner;
     };
 
-    using ObjectTable = std::unordered_map<ObjId, ObjectEntry>;
-    using UuidTable = std::unordered_map<std::string_view, UuidEntry>;
-    using GroupTable = std::unordered_map<std::uint64_t, CapGroup>;
-
-    /** Row of @p id, created (from a recycled node) on demand. */
+    /** Row of @p id, created on demand. */
     ObjectEntry &objectRow(ObjId id);
 
-    /** Drop the row at @p it, keeping its node for reuse. */
-    void eraseObjectRow(ObjectTable::iterator it);
-
-    void eraseUuidRow(UuidTable::iterator it);
-
-    void eraseGroup(GroupTable::iterator it);
+    /** Erase @p id's row, keeping its holder buffer for reuse. */
+    void eraseObjectRow(ObjId id);
 
     PuId self_;
     std::uint64_t nextLocal_ = 1;
-    // Hashed: no replica table is ever iterated, so hash order never
-    // reaches a result.
-    ObjectTable objects_;
-    UuidTable byUuid_;
-    GroupTable groups_; // XpuPid::encode()
+    // No replica table is iterated, so row order never reaches a
+    // result. An erased row drops its descriptors and keeps its
+    // buffers for the next insert (sim/flat_map.hh).
+    sim::FlatMap<ObjId, ObjectEntry> objects_;
+    sim::FlatMap<std::string_view, UuidEntry, std::hash<std::string_view>>
+        byUuid_;
+    sim::FlatMap<std::uint64_t, CapGroup> groups_; // XpuPid::encode()
     /** Rows with a descriptor. */
     std::size_t registered_ = 0;
-    /** Nodes of erased rows, values cleared: no descriptor is kept
-     * alive. */
-    sim::Spares<ObjectTable::node_type> spareObjects_;
-    sim::Spares<UuidTable::node_type> spareUuids_;
-    sim::Spares<GroupTable::node_type> spareGroups_;
     /** Groups a revoke left empty. They stay until the next
      * removeObject, which drops every empty group. */
     std::vector<std::uint64_t> emptied_;

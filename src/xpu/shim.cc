@@ -168,33 +168,29 @@ XpuShim::flushLazy()
 void
 XpuShim::openHomed(Descriptor desc)
 {
-    const ObjId obj = desc->id;
-    spareHomed_.insertInto(queues_, [&](HomedFifo &homed) {
-        if (homed.queue == nullptr)
-            homed.queue = std::make_unique<Queue>(os_.simulation());
-        homed.refCount = 1;
-        homed.desc = std::move(desc);
-        return obj;
-    });
+    HomedFifo &homed = *queues_.tryEmplace(desc->id).first;
+    if (homed.queue == nullptr)
+        homed.queue = std::make_unique<Queue>(os_.simulation());
+    homed.refCount = 1;
+    homed.desc = std::move(desc);
 }
 
 void
 XpuShim::closeHomed(ObjId obj)
 {
-    HomedQueues::node_type node = queues_.extract(obj);
-    retiredObjects_.put(std::move(node.mapped().desc));
-    // Only an idle queue is reused; one still holding messages or
-    // readers goes, as its FIFO does.
-    const Queue &queue = *node.mapped().queue;
-    if (queue.empty() && queue.waitingGetters() == 0)
-        spareHomed_.put(std::move(node));
+    queues_.erase(obj, [this](HomedFifo &homed) {
+        retiredObjects_.put(std::move(homed.desc));
+        // Only an idle queue is reused; one still holding messages or
+        // readers goes, as its FIFO does.
+        if (!homed.queue->empty() || homed.queue->waitingGetters() != 0)
+            homed.queue.reset();
+    });
 }
 
 XpuShim::HomedFifo *
 XpuShim::findHomed(ObjId obj)
 {
-    auto it = queues_.find(obj);
-    return it == queues_.end() ? nullptr : &it->second;
+    return queues_.find(obj);
 }
 
 core::Status
@@ -219,11 +215,11 @@ XpuShim::crashLocal()
     // Poison in ObjId order: the wake-up order is visible in results.
     std::vector<ObjId> ids;
     ids.reserve(queues_.size());
-    for (const auto &entry : queues_)
-        ids.push_back(entry.first);
+    queues_.forEach(
+        [&ids](ObjId id, const HomedFifo &) { ids.push_back(id); });
     std::sort(ids.begin(), ids.end());
     for (ObjId id : ids) {
-        auto &queue = queues_.at(id).queue;
+        auto &queue = queues_.find(id)->queue;
         const std::size_t waiting = queue->waitingGetters();
         for (std::size_t i = 0; i < waiting; ++i)
             queue->tryPut(os::FifoMessage{0, "!fault:pu-crash"});

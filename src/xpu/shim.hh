@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/status.hh"
@@ -36,6 +35,7 @@
 #include "obs/trace.hh"
 #include "os/fifo.hh"
 #include "os/kernel.hh"
+#include "sim/flat_map.hh"
 #include "sim/spares.hh"
 #include "sim/sync.hh"
 #include "xpu/capability.hh"
@@ -243,11 +243,9 @@ class XpuShim
     int handlerThreads_ = 1;
     std::unique_ptr<sim::Semaphore> handlerSlots_;
     CapabilityStore caps_;
-    using HomedQueues = std::unordered_map<ObjId, HomedFifo>;
-    /** Never iterated in hash order: crashLocal sorts the ids first. */
-    HomedQueues queues_;
-    /** Closed fifos' table nodes with their idle queues. */
-    sim::Spares<HomedQueues::node_type> spareHomed_;
+    /** crashLocal sorts the ids before it walks the rows. A closed
+     * fifo's row stays as a spare with its queue, if idle. */
+    sim::FlatMap<ObjId, HomedFifo> queues_;
     /** Descriptors of closed fifos, and of failed inits no replica
      * saw. Replicas drop theirs as the lazy removals flush; a crash
      * drops its pending removals, and the peers then hold those

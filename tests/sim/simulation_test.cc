@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdint>
@@ -263,6 +264,72 @@ TEST(RunAheadFuzz, SameSeedSameInPlaceCount)
     const Played b = play(42, Drive::Run);
     EXPECT_EQ(a.inPlace, b.inPlace);
     EXPECT_EQ(a.suspensions, b.suspensions);
+}
+
+/** The longest run of delays resumed in place, as seen by the one
+ * coroutine chain of a closed loop. */
+struct Streaks
+{
+    std::uint64_t current = 0;
+    std::uint64_t longest = 0;
+};
+
+/** One hop of a request: a child task, so finishing it resumes its
+ * awaiter through a symmetric transfer. */
+Task<>
+hop(Simulation &sim, SimTime d, Streaks *s)
+{
+    const std::uint64_t before = sim.delaysInPlace();
+    co_await sim.delay(d);
+    s->current = sim.delaysInPlace() > before ? s->current + 1 : 0;
+    s->longest = std::max(s->longest, s->current);
+}
+
+Task<>
+request(Simulation &sim, int r, Streaks *s)
+{
+    for (int i = 0; i < 3; ++i)
+        co_await hop(sim, SimTime(1 + (r + i) % 3), s);
+}
+
+/** A client that sends its next request when the last one ends:
+ * with nothing else pending, every delay could run ahead. */
+Task<>
+closedLoop(Simulation &sim, int requests, Streaks *s,
+           std::vector<std::int64_t> *done)
+{
+    for (int r = 0; r < requests; ++r) {
+        co_await request(sim, r, s);
+        done->push_back(sim.now().raw());
+    }
+}
+
+TEST(RunAheadFuzz, DeepClosedLoopStreaksStayBounded)
+{
+    // 60k delays in one chain: unbounded, the in-place resumptions of
+    // one fired event would nest that many transfers in unoptimised
+    // builds and overflow the stack.
+    constexpr int kRequests = 20000;
+    auto playLoop = [](bool step, Streaks *s) {
+        Simulation sim;
+        std::vector<std::int64_t> done;
+        sim.spawn(closedLoop(sim, kRequests, s, &done));
+        if (step) {
+            while (sim.step()) {
+            }
+        } else {
+            sim.run();
+        }
+        EXPECT_EQ(sim.delaySuspensions(), 3u * kRequests);
+        return done;
+    };
+    Streaks stepped;
+    Streaks ran;
+    const std::vector<std::int64_t> want = playLoop(true, &stepped);
+    ASSERT_EQ(want.size(), std::size_t(kRequests));
+    EXPECT_EQ(playLoop(false, &ran), want);
+    EXPECT_EQ(stepped.longest, 0u);
+    EXPECT_EQ(ran.longest, Simulation::kMaxRunAheadStreak);
 }
 
 Task<>

@@ -333,6 +333,43 @@ TEST_F(ShimFixture, CloseReclaimsLazily)
     EXPECT_EQ(cpuShim->lazyQueueDepth(), 0u);
 }
 
+TEST_F(ShimFixture, ClosedFifoDescriptorIsReusedOnceRemovalsFlush)
+{
+    auto closeIt = [](XpuClient &c, XpuFd fd,
+                      core::Status *out) -> Task<> {
+        *out = co_await c.xfifoClose(fd);
+    };
+    auto flushIt = [](XpuShim *s) -> Task<> { co_await s->flushLazy(); };
+    FdOutcome fd = pending<XpuFd>();
+    sim.spawn(initFifo(*cpuClient, "reuse-0", &fd));
+    sim.run();
+    ASSERT_TRUE(fd.ok()) << fd.error().toString();
+    const DistributedObject *first = cpuShim->caps().findByUuid("reuse-0");
+    ASSERT_NE(first, nullptr);
+    core::Status st;
+    sim.spawn(closeIt(*cpuClient, fd.value(), &st));
+    sim.run();
+    ASSERT_TRUE(st.ok()) << st.toString();
+    EXPECT_EQ(cpuShim->retiredDescriptorCount(), 1u);
+
+    // The peers' replicas still hold it: a new fifo gets another.
+    sim.spawn(initFifo(*cpuClient, "reuse-1", &fd));
+    sim.run();
+    ASSERT_TRUE(fd.ok()) << fd.error().toString();
+    EXPECT_NE(cpuShim->caps().findByUuid("reuse-1"), first);
+
+    // Once the removal reaches every peer, no replica row, live or
+    // erased, holds it, and the next fifo takes it.
+    sim.spawn(flushIt(cpuShim));
+    sim.run();
+    EXPECT_EQ(dpu1Shim->caps().findByUuid("reuse-0"), nullptr);
+    sim.spawn(initFifo(*cpuClient, "reuse-2", &fd));
+    sim.run();
+    ASSERT_TRUE(fd.ok()) << fd.error().toString();
+    EXPECT_EQ(cpuShim->caps().findByUuid("reuse-2"), first);
+    EXPECT_EQ(dpu2Shim->caps().findByUuid("reuse-2"), first);
+}
+
 TEST_F(ShimFixture, CrashWithPendingRemovalsKeepsDescriptorReuseBounded)
 {
     auto cycle = [](XpuClient &c, std::string uuid,
