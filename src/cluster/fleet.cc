@@ -2,6 +2,9 @@
 
 namespace molecule::cluster {
 
+/** Every fleet node carries BlueField-2 DPUs. */
+constexpr hw::DpuGeneration kDpuGeneration = hw::DpuGeneration::Bf2;
+
 Fleet::Fleet(sim::Simulation &sim, const FleetSpec &spec)
     : sim_(sim), spec_(spec)
 {
@@ -10,7 +13,7 @@ Fleet::Fleet(sim::Simulation &sim, const FleetSpec &spec)
     runtimes_.reserve(std::size_t(n));
     for (int i = 0; i < n; ++i) {
         auto computer = hw::buildCpuDpuServer(sim_, spec_.dpusPerNode,
-                                              spec_.dpuGeneration);
+                                              kDpuGeneration);
         core::MoleculeOptions options = spec_.runtime;
         options.startup.warmCapacity = spec_.warmCapacity;
         runtimes_.push_back(std::make_unique<core::Molecule>(

@@ -33,9 +33,8 @@ struct FleetSpec
 {
     /** Number of worker machines. */
     int nodes = 2;
-    /** BlueField DPUs per node (0 = CPU-only nodes). */
+    /** BlueField-2 DPUs per node (0 = CPU-only nodes). */
     int dpusPerNode = 2;
-    hw::DpuGeneration dpuGeneration = hw::DpuGeneration::Bf2;
     /** Warm instances kept per (function, PU) on every node. */
     std::size_t warmCapacity = 256;
     /** Runtime options template applied to every node; startup

@@ -8,33 +8,6 @@
 
 namespace molecule::cluster {
 
-const char *
-toString(DropPolicy p)
-{
-    switch (p) {
-    case DropPolicy::DropNewest:
-        return "drop-newest";
-    case DropPolicy::DropOldest:
-        return "drop-oldest";
-    }
-    return "?";
-}
-
-int
-RoundRobinPolicy::pick(const load::Arrival &a,
-                       std::span<const int> outstanding, int cap)
-{
-    (void)a;
-    const std::size_t n = outstanding.size();
-    for (std::size_t tried = 0; tried < n; ++tried) {
-        const std::size_t node = cursor_ % n;
-        cursor_ = (cursor_ + 1) % n;
-        if (outstanding[node] < cap)
-            return int(node);
-    }
-    return -1;
-}
-
 int
 LeastOutstandingPolicy::pick(const load::Arrival &a,
                              std::span<const int> outstanding, int cap)
@@ -49,20 +22,6 @@ LeastOutstandingPolicy::pick(const load::Arrival &a,
         }
     }
     return best;
-}
-
-int
-WarmAffinityPolicy::pick(const load::Arrival &a,
-                         std::span<const int> outstanding, int cap)
-{
-    const auto it = home_.find(a.fn);
-    if (it != home_.end() && outstanding[std::size_t(it->second)] < cap)
-        return it->second;
-    LeastOutstandingPolicy fallback;
-    const int node = fallback.pick(a, outstanding, cap);
-    if (node >= 0)
-        home_[a.fn] = node;
-    return node;
 }
 
 core::Status
@@ -175,16 +134,8 @@ ClusterGateway::onArrival(const load::Arrival &a)
         return;
     }
     if (queue_.size() >= opts_.queueCapacity) {
-        if (opts_.dropPolicy == DropPolicy::DropNewest) {
-            stats_.onDropped(int(a.tenant));
-            return; // the new arrival is the casualty
-        }
-        // DropOldest: the evicted front takes the drop, under its
-        // own tenant — not the arrival that displaced it.
-        stats_.onDropped(int(queue_.empty() ? a.tenant
-                                            : queue_.front().tenant));
-        if (!queue_.empty())
-            queue_.pop_front();
+        stats_.onDropped(int(a.tenant));
+        return; // tail drop: the new arrival is the casualty
     }
     queue_.push_back(a);
     stats_.onQueueDepth(queue_.size());

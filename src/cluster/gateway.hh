@@ -8,21 +8,22 @@
  *     that find the bucket empty are *shed* immediately (the client
  *     sees a fast rejection, the cluster sees no work);
  *  2. backlog — admitted arrivals that find every node at its
- *     outstanding cap wait in one bounded FIFO; overflow *drops*
- *     per the configured policy (newest or oldest first);
- *  3. dispatch — a pluggable DispatchPolicy picks the serving node
- *     among those with a free slot; the invocation then runs the full
- *     per-node Molecule pipeline (scheduling, startup, execution).
+ *     outstanding cap wait in one bounded FIFO; an arrival that finds
+ *     the FIFO full is *dropped* (tail drop: the newest loses);
+ *  3. dispatch — a DispatchPolicy (least-outstanding by default)
+ *     picks the serving node among those with a free slot; the
+ *     invocation then runs the full per-node Molecule pipeline
+ *     (scheduling, startup, execution).
  *
  * Shed and dropped arrivals consume no node resources — that is the
  * point of admission control: under saturation the cluster keeps
  * serving the admitted fraction at bounded tail latency instead of
  * letting the backlog (and p999) grow without bound.
  *
- * The DispatchPolicy interface is the seam where cluster-level
- * scheduling research plugs in (ROADMAP item "scheduling-policy
- * comparison harness"): policies see arrivals and per-node outstanding
- * work, nothing else, so new policies cannot break determinism.
+ * The DispatchPolicy interface is the seam where a caller wraps or
+ * replaces the node pick: policies see arrivals and per-node
+ * outstanding work, nothing else, so a policy cannot break
+ * determinism.
  */
 
 #ifndef MOLECULE_CLUSTER_GATEWAY_HH
@@ -30,7 +31,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -46,16 +46,6 @@ class FlightRecorder;
 
 namespace molecule::cluster {
 
-/** What the bounded queue evicts when it overflows. */
-enum class DropPolicy {
-    /** Reject the arriving request (classic tail drop). */
-    DropNewest,
-    /** Evict the stalest queued request to make room. */
-    DropOldest,
-};
-
-const char *toString(DropPolicy p);
-
 /** Gateway admission knobs. */
 struct AdmissionOptions
 {
@@ -63,9 +53,9 @@ struct AdmissionOptions
     double tokensPerSecond = 0.0;
     /** Token-bucket burst allowance. */
     double bucketCapacity = 64.0;
-    /** Bounded-backlog capacity (0 = no queue: full cluster drops). */
+    /** Bounded-backlog capacity (0 = no queue: full cluster drops).
+     * An arrival that finds the backlog full is dropped. */
     std::size_t queueCapacity = 1024;
-    DropPolicy dropPolicy = DropPolicy::DropNewest;
     /** Concurrency cap per node (in-flight invocations). */
     int maxOutstandingPerNode = 64;
     /** Per-invocation resilience knobs forwarded to the nodes. */
@@ -101,19 +91,6 @@ class DispatchPolicy
     }
 };
 
-/** Rotate through the nodes, skipping full ones. */
-class RoundRobinPolicy final : public DispatchPolicy
-{
-  public:
-    const char *name() const override { return "round-robin"; }
-
-    int pick(const load::Arrival &a, std::span<const int> outstanding,
-             int cap) override;
-
-  private:
-    std::size_t cursor_ = 0;
-};
-
 /** Join the shortest queue: fewest in-flight wins, lowest id ties. */
 class LeastOutstandingPolicy final : public DispatchPolicy
 {
@@ -122,25 +99,6 @@ class LeastOutstandingPolicy final : public DispatchPolicy
 
     int pick(const load::Arrival &a, std::span<const int> outstanding,
              int cap) override;
-};
-
-/**
- * Warm affinity: keep a function on the node that served it last so
- * its warm instances (cfork templates, keep-alive pools) get reused;
- * fall back to least-outstanding when the home node is full — and
- * adopt the fallback as the new home (the warm pool follows).
- */
-class WarmAffinityPolicy final : public DispatchPolicy
-{
-  public:
-    const char *name() const override { return "warm-affinity"; }
-
-    int pick(const load::Arrival &a, std::span<const int> outstanding,
-             int cap) override;
-
-  private:
-    /** function index -> home node. */
-    std::map<std::uint32_t, int> home_;
 };
 
 /**
@@ -195,8 +153,6 @@ class ClusterGateway final : public load::ArrivalSink
     ClusterGateway(Fleet &fleet, GatewayConfig config);
 
     void onArrival(const load::Arrival &a) override;
-
-    std::size_t queueDepth() const { return queue_.size(); }
 
     int outstanding(int node) const
     {

@@ -61,7 +61,7 @@ struct Telemetry
               const obs::SloSpec &slo, std::uint32_t tenants,
               const obs::Tracer *tracer)
         : ts(sim), monitor(attached(stats, ts), forTenants(slo, tenants)),
-          recorder(ts, {.keepWindows = 16, .spanTail = 128})
+          recorder(ts)
     {
         monitor.addSink(&recorder);
         if (tracer != nullptr)

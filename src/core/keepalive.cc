@@ -46,6 +46,19 @@ GreedyDualKeepAlive::onEvict(const WarmEntryView &entry)
         clockOf(entry) = entry.parkPriority;
 }
 
+namespace {
+
+/** Reuse-interval percentile that sets the histogram window. */
+constexpr double kPercentile = 95.0;
+/** Safety margin on the predicted window. */
+constexpr double kMarginFactor = 1.25;
+/** Window until enough intervals are observed, ms. */
+constexpr double kDefaultWindowMs = 250.0;
+/** Observations needed before predictions kick in. */
+constexpr std::int64_t kMinSamples = 4;
+
+} // namespace
+
 void
 HistogramKeepAlive::onRequest(std::string_view fn, int pu,
                               sim::SimTime now)
@@ -73,13 +86,13 @@ HistogramKeepAlive::onRequest(std::string_view fn, int pu,
 sim::SimTime
 HistogramKeepAlive::windowOf(const Intervals &iv) const
 {
-    if (iv.count < opts_.minSamples)
-        return sim::SimTime::fromMilliseconds(opts_.defaultWindowMs);
+    if (iv.count < kMinSamples)
+        return sim::SimTime::fromMilliseconds(kDefaultWindowMs);
     // Walk the log buckets up to the target percentile; the bucket's
     // upper bound (2^i us) is the interval estimate.
     const std::int64_t target = std::max<std::int64_t>(
         1, std::int64_t(std::ceil(double(iv.count) *
-                                  opts_.percentile / 100.0)));
+                                  kPercentile / 100.0)));
     std::int64_t seen = 0;
     std::size_t bucket = iv.buckets.size() - 1;
     for (std::size_t i = 0; i < iv.buckets.size(); ++i) {
@@ -90,7 +103,7 @@ HistogramKeepAlive::windowOf(const Intervals &iv) const
         }
     }
     const double us = double(std::int64_t(1) << bucket);
-    return sim::SimTime::fromMilliseconds(us * opts_.marginFactor /
+    return sim::SimTime::fromMilliseconds(us * kMarginFactor /
                                           1000.0);
 }
 
@@ -99,7 +112,7 @@ HistogramKeepAlive::window(std::string_view fn, int pu) const
 {
     const auto it = intervals_.find(PoolKeyView{fn, pu});
     if (it == intervals_.end())
-        return sim::SimTime::fromMilliseconds(opts_.defaultWindowMs);
+        return sim::SimTime::fromMilliseconds(kDefaultWindowMs);
     return windowOf(it->second);
 }
 
@@ -128,7 +141,7 @@ KeepAliveConfig::make() const
     case Kind::GreedyDual:
         return std::make_unique<GreedyDualKeepAlive>();
     case Kind::Histogram:
-        return std::make_unique<HistogramKeepAlive>(histogramOpts);
+        return std::make_unique<HistogramKeepAlive>();
     }
     return std::make_unique<LruKeepAlive>();
 }

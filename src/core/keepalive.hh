@@ -145,31 +145,14 @@ class GreedyDualKeepAlive final : public KeepAliveStrategy
 /**
  * Prediction-based idle windows: a log-bucketed histogram of observed
  * reuse intervals per (function, PU) predicts how long a parked
- * instance stays worth keeping (percentile x margin). Entries past
- * their window are evicted first, most overdue first; entries inside
- * it are protected and fall back to LRU order among themselves.
+ * instance stays worth keeping (95th percentile x 1.25; 250 ms until
+ * four intervals are seen). Entries past their window are evicted
+ * first, most overdue first; entries inside it are protected and fall
+ * back to LRU order among themselves.
  */
 class HistogramKeepAlive final : public KeepAliveStrategy
 {
   public:
-    struct Options
-    {
-        /** Reuse-interval percentile that sets the window. */
-        double percentile = 95.0;
-        /** Safety margin on the predicted window. */
-        double marginFactor = 1.25;
-        /** Window until enough intervals are observed, ms. */
-        double defaultWindowMs = 250.0;
-        /** Observations needed before predictions kick in. */
-        std::int64_t minSamples = 4;
-    };
-
-    HistogramKeepAlive() = default;
-
-    explicit HistogramKeepAlive(const Options &options)
-        : opts_(options)
-    {}
-
     const char *name() const override { return "histogram"; }
 
     void onRequest(std::string_view fn, int pu,
@@ -218,7 +201,6 @@ class HistogramKeepAlive final : public KeepAliveStrategy
 
     sim::SimTime windowOf(const Intervals &iv) const;
 
-    Options opts_;
     std::map<PoolKey, Intervals, PoolKeyLess> intervals_;
 };
 
@@ -232,8 +214,6 @@ struct KeepAliveConfig
     enum class Kind : std::uint8_t { Lru, GreedyDual, Histogram };
 
     Kind kind = Kind::Lru;
-    /** Histogram knobs (ignored by the other strategies). */
-    HistogramKeepAlive::Options histogramOpts;
 
     /** Build a fresh strategy instance for one startup manager. */
     std::unique_ptr<KeepAliveStrategy> make() const;
@@ -249,15 +229,6 @@ struct KeepAliveConfig
     {
         KeepAliveConfig c;
         c.kind = Kind::GreedyDual;
-        return c;
-    }
-
-    static KeepAliveConfig
-    histogram(const HistogramKeepAlive::Options &options)
-    {
-        KeepAliveConfig c;
-        c.kind = Kind::Histogram;
-        c.histogramOpts = options;
         return c;
     }
 

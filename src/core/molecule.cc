@@ -128,13 +128,16 @@ Molecule::noteFailedAttempt(const Error &err, obs::PuList &tried)
     return true;
 }
 
+/** Sim-time pause before each retry attempt. */
+constexpr sim::SimTime kRetryBackoff = sim::SimTime::milliseconds(5);
+
 sim::Simulation::DelayAwaiter
-Molecule::retryBackoff(obs::Span &span, int attempt, sim::SimTime pause)
+Molecule::retryBackoff(obs::Span &span, int attempt)
 {
     span.setArg(attempt);
     if (options_.tracer != nullptr)
         options_.tracer->metrics().counter("invoke.retry").inc();
-    return simulation().delay(pause);
+    return simulation().delay(kRetryBackoff);
 }
 
 sim::Simulation::DelayAwaiter
@@ -244,7 +247,7 @@ Molecule::invokeCpu(const FunctionDef &fn, const InvokeOptions &opts)
         if (attempt > 1) {
             obs::Span backoff(root.ctx(), "retry.backoff",
                               obs::Layer::Core, managerPu);
-            co_await retryBackoff(backoff, attempt, o.retryBackoff);
+            co_await retryBackoff(backoff, attempt);
         }
 
         const int target =
@@ -366,7 +369,7 @@ Molecule::invokeAccelerator(const FunctionDef &fn,
         if (attempt > 1) {
             obs::Span backoff(root.ctx(), "retry.backoff",
                               obs::Layer::Core, hostPu);
-            co_await retryBackoff(backoff, attempt, o.retryBackoff);
+            co_await retryBackoff(backoff, attempt);
         }
         if (o.deadline > sim::SimTime(0) && sim.now() - t0 > o.deadline) {
             lastErr = attemptError(Errc::DeadlineExceeded, "", *def,

@@ -86,7 +86,7 @@ struct MoleculeOptions
 /**
  * Per-invocation knobs: placement, input size and resilience
  * (§ fault injection & recovery). The two ints lead so the struct
- * packs into 40 bytes: invoke coroutines copy it into their frame.
+ * packs into 32 bytes: invoke coroutines copy it into their frame.
  */
 struct InvokeOptions
 {
@@ -103,8 +103,6 @@ struct InvokeOptions
      * (never retried — the budget is already gone).
      */
     sim::SimTime deadline{};
-    /** Sim-time pause before each retry attempt. */
-    sim::SimTime retryBackoff = sim::SimTime::milliseconds(5);
     /**
      * Allow retries to fail over to another allowed PU. Accelerator
      * retries always re-attempt on the same card: reconfiguration
@@ -180,9 +178,9 @@ class Molecule
      * One invocation of a function held by registry(), on whichever
      * target its definition names: a CPU/DPU instance (cpuWork), the
      * FPGA of card 0 (fpgaWork) or the GPU of card 0 (a kernel time).
-     * Retries run the whole attempt again after
-     * @ref InvokeOptions::retryBackoff; with failover enabled a CPU/DPU
-     * retry excludes every PU a previous attempt failed on. On
+     * Retries run the whole attempt again after a 5 ms sim-time
+     * backoff; with failover enabled a CPU/DPU retry excludes every PU
+     * a previous attempt failed on. On
      * exhaustion the RetriesExhausted error carries the last cause,
      * the retry count and the PUs tried. The task copies @p opts when
      * it starts, so a temporary may be passed in the full expression
@@ -245,9 +243,7 @@ class Molecule
     bool noteFailedAttempt(const Error &err, obs::PuList &tried);
 
     /** Book the pause before retry @p attempt, timed by @p span. */
-    sim::Simulation::DelayAwaiter retryBackoff(obs::Span &span,
-                                               int attempt,
-                                               sim::SimTime pause);
+    sim::Simulation::DelayAwaiter retryBackoff(obs::Span &span, int attempt);
 
     /** The request-delivery cost inside the instance on @p pu. */
     sim::Simulation::DelayAwaiter dispatchCost(const FunctionDef &def,

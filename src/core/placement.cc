@@ -94,7 +94,7 @@ LoadAwarePolicy::place(const PlacementRequest &req,
              ++i) {
             const PuView *v = &view.byPrice(i);
             if (!v->eligible() ||
-                v->loadPerCore() >= opts_.spillThreshold)
+                v->loadPerCore() >= kSpillThreshold)
                 continue;
             if (best == nullptr ||
                 v->loadPerCore() < best->loadPerCore())
@@ -125,7 +125,7 @@ LocalityAffinityPolicy::place(const PlacementRequest &req,
     const PuView *warm = nullptr;
     for (const PuView &v : view.pus()) {
         if (!v.eligible() || v.warmSandboxes == 0 ||
-            v.loadPerCore() >= opts_.loadBarrier)
+            v.loadPerCore() >= kLoadBarrier)
             continue;
         const bool better =
             warm == nullptr || v.warmSandboxes > warm->warmSandboxes ||
@@ -146,12 +146,9 @@ PlacementConfig::make() const
     case Kind::PriceOrdered:
         return std::make_unique<PriceOrderedPolicy>();
     case Kind::LoadAware:
-        return std::make_unique<LoadAwarePolicy>(
-            LoadAwarePolicy::Options{spillThreshold});
+        return std::make_unique<LoadAwarePolicy>();
     case Kind::Locality:
-        return std::make_unique<LocalityAffinityPolicy>(
-            LocalityAffinityPolicy::Options{loadBarrier,
-                                            spillThreshold});
+        return std::make_unique<LocalityAffinityPolicy>();
     }
     return std::make_unique<PriceOrderedPolicy>();
 }

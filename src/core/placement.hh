@@ -17,7 +17,7 @@
  *                     default and reproduces the pre-policy-layer
  *                     golden digests bit for bit.
  *  - load-aware     : price-ordered until a kind saturates (in-flight
- *                     work >= spillThreshold x cores), then spills to
+ *                     work >= one invocation per core), then spills to
  *                     the next-cheapest kind — host CPUs absorb DPU
  *                     overload instead of queueing behind 8 ARM cores
  *                     (the DPU-bound ~480 inv/s ceiling of ROADMAP
@@ -238,7 +238,7 @@ class PriceOrderedPolicy final : public PlacementPolicy
 
 /**
  * Least-cost with saturation spill: prefer the cheapest kind while
- * any of its PUs has in-flight work below spillThreshold x cores;
+ * any of its PUs has in-flight work below kSpillThreshold x cores;
  * once a kind saturates, spill to the next-cheapest kind instead of
  * queueing. Within a kind the least-loaded PU (per core) wins, lowest
  * id ties. When every kind is saturated, the globally least-loaded
@@ -247,52 +247,29 @@ class PriceOrderedPolicy final : public PlacementPolicy
 class LoadAwarePolicy final : public PlacementPolicy
 {
   public:
-    struct Options
-    {
-        /** In-flight invocations per core at which a PU counts as
-         * saturated (1.0 = one invocation per core). */
-        double spillThreshold = 1.0;
-    };
-
-    LoadAwarePolicy() = default;
-
-    explicit LoadAwarePolicy(const Options &options) : opts_(options)
-    {}
+    /** In-flight invocations per core at which a PU counts as
+     * saturated (one invocation per core). */
+    static constexpr double kSpillThreshold = 1.0;
 
     const char *name() const override { return "load-aware"; }
 
     int place(const PlacementRequest &req,
               const PlacementView &view) override;
-
-  private:
-    Options opts_;
 };
 
 /**
  * FDN-style locality: place where the function's state already is.
  * Among eligible PUs holding warm sandboxes of the function the most
  * warm entries win (price, then lowest id, break ties); a warm PU is
- * skipped only when its load passes loadBarrier x cores. With no warm
+ * skipped only when its load passes kLoadBarrier x cores. With no warm
  * candidate the pick falls back to load-aware spill, so the first
  * request of a function seeds the cheapest kind and later ones stick.
  */
 class LocalityAffinityPolicy final : public PlacementPolicy
 {
   public:
-    struct Options
-    {
-        /** Load (per core) beyond which warm affinity is abandoned. */
-        double loadBarrier = 2.0;
-        /** Spill threshold of the load-aware fallback. */
-        double spillThreshold = 1.0;
-    };
-
-    LocalityAffinityPolicy() = default;
-
-    explicit LocalityAffinityPolicy(const Options &options)
-        : opts_(options),
-          fallback_(LoadAwarePolicy::Options{options.spillThreshold})
-    {}
+    /** Load (per core) beyond which warm affinity is abandoned. */
+    static constexpr double kLoadBarrier = 2.0;
 
     const char *name() const override { return "locality"; }
 
@@ -300,7 +277,6 @@ class LocalityAffinityPolicy final : public PlacementPolicy
               const PlacementView &view) override;
 
   private:
-    Options opts_;
     LoadAwarePolicy fallback_;
 };
 
@@ -314,10 +290,6 @@ struct PlacementConfig
     enum class Kind : std::uint8_t { PriceOrdered, LoadAware, Locality };
 
     Kind kind = Kind::PriceOrdered;
-    /** LoadAware / Locality: saturation spill threshold. */
-    double spillThreshold = 1.0;
-    /** Locality: per-core load beyond which affinity is abandoned. */
-    double loadBarrier = 2.0;
 
     /** Build a fresh policy instance for one scheduler. */
     std::unique_ptr<PlacementPolicy> make() const;
@@ -329,22 +301,15 @@ struct PlacementConfig
     }
 
     static PlacementConfig
-    loadAware(double spillThreshold = 1.0)
+    loadAware()
     {
-        PlacementConfig c;
-        c.kind = Kind::LoadAware;
-        c.spillThreshold = spillThreshold;
-        return c;
+        return {Kind::LoadAware};
     }
 
     static PlacementConfig
-    locality(double loadBarrier = 2.0, double spillThreshold = 1.0)
+    locality()
     {
-        PlacementConfig c;
-        c.kind = Kind::Locality;
-        c.loadBarrier = loadBarrier;
-        c.spillThreshold = spillThreshold;
-        return c;
+        return {Kind::Locality};
     }
 };
 

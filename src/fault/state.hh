@@ -24,13 +24,11 @@
 #define MOLECULE_FAULT_STATE_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/arena.hh"
 #include "sim/time.hh"
 
 namespace molecule::fault {
@@ -60,13 +58,6 @@ class Listener
     {
         (void)pu;
         (void)function;
-    }
-
-    virtual void
-    onLinkFault(int a, int b)
-    {
-        (void)a;
-        (void)b;
     }
 };
 
@@ -146,8 +137,6 @@ class FaultState
     setLinkFault(int a, int b, LinkFault fault)
     {
         links_[linkKey(a, b)] = fault;
-        for (Listener *l : listeners_)
-            l->onLinkFault(a, b);
     }
 
     void
@@ -182,31 +171,12 @@ class FaultState
         return a <= b ? std::pair{a, b} : std::pair{b, a};
     }
 
-    /**
-     * Bookkeeping maps bump-allocate their nodes from a private arena:
-     * chaos runs arm/clear faults per event, and per-node heap churn
-     * on that path is both slow and allocator-order-dependent. Erased
-     * nodes are not reused (ArenaAllocator contract) — fault state is
-     * small and bounded per run. Maps stay ordered for deterministic
-     * listener/iteration behavior. The arena member must precede the
-     * maps so it outlives them on destruction.
-     */
-    template <typename K, typename V>
-    using ArenaMap =
-        std::map<K, V, std::less<K>,
-                 sim::ArenaAllocator<std::pair<const K, V>>>;
-
-    sim::Arena arena_{4 * 1024};
-    ArenaMap<int, bool> down_{
-        sim::ArenaAllocator<std::pair<const int, bool>>(arena_)};
-    ArenaMap<int, std::uint64_t> epoch_{
-        sim::ArenaAllocator<std::pair<const int, std::uint64_t>>(
-            arena_)};
-    ArenaMap<std::pair<int, int>, LinkFault> links_{
-        sim::ArenaAllocator<
-            std::pair<const std::pair<int, int>, LinkFault>>(arena_)};
-    ArenaMap<int, int> fpgaArmed_{
-        sim::ArenaAllocator<std::pair<const int, int>>(arena_)};
+    /** Ordered maps keep iteration deterministic. Keys are PUs and
+     * links, so they stay small and bounded per run. */
+    std::map<int, bool> down_;
+    std::map<int, std::uint64_t> epoch_;
+    std::map<std::pair<int, int>, LinkFault> links_;
+    std::map<int, int> fpgaArmed_;
     std::vector<Listener *> listeners_;
 };
 

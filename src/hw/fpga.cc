@@ -102,7 +102,6 @@ FpgaDevice::invoke(const std::string &funcId, sim::SimTime kernelTime,
             break;
         }
     }
-    ++invokeCount_;
     auto &busy = *slotBusy_[slot];
     co_await busy.acquire();
     sim::SemGuard g(busy);

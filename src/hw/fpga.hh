@@ -224,8 +224,6 @@ class FpgaDevice
     std::int64_t programCount() const { return programCount_; }
 
     std::int64_t eraseCount() const { return eraseCount_; }
-
-    std::int64_t invokeCount() const { return invokeCount_; }
     ///@}
 
   private:
@@ -247,7 +245,6 @@ class FpgaDevice
     std::vector<Bank> banks_;
     std::int64_t programCount_ = 0;
     std::int64_t eraseCount_ = 0;
-    std::int64_t invokeCount_ = 0;
     /** Conflict-detector cells: which image is resident, and whether
      * bank contents changed. A same-tick program()/invoke() (or
      * bankWrite()/bankPeek()) pair would resolve only by the event

@@ -35,19 +35,6 @@ TraceSpec::expectedArrivals() const
     return rate * duration.toSeconds();
 }
 
-std::string
-TraceSpec::tenantName(std::uint32_t i) const
-{
-    if (tenants.empty())
-        return "default";
-    const std::string &name = tenants.at(i).name;
-    if (!name.empty())
-        return name;
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "t%u", i);
-    return buf;
-}
-
 namespace {
 
 /** Shortest-exact double form (%.17g round-trips IEEE doubles). */

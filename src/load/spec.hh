@@ -117,10 +117,6 @@ struct TraceSpec
         return tenants.empty() ? 1u : std::uint32_t(tenants.size());
     }
 
-    /** Display name of tenant @p i ("default" for the implicit
-     * tenant, "t<i>" when the spec left the name blank). */
-    std::string tenantName(std::uint32_t i) const;
-
     /**
      * Line-oriented text form, round-trippable through parse():
      *   trace-spec v1 seed=<n> rate=<f> arrival=<kind> dur=<ns>

@@ -439,9 +439,9 @@ readBinary(const std::string &path)
     return out;
 }
 
-// Arena-buffer overloads: exporting is an end-of-run (cold) path, so
+// SpanBuffer overloads: exporting is an end-of-run (cold) path, so
 // the snapshot copy is the simple, lifetime-correct choice — the
-// output must survive the simulation that owns the arena.
+// output must survive the tracer that owns the buffer.
 
 std::string
 chromeTraceJson(const SpanBuffer &records)

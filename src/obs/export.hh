@@ -39,10 +39,10 @@ bool writeBinary(const std::string &path,
                  const std::vector<SpanRecord> &records);
 
 /**
- * @name Arena-buffer convenience overloads
- * Exports copy the records out of the arena first (snapshot), per the
- * arena lifetime contract: the produced JSON/file must stay valid
- * after the simulation — and its arena — are gone.
+ * @name SpanBuffer convenience overloads
+ * Exports copy the records out of the buffer first (snapshot): the
+ * produced JSON/file must stay valid after the tracer that owns the
+ * buffer is gone.
  */
 ///@{
 std::string chromeTraceJson(const SpanBuffer &records);

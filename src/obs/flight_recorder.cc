@@ -1,6 +1,5 @@
 #include "obs/flight_recorder.hh"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "obs/metrics_export.hh"
@@ -52,9 +51,7 @@ jsonEscape(std::string_view s)
 
 } // namespace
 
-FlightRecorder::FlightRecorder(TimeSeries &ts,
-                               FlightRecorderOptions options)
-    : ts_(ts), opts_(options)
+FlightRecorder::FlightRecorder(TimeSeries &ts) : ts_(ts)
 {
     ts_.addListener(this);
 }
@@ -64,7 +61,7 @@ FlightRecorder::onWindow(const TimeSeries &ts, const WindowRecord &w)
 {
     (void)ts;
     ring_.push_back(w);
-    while (ring_.size() > std::max<std::size_t>(1, opts_.keepWindows))
+    while (ring_.size() > kKeepWindows)
         ring_.pop_front();
 }
 
@@ -72,7 +69,7 @@ void
 FlightRecorder::onAlert(const AlertEvent &a)
 {
     alerts_.push_back(a);
-    while (alerts_.size() > std::max<std::size_t>(1, opts_.keepAlerts))
+    while (alerts_.size() > kKeepAlerts)
         alerts_.pop_front();
 }
 
@@ -80,7 +77,7 @@ void
 FlightRecorder::trigger(std::string_view reason, sim::SimTime at)
 {
     ++triggers_;
-    if (dumps_.size() >= opts_.maxDumps)
+    if (dumps_.size() >= kMaxDumps)
         return;
 
     std::string out = "{\"reason\":\"" + jsonEscape(reason) +
@@ -109,11 +106,11 @@ FlightRecorder::trigger(std::string_view reason, sim::SimTime at)
                ",\"burn_long\":" + fmtMilli(a.burnLong) + "}";
     }
     out += "],\"spans\":[";
-    if (tracer_ != nullptr && opts_.spanTail > 0) {
+    if (tracer_ != nullptr) {
         const SpanBuffer &recs = tracer_->records();
         const std::size_t n = recs.size();
         const std::size_t from =
-            n > opts_.spanTail ? n - opts_.spanTail : 0;
+            n > kSpanTail ? n - kSpanTail : 0;
         first = true;
         for (std::size_t i = from; i < n; ++i) {
             const SpanRecord &r = recs[i];

@@ -3,16 +3,16 @@
  * Fault-triggered flight recorder: a bounded black box of recent
  * telemetry that dumps a post-mortem bundle when something breaks.
  *
- * The recorder subscribes to TimeSeries window closes and keeps the
- * last N closed windows (copies — the ring survives the collector's
- * own retention policy), plus a bounded tail of recent SLO alerts.
+ * The recorder subscribes to TimeSeries window closes and keeps copies
+ * of the last kKeepWindows closed windows, plus a bounded tail of
+ * recent SLO alerts.
  * When a trigger fires — the fault::Injector on every injected
  * `fault.*` event, the cluster gateway on an Errc::Hang completion,
  * or any caller with a reason string — it freezes the rings, appends
  * the tail of the Tracer's span buffer (when one is attached),
  * and serializes the whole bundle to a deterministic JSON document.
  *
- * Bundles accumulate in memory up to maxDumps (first-triggers win:
+ * Bundles accumulate in memory up to kMaxDumps (first-triggers win:
  * the interesting dump is the one closest to the root cause, not the
  * cascade that follows); triggerCount() keeps counting past the cap
  * so tests can assert suppression. writeLast() persists the newest
@@ -40,26 +40,22 @@ namespace molecule::obs {
 
 class Tracer;
 
-struct FlightRecorderOptions
-{
-    /** Closed windows retained in the black-box ring. */
-    std::size_t keepWindows = 32;
-    /** Newest finished spans included in a bundle (0 = none). */
-    std::size_t spanTail = 256;
-    /** Recent alert transitions retained for bundles. */
-    std::size_t keepAlerts = 64;
-    /** Bundles kept; later triggers only count, they don't dump. */
-    std::size_t maxDumps = 4;
-};
-
 class FlightRecorder final : public WindowListener, public AlertSink
 {
   public:
+    /** Closed windows retained in the black-box ring. */
+    static constexpr std::size_t kKeepWindows = 16;
+    /** Newest finished spans included in a bundle. */
+    static constexpr std::size_t kSpanTail = 128;
+    /** Recent alert transitions retained for bundles. */
+    static constexpr std::size_t kKeepAlerts = 64;
+    /** Bundles kept; later triggers only count, they don't dump. */
+    static constexpr std::size_t kMaxDumps = 4;
+
     /** Registers as a window listener of @p ts (which must outlive
      * the recorder). Subscribe to a monitor's alerts separately via
      * SloMonitor::addSink(recorder). */
-    explicit FlightRecorder(TimeSeries &ts,
-                            FlightRecorderOptions options = {});
+    explicit FlightRecorder(TimeSeries &ts);
 
     FlightRecorder(const FlightRecorder &) = delete;
     FlightRecorder &operator=(const FlightRecorder &) = delete;
@@ -79,7 +75,7 @@ class FlightRecorder final : public WindowListener, public AlertSink
      */
     void trigger(std::string_view reason, sim::SimTime at);
 
-    /** Triggers seen, including those suppressed past maxDumps. */
+    /** Triggers seen, including those suppressed past kMaxDumps. */
     std::uint64_t triggerCount() const { return triggers_; }
 
     std::size_t dumpCount() const { return dumps_.size(); }
@@ -93,7 +89,6 @@ class FlightRecorder final : public WindowListener, public AlertSink
 
   private:
     TimeSeries &ts_;
-    FlightRecorderOptions opts_;
     const Tracer *tracer_ = nullptr;
     std::deque<WindowRecord> ring_;
     std::deque<AlertEvent> alerts_;

@@ -5,6 +5,15 @@
 
 namespace molecule::obs {
 
+namespace {
+
+/** The ClusterStats per-tenant series the monitor reads. */
+constexpr std::string_view kLatencyMetric = "tenant.e2e_us";
+constexpr std::string_view kCompletedMetric = "tenant.completed";
+constexpr std::string_view kErrorMetric = "tenant.errors";
+
+} // namespace
+
 SloMonitor::SloMonitor(TimeSeries &ts, SloSpec spec)
     : ts_(ts), spec_(std::move(spec))
 {
@@ -12,11 +21,9 @@ SloMonitor::SloMonitor(TimeSeries &ts, SloSpec spec)
     completedIds_.reserve(spec_.tenants);
     errorIds_.reserve(spec_.tenants);
     for (std::uint32_t t = 0; t < spec_.tenants; ++t) {
-        latencyIds_.push_back(
-            ts_.histogramId(spec_.latencyMetric, int(t)));
-        completedIds_.push_back(
-            ts_.counterId(spec_.completedMetric, int(t)));
-        errorIds_.push_back(ts_.counterId(spec_.errorMetric, int(t)));
+        latencyIds_.push_back(ts_.histogramId(kLatencyMetric, int(t)));
+        completedIds_.push_back(ts_.counterId(kCompletedMetric, int(t)));
+        errorIds_.push_back(ts_.counterId(kErrorMetric, int(t)));
     }
     for (const SloObjective &o : spec_.objectives)
         if (o.kind == SloObjective::Kind::Latency)

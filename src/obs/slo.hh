@@ -64,19 +64,13 @@ struct SloObjective
     std::size_t longWindows = 12;
 };
 
-/** Series names the monitor reads (the ClusterStats vocabulary by
- * default; any producer feeding the same shapes can be monitored). */
+/** Objectives per tenant. The monitor reads ClusterStats' per-tenant
+ * series (tenant.e2e_us, tenant.completed, tenant.errors). */
 struct SloSpec
 {
     std::vector<SloObjective> objectives;
     /** Tenants to track: labels [0, tenants). */
     std::uint32_t tenants = 1;
-    /** Histogram series carrying per-tenant latency samples. */
-    std::string latencyMetric = "tenant.e2e_us";
-    /** Counter series of per-tenant successful completions. */
-    std::string completedMetric = "tenant.completed";
-    /** Counter series of per-tenant typed errors. */
-    std::string errorMetric = "tenant.errors";
 };
 
 /** One alert-state transition. */

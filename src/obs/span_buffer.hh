@@ -1,18 +1,19 @@
 /**
  * @file
- * Arena-backed storage for finished spans.
+ * Chunked storage for finished spans.
  *
  * Tracer::push runs once per finished span — on the hot path of every
  * traced invocation — so the span store must not touch the heap at
- * steady state. SpanBuffer is a chunked deque whose chunks come from
- * the simulation's bump arena: push is a bump-pointer store, the ring
- * policy (drop-oldest) retires whole chunks to an internal free list,
- * and clear() rewinds without releasing anything.
+ * steady state. SpanBuffer is a chunked deque that owns its chunks:
+ * push is a store into the tail chunk, the ring policy (drop-oldest)
+ * retires whole chunks to an internal free list, and clear() rewinds
+ * without releasing anything.
  *
- * Lifetime: chunks live in the owning simulation's arena, so records
- * obtained from a SpanBuffer must not outlive that simulation (see
- * sim/arena.hh). Exports that survive the run copy out first —
- * snapshot() is the sanctioned way.
+ * Lifetime: records obtained from a SpanBuffer are views into its
+ * chunks. dropOldest() and clear() recycle those chunks, so a view
+ * must not be used across either call, nor outlive the buffer.
+ * Exports that survive the run copy out first — snapshot() is the
+ * sanctioned way.
  */
 
 #ifndef MOLECULE_OBS_SPAN_BUFFER_HH
@@ -21,10 +22,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <type_traits>
+#include <memory>
 #include <vector>
-
-#include "sim/arena.hh"
 
 namespace molecule::obs {
 
@@ -55,7 +54,7 @@ struct SpanRecord
 };
 
 /**
- * Chunked record deque over an Arena. Indexable, iterable oldest
+ * Chunked record deque. Indexable, iterable oldest
  * first; dropOldest() implements the Tracer's ring bound by retiring
  * leading chunks to a free list (no element moves, unlike the old
  * vector-erase compaction). Not thread-safe, like everything else
@@ -64,12 +63,12 @@ struct SpanRecord
 class SpanBuffer
 {
   public:
-    /** Records per chunk; 128 × 88 B ≈ 11 KiB arena blocks. */
+    /** Records per chunk; 128 × 88 B ≈ 11 KiB chunks. */
     static constexpr std::size_t kChunkShift = 7;
     static constexpr std::size_t kChunkSize = std::size_t(1)
                                               << kChunkShift;
 
-    explicit SpanBuffer(sim::Arena &arena) : arena_(&arena) {}
+    SpanBuffer() = default;
 
     SpanBuffer(const SpanBuffer &) = delete;
     SpanBuffer &operator=(const SpanBuffer &) = delete;
@@ -199,13 +198,16 @@ class SpanBuffer
             chunk = freeChunks_.back();
             freeChunks_.pop_back();
         } else {
-            chunk = arena_->allocateArray<SpanRecord>(kChunkSize);
+            owned_.push_back(std::make_unique<SpanRecord[]>(kChunkSize));
+            chunk = owned_.back().get();
         }
         chunks_.push_back(chunk);
         cap_ += kChunkSize;
     }
 
-    sim::Arena *arena_;
+    /** Every chunk ever allocated; chunks_ and freeChunks_ point
+     * into these. */
+    std::vector<std::unique_ptr<SpanRecord[]>> owned_;
     /** Live chunks; element p of the logical deque lives at
      * chunks_[p >> shift][p & mask] with p = head_ + index. */
     std::vector<SpanRecord *> chunks_;
@@ -214,9 +216,6 @@ class SpanBuffer
     std::size_t size_ = 0;
     std::size_t cap_ = 0; ///< head_ + size_ limit = chunks_ capacity
 };
-
-static_assert(std::is_trivially_destructible_v<SpanRecord>,
-              "SpanRecord lives in the arena");
 
 } // namespace molecule::obs
 

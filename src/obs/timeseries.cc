@@ -52,13 +52,10 @@ keyHash(const SeriesDesc &d)
 
 } // namespace
 
-TimeSeries::TimeSeries(sim::Simulation &sim, TimeSeriesOptions options)
-    : sim_(sim), opts_(options)
+TimeSeries::TimeSeries(sim::Simulation &sim) : sim_(sim)
 {
-    if (opts_.window.raw() <= 0)
-        opts_.window = sim::SimTime::seconds(1);
     // Grid-aligned start: the window holding the current instant.
-    const std::int64_t w = opts_.window.raw();
+    const std::int64_t w = kWindow.raw();
     winStart_ = sim::SimTime((sim_.now().raw() / w) * w);
 }
 
@@ -149,7 +146,7 @@ TimeSeries::addListener(WindowListener *l)
 void
 TimeSeries::roll()
 {
-    while (sim_.now() >= winStart_ + opts_.window)
+    while (sim_.now() >= winStart_ + kWindow)
         closeWindow();
 }
 
@@ -253,25 +250,20 @@ TimeSeries::closeWindow()
         emitRegistry(*reg);
 
     WindowRecord w;
-    w.index = std::uint64_t(winStart_.raw() / opts_.window.raw());
+    w.index = std::uint64_t(winStart_.raw() / kWindow.raw());
     w.start = winStart_;
-    w.end = winStart_ + opts_.window;
+    w.end = winStart_ + kWindow;
     const auto n = std::uint32_t(series_.size());
     for (std::uint32_t id = 0; id < n; ++id)
         emitPoint(id, w.points);
 
     mixWindow(w);
     windows_.push_back(std::move(w));
-    ++closed_;
-    winStart_ = winStart_ + opts_.window;
+    winStart_ = winStart_ + kWindow;
 
     // Listeners run inside the closing instant, on the retained copy.
     for (WindowListener *l : listeners_)
         l->onWindow(*this, windows_.back());
-
-    if (opts_.keepWindows > 0)
-        while (windows_.size() > opts_.keepWindows)
-            windows_.pop_front();
 }
 
 void

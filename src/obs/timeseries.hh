@@ -20,7 +20,8 @@
  *    never a re-walk of the full histogram).
  *
  * Window model: the grid is aligned to sim time zero with a fixed
- * width; a sample at instant t belongs to window floor(t / width).
+ * one-second width (kWindow); a sample at instant t belongs to window
+ * floor(t / kWindow). Every closed window is retained.
  * Windows close lazily — every feed call first closes any window the
  * clock has moved past — so the collector schedules no events of its
  * own and cannot perturb the simulation (the golden digests hold with
@@ -133,23 +134,16 @@ class WindowListener
                           const WindowRecord &w) = 0;
 };
 
-struct TimeSeriesOptions
-{
-    /** Window width on the sim-time grid. */
-    sim::SimTime window = sim::SimTime::seconds(1);
-    /** Closed windows retained for export (0 = all). The digest and
-     * listeners always see every window regardless. */
-    std::size_t keepWindows = 0;
-};
-
 /**
  * The windowed collector. One per Simulation replica, like Tracer.
  */
 class TimeSeries
 {
   public:
-    explicit TimeSeries(sim::Simulation &sim,
-                        TimeSeriesOptions options = {});
+    /** Window width on the sim-time grid. */
+    static constexpr sim::SimTime kWindow = sim::SimTime::seconds(1);
+
+    explicit TimeSeries(sim::Simulation &sim);
 
     TimeSeries(const TimeSeries &) = delete;
     TimeSeries &operator=(const TimeSeries &) = delete;
@@ -214,13 +208,11 @@ class TimeSeries
         return std::uint32_t(series_.size());
     }
 
-    /** Retained closed windows, oldest first (ring per options). */
+    /** Every closed window, oldest first. */
     const std::deque<WindowRecord> &windows() const { return windows_; }
 
-    /** All-time closed-window count (ring drops don't subtract). */
-    std::uint64_t windowsClosed() const { return closed_; }
-
-    sim::SimTime windowWidth() const { return opts_.window; }
+    /** Closed-window count. */
+    std::uint64_t windowsClosed() const { return windows_.size(); }
 
     /** Cumulative counter value of @p id (conservation checks). */
     std::int64_t counterValue(std::uint32_t id) const
@@ -305,10 +297,8 @@ class TimeSeries
     void mixWindow(const WindowRecord &w);
 
     sim::Simulation &sim_;
-    TimeSeriesOptions opts_;
     /** Start of the in-progress window (grid-aligned). */
     sim::SimTime winStart_{0};
-    std::uint64_t closed_ = 0;
 
     std::vector<SeriesDesc> series_;
     std::vector<State> state_;

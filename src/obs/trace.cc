@@ -57,8 +57,7 @@ installLogPrefixHook()
 
 Tracer::Tracer(sim::Simulation &sim, std::uint64_t seed,
                std::size_t ringCapacity)
-    : sim_(sim), seed_(seed), ringCapacity_(ringCapacity),
-      records_(sim.arena())
+    : sim_(sim), seed_(seed), ringCapacity_(ringCapacity)
 {
     installLogPrefixHook();
 }

@@ -52,7 +52,7 @@ const char *toString(Layer l);
 class Tracer;
 
 // SpanRecord lives in obs/span_buffer.hh together with its
-// arena-backed container.
+// chunked container.
 
 /**
  * Causal position inside a trace: which tracer, which trace, which
@@ -107,8 +107,8 @@ class Tracer
 
     /**
      * Finished spans, oldest first (ring order already linearized).
-     * The records live in the simulation's arena; anything that must
-     * outlive the simulation copies out via SpanBuffer::snapshot().
+     * The records live in the tracer's buffer; anything that must
+     * outlive the tracer copies out via SpanBuffer::snapshot().
      */
     const SpanBuffer &records() const { return records_; }
 

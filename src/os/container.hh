@@ -72,8 +72,6 @@ class ContainerManager
     /** Kernel configuration knob (the Fig 11-a "Cpuset opt" patch). */
     void setCpusetMode(CpusetMode mode) { cpusetMode_ = mode; }
 
-    CpusetMode cpusetMode() const { return cpusetMode_; }
-
     /** Start a fresh container (full runc create+start path). */
     sim::Task<Container *> create(const std::string &id);
 

@@ -7,6 +7,9 @@ namespace molecule::sandbox {
 
 namespace calib = hw::calib;
 
+/** Runf keeps DRAM bank contents across reprogramming (§4.3). */
+constexpr bool kRetainDram = true;
+
 RunfRuntime::RunfRuntime(os::LocalOs &hostOs, hw::FpgaDevice &device)
     : hostOs_(hostOs), device_(device),
       dmaLink_(hostOs.simulation(),
@@ -72,7 +75,7 @@ RunfRuntime::createVector(const std::vector<CreateRequest> &reqs)
                                  options_.bitstreamCached
                                      ? hw::ProgramMode::Cached
                                      : hw::ProgramMode::Cold,
-                                 options_.retainDram, span.ctx());
+                                 kRetainDram, span.ctx());
     if (!programmed.ok()) {
         // The slot is erased; previous sandboxes were already stopped
         // above, so the device carries no usable image until a retry.

@@ -40,8 +40,6 @@ struct RunfOptions
     bool eraseBeforeProgram = false;
     /** Bitstream is cached host-side (Warm-image path). */
     bool bitstreamCached = false;
-    /** Keep DRAM bank contents across reprogramming (§4.3). */
-    bool retainDram = true;
 };
 
 /**

@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/arena.hh"
 #include "sim/callback.hh"
 #include "sim/time.hh"
 #include "sim/timer_wheel.hh"
@@ -224,9 +223,6 @@ class EventQueue
     /** Wheel nodes currently parked, live + stale (diagnostics). */
     std::size_t wheelEntries() const { return wheel_.entries(); }
 
-    /** Ready-run entries not yet consumed, live + stale. */
-    std::size_t runLength() const { return run_.size() - runPos_; }
-
   private:
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
     /** Slot.nextFree side markers while a slot is occupied: cancel
@@ -378,9 +374,7 @@ class EventQueue
     /** Exact count of stale nodes per structure (see kInHeap). */
     std::size_t staleHeap_ = 0;
     std::size_t staleWheel_ = 0;
-    /** Wheel-block backing store; freed wholesale with the queue. */
-    Arena arena_{16 * 1024};
-    TimerWheel wheel_{arena_};
+    TimerWheel wheel_;
 };
 
 } // namespace molecule::sim

@@ -7,7 +7,6 @@ namespace molecule::sim {
 
 namespace {
 
-LogLevel g_level = LogLevel::Quiet;
 LogPrefixFn g_prefix = nullptr;
 
 void
@@ -27,21 +26,9 @@ vreport(const char *tag, const char *fmt, va_list ap)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-void
 setLogPrefixHook(LogPrefixFn fn)
 {
     g_prefix = fn;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
 }
 
 void
@@ -62,26 +49,6 @@ fatal(const char *fmt, ...)
     vreport("fatal", fmt, ap);
     va_end(ap);
     std::exit(1);
-}
-
-void
-warn(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Normal)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
 }
 
 } // namespace molecule::sim

@@ -4,8 +4,6 @@
  *
  * panic()  - an internal invariant was violated (a Molecule bug); aborts.
  * fatal()  - the user asked for something impossible (bad config); exits.
- * warn()   - something works but is suspicious.
- * inform() - plain status output, gated by verbosity.
  */
 
 #ifndef MOLECULE_SIM_LOGGING_HH
@@ -16,14 +14,6 @@
 #include <string>
 
 namespace molecule::sim {
-
-/** Verbosity levels for inform(); warnings are always printed. */
-enum class LogLevel { Quiet = 0, Normal = 1, Verbose = 2 };
-
-/** Set the global log verbosity (default: Quiet for tests/benches). */
-void setLogLevel(LogLevel level);
-
-LogLevel logLevel();
 
 /**
  * Optional line-prefix hook: when set, every report line calls it to
@@ -49,12 +39,6 @@ void setLogPrefixHook(LogPrefixFn fn);
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Print a warning to stderr. */
-void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print a status message when verbosity >= Normal. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Formatted assert: panics with a message when cond is false. */
 #define MOLECULE_ASSERT(cond, ...)                                        \

@@ -32,7 +32,6 @@
 #include <type_traits>
 
 #include "sim/analysis.hh"
-#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/task.hh"
@@ -66,14 +65,6 @@ class Simulation
 
     /** The simulation-owned deterministic RNG. */
     Rng &rng() { return rng_; }
-
-    /**
-     * Per-simulation bump arena for event-frequency scratch records
-     * (span buffers, fault bookkeeping). Monotonic: freed wholesale
-     * when the simulation is destroyed; see arena.hh for the lifetime
-     * contract.
-     */
-    Arena &arena() { return arena_; }
 
     /** Schedule a callback @p after from now; returns a cancel id. */
     EventId
@@ -229,8 +220,6 @@ class Simulation
         log_ = std::make_unique<analysis::AccessLog>(capacity);
     }
 
-    void stopConflictTracking() { log_.reset(); }
-
     /** The access log, or nullptr when tracking is off. */
     analysis::AccessLog *accessLog() { return log_.get(); }
     ///@}
@@ -309,7 +298,6 @@ class Simulation
     EventQueue events_;
     SimTime now_{0};
     Rng rng_;
-    Arena arena_;
     std::unique_ptr<analysis::AccessLog> log_;
     /** Latest wake time a delay may run ahead to: the deadline of the
      * drain loop under way, kNoRunAhead outside one. */

@@ -113,11 +113,4 @@ Fingerprint::mixDouble(double v)
     mix(bits);
 }
 
-void
-Fingerprint::mixHistogram(const Histogram &h)
-{
-    for (double s : h.samples())
-        mixDouble(s);
-}
-
 } // namespace molecule::sim

@@ -71,16 +71,7 @@ class Fingerprint
     /** Fold one 64-bit value into the digest (order matters). */
     void mix(std::uint64_t v);
 
-    void mixTime(SimTime t) { mix(static_cast<std::uint64_t>(t.raw())); }
-
     void mixDouble(double v);
-
-    /**
-     * Fold every sample of a histogram. Uses the histogram's current
-     * sample order, which percentile queries may have sorted — mix
-     * before querying (or query in a fixed order) for stable digests.
-     */
-    void mixHistogram(const Histogram &h);
 
     std::uint64_t digest() const { return state_; }
 

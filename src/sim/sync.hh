@@ -2,7 +2,6 @@
  * @file
  * Coroutine synchronization primitives for simulated processes.
  *
- * SimEvent   - one-shot broadcast (trigger wakes all current waiters);
  * Semaphore  - counted resource (PU cores, FPGA regions);
  * Mailbox<T> - FIFO message queue with blocking receive and optional
  *              bounded capacity with blocking send (models FIFOs/queues);
@@ -30,75 +29,6 @@
 namespace molecule::sim {
 
 /**
- * One-shot broadcast event.
- *
- * wait() suspends until trigger() is called; waiters arriving after the
- * trigger resume immediately. reset() re-arms the event.
- */
-class SimEvent
-{
-  public:
-    explicit SimEvent(Simulation &sim) : sim_(sim) {}
-
-    SimEvent(const SimEvent &) = delete;
-    SimEvent &operator=(const SimEvent &) = delete;
-
-    bool triggered() const { return triggered_; }
-
-    /**
-     * Wake every waiter (in arrival order) at the current instant.
-     * One batched schedule: the waiters get consecutive sequence
-     * numbers, so the firing order is identical to resuming them in a
-     * loop — minus the per-waiter queue-entry overhead (startup
-     * prewarm pools wake dozens at once).
-     */
-    void
-    trigger()
-    {
-        if (triggered_)
-            return;
-        triggered_ = true;
-        sim_.scheduleResumeBatch(waiters_);
-        waiters_.clear();
-    }
-
-    /** Re-arm a triggered event. Must not be called with waiters. */
-    void
-    reset()
-    {
-        MOLECULE_ASSERT(waiters_.empty(), "reset() with pending waiters");
-        triggered_ = false;
-    }
-
-    auto
-    wait()
-    {
-        struct Awaiter
-        {
-            SimEvent *event;
-
-            bool await_ready() const noexcept { return event->triggered_; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                event->waiters_.push_back(h);
-            }
-
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{this};
-    }
-
-  private:
-    Simulation &sim_;
-    bool triggered_ = false;
-    /** Contiguous so trigger() can hand the whole set to the batch
-     * scheduler as one span. */
-    std::vector<std::coroutine_handle<>> waiters_;
-};
-
-/**
  * Counting semaphore; acquire order is FIFO.
  *
  * Used for core occupancy (a PU with N cores is a Semaphore(N) and a
@@ -114,8 +44,6 @@ class Semaphore
 
     Semaphore(const Semaphore &) = delete;
     Semaphore &operator=(const Semaphore &) = delete;
-
-    std::size_t available() const { return count_; }
 
     std::size_t waiting() const { return waiters_.size(); }
 
@@ -419,9 +347,8 @@ class Mailbox
  * (inline, up to its first suspension) and wait() resumes the parent
  * once every child has finished. The parent's wake-up is one event at
  * the instant the last child finishes, and none when they all
- * finished before wait(), exactly as a SimEvent trigger would order
- * it. The Join must outlive its children: keep it in the awaiting
- * frame and co_await wait() before leaving.
+ * finished before wait(). The Join must outlive its children: keep
+ * it in the awaiting frame and co_await wait() before leaving.
  * @code
  *   sim::Join kids(sim);
  *   for (int pu : pus)

@@ -4,8 +4,8 @@
  *
  * Protocol code in Molecule (FIFO reads, executor command loops, shim
  * synchronization round-trips) is written as coroutines that co_await
- * awaitables provided by the kernel (Simulation::delay, SimEvent,
- * Semaphore, Mailbox). A Task<T> is lazily started:
+ * awaitables provided by the kernel (Simulation::delay, Semaphore,
+ * Mailbox, Join). A Task<T> is lazily started:
  *
  *  - `co_await someTask(...)` starts the child inline (same simulated
  *    instant, via symmetric transfer) and resumes the parent when the

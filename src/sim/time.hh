@@ -80,7 +80,6 @@ class SimTime
     }
 
     constexpr std::int64_t raw() const { return ns_; }
-    constexpr double toNanoseconds() const { return double(ns_); }
     constexpr double toMicroseconds() const { return double(ns_) / 1e3; }
     constexpr double toMilliseconds() const { return double(ns_) / 1e6; }
     constexpr double toSeconds() const { return double(ns_) / 1e9; }

@@ -18,8 +18,9 @@
  * bitmaps make locating the earliest occupied window two ctz
  * instructions per level.
  *
- * Node storage is arena-backed block chains recycled through a free
- * list, so steady-state operation performs no heap allocation.
+ * Node storage is block chains the wheel owns, allocated in chunks and
+ * recycled through a free list, so steady-state operation performs no
+ * heap allocation.
  */
 
 #ifndef MOLECULE_SIM_TIMER_WHEEL_HH
@@ -28,9 +29,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
-
-#include "sim/arena.hh"
 
 namespace molecule::sim {
 
@@ -70,7 +70,7 @@ class TimerWheel
         std::int64_t ws;  ///< window start timestamp (idx << shift)
     };
 
-    explicit TimerWheel(Arena &arena) : arena_(&arena) {}
+    TimerWheel() = default;
 
     TimerWheel(const TimerWheel &) = delete;
     TimerWheel &operator=(const TimerWheel &) = delete;
@@ -236,7 +236,7 @@ class TimerWheel
     }
 
   private:
-    /** Chain link of parked nodes; 256-byte arena blocks. */
+    /** Chain link of parked nodes; 256-byte blocks. */
     struct Block
     {
         static constexpr std::uint32_t kCap = 9;
@@ -261,7 +261,14 @@ class TimerWheel
             b->count = 0;
             return b;
         }
-        return arena_->create<Block>();
+        // Blocks come kBlocksPerChunk to an allocation: one malloc per
+        // block scatters them among coroutine frames and grows the
+        // heap.
+        chunks_.push_back(std::make_unique<Block[]>(kBlocksPerChunk));
+        Block *chunk = chunks_.back().get();
+        for (std::size_t i = kBlocksPerChunk; i-- > 1;)
+            recycle(&chunk[i]);
+        return &chunk[0];
     }
 
     void
@@ -333,7 +340,11 @@ class TimerWheel
         return total - kept;
     }
 
-    Arena *arena_;
+    static constexpr std::size_t kBlocksPerChunk = 64;
+
+    /** Every block ever allocated, kBlocksPerChunk to a chunk; each
+     * block is parked in a bucket or on the free list. */
+    std::vector<std::unique_ptr<Block[]>> chunks_;
     Bucket buckets_[kLevels][kBuckets]{};
     std::uint64_t bitmap_[kLevels]{};
     Block *freeBlocks_ = nullptr;

@@ -232,8 +232,8 @@ XpuClient::xfifoConnect(const std::string &globalUuid)
                         "no fifo with uuid '" + std::string(uuid.view()) +
                             "'",
                         shim_.puId());
-    } else if (!shim_.caps_.check(self_, obj->id, Perm::Read) &&
-               !shim_.caps_.check(self_, obj->id, Perm::Write)) {
+    } else if (const Perm held = shim_.caps_.lookup(self_, obj->id);
+               !hasPerm(held, Perm::Read) && !hasPerm(held, Perm::Write)) {
         // Connect requires read or write permission (§3.2).
         r = core::Error(core::Errc::NoPermission,
                         "connect needs read or write", shim_.puId());
@@ -380,8 +380,8 @@ XpuClient::xfifoClose(XpuFd fd)
     if (!o) {
         st = core::Status(core::Errc::NotFound, "unknown object",
                           shim_.puId());
-    } else if (!shim_.caps_.check(self_, obj, Perm::Read) &&
-               !shim_.caps_.check(self_, obj, Perm::Write)) {
+    } else if (const Perm held = shim_.caps_.lookup(self_, obj);
+               !hasPerm(held, Perm::Read) && !hasPerm(held, Perm::Write)) {
         st = core::Status(core::Errc::NoPermission,
                           "close needs read or write", shim_.puId());
     } else {

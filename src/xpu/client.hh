@@ -44,8 +44,6 @@ class XpuClient
      */
     void setTraceContext(obs::SpanContext ctx) { ctx_ = ctx; }
 
-    obs::SpanContext traceContext() const { return ctx_; }
-
     /** @name Distributed capability calls */
     ///@{
     [[nodiscard]] sim::Task<core::Status>

@@ -21,7 +21,6 @@ void
 XpuShim::setHandlerThreads(int n)
 {
     MOLECULE_ASSERT(n > 0, "shim needs at least one handler thread");
-    handlerThreads_ = n;
     handlerSlots_ =
         std::make_unique<sim::Semaphore>(os_.simulation(),
                                          std::size_t(n));

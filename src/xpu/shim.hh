@@ -90,8 +90,6 @@ class XpuShim
      */
     void setHandlerThreads(int n);
 
-    int handlerThreads() const { return handlerThreads_; }
-
     /** Holds a handler slot taken with acquireHandler() for one
      * call's decode and checks; the slot is back as the awaiter
      * resumes. */
@@ -240,7 +238,6 @@ class XpuShim
     XpuShimNetwork &net_;
     os::LocalOs &os_;
     Transport transport_;
-    int handlerThreads_ = 1;
     std::unique_ptr<sim::Semaphore> handlerSlots_;
     CapabilityStore caps_;
     /** crashLocal sorts the ids before it walks the rows. A closed

@@ -90,14 +90,12 @@ goldenRun(std::uint64_t seed)
 
     obs::Registry registry;
     cluster::ClusterStats stats(registry);
-    cluster::WarmAffinityPolicy policy;
     cluster::AdmissionOptions admission;
     admission.tokensPerSecond = 100.0;
     admission.bucketCapacity = 20.0;
     cluster::GatewayConfig cfg =
         cluster::GatewayConfig::forFunctions(trace.functions, stats);
     cfg.admission = admission;
-    cfg.dispatch = &policy;
     cluster::ClusterGateway gateway(fleet, cfg);
 
     load::OpenLoopGenerator gen(trace);

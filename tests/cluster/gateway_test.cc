@@ -1,7 +1,7 @@
 /**
  * @file
- * ClusterGateway: dispatch-policy picks, token-bucket shedding,
- * bounded-queue drop policies, arrival accounting conservation and
+ * ClusterGateway: the default dispatch pick, token-bucket shedding,
+ * bounded-queue tail drop, arrival accounting conservation and
  * digest reproducibility.
  */
 
@@ -17,7 +17,6 @@ using namespace molecule;
 using cluster::AdmissionOptions;
 using cluster::ClusterGateway;
 using cluster::ClusterStats;
-using cluster::DropPolicy;
 using cluster::Fleet;
 using cluster::FleetSpec;
 using load::Arrival;
@@ -31,21 +30,6 @@ arrival(std::uint32_t fn = 0)
     return a;
 }
 
-TEST(DispatchPolicyTest, RoundRobinRotatesAndSkipsFullNodes)
-{
-    cluster::RoundRobinPolicy p;
-    const int out1[] = {0, 0, 0};
-    EXPECT_EQ(p.pick(arrival(), out1, 4), 0);
-    EXPECT_EQ(p.pick(arrival(), out1, 4), 1);
-    EXPECT_EQ(p.pick(arrival(), out1, 4), 2);
-    EXPECT_EQ(p.pick(arrival(), out1, 4), 0);
-    const int out2[] = {1, 4, 0}; // node 1 at cap
-    EXPECT_EQ(p.pick(arrival(), out2, 4), 2);
-    EXPECT_EQ(p.pick(arrival(), out2, 4), 0);
-    const int full[] = {4, 4, 4};
-    EXPECT_EQ(p.pick(arrival(), full, 4), -1);
-}
-
 TEST(DispatchPolicyTest, LeastOutstandingPicksArgminLowestIdTies)
 {
     cluster::LeastOutstandingPolicy p;
@@ -55,21 +39,6 @@ TEST(DispatchPolicyTest, LeastOutstandingPicksArgminLowestIdTies)
     EXPECT_EQ(p.pick(arrival(), tied, 4), 0);
     const int full[] = {4, 4};
     EXPECT_EQ(p.pick(arrival(), full, 4), -1);
-}
-
-TEST(DispatchPolicyTest, WarmAffinityKeepsAFunctionHome)
-{
-    cluster::WarmAffinityPolicy p;
-    const int balanced[] = {1, 0, 0};
-    // First sight of fn 7: least-outstanding, adopted as home.
-    EXPECT_EQ(p.pick(arrival(7), balanced, 4), 1);
-    const int skewed[] = {0, 3, 3};
-    // Home node 1 is busier now but not full: stay home.
-    EXPECT_EQ(p.pick(arrival(7), skewed, 4), 1);
-    const int homeFull[] = {0, 4, 3};
-    // Home at cap: fall back and adopt the fallback.
-    EXPECT_EQ(p.pick(arrival(7), homeFull, 4), 0);
-    EXPECT_EQ(p.pick(arrival(7), balanced, 4), 0);
 }
 
 struct Harness
@@ -171,25 +140,11 @@ TEST(ClusterGatewayTest, BoundedQueueDropsNewestWhenFull)
     AdmissionOptions admission;
     admission.maxOutstandingPerNode = 1;
     admission.queueCapacity = 4;
-    admission.dropPolicy = DropPolicy::DropNewest;
     const auto s = h.run(admission, 400.0, 2.0);
     EXPECT_GT(s.dropped, 0);
     EXPECT_LE(s.queueMaxDepth, 4);
     EXPECT_EQ(s.arrivals, s.admitted + s.shed + s.dropped);
     EXPECT_EQ(s.admitted, s.completed + s.errors);
-}
-
-TEST(ClusterGatewayTest, DropOldestEvictsButStillServesTheBound)
-{
-    Harness h;
-    AdmissionOptions admission;
-    admission.maxOutstandingPerNode = 1;
-    admission.queueCapacity = 4;
-    admission.dropPolicy = DropPolicy::DropOldest;
-    const auto s = h.run(admission, 400.0, 2.0);
-    EXPECT_GT(s.dropped, 0);
-    EXPECT_LE(s.queueMaxDepth, 4);
-    EXPECT_EQ(s.arrivals, s.admitted + s.shed + s.dropped);
 }
 
 TEST(ClusterGatewayTest, QueueWaitShowsUpInTheScoreboard)

@@ -79,7 +79,7 @@ handWired(std::uint64_t seed)
 
     obs::Registry registry;
     cluster::ClusterStats stats(registry);
-    obs::TimeSeries ts(sim, {SimTime::seconds(1)});
+    obs::TimeSeries ts(sim);
     stats.attachTelemetry(&ts);
     obs::SloSpec slo = latencyObjective();
     slo.tenants = 2;

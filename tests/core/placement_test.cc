@@ -111,15 +111,6 @@ TEST(LoadAware, SpillsToHostWhenDpusSaturate)
     EXPECT_EQ(p.place(anyRequest(), PlacementView(views)), 0);
 }
 
-TEST(LoadAware, SpillThresholdIsConfigurable)
-{
-    auto views = cpuDpuViews();
-    views[1].outstanding = 8;
-    views[2].outstanding = 8;
-    LoadAwarePolicy relaxed(LoadAwarePolicy::Options{2.0});
-    EXPECT_EQ(relaxed.place(anyRequest(), PlacementView(views)), 1);
-}
-
 TEST(LoadAware, EveryKindSaturatedPicksGloballyLeastLoaded)
 {
     auto views = cpuDpuViews();
@@ -154,7 +145,7 @@ TEST(Locality, AffinityAbandonedPastLoadBarrier)
 {
     auto views = cpuDpuViews();
     views[1].warmSandboxes = 4;
-    views[1].outstanding = 16; // 2.0 load/core = default barrier
+    views[1].outstanding = 16; // 2.0 load/core = kLoadBarrier
     LocalityAffinityPolicy p;
     // Falls back to load-aware: dpu2 is idle and cheapest.
     EXPECT_EQ(p.place(anyRequest(), PlacementView(views)), 2);
@@ -199,8 +190,9 @@ referencePriceOrdered(const std::vector<PuView> &rows)
 }
 
 int
-referenceLoadAware(const std::vector<PuView> &rows, double spill)
+referenceLoadAware(const std::vector<PuView> &rows)
 {
+    constexpr double spill = LoadAwarePolicy::kSpillThreshold;
     const auto order = referencePriceOrder(rows);
     std::size_t i = 0;
     while (i < order.size()) {
@@ -231,9 +223,9 @@ referenceLoadAware(const std::vector<PuView> &rows, double spill)
 }
 
 int
-referenceLocality(const std::vector<PuView> &rows, double barrier,
-                  double spill)
+referenceLocality(const std::vector<PuView> &rows)
 {
+    constexpr double barrier = LocalityAffinityPolicy::kLoadBarrier;
     const auto order = referencePriceOrder(rows);
     const auto rankOf = [&order](const PuView *v) {
         return std::find(order.begin(), order.end(), v) - order.begin();
@@ -250,7 +242,7 @@ referenceLocality(const std::vector<PuView> &rows, double barrier,
     }
     if (warm != nullptr)
         return warm->pu;
-    return referenceLoadAware(rows, spill);
+    return referenceLoadAware(rows);
 }
 
 /** Random rows over distinct ascending PU ids, with price ties, rank
@@ -288,32 +280,27 @@ randomRows(std::mt19937_64 &rng)
 TEST(PlacementDifferential, PicksMatchSortBasedReference)
 {
     std::mt19937_64 rng(20221028);
-    const double spills[] = {0.5, 1.0, 2.0};
-    const double barriers[] = {1.0, 2.0, 4.0};
     for (int round = 0; round < 4000; ++round) {
         const std::vector<PuView> rows = randomRows(rng);
         const PlacementView view(rows);
         ASSERT_EQ(view.pus().size(), rows.size());
-        const double spill = spills[round % 3];
-        const double barrier = barriers[(round / 3) % 3];
 
         PriceOrderedPolicy price;
-        LoadAwarePolicy load(LoadAwarePolicy::Options{spill});
-        LocalityAffinityPolicy locality(
-            LocalityAffinityPolicy::Options{barrier, spill});
+        LoadAwarePolicy load;
+        LocalityAffinityPolicy locality;
         EXPECT_EQ(price.place(anyRequest(), view),
                   referencePriceOrdered(rows))
             << "round " << round;
         EXPECT_EQ(load.place(anyRequest(), view),
-                  referenceLoadAware(rows, spill))
+                  referenceLoadAware(rows))
             << "round " << round;
         EXPECT_EQ(locality.place(anyRequest(), view),
-                  referenceLocality(rows, barrier, spill))
+                  referenceLocality(rows))
             << "round " << round;
         // A copied view decides identically.
         const PlacementView copy = view;
         EXPECT_EQ(load.place(anyRequest(), copy),
-                  referenceLoadAware(rows, spill));
+                  referenceLoadAware(rows));
     }
 }
 

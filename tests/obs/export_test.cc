@@ -133,7 +133,8 @@ TEST(ChromeTrace, StructureIsSound)
 
 TEST(ChromeTrace, EmptyRecordListIsStillValid)
 {
-    const std::string json = obs::chromeTraceJson({});
+    const std::string json =
+        obs::chromeTraceJson(std::vector<obs::SpanRecord>{});
     EXPECT_TRUE(balanced(json));
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 }

@@ -4,7 +4,7 @@
  *
  * The recorder must keep a bounded window ring (older windows fall
  * off), serialize a complete bundle on trigger (reason, trigger
- * instant, windows, alerts), stop dumping past maxDumps while still
+ * instant, windows, alerts), stop dumping past kMaxDumps while still
  * counting triggers, reproduce bundles byte-for-byte across runs, and
  * persist the newest bundle via writeLast.
  */
@@ -37,13 +37,14 @@ countOccurrences(const std::string &text, const std::string &needle)
     return n;
 }
 
-/** Close @p windows 100ms windows, one counter tick in each. */
+/** Close @p windows windows, one counter tick in each. */
 void
 closeWindows(sim::Simulation &sim, obs::TimeSeries &ts, int windows)
 {
     const auto id = ts.counterId("tick");
+    const SimTime half = SimTime(obs::TimeSeries::kWindow.raw() / 2);
     for (int w = 0; w < windows; ++w)
-        sim.schedule(SimTime::milliseconds(w * 100 + 50),
+        sim.schedule(obs::TimeSeries::kWindow * w + half,
                      [&ts, id] { ts.count(id); });
     sim.run();
     ts.flush();
@@ -51,28 +52,29 @@ closeWindows(sim::Simulation &sim, obs::TimeSeries &ts, int windows)
 
 TEST(FlightRecorder, RingIsBoundedToKeepWindows)
 {
+    constexpr std::size_t keep = obs::FlightRecorder::kKeepWindows;
     sim::Simulation sim(1);
-    obs::TimeSeries ts(sim, {SimTime::milliseconds(100)});
-    obs::FlightRecorderOptions opts;
-    opts.keepWindows = 3;
-    opts.spanTail = 0;
-    obs::FlightRecorder recorder(ts, opts);
+    obs::TimeSeries ts(sim);
+    obs::FlightRecorder recorder(ts);
 
-    closeWindows(sim, ts, 10);
+    closeWindows(sim, ts, int(keep) + 4);
     recorder.trigger("test.ring", sim.now());
 
     ASSERT_EQ(recorder.dumpCount(), 1u);
     const std::string &dump = recorder.dumps().front();
-    // Only the newest 3 of the 10 closed windows survive the ring.
-    EXPECT_EQ(countOccurrences(dump, "\"window\":"), 3u);
-    EXPECT_NE(dump.find("\"window\":9"), std::string::npos);
-    EXPECT_EQ(dump.find("\"window\":6"), std::string::npos);
+    // Only the newest kKeepWindows of the closed windows survive the
+    // ring: windows 4 .. keep + 3.
+    EXPECT_EQ(countOccurrences(dump, "\"window\":"), keep);
+    EXPECT_NE(dump.find("\"window\":" + std::to_string(keep + 3)),
+              std::string::npos);
+    EXPECT_NE(dump.find("\"window\":4,"), std::string::npos);
+    EXPECT_EQ(dump.find("\"window\":3,"), std::string::npos);
 }
 
 TEST(FlightRecorder, BundleCarriesReasonTriggerAndAlerts)
 {
     sim::Simulation sim(1);
-    obs::TimeSeries ts(sim, {SimTime::milliseconds(100)});
+    obs::TimeSeries ts(sim);
     obs::FlightRecorder recorder(ts);
 
     obs::AlertEvent alert;
@@ -97,36 +99,36 @@ TEST(FlightRecorder, BundleCarriesReasonTriggerAndAlerts)
 
 TEST(FlightRecorder, MaxDumpsSuppressesButTriggersKeepCounting)
 {
+    constexpr std::size_t maxDumps = obs::FlightRecorder::kMaxDumps;
     sim::Simulation sim(1);
-    obs::TimeSeries ts(sim, {SimTime::milliseconds(100)});
-    obs::FlightRecorderOptions opts;
-    opts.maxDumps = 2;
-    obs::FlightRecorder recorder(ts, opts);
+    obs::TimeSeries ts(sim);
+    obs::FlightRecorder recorder(ts);
 
     closeWindows(sim, ts, 2);
-    recorder.trigger("first", sim.now());
-    recorder.trigger("second", sim.now());
+    for (std::size_t i = 0; i < maxDumps; ++i)
+        recorder.trigger("kept-" + std::to_string(i), sim.now());
     recorder.trigger("suppressed", sim.now());
     recorder.trigger("also-suppressed", sim.now());
 
-    EXPECT_EQ(recorder.triggerCount(), 4u);
-    ASSERT_EQ(recorder.dumpCount(), 2u);
-    // First-triggers win: the retained bundles are the earliest two.
-    EXPECT_NE(recorder.dumps()[0].find("\"reason\":\"first\""),
-              std::string::npos);
-    EXPECT_NE(recorder.dumps()[1].find("\"reason\":\"second\""),
-              std::string::npos);
+    EXPECT_EQ(recorder.triggerCount(), maxDumps + 2);
+    ASSERT_EQ(recorder.dumpCount(), maxDumps);
+    // First-triggers win: the retained bundles are the earliest ones.
+    for (std::size_t i = 0; i < maxDumps; ++i)
+        EXPECT_NE(recorder.dumps()[i].find("\"reason\":\"kept-" +
+                                           std::to_string(i) + "\""),
+                  std::string::npos);
 }
 
 TEST(FlightRecorder, BundlesReproduceByteForByte)
 {
     const auto run = [] {
         sim::Simulation sim(7);
-        obs::TimeSeries ts(sim, {SimTime::milliseconds(100)});
+        obs::TimeSeries ts(sim);
         obs::FlightRecorder recorder(ts);
         const auto lat = ts.histogramId("tenant.e2e_us", 0);
         for (int w = 0; w < 5; ++w)
-            sim.schedule(SimTime::milliseconds(w * 100 + 10),
+            sim.schedule(obs::TimeSeries::kWindow * w +
+                             SimTime::milliseconds(10),
                          [&ts, lat, w] {
                              ts.observe(lat, 100.0 * (w + 1));
                          });
@@ -143,7 +145,7 @@ TEST(FlightRecorder, BundlesReproduceByteForByte)
 TEST(FlightRecorder, WriteLastPersistsNewestBundle)
 {
     sim::Simulation sim(1);
-    obs::TimeSeries ts(sim, {SimTime::milliseconds(100)});
+    obs::TimeSeries ts(sim);
     obs::FlightRecorder recorder(ts);
 
     EXPECT_FALSE(recorder.writeLast("fr_test_dump.json")); // no bundle

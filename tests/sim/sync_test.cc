@@ -1,4 +1,4 @@
-/** @file Unit tests for SimEvent, Semaphore, Mailbox, the Ring
+/** @file Unit tests for Semaphore, Mailbox, Join, the Ring
  * behind them and the three record-reuse lists of sim/spares.hh. */
 
 #include <gtest/gtest.h>
@@ -21,66 +21,10 @@ using molecule::sim::Join;
 using molecule::sim::Mailbox;
 using molecule::sim::Semaphore;
 using molecule::sim::SemGuard;
-using molecule::sim::SimEvent;
 using molecule::sim::Simulation;
 using molecule::sim::SimTime;
 using molecule::sim::Task;
 using namespace molecule::sim::literals;
-
-Task<>
-waitOn(Simulation &sim, SimEvent &ev, std::vector<SimTime> *log)
-{
-    co_await ev.wait();
-    log->push_back(sim.now());
-}
-
-Task<>
-triggerAt(Simulation &sim, SimEvent &ev, SimTime t)
-{
-    co_await sim.delay(t);
-    ev.trigger();
-}
-
-TEST(SimEvent, WakesAllWaitersAtTriggerTime)
-{
-    Simulation sim;
-    SimEvent ev(sim);
-    std::vector<SimTime> log;
-    sim.spawn(waitOn(sim, ev, &log));
-    sim.spawn(waitOn(sim, ev, &log));
-    sim.spawn(triggerAt(sim, ev, 25_us));
-    sim.run();
-    ASSERT_EQ(log.size(), 2u);
-    EXPECT_EQ(log[0], 25_us);
-    EXPECT_EQ(log[1], 25_us);
-}
-
-TEST(SimEvent, LateWaiterPassesThrough)
-{
-    Simulation sim;
-    SimEvent ev(sim);
-    ev.trigger();
-    std::vector<SimTime> log;
-    sim.spawn(waitOn(sim, ev, &log));
-    sim.run();
-    ASSERT_EQ(log.size(), 1u);
-    EXPECT_EQ(log[0], 0_us);
-}
-
-TEST(SimEvent, ResetReArms)
-{
-    Simulation sim;
-    SimEvent ev(sim);
-    ev.trigger();
-    ev.reset();
-    EXPECT_FALSE(ev.triggered());
-    std::vector<SimTime> log;
-    sim.spawn(waitOn(sim, ev, &log));
-    sim.spawn(triggerAt(sim, ev, 5_us));
-    sim.run();
-    ASSERT_EQ(log.size(), 1u);
-    EXPECT_EQ(log[0], 5_us);
-}
 
 Task<>
 worker(Simulation &sim, Semaphore &cores, SimTime burst,

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 #include "sim/timer_wheel.hh"
@@ -33,8 +32,7 @@ using sim::TimerWheel;
 
 TEST(TimerWheel, InsertRefusalRules)
 {
-    sim::Arena arena;
-    TimerWheel wheel(arena);
+    TimerWheel wheel;
 
     // In range: level 0 (short), level 1 (ms), level 2 (hundreds ms).
     EXPECT_TRUE(wheel.insert(EventNode{1000, 1, 0}));
@@ -54,8 +52,7 @@ TEST(TimerWheel, InsertRefusalRules)
 
 TEST(TimerWheel, LocateAndDrainPreserveInsertionOrder)
 {
-    sim::Arena arena;
-    TimerWheel wheel(arena);
+    TimerWheel wheel;
 
     // Three nodes in one level-0 window, inserted out of time order:
     // drain must hand them back in INSERTION order (the queue sorts).
@@ -78,8 +75,7 @@ TEST(TimerWheel, LocateAndDrainPreserveInsertionOrder)
 
 TEST(TimerWheel, SweepDropsDeadNodesAndCompactsChains)
 {
-    sim::Arena arena;
-    TimerWheel wheel(arena);
+    TimerWheel wheel;
 
     // Enough nodes in one bucket to span several 9-node blocks.
     for (std::uint64_t i = 0; i < 40; ++i)

@@ -203,6 +203,62 @@ TEST_F(ShimFixture, RevokedPermissionStopsConnects)
     EXPECT_EQ(denied.error().code(), Errc::NoPermission);
 }
 
+// Connect and close accept Read or Write alone. A Write-only holder,
+// like every chain edge's writer, connects and closes; a process that
+// holds neither bit is refused with NoPermission and the call's own
+// message.
+TEST_F(ShimFixture, WriteOnlyHolderConnectsAndClosesOthersAreRefused)
+{
+    FdOutcome fifo = pending<XpuFd>();
+    sim.spawn(initFifo(*cpuClient, "edge", &fifo));
+    sim.run();
+    ASSERT_TRUE(fifo.ok());
+    const ObjId obj = cpuClient->objectOf(fifo.value());
+
+    FdOutcome denied = pending<XpuFd>();
+    sim.spawn(connectFifo(*dpu1Client, "edge", &denied));
+    sim.run();
+    ASSERT_FALSE(denied.ok());
+    EXPECT_EQ(denied.error().code(), Errc::NoPermission);
+    EXPECT_EQ(denied.error().detail(), "connect needs read or write");
+
+    core::Status st;
+    sim.spawn(grantIt(*cpuClient, dpu1Client->xpuPid(), obj, Perm::Write,
+                      &st));
+    sim.run();
+    ASSERT_TRUE(st.ok()) << st.toString();
+
+    auto closeIt = [](XpuClient &c, XpuFd fd,
+                      core::Status *out) -> Task<> {
+        *out = co_await c.xfifoClose(fd);
+    };
+    FdOutcome first = pending<XpuFd>();
+    sim.spawn(connectFifo(*dpu1Client, "edge", &first));
+    sim.run();
+    ASSERT_TRUE(first.ok()) << first.error().toString();
+    sim.spawn(closeIt(*dpu1Client, first.value(), &st));
+    sim.run();
+    EXPECT_TRUE(st.ok()) << st.toString();
+
+    // Connected, then stripped of Write: the close is refused.
+    FdOutcome second = pending<XpuFd>();
+    sim.spawn(connectFifo(*dpu1Client, "edge", &second));
+    sim.run();
+    ASSERT_TRUE(second.ok()) << second.error().toString();
+    auto revokeIt = [](XpuClient &c, XpuPid t, ObjId o,
+                       core::Status *out) -> Task<> {
+        *out = co_await c.revokeCap(t, o, Perm::Write);
+    };
+    sim.spawn(revokeIt(*cpuClient, dpu1Client->xpuPid(), obj, &st));
+    sim.run();
+    ASSERT_TRUE(st.ok()) << st.toString();
+    sim.spawn(closeIt(*dpu1Client, second.value(), &st));
+    sim.run();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), Errc::NoPermission);
+    EXPECT_EQ(st.error().detail(), "close needs read or write");
+}
+
 struct NipcResult
 {
     core::Status writeStatus;

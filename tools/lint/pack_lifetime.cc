@@ -7,11 +7,11 @@
  *    later simulated instant, long after the capturing frame returned;
  *    DES callbacks capture by value (or `this`) only.
  *
- *  - arena-escape: a pointer obtained from sim::Arena (create /
- *    allocate / allocateArray) or a reference into obs::SpanBuffer
- *    (front / back / operator[]) used after the owning object's
- *    reset()/clear()/dropOldest() — the copy-out-before-reset rule of
- *    DESIGN.md §4d. Scanning is per function body, source-object
+ *  - arena-escape: a reference into obs::SpanBuffer (front / back /
+ *    operator[]) or a pointer obtained from an arena-style allocator
+ *    (create / allocate / allocateArray) used after the owning
+ *    object's reset()/clear()/dropOldest() — the copy-out-before-reuse
+ *    rule of DESIGN.md §4d. Scanning is per function body, source-object
  *    matched; a rebinding assignment after the reset ends the hazard.
  *
  *  - view-of-temporary: binding (or returning) storage of a

@@ -24,9 +24,10 @@ void registerSimPurity(Registry &registry);
 
 /**
  * lifetime: ref-capture-escape (by-reference lambda captures handed
- * to schedule/spawn), arena-escape (sim::Arena / obs::SpanBuffer
- * pointers used across reset()/clear()/dropOldest — the copy-out-
- * before-reset rule of DESIGN.md §4d), view-of-temporary (spans /
+ * to schedule/spawn), arena-escape (obs::SpanBuffer views, or
+ * pointers from an arena-style allocator, used across
+ * reset()/clear()/dropOldest — the copy-out-before-reuse rule of
+ * DESIGN.md §4d), view-of-temporary (spans /
  * data() bound to a temporary's storage), coroutine-param (a Task
  * coroutine taking an owning type by value, task.hh rule 1),
  * hand-rolled-spares (a reuse list kept in a plain std::vector
