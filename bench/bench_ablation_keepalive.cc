@@ -11,6 +11,9 @@
  * the paper defers to FaasCache.
  */
 
+#include <cmath>
+#include <numeric>
+
 #include "bench/common.hh"
 #include "load/generator.hh"
 
@@ -59,9 +62,9 @@ runTrace(const KeepAliveConfig &keepAlive, std::size_t budget)
     spec.tenants = {{"default", 1.0, 1.2, 0}};
     load::OpenLoopGenerator gen(std::move(spec));
 
-    sim::Histogram startup;
+    std::vector<double> startupUs;
     auto drive = [](Molecule *m, load::OpenLoopGenerator *g,
-                    sim::Histogram *hist) -> sim::Task<> {
+                    std::vector<double> *samples) -> sim::Task<> {
         auto &s = m->simulation();
         const auto &names = g->spec().functions;
         load::Arrival a;
@@ -69,17 +72,24 @@ runTrace(const KeepAliveConfig &keepAlive, std::size_t budget)
             if (a.at > s.now())
                 co_await s.delay(a.at - s.now());
             auto rec = co_await m->invoke(names[a.fn], {.pu = 0});
-            hist->addTime(rec.value().startup);
+            samples->push_back(rec.value().startup.toMicroseconds());
         }
     };
-    sim.spawn(drive(&runtime, &gen, &startup));
+    sim.spawn(drive(&runtime, &gen, &startupUs));
     sim.run();
 
     Outcome out;
     out.coldStarts = runtime.startup().coldStarts();
     out.warmHits = runtime.startup().warmHits();
-    out.meanStartupMs = startup.mean() / 1000.0;
-    out.p95StartupMs = startup.percentile(95) / 1000.0;
+    MOLECULE_ASSERT(!startupUs.empty(), "the trace has arrivals");
+    out.meanStartupMs =
+        std::accumulate(startupUs.begin(), startupUs.end(), 0.0) /
+        double(startupUs.size()) / 1000.0;
+    // Nearest-rank p95: the ceil(0.95 n)-th smallest sample.
+    std::sort(startupUs.begin(), startupUs.end());
+    const auto rank = std::size_t(
+        std::ceil(0.95 * double(startupUs.size())));
+    out.p95StartupMs = startupUs[rank - 1] / 1000.0;
     return out;
 }
 

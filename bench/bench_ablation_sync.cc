@@ -53,8 +53,8 @@ sim::SimTime
 initLatency(int dpus)
 {
     World w(dpus);
-    sim::Histogram lat;
-    auto run = [](World *world, sim::Histogram *out) -> sim::Task<> {
+    obs::Histogram lat;
+    auto run = [](World *world, obs::Histogram *out) -> sim::Task<> {
         for (int i = 0; i < 20; ++i) {
             const auto t0 = world->sim.now();
             auto fd = co_await world->client->xfifoInit(

@@ -51,7 +51,7 @@ struct Harness
     {
         dpuShim->setTransport(kind);
         const std::string uuid = "fig8-" + std::to_string(fifoCounter++);
-        sim::Histogram lat;
+        obs::Histogram lat;
 
         auto setup = [](Harness *h, std::string id) -> sim::Task<> {
             auto fd = co_await h->cpuClient->xfifoInit(id);
@@ -63,7 +63,7 @@ struct Harness
         sim.run();
 
         auto measure = [](Harness *h, std::string id, std::uint64_t sz,
-                          int n, sim::Histogram *out) -> sim::Task<> {
+                          int n, obs::Histogram *out) -> sim::Task<> {
             auto fd = co_await h->dpuClient->xfifoConnect(id);
             for (int i = 0; i < n; ++i) {
                 const auto t0 = h->sim.now();
@@ -82,10 +82,10 @@ struct Harness
     {
         const std::string name = "lf-" + std::to_string(fifoCounter++);
         os.createFifo(name);
-        sim::Histogram lat;
+        obs::Histogram lat;
         auto measure = [](os::LocalOs *o, std::string fifo,
                           std::uint64_t sz, int n,
-                          sim::Histogram *out) -> sim::Task<> {
+                          obs::Histogram *out) -> sim::Task<> {
             auto *f = o->findFifo(fifo);
             for (int i = 0; i < n; ++i) {
                 const auto t0 = o->simulation().now();

@@ -114,16 +114,20 @@ pingPong(sim::Simulation &sim, int hops)
 }
 
 // A lone coroutine: every delay after the first (made inside spawn)
-// wakes before any other event and runs ahead, so this times the
-// run-ahead check and an in-place resume, not a queue round trip.
+// wakes before any other event and runs ahead, except one in each
+// kMaxRunAheadStreak + 1, which ends the streak and is queued. So
+// this times the run-ahead check and an in-place resume, not a queue
+// round trip.
 void
 BM_CoroutineDelayChain(benchmark::State &state)
 {
+    constexpr std::uint64_t inPlace =
+        999 - 999 / (sim::Simulation::kMaxRunAheadStreak + 1);
     for (auto _ : state) {
         sim::Simulation sim;
         sim.spawn(pingPong(sim, 1000));
         sim.run();
-        if (sim.delaysInPlace() != 999)
+        if (sim.delaysInPlace() != inPlace)
             state.SkipWithError("the lone chain did not run ahead");
     }
     state.SetItemsProcessed(state.iterations() * 1000);
@@ -147,13 +151,6 @@ BM_CoroutineDelayChainContended(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_CoroutineDelayChainContended);
-
-sim::Task<>
-producer(sim::Mailbox<int> &box, int n)
-{
-    for (int i = 0; i < n; ++i)
-        co_await box.put(i);
-}
 
 sim::Task<>
 consumer(sim::Mailbox<int> &box, int n)
@@ -239,33 +236,6 @@ BM_TimerWheelDense(benchmark::State &state)
 }
 BENCHMARK(BM_TimerWheelDense);
 
-// Batched scheduling: the keep-alive / mailbox-wake / injector path.
-// One queue entry per batch instead of per event; same-instant batch
-// entries keep consecutive sequence numbers.
-void
-BM_ScheduleBatch(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::EventQueue q;
-        int sink = 0;
-        std::vector<sim::BatchEvent> batch;
-        batch.reserve(256);
-        for (int round = 0; round < 4; ++round) {
-            batch.clear();
-            for (int i = 0; i < 256; ++i)
-                batch.push_back(sim::BatchEvent{
-                    sim::SimTime::microseconds(round * 256 + i),
-                    sim::InlineCallback([&] { ++sink; })});
-            q.scheduleBatch(batch);
-            while (!q.empty())
-                q.fireNext();
-        }
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 4 * 256);
-}
-BENCHMARK(BM_ScheduleBatch);
-
 // Zero-allocation assertion: after warm-up (slab grown, wheel blocks
 // pooled, run buffers sized), a steady-state schedule→fire cycle
 // must not touch the heap at all. The bench fails (SkipWithError) if
@@ -314,9 +284,10 @@ BM_MailboxThroughput(benchmark::State &state)
 {
     for (auto _ : state) {
         sim::Simulation sim;
-        sim::Mailbox<int> box(sim, 16);
+        sim::Mailbox<int> box(sim);
         sim.spawn(consumer(box, 1000));
-        sim.spawn(producer(box, 1000));
+        for (int i = 0; i < 1000; ++i)
+            box.put(i);
         sim.run();
     }
     state.SetItemsProcessed(state.iterations() * 1000);

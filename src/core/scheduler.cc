@@ -23,10 +23,9 @@ Scheduler::rowsOf(const FunctionDef &fn) const
     if (cached.revision == revision)
         return cached;
     cached.revision = revision;
-    std::uint64_t h = 14695981039346656037ULL;
-    for (char c : fn.name)
-        h = (h ^ std::uint64_t(std::uint8_t(c))) * 1099511628211ULL;
-    cached.nameHash = h;
+    sim::Fingerprint name;
+    name.mixBytes(fn.name);
+    cached.nameHash = name.digest();
     const std::uint64_t need =
         fn.cpuWork ? fn.cpuWork->image.mem.privateBytes +
                          fn.cpuWork->image.mem.runtimeShared / 8

@@ -66,10 +66,9 @@ StartupManager::noteEviction(FnId fn, int pu, const WarmEntry &victim)
 {
     strategy_->onEvict(entryView(fn, pu, victim));
     ++evictions_;
-    std::uint64_t h = 14695981039346656037ULL;
-    for (char c : victim.instance->id)
-        h = (h ^ std::uint64_t(std::uint8_t(c))) * 1099511628211ULL;
-    evictFp_.mix(h);
+    sim::Fingerprint id;
+    id.mixBytes(victim.instance->id);
+    evictFp_.mix(id.digest());
     evictFp_.mix(std::uint64_t(pu));
     evictFp_.mix(std::uint64_t(evictions_));
 }

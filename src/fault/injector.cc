@@ -1,27 +1,17 @@
 #include "fault/injector.hh"
 
-#include <vector>
-
 namespace molecule::fault {
 
 void
 Injector::arm(const InjectionPlan &plan)
 {
     const sim::SimTime now = sim_.now();
-    // One batched schedule for the whole plan: sequence numbers (and
-    // therefore same-instant firing order) match the old one-call-per-
-    // spec loop exactly, but the queue is entered once.
-    std::vector<sim::BatchEvent> batch;
-    batch.reserve(plan.specs().size());
     for (const FaultSpec &spec : plan.specs()) {
         armed_.push_back(spec);
         const FaultSpec *slot = &armed_.back();
-        const sim::SimTime after =
-            spec.at > now ? spec.at - now : sim::SimTime(0);
-        batch.push_back(sim::BatchEvent{
-            after, sim::InlineCallback([this, slot] { fire(*slot); })});
+        sim_.schedule(spec.at > now ? spec.at - now : sim::SimTime(0),
+                      [this, slot] { fire(*slot); });
     }
-    sim_.scheduleBatch(batch);
 }
 
 void

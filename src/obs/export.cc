@@ -439,26 +439,4 @@ readBinary(const std::string &path)
     return out;
 }
 
-// SpanBuffer overloads: exporting is an end-of-run (cold) path, so
-// the snapshot copy is the simple, lifetime-correct choice — the
-// output must survive the tracer that owns the buffer.
-
-std::string
-chromeTraceJson(const SpanBuffer &records)
-{
-    return chromeTraceJson(records.snapshot());
-}
-
-bool
-writeChromeTrace(const std::string &path, const SpanBuffer &records)
-{
-    return writeChromeTrace(path, records.snapshot());
-}
-
-bool
-writeBinary(const std::string &path, const SpanBuffer &records)
-{
-    return writeBinary(path, records.snapshot());
-}
-
 } // namespace molecule::obs

@@ -38,21 +38,6 @@ bool writeChromeTrace(const std::string &path,
 bool writeBinary(const std::string &path,
                  const std::vector<SpanRecord> &records);
 
-/**
- * @name SpanBuffer convenience overloads
- * Exports copy the records out of the buffer first (snapshot): the
- * produced JSON/file must stay valid after the tracer that owns the
- * buffer is gone.
- */
-///@{
-std::string chromeTraceJson(const SpanBuffer &records);
-
-bool writeChromeTrace(const std::string &path,
-                      const SpanBuffer &records);
-
-bool writeBinary(const std::string &path, const SpanBuffer &records);
-///@}
-
 /** Result of readBinary: records plus the string table their name
  * and detail fields point into (keep the struct alive while using
  * the records). */

@@ -7,8 +7,7 @@
  * to live in core/metrics.hh: subsystems publish named metrics here
  * (and the Tracer feeds one histogram sample per finished span), so
  * experiment harnesses and tools/trace_report read everything from
- * one place. sim/stats.hh keeps its exact-sample Histogram for small
- * test fixtures; this Histogram buckets geometrically (~9% relative
+ * one place. The Histogram buckets geometrically (~9% relative
  * resolution, 8 buckets per octave) so million-invocation runs stay
  * O(#buckets) in memory while p50/p95/p99 remain honest.
  */

@@ -1,8 +1,6 @@
 #include "obs/trace.hh"
 
-#include <cstdio>
-
-#include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace molecule::obs {
 
@@ -24,43 +22,10 @@ toString(Layer l)
     return "?";
 }
 
-namespace {
-
-/**
- * Ambient ids for log-line prefixes only. Thread-local, so parallel
- * SweepRunner replicas never see each other's ids. Coroutine
- * interleavings can leave a sibling's ids ambient between suspends —
- * acceptable for log decoration, never used for parenting.
- */
-thread_local std::uint64_t t_ambientTrace = 0;
-thread_local std::uint64_t t_ambientSpan = 0;
-
-std::size_t
-logPrefix(char *buf, std::size_t cap)
-{
-    if (t_ambientTrace == 0)
-        return 0;
-    const int n = std::snprintf(
-        buf, cap, "[trace:%016llx span:%llu] ",
-        static_cast<unsigned long long>(t_ambientTrace),
-        static_cast<unsigned long long>(t_ambientSpan));
-    return n > 0 ? std::size_t(n) : 0;
-}
-
-} // namespace
-
-void
-installLogPrefixHook()
-{
-    sim::setLogPrefixHook(&logPrefix);
-}
-
 Tracer::Tracer(sim::Simulation &sim, std::uint64_t seed,
                std::size_t ringCapacity)
     : sim_(sim), seed_(seed), ringCapacity_(ringCapacity)
-{
-    installLogPrefixHook();
-}
+{}
 
 std::uint64_t
 Tracer::newTraceId()
@@ -68,16 +33,10 @@ Tracer::newTraceId()
     // FNV-1a over (seed, counter): deterministic for a fixed seed,
     // distinct across seeds so merged multi-replica traces never
     // collide.
-    constexpr std::uint64_t kOffset = 14695981039346656037ULL;
-    constexpr std::uint64_t kPrime = 1099511628211ULL;
-    std::uint64_t h = kOffset;
-    const std::uint64_t counter = nextTrace_++;
-    for (std::uint64_t v : {seed_, counter}) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= kPrime;
-        }
-    }
+    sim::Fingerprint fp;
+    fp.mix(seed_);
+    fp.mix(nextTrace_++);
+    const std::uint64_t h = fp.digest();
     // Trace id 0 means "no trace"; keep it unreachable.
     return h == 0 ? 1 : h;
 }
@@ -129,10 +88,6 @@ Span::Span(Tracer *tracer, std::uint64_t trace, std::uint64_t parent,
     rec_.pu = pu;
     rec_.start = tracer_->now();
     rec_.end = rec_.start;
-    prevAmbientTrace_ = t_ambientTrace;
-    prevAmbientSpan_ = t_ambientSpan;
-    t_ambientTrace = rec_.traceId;
-    t_ambientSpan = rec_.spanId;
 }
 
 Span::Span(const SpanContext &ctx, const char *name, Layer layer, int pu)
@@ -154,12 +109,6 @@ Span::finish()
     open_ = false;
     rec_.end = tracer_->now();
     tracer_->push(rec_);
-    // Restore the ambient ids only if no interleaved span overwrote
-    // them meanwhile (non-LIFO coroutine teardown is legal).
-    if (t_ambientTrace == rec_.traceId && t_ambientSpan == rec_.spanId) {
-        t_ambientTrace = prevAmbientTrace_;
-        t_ambientSpan = prevAmbientSpan_;
-    }
 }
 
 } // namespace molecule::obs

@@ -21,10 +21,9 @@
  * Causal parenting is explicit: a span hands its SpanContext (a
  * trivially-copyable POD — safe as a coroutine parameter under the
  * GCC 12 rules of sim/task.hh) to callees, which construct child
- * spans from it. There is no thread-local "current span" on model
- * paths: coroutine interleavings make ambient stacks mis-parent.
- * The only ambient state is a pair of copied ids used to prefix log
- * lines (logging.cc hook), which is best-effort by design.
+ * spans from it. There is no thread-local "current span" or other
+ * ambient state: coroutine interleavings make ambient stacks
+ * mis-parent.
  *
  * Runtime gate: a null Tracer. Spans built from an inert context or
  * a null tracer record nothing and cost one branch, so observation is
@@ -211,18 +210,7 @@ class Span
     Tracer *tracer_ = nullptr;
     bool open_ = false;
     SpanRecord rec_;
-    /** Ambient log-prefix ids shadowed by this span (restored on
-     * finish only if still ours — see ambient notes in the header). */
-    std::uint64_t prevAmbientTrace_ = 0;
-    std::uint64_t prevAmbientSpan_ = 0;
 };
-
-/**
- * Install the sim/logging prefix hook: while any span is ambient on
- * the calling thread, log lines carry a "[trace:... span:...]"
- * prefix. Idempotent; called by the Tracer constructor.
- */
-void installLogPrefixHook();
 
 } // namespace molecule::obs
 

@@ -21,7 +21,7 @@ LocalFifo::write(const FifoMessage &msg)
     const auto copy = sim::SimTime::nanoseconds(std::int64_t(
         double(owned.bytes) * calib::kFifoCopyNsPerByte));
     co_await os_.swDelay(calib::kSyscallCost + copy);
-    co_await queue_.put(std::move(owned));
+    queue_.put(std::move(owned));
 }
 
 sim::Task<FifoMessage>

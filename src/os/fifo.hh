@@ -69,9 +69,7 @@ class LocalFifo
     void
     poison(const std::string &tag)
     {
-        // One batched wake for all blocked readers: same sentinel per
-        // reader and the same resume order as a tryPut-per-waiter
-        // loop, in a single event-queue transaction.
+        // Same sentinel per reader, woken in arrival order.
         (void)queue_.poisonGetters(FifoMessage{0, tag});
     }
 

@@ -54,25 +54,6 @@ EventQueue::schedule(SimTime when, std::coroutine_handle<> h)
     return (EventId(s.generation) << 32) | slot;
 }
 
-void
-EventQueue::scheduleBatch(std::span<BatchEvent> events,
-                          EventId *idsOut)
-{
-    for (BatchEvent &e : events) {
-        const EventId id = schedule(e.when, std::move(e.fn));
-        if (idsOut != nullptr)
-            *idsOut++ = id;
-    }
-}
-
-void
-EventQueue::scheduleBatch(SimTime when,
-                          std::span<const std::coroutine_handle<>> hs)
-{
-    for (const std::coroutine_handle<> h : hs)
-        schedule(when, h);
-}
-
 bool
 EventQueue::cancel(EventId id)
 {

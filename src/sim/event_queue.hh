@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -33,13 +32,6 @@ namespace molecule::sim {
  * never issued (generations start at 1).
  */
 using EventId = std::uint64_t;
-
-/** One entry of a scheduleBatch() request. */
-struct BatchEvent
-{
-    SimTime when;
-    InlineCallback fn;
-};
 
 /**
  * Allocation-free pending-event set: a hierarchical calendar wheel and
@@ -112,19 +104,6 @@ class EventQueue
         place(Node{when.raw(), s.seq, slot}, s);
         return (EventId(s.generation) << 32) | slot;
     }
-
-    /**
-     * Schedule a batch of events in order (sequence numbers are
-     * consecutive, so same-instant batch entries fire in array
-     * order). Callbacks are moved out of @p events. When @p idsOut is
-     * non-null it receives one cancel id per entry.
-     */
-    void scheduleBatch(std::span<BatchEvent> events,
-                       EventId *idsOut = nullptr);
-
-    /** Batch coroutine resumption: all handles at @p when, in order. */
-    void scheduleBatch(SimTime when,
-                       std::span<const std::coroutine_handle<>> hs);
 
     /**
      * Cancel a previously scheduled event.

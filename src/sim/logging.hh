@@ -10,21 +10,8 @@
 #define MOLECULE_SIM_LOGGING_HH
 
 #include <cstdarg>
-#include <cstddef>
-#include <string>
 
 namespace molecule::sim {
-
-/**
- * Optional line-prefix hook: when set, every report line calls it to
- * render a prefix (e.g. the active trace/span ids from obs::) into
- * @p buf, returning the bytes written (0 = no prefix). A plain
- * function pointer — not std::function — per the determinism lint
- * rules for src/sim; implementations must be reentrant and cheap.
- */
-using LogPrefixFn = std::size_t (*)(char *buf, std::size_t cap);
-
-void setLogPrefixHook(LogPrefixFn fn);
 
 /**
  * Report an internal invariant violation and abort.

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -77,16 +76,6 @@ class Ring
                 (*this)[j] = std::move((*this)[j + 1]);
         }
         --count_;
-    }
-
-    /** The live entries, oldest first, as at most two spans. */
-    std::pair<std::span<const T>, std::span<const T>>
-    spans() const
-    {
-        const std::size_t first =
-            std::min(count_, slots_.size() - head_);
-        return {std::span<const T>(slots_.data() + head_, first),
-                std::span<const T>(slots_.data(), count_ - first)};
     }
 
     /** Drop every entry; the capacity stays. */

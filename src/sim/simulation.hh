@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <span>
 #include <type_traits>
 
 #include "sim/analysis.hh"
@@ -146,36 +145,6 @@ class Simulation
         noteScheduled();
     }
 
-    /**
-     * Resume every handle in @p hs at the current instant, in array
-     * order (consecutive sequence numbers — identical firing order to
-     * calling scheduleResume in a loop, minus the per-call overhead).
-     */
-    void
-    scheduleResumeBatch(std::span<const std::coroutine_handle<>> hs)
-    {
-        events_.scheduleBatch(now_, hs);
-        noteScheduledBatch(hs.size());
-    }
-
-    /**
-     * Schedule a batch of callbacks; each entry's `when` is a delay
-     * relative to now (rewritten in place to the absolute time).
-     * Entries fire in array order at equal timestamps.
-     */
-    void
-    scheduleBatch(std::span<BatchEvent> events)
-    {
-        for (BatchEvent &e : events) {
-            MOLECULE_ASSERT(e.when >= SimTime(0),
-                            "negative batch delay %lld ns",
-                            static_cast<long long>(e.when.raw()));
-            e.when = now_ + e.when;
-        }
-        events_.scheduleBatch(events);
-        noteScheduledBatch(events.size());
-    }
-
     /** Run until the event set drains. @return final simulated time. */
     SimTime run();
 
@@ -282,17 +251,6 @@ class Simulation
     {
         if (log_)
             log_->noteScheduled(events_.lastScheduledSeq(), now_.raw());
-    }
-
-    /** Tell the detector about the last @p n batch-accepted events. */
-    void
-    noteScheduledBatch(std::size_t n)
-    {
-        if (log_ && n > 0) {
-            const std::uint64_t last = events_.lastScheduledSeq();
-            for (std::size_t i = 0; i < n; ++i)
-                log_->noteScheduled(last - n + 1 + i, now_.raw());
-        }
     }
 
     EventQueue events_;

@@ -1,62 +1,15 @@
 /**
  * @file
- * Measurement collection: summaries and sample histograms.
- *
- * Experiments record per-invocation latencies into Histogram objects and
- * report percentiles like the paper's harness (avg/50/75/90/95/99).
+ * Order-sensitive digests over simulated results.
  */
 
 #ifndef MOLECULE_SIM_STATS_HH
 #define MOLECULE_SIM_STATS_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "sim/time.hh"
+#include <string_view>
 
 namespace molecule::sim {
-
-/**
- * Exact-sample distribution.
- *
- * Stores every sample (experiments are small: 10^2..10^5 samples) so
- * percentiles are exact rather than bucketed.
- */
-class Histogram
-{
-  public:
-    void add(double v);
-
-    /** Convenience for latency samples. */
-    void addTime(SimTime t) { add(t.toMicroseconds()); }
-
-    std::size_t count() const { return samples_.size(); }
-
-    double mean() const;
-    double min() const;
-    double max() const;
-    double stddev() const;
-
-    /** Exact percentile via nearest-rank; @p p in [0, 100]. */
-    double percentile(double p) const;
-
-    void clear();
-
-    const std::vector<double> &samples() const { return samples_; }
-
-    /** "avg p50 p75 p90 p95 p99" line used by bench output. */
-    std::string summaryLine() const;
-
-  private:
-    /** Sort lazily: adds are hot, queries are rare. */
-    void ensureSorted() const;
-
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-};
 
 /**
  * Order-sensitive 64-bit digest (FNV-1a) over a stream of values.
@@ -73,10 +26,15 @@ class Fingerprint
 
     void mixDouble(double v);
 
+    /** Fold each byte of @p bytes, in order (a name's FNV-1a hash
+     * when started from a fresh digest). */
+    void mixBytes(std::string_view bytes);
+
     std::uint64_t digest() const { return state_; }
 
   private:
     static constexpr std::uint64_t kOffsetBasis = 14695981039346656037ULL;
+    static constexpr std::uint64_t kPrime = 1099511628211ULL;
 
     std::uint64_t state_ = kOffsetBasis;
 };

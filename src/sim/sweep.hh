@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel sweep runner: fan independent simulation replicas across a
- * worker-thread pool.
+ * Parallel sweep runner: fan independent simulation replicas across
+ * threads.
  *
  * Every bench/test sweep in this repository (seed sweeps, design-space
  * grids, parameter ladders) runs N completely independent Simulation
@@ -12,21 +12,20 @@
  * index-addressed vector, so the output is bit-identical to a serial
  * run regardless of thread interleaving.
  *
- * Threading model: a persistent pool of workers plus the calling
- * thread drain a shared atomic index counter per batch; forEach/map
- * block until the batch completes. The first exception thrown by any
- * replica is captured, the batch is short-circuited, and the exception
- * rethrown on the calling thread.
+ * Threading model: each forEach/map call starts its own threads, which
+ * drain a shared atomic index together with the calling thread and
+ * are joined before the call returns. The first exception thrown by
+ * any replica is captured, the replicas not yet started are skipped,
+ * and the exception is rethrown on the calling thread.
  */
 
 #ifndef MOLECULE_SIM_SWEEP_HH
 #define MOLECULE_SIM_SWEEP_HH
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -34,36 +33,66 @@
 namespace molecule::sim {
 
 /**
- * Fixed-size worker pool for independent replicas.
+ * Runs independent replicas on up to threadCount() threads.
  *
  * @warning Replica bodies must not touch shared mutable state; a
  * Simulation and everything hanging off it belong to exactly one
- * replica. The pool provides no synchronization beyond batch
- * start/finish.
+ * replica. The runner provides no synchronization beyond the start
+ * and end of a call.
  */
 class SweepRunner
 {
   public:
-    /** @param threads worker count; 0 = hardware concurrency. */
-    explicit SweepRunner(unsigned threads = 0);
+    /** @param threads parallelism; 0 = hardware concurrency. */
+    explicit SweepRunner(unsigned threads = 0)
+        : threads_(threads != 0
+                       ? threads
+                       : std::max(1u, std::thread::hardware_concurrency()))
+    {}
 
-    SweepRunner(const SweepRunner &) = delete;
-    SweepRunner &operator=(const SweepRunner &) = delete;
-
-    ~SweepRunner();
-
-    /** Total executing threads per batch (workers + caller). */
-    unsigned threadCount() const { return unsigned(workers_.size()) + 1; }
+    /** Most threads one call runs replicas on (the caller included). */
+    unsigned threadCount() const { return threads_; }
 
     /**
-     * Run body(i) for every i in [0, count); blocks until all replicas
-     * finish. Rethrows the first replica exception (remaining replicas
-     * are skipped, in-flight ones finish first).
+     * Run body(i) for every i in [0, count) on min(threadCount(),
+     * count) threads, the caller one of them; returns once all
+     * replicas finish. Rethrows the first replica exception (replicas
+     * not yet started are skipped, in-flight ones finish first).
      */
-    // One type-erased callable per *batch*, not per event: this is the
-    // cold fan-out path, far from the DES hot path the rule protects.
-    void forEach(std::size_t count, // det:allow(std-function-in-sim)
-                 const std::function<void(std::size_t)> &body);
+    template <typename Fn>
+    void
+    forEach(std::size_t count, Fn &&body) const
+    {
+        if (count == 0)
+            return;
+        std::atomic<std::size_t> next{0};
+        std::exception_ptr error;
+        std::mutex errorMutex;
+        auto drain = [&] {
+            for (std::size_t i = next.fetch_add(1); i < count;
+                 i = next.fetch_add(1)) {
+                try {
+                    body(i);
+                } catch (...) {
+                    const std::lock_guard<std::mutex> lock(errorMutex);
+                    if (!error)
+                        error = std::current_exception();
+                    next.store(count);
+                }
+            }
+        };
+        {
+            const std::size_t helpers =
+                std::min<std::size_t>(threads_, count) - 1;
+            std::vector<std::jthread> threads;
+            threads.reserve(helpers);
+            for (std::size_t t = 0; t < helpers; ++t)
+                threads.emplace_back(drain);
+            drain();
+        } // joins the helpers
+        if (error)
+            std::rethrow_exception(error);
+    }
 
     /**
      * Evaluate fn(i) for every i in [0, count) and collect the results
@@ -72,7 +101,7 @@ class SweepRunner
      */
     template <typename R, typename Fn>
     std::vector<R>
-    map(std::size_t count, Fn &&fn)
+    map(std::size_t count, Fn &&fn) const
     {
         std::vector<R> out(count);
         forEach(count, [&](std::size_t i) { out[i] = fn(i); });
@@ -80,33 +109,7 @@ class SweepRunner
     }
 
   private:
-    /** One fan-out: workers race on next_ until it reaches count_. */
-    struct Batch
-    {
-        // det:allow(std-function-in-sim) — per-batch, see forEach.
-        const std::function<void(std::size_t)> *body = nullptr;
-        std::size_t count = 0;
-        std::atomic<std::size_t> next{0};
-        std::atomic<std::size_t> done{0};
-        std::exception_ptr error;
-        std::mutex errorMutex;
-    };
-
-    void workerLoop();
-
-    /** Drain replicas from @p batch until the index space is exhausted. */
-    void drain(Batch &batch);
-
-    std::vector<std::thread> workers_;
-
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable batchDone_;
-    Batch *batch_ = nullptr;   // guarded by mutex_
-    std::uint64_t batchSeq_ = 0;
-    /** Workers currently inside drain(); guards Batch lifetime. */
-    unsigned activeDrains_ = 0;
-    bool stopping_ = false;
+    unsigned threads_;
 };
 
 } // namespace molecule::sim

@@ -3,8 +3,8 @@
  * Coroutine synchronization primitives for simulated processes.
  *
  * Semaphore  - counted resource (PU cores, FPGA regions);
- * Mailbox<T> - FIFO message queue with blocking receive and optional
- *              bounded capacity with blocking send (models FIFOs/queues);
+ * Mailbox<T> - unbounded FIFO message queue with blocking receive
+ *              (models FIFOs/queues);
  * Join       - fork/join over child tasks.
  *
  * All wakeups are routed through the Simulation event queue at the
@@ -16,11 +16,8 @@
 #ifndef MOLECULE_SIM_SYNC_HH
 #define MOLECULE_SIM_SYNC_HH
 
-#include <algorithm>
 #include <coroutine>
-#include <limits>
 #include <utility>
-#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/ring.hh"
@@ -147,22 +144,18 @@ class SemGuard
 };
 
 /**
- * FIFO message queue between simulated processes.
+ * Unbounded FIFO message queue between simulated processes.
  *
- * get() blocks until a message is available; put() blocks while the
- * queue is at capacity (default: unbounded). Message transport latency
- * is not modelled here — callers add link/syscall costs explicitly so
- * the cost model stays visible at the protocol layer.
+ * get() blocks until a message is available; put() never blocks.
+ * Message transport latency is not modelled here — callers add
+ * link/syscall costs explicitly so the cost model stays visible at
+ * the protocol layer.
  */
 template <typename T>
 class Mailbox
 {
   public:
-    explicit Mailbox(Simulation &sim,
-                     std::size_t capacity =
-                         std::numeric_limits<std::size_t>::max())
-        : sim_(sim), capacity_(capacity)
-    {}
+    explicit Mailbox(Simulation &sim) : sim_(sim) {}
 
     Mailbox(const Mailbox &) = delete;
     Mailbox &operator=(const Mailbox &) = delete;
@@ -176,84 +169,31 @@ class Mailbox
      * hangs). */
     std::size_t waitingGetters() const { return getters_.size(); }
 
-    /** Non-blocking send. @retval false the queue was full. */
-    bool
-    tryPut(T item)
-    {
-        if (items_.size() >= capacity_)
-            return false;
-        enqueue(std::move(item));
-        return true;
-    }
-
-    /**
-     * Awaiter for a blocking send. Owns the item: when the queue is
-     * full the item is handed over at wake time by the consumer side
-     * (exact-capacity handover, no wakeup race). Non-coroutine by
-     * design — see the GCC 12 note in task.hh.
-     */
-    class PutAwaiter
-    {
-      public:
-        PutAwaiter(Mailbox *box, T item)
-            : box_(box), item_(std::move(item))
-        {}
-
-        bool
-        await_ready()
-        {
-            if (box_->items_.size() < box_->capacity_ &&
-                box_->putters_.empty()) {
-                box_->enqueue(std::move(item_));
-                return true;
-            }
-            return false;
-        }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            box_->putters_.push_back(PendingPut{h, this});
-        }
-
-        void await_resume() const noexcept {}
-
-      private:
-        friend class Mailbox;
-
-        Mailbox *box_;
-        T item_;
-    };
-
-    /** Blocking send: waits for space, then enqueues. */
-    PutAwaiter
+    /** Enqueue @p item and wake the oldest blocked receiver, if any. */
+    void
     put(T item)
     {
-        return PutAwaiter(this, std::move(item));
+        items_.push_back(std::move(item));
+        if (!getters_.empty())
+            sim_.scheduleResume(getters_.pop_front());
     }
 
     /**
      * Fault path: deliver one copy of @p sentinel to every receiver
-     * currently blocked in get(), waking them in one batch (arrival
-     * order — the same firing order as tryPut once per waiter, since
-     * a blocked getter implies an empty queue). Used by poisoned
-     * FIFOs so no reader hangs when its producer dies.
+     * currently blocked in get(), waking them in arrival order (the
+     * same firing order as put() once per waiter, since a blocked
+     * getter implies an empty queue). Used by poisoned FIFOs so no
+     * reader hangs when its producer dies.
      * @return number of getters poisoned.
      */
     std::size_t
     poisonGetters(const T &sentinel)
     {
-        if (getters_.empty())
-            return 0;
         const std::size_t n = getters_.size();
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i < n; ++i) {
             items_.push_back(sentinel);
-        // Two batches when the ring wraps: still consecutive sequence
-        // numbers in arrival order.
-        const auto [head, tail] = getters_.spans();
-        sim_.scheduleResumeBatch(head);
-        sim_.scheduleResumeBatch(tail);
-        getters_.clear();
+            sim_.scheduleResume(getters_.pop_front());
+        }
         return n;
     }
 
@@ -295,51 +235,14 @@ class Mailbox
     /** Suspend until the queue may hold a message; check again. */
     ItemWait itemWait() { return ItemWait{this}; }
 
-    /** Dequeue the oldest message (the queue must not be empty) and
-     * let the oldest blocked putter in. */
-    T
-    take()
-    {
-        T item = items_.pop_front();
-        drainOnePutter();
-        return item;
-    }
+    /** Dequeue the oldest message (the queue must not be empty). */
+    T take() { return items_.pop_front(); }
     ///@}
 
   private:
-    struct PendingPut
-    {
-        std::coroutine_handle<> handle;
-        PutAwaiter *awaiter;
-    };
-
-    void
-    enqueue(T item)
-    {
-        items_.push_back(std::move(item));
-        if (!getters_.empty())
-            sim_.scheduleResume(getters_.pop_front());
-    }
-
-    /**
-     * A slot freed up: move the oldest blocked putter's item into the
-     * queue *now* (exact capacity, FIFO order) and wake it.
-     */
-    void
-    drainOnePutter()
-    {
-        if (!putters_.empty()) {
-            PendingPut p = putters_.pop_front();
-            enqueue(std::move(p.awaiter->item_));
-            sim_.scheduleResume(p.handle);
-        }
-    }
-
     Simulation &sim_;
-    std::size_t capacity_;
     detail::Ring<T> items_;
     detail::Ring<std::coroutine_handle<>> getters_;
-    detail::Ring<PendingPut> putters_;
 };
 
 /**

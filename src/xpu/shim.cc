@@ -200,8 +200,7 @@ XpuShim::deliverLocal(ObjId obj, std::uint64_t bytes,
     if (!homed)
         return core::Status(core::Errc::NotFound, "fifo not homed here",
                             puId());
-    // Homed queues are unbounded: the put never waits.
-    (void)homed->queue->tryPut(os::FifoMessage{bytes, tag});
+    homed->queue->put(os::FifoMessage{bytes, tag});
     return core::Status();
 }
 
@@ -219,9 +218,7 @@ XpuShim::crashLocal()
     std::sort(ids.begin(), ids.end());
     for (ObjId id : ids) {
         auto &queue = queues_.find(id)->queue;
-        const std::size_t waiting = queue->waitingGetters();
-        for (std::size_t i = 0; i < waiting; ++i)
-            queue->tryPut(os::FifoMessage{0, "!fault:pu-crash"});
+        (void)queue->poisonGetters(os::FifoMessage{0, "!fault:pu-crash"});
         deadQueues_.bury(std::move(queue));
     }
     queues_.clear();
@@ -298,15 +295,6 @@ XpuShimNetwork::transfer(PuId from, PuId to, std::uint64_t bytes,
     Hop hop(*this, from, to, bytes, ctx);
     while (hop.pending())
         co_await hop.step();
-}
-
-sim::SimTime
-XpuShimNetwork::transferLatency(PuId from, PuId to,
-                                std::uint64_t bytes) const
-{
-    if (from == to)
-        return sim::SimTime(0);
-    return computer_.topology().transferLatency(from, to, bytes);
 }
 
 } // namespace molecule::xpu

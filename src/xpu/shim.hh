@@ -341,10 +341,6 @@ class XpuShimNetwork
     sim::Task<> transfer(PuId from, PuId to, std::uint64_t bytes,
                          obs::SpanContext ctx = {});
 
-    /** Closed-form link latency (diagnostics). */
-    sim::SimTime transferLatency(PuId from, PuId to,
-                                 std::uint64_t bytes) const;
-
     /** Default xSpawn'd process image size (paper: thin executor). */
     static constexpr std::uint64_t kDefaultSpawnBytes = 8ULL << 20;
 

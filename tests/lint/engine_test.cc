@@ -83,24 +83,6 @@ TEST(LintEngine, LintAllowSuppressesAnyRule)
     EXPECT_TRUE(findings.empty());
 }
 
-TEST(LintEngine, LegacyDetAllowOnlyCoversSimPurity)
-{
-    // det:allow silences the migrated determinism rule...
-    const auto purity =
-        scan({{"src/sim/ok.cc",
-               "// det:allow(wallclock): fixture\n"
-               "void f() { auto t = std::chrono::steady_clock::now(); "
-               "}\n"}});
-    EXPECT_TRUE(purity.empty());
-    // ...but not rules from the new packs.
-    const auto layering =
-        scan({{"src/sim/bad.hh",
-               "// det:allow(layering): wrong tag\n"
-               "#include \"hw/pu.hh\"\n"}});
-    ASSERT_EQ(layering.size(), 1u);
-    EXPECT_EQ(layering[0].rule, "layering");
-}
-
 TEST(LintEngine, FindingsAreSortedByPathThenLine)
 {
     const auto findings = scan(

@@ -63,7 +63,7 @@ scenarioFingerprint(bool traced, std::string *jsonOut = nullptr)
     record(runtime.runSync(runtime.invoke("helloworld", {.pu = 1})).value());
 
     if (traced && jsonOut != nullptr)
-        *jsonOut = obs::chromeTraceJson(tracer.records());
+        *jsonOut = obs::chromeTraceJson(tracer.records().snapshot());
     return fp;
 }
 

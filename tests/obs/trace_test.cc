@@ -246,6 +246,42 @@ TEST(Registry, HistogramPercentilesAreOrderedAndBounded)
     EXPECT_LE(p99, h.max());
 }
 
+// The exact moments the benches print: mean is sum / count in add
+// order, min and max are the observed extremes.
+TEST(Histogram, BasicMoments)
+{
+    obs::Histogram h;
+    for (double v : {3.0, 1.0, 4.0, 2.0})
+        h.add(v);
+    EXPECT_EQ(h.count(), 4u);
+    EXPECT_DOUBLE_EQ(h.sum(), 10.0);
+    EXPECT_DOUBLE_EQ(h.mean(), 2.5);
+    EXPECT_DOUBLE_EQ(h.min(), 1.0);
+    EXPECT_DOUBLE_EQ(h.max(), 4.0);
+}
+
+TEST(Histogram, AddTimeStoresMicroseconds)
+{
+    obs::Histogram h;
+    h.addTime(sim::SimTime::nanoseconds(1500));
+    EXPECT_DOUBLE_EQ(h.mean(), 1.5);
+}
+
+TEST(Histogram, ClearResets)
+{
+    obs::Histogram h;
+    h.add(1.0);
+    h.add(1000.0);
+    h.clear();
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(h.min(), 0.0);
+    EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
+    h.add(7.0);
+    EXPECT_DOUBLE_EQ(h.min(), 7.0);
+    EXPECT_DOUBLE_EQ(h.max(), 7.0);
+}
+
 TEST(SpanBuffer, PushIndexIterateAcrossChunks)
 {
     obs::SpanBuffer buf;

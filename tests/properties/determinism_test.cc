@@ -170,7 +170,7 @@ TEST(Determinism, RngStreamIndependentOfQueryOrder)
     // Reading stats between runs must not consume simulation
     // randomness: two runs with interleaved histogram queries agree.
     sim::Simulation s1(5), s2(5);
-    sim::Histogram h;
+    obs::Histogram h;
     for (int i = 0; i < 100; ++i) {
         const double v = s1.rng().uniform();
         h.add(v);

@@ -98,7 +98,7 @@ Task<>
 putAfter(World *w, SimTime d, int value)
 {
     co_await w->sim->delay(d);
-    (void)w->box.tryPut(value);
+    w->box.put(value);
 }
 
 /**

@@ -1,79 +1,35 @@
-/** @file Unit tests for histograms and the table renderer. */
+/** @file Unit tests for the fingerprint and the table renderer. */
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "sim/stats.hh"
 #include "sim/table.hh"
-#include "sim/time.hh"
 
 namespace {
 
-using molecule::sim::Histogram;
+using molecule::sim::Fingerprint;
 using molecule::sim::Table;
-using namespace molecule::sim::literals;
 
-TEST(Histogram, BasicMoments)
+TEST(Fingerprint, MixBytesIsFnv1a)
 {
-    Histogram h;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        h.add(v);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_DOUBLE_EQ(h.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(h.min(), 1.0);
-    EXPECT_DOUBLE_EQ(h.max(), 4.0);
-    EXPECT_NEAR(h.stddev(), 1.29099, 1e-4);
+    Fingerprint empty;
+    empty.mixBytes("");
+    EXPECT_EQ(empty.digest(), 0xcbf29ce484222325ULL);
+    Fingerprint a;
+    a.mixBytes("a");
+    EXPECT_EQ(a.digest(), 0xaf63dc4c8601ec8cULL);
 }
 
-TEST(Histogram, PercentilesNearestRank)
+TEST(Fingerprint, MixFoldsLittleEndianBytes)
 {
-    Histogram h;
-    for (int i = 1; i <= 100; ++i)
-        h.add(double(i));
-    EXPECT_DOUBLE_EQ(h.percentile(50), 50.0);
-    EXPECT_DOUBLE_EQ(h.percentile(90), 90.0);
-    EXPECT_DOUBLE_EQ(h.percentile(99), 99.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100), 100.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0), 1.0);
-}
-
-TEST(Histogram, AddTimeStoresMicroseconds)
-{
-    Histogram h;
-    h.addTime(1500_ns);
-    EXPECT_DOUBLE_EQ(h.mean(), 1.5);
-}
-
-TEST(Histogram, InterleavedAddAndQuery)
-{
-    Histogram h;
-    h.add(5.0);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 5.0);
-    h.add(1.0);
-    EXPECT_DOUBLE_EQ(h.min(), 1.0);
-    h.add(9.0);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 5.0);
-    EXPECT_DOUBLE_EQ(h.max(), 9.0);
-}
-
-TEST(Histogram, ClearResets)
-{
-    Histogram h;
-    h.add(1.0);
-    h.clear();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
-}
-
-TEST(Histogram, SummaryLineContainsPercentiles)
-{
-    Histogram h;
-    for (int i = 1; i <= 10; ++i)
-        h.add(double(i));
-    auto line = h.summaryLine();
-    EXPECT_NE(line.find("avg 5.50"), std::string::npos);
-    EXPECT_NE(line.find("p50 5.00"), std::string::npos);
-    EXPECT_NE(line.find("p99 10.00"), std::string::npos);
+    Fingerprint word;
+    word.mix(0x0102030405060708ULL);
+    Fingerprint bytes;
+    bytes.mixBytes(
+        std::string_view("\x08\x07\x06\x05\x04\x03\x02\x01", 8));
+    EXPECT_EQ(word.digest(), bytes.digest());
 }
 
 TEST(Table, RendersAlignedColumns)

@@ -85,7 +85,7 @@ producer(Simulation &sim, Mailbox<int> &box, int n, SimTime gap)
 {
     for (int i = 0; i < n; ++i) {
         co_await sim.delay(gap);
-        co_await box.put(i);
+        box.put(i);
     }
 }
 
@@ -115,44 +115,6 @@ TEST(Mailbox, DeliversInFifoOrder)
     }
 }
 
-TEST(Mailbox, BoundedCapacityBlocksProducer)
-{
-    Simulation sim;
-    Mailbox<int> box(sim, 1);
-    std::vector<SimTime> putDone;
-
-    auto fastProducer = [](Simulation &s, Mailbox<int> &b,
-                           std::vector<SimTime> *log) -> Task<> {
-        for (int i = 0; i < 3; ++i) {
-            co_await b.put(i);
-            log->push_back(s.now());
-        }
-    };
-    auto slowConsumer = [](Simulation &s, Mailbox<int> &b) -> Task<> {
-        for (int i = 0; i < 3; ++i) {
-            co_await s.delay(10_us);
-            (void)co_await b.get();
-        }
-    };
-    sim.spawn(fastProducer(sim, box, &putDone));
-    sim.spawn(slowConsumer(sim, box));
-    sim.run();
-    ASSERT_EQ(putDone.size(), 3u);
-    EXPECT_EQ(putDone[0], 0_us);  // fills the single slot
-    EXPECT_EQ(putDone[1], 10_us); // after first get
-    EXPECT_EQ(putDone[2], 20_us); // after second get
-}
-
-TEST(Mailbox, TryPutRespectsCapacity)
-{
-    Simulation sim;
-    Mailbox<std::string> box(sim, 2);
-    EXPECT_TRUE(box.tryPut("a"));
-    EXPECT_TRUE(box.tryPut("b"));
-    EXPECT_FALSE(box.tryPut("c"));
-    EXPECT_EQ(box.size(), 2u);
-}
-
 /** Pop one message and log it in pop order. */
 Task<>
 getOne(Mailbox<int> &box, std::vector<int> *popped)
@@ -178,7 +140,7 @@ TEST(Mailbox, InterleavedPutsAndGetsStayFifoAcrossRingGrowth)
     for (int step = 0; step < 400; ++step) {
         if (next(2) == 0) {
             for (std::uint64_t k = next(9); k > 0; --k)
-                ASSERT_TRUE(box.tryPut(put++));
+                box.put(put++);
         } else {
             for (std::uint64_t k = next(9); k > 0; --k) {
                 sim.spawn(getOne(box, &popped));
@@ -192,7 +154,7 @@ TEST(Mailbox, InterleavedPutsAndGetsStayFifoAcrossRingGrowth)
     // Feed whoever is still blocked.
     sim.run();
     for (std::size_t k = box.waitingGetters(); k > 0; --k)
-        ASSERT_TRUE(box.tryPut(put++));
+        box.put(put++);
     sim.run();
     ASSERT_GT(put, 64);
     ASSERT_EQ(popped.size(), getters);
@@ -220,8 +182,8 @@ TEST(Mailbox, PoisonWakesWrappedGettersInArrivalOrder)
     // sits mid-buffer, so the next four waiters wrap around its end.
     for (int id = 0; id < 3; ++id)
         sim.spawn(getTagged(box, id, &log));
-    ASSERT_TRUE(box.tryPut("a"));
-    ASSERT_TRUE(box.tryPut("b"));
+    box.put("a");
+    box.put("b");
     sim.run();
     for (int id = 3; id < 6; ++id)
         sim.spawn(getTagged(box, id, &log));
@@ -321,21 +283,23 @@ receiveStepwise(Mailbox<int> &box, int n, std::vector<int> *got)
 }
 
 Task<>
-putAll(Mailbox<int> &box, const std::vector<int> &values)
+putAll(Simulation &sim, Mailbox<int> &box, const std::vector<int> &values)
 {
     std::vector<int> owned = values;
-    for (int v : owned)
-        co_await box.put(v);
+    for (int v : owned) {
+        co_await sim.delay(1_us);
+        box.put(v);
+    }
 }
 
 TEST(Mailbox, StepwiseReceiveMatchesGet)
 {
-    // A bounded box: take() lets a blocked putter in, as get() does.
+    // One message at a time: the receiver blocks before every put.
     Simulation sim;
-    Mailbox<int> box(sim, 1);
+    Mailbox<int> box(sim);
     std::vector<int> got;
     sim.spawn(receiveStepwise(box, 4, &got));
-    sim.spawn(putAll(box, {1, 2, 3, 4}));
+    sim.spawn(putAll(sim, box, {1, 2, 3, 4}));
     sim.run();
     EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 4}));
     EXPECT_TRUE(box.empty());

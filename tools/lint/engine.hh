@@ -16,8 +16,7 @@
  * could print the same transitive-hop finding N times; the fix lives
  * here and the old tool is now an alias over this engine.)
  *
- * Suppression: `lint:allow(<rule>)` on the same or preceding line;
- * sim-purity rules additionally honor the legacy `det:allow(<rule>)`.
+ * Suppression: `lint:allow(<rule>)` on the same or preceding line.
  * Baseline: `--baseline file` filters known findings (rule + path +
  * message fingerprint, line-insensitive so unrelated edits do not
  * invalidate entries); `--write-baseline file` records the current
@@ -106,13 +105,13 @@ class Rule
                      std::vector<Finding> &out) const = 0;
 
   protected:
-    /** Emit unless a lint:allow / (legacy) det:allow marker covers it. */
+    /** Emit unless a lint:allow marker covers it. */
     void
     emit(const SourceFile &f, std::size_t offset, std::string message,
-         std::vector<Finding> &out, bool honorDetAllow = false) const
+         std::vector<Finding> &out) const
     {
         const std::size_t line = lineOf(f, offset);
-        if (suppressed(f, line, id_, honorDetAllow))
+        if (suppressed(f, line, id_))
             return;
         out.push_back({f.path, line, id_, pack_, std::move(message)});
     }

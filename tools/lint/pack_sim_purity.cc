@@ -5,8 +5,7 @@
  * Semantics are kept bit-for-bit compatible with the original
  * tools/lint_determinism.cc (same rule ids, same messages, same
  * same-file one-transitive-hop scan for unordered iteration), so the
- * migrated pack reproduces PR 2's findings on its old fixtures and
- * existing `det:allow(<rule>)` suppressions keep working.
+ * migrated pack reproduces the original tool's findings on its fixtures.
  */
 
 #include <cstring>
@@ -52,7 +51,7 @@ class WallclockRule final : public Rule
                      std::string(token) +
                          ": wall-clock time / OS entropy makes runs "
                          "irreproducible; use sim::SimTime / sim::Rng",
-                     out, /*honorDetAllow=*/true);
+                     out);
             }
         }
     }
@@ -96,7 +95,7 @@ class PointerKeyedRule final : public Rule
                              " keyed by a pointer: iteration order "
                              "depends on allocation addresses; key by "
                              "a stable id instead",
-                         out, /*honorDetAllow=*/true);
+                         out);
                 }
             }
         }
@@ -129,7 +128,7 @@ class StdFunctionRule final : public Rule
                  "std::function in the sim kernel: the DES hot path "
                  "is allocation-free (InlineCallback); use it or "
                  "suppress for cold paths",
-                 out, /*honorDetAllow=*/true);
+                 out);
             pos += 13;
         }
     }
@@ -204,7 +203,7 @@ class UnorderedIterationRule final : public Rule
                                  fn.name +
                                  "', which reaches schedule/delay: "
                                  "hash order would feed event order",
-                             out, /*honorDetAllow=*/true);
+                             out);
                     }
                     ++pos;
                 }
@@ -219,7 +218,7 @@ class UnorderedIterationRule final : public Rule
                                  fn.name +
                                  "', which reaches schedule/delay: "
                                  "hash order would feed event order",
-                             out, /*honorDetAllow=*/true);
+                             out);
                         q += pat.size();
                     }
                 }

@@ -18,7 +18,6 @@ class Registry;
 /**
  * sim-purity: the PR 2 determinism rules, migrated — wallclock,
  * pointer-keyed-container, std-function-in-sim, unordered-iteration.
- * Honors legacy det:allow(<rule>) suppressions.
  */
 void registerSimPurity(Registry &registry);
 

@@ -66,16 +66,16 @@ fixtures()
     out.push_back({"sim-purity", "suppression same line",
                    one("src/os/kernel.cc",
                        "auto t = std::chrono::steady_clock::now(); "
-                       "// det:allow(wallclock)\n"),
+                       "// lint:allow(wallclock)\n"),
                    {}});
     out.push_back({"sim-purity", "suppression previous line",
                    one("src/os/kernel.cc",
-                       "// det:allow(wallclock)\n"
+                       "// lint:allow(wallclock)\n"
                        "auto t = std::chrono::steady_clock::now();\n"),
                    {}});
     out.push_back({"sim-purity", "suppression wrong rule still fires",
                    one("src/os/kernel.cc",
-                       "// det:allow(unordered-iteration)\n"
+                       "// lint:allow(unordered-iteration)\n"
                        "auto t = std::chrono::steady_clock::now();\n"),
                    {"wallclock"}});
     out.push_back({"sim-purity", "pointer-keyed map",

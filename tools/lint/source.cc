@@ -153,25 +153,18 @@ prepare(std::string path, std::string raw)
             f.lineStarts.push_back(i + 1);
     }
     collectAllows(f.raw, f, "lint:allow(", f.allows);
-    collectAllows(f.raw, f, "det:allow(", f.detAllows);
     collectIncludes(f);
     return f;
 }
 
 bool
-suppressed(const SourceFile &f, std::size_t line, const std::string &rule,
-           bool legacyToo)
+suppressed(const SourceFile &f, std::size_t line, const std::string &rule)
 {
     for (std::size_t l : {line, line > 1 ? line - 1 : line}) {
-        for (const auto *allows : {&f.allows, legacyToo ? &f.detAllows
-                                                        : nullptr}) {
-            if (!allows)
-                continue;
-            auto [lo, hi] = allows->equal_range(l);
-            for (auto it = lo; it != hi; ++it) {
-                if (it->second == rule || it->second == "all")
-                    return true;
-            }
+        auto [lo, hi] = f.allows.equal_range(l);
+        for (auto it = lo; it != hi; ++it) {
+            if (it->second == rule || it->second == "all")
+                return true;
         }
     }
     return false;

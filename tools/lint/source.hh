@@ -9,9 +9,7 @@
  *  - comment- and string-stripped text of identical length/line
  *    structure (so offsets map 1:1 between raw and code views);
  *  - line-start table for offset -> line mapping;
- *  - suppression markers: `lint:allow(<rule>)` (engine-wide) and the
- *    legacy `det:allow(<rule>)` (honored by the sim-purity pack so PR 2
- *    suppressions keep working verbatim);
+ *  - suppression markers: `lint:allow(<rule>)`;
  *  - `#include "..."` / `#include <...>` directives;
  *  - brace-matched function bodies (AST-lite: a '{' whose backward
  *    context looks like `name(args) [const|noexcept|-> T]`).
@@ -55,8 +53,6 @@ struct SourceFile
     std::vector<std::size_t> lineStarts;
     /** Lines carrying lint:allow(<rule>) markers. */
     std::multimap<std::size_t, std::string> allows;
-    /** Lines carrying legacy det:allow(<rule>) markers. */
-    std::multimap<std::size_t, std::string> detAllows;
     /** Parsed include directives, in file order. */
     std::vector<Include> includes;
 };
@@ -71,12 +67,11 @@ std::string stripCommentsAndStrings(const std::string &in);
 SourceFile prepare(std::string path, std::string raw);
 
 /**
- * True when an `allow` marker for @p rule (or "all") sits on the same
- * or the preceding line. @p legacyToo also accepts det:allow markers
- * (the sim-purity pack keeps PR 2 suppressions intact).
+ * True when a `lint:allow` marker for @p rule (or "all") sits on the
+ * same or the preceding line.
  */
 bool suppressed(const SourceFile &f, std::size_t line,
-                const std::string &rule, bool legacyToo = false);
+                const std::string &rule);
 
 bool identChar(char c);
 
