@@ -162,20 +162,31 @@ ClusterGateway::dispatch(const load::Arrival &a, int node)
     stats_.onAdmitted(int(a.tenant));
     stats_.onDispatched(fleet_.simulation().now() - a.at);
     ++outstanding_[std::size_t(node)];
-    fleet_.simulation().spawn(serve(a, node));
+    Dispatch *d = spareDispatches_.take();
+    if (d == nullptr)
+        d = &dispatches_.emplace_back(*this);
+    d->arrival = a;
+    d->node = node;
+    d->def = definition(node, a.fn);
+    core::Molecule &rt = fleet_.node(node);
+    sim::Simulation &sim = fleet_.simulation();
+    // An unknown name takes the by-name path for its NotFound error.
+    if (d->def != nullptr)
+        sim.spawn(rt.invoke(*d->def, opts_.invoke), *d);
+    else
+        sim.spawn(rt.invoke(functions_.at(a.fn), opts_.invoke), *d);
 }
 
-sim::Task<>
-ClusterGateway::serve(load::Arrival a, int node)
+void
+ClusterGateway::complete(
+    Dispatch &d, const core::Expected<obs::InvocationRecord> &result)
 {
+    const load::Arrival a = d.arrival;
+    const int node = d.node;
+    const core::FunctionDef *def = d.def;
+    // Free before pump(), which may dispatch through it at once.
+    spareDispatches_.put(&d);
     core::Molecule &rt = fleet_.node(node);
-    const core::FunctionDef *def = definition(node, a.fn);
-    // An unknown name takes the by-name path for its NotFound error.
-    core::Expected<obs::InvocationRecord> result(obs::InvocationRecord{});
-    if (def != nullptr)
-        result = co_await rt.invoke(*def, opts_.invoke);
-    else
-        result = co_await rt.invoke(functions_.at(a.fn), opts_.invoke);
     sim::Simulation &sim = fleet_.simulation();
     if (result.ok()) {
         // Cross-PU serves paid the manager->worker delivery; that

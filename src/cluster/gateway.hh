@@ -39,6 +39,8 @@
 #include "cluster/fleet.hh"
 #include "cluster/stats.hh"
 #include "load/generator.hh"
+#include "sim/spares.hh"
+#include "sim/task.hh"
 
 namespace molecule::obs {
 class FlightRecorder;
@@ -166,17 +168,49 @@ class ClusterGateway final : public load::ArrivalSink
 
     DispatchPolicy &policy() { return *policy_; }
 
+    /** Per-dispatch records made so far. One is reused as soon as its
+     * invocation completes, so this stays within the in-flight cap,
+     * nodes × maxOutstandingPerNode. */
+    std::size_t dispatchRecords() const { return dispatches_.size(); }
+
   private:
+    /** One dispatched invocation, from dispatch to completion: the
+     * sink its invoke task finishes into. */
+    class Dispatch final
+        : public sim::detail::ResultSink<
+              core::Expected<obs::InvocationRecord>>
+    {
+      public:
+        explicit Dispatch(ClusterGateway &gateway) : gateway_(gateway) {}
+
+        load::Arrival arrival;
+        int node = 0;
+        const core::FunctionDef *def = nullptr;
+
+      private:
+        void
+        taskDone(core::Expected<obs::InvocationRecord> &&result) noexcept
+            override
+        {
+            gateway_.complete(*this, result);
+        }
+
+        ClusterGateway &gateway_;
+    };
+
     /** Lazy token-bucket refill up to the burst capacity. */
     void refill();
 
     /** Dispatch queued arrivals while any node has a free slot. */
     void pump();
 
+    /** Start @p a's invocation on @p node; complete() runs as it
+     * finishes. */
     void dispatch(const load::Arrival &a, int node);
 
-    /** Serve one invocation on @p node (copies its arguments). */
-    sim::Task<> serve(load::Arrival a, int node);
+    /** Score @p d's finished invocation, free its slot and pump. */
+    void complete(Dispatch &d,
+                  const core::Expected<obs::InvocationRecord> &result);
 
     /** Definition of function @p fn on @p node, resolved once. */
     const core::FunctionDef *definition(int node, std::uint32_t fn);
@@ -196,6 +230,10 @@ class ClusterGateway final : public load::ArrivalSink
     sim::SimTime lastRefill_{0};
     std::deque<load::Arrival> queue_;
     std::vector<int> outstanding_;
+    /** Every Dispatch made; a deque, so in-flight ones never move. */
+    std::deque<Dispatch> dispatches_;
+    /** Dispatches with no invocation in flight (DESIGN.md §4b). */
+    sim::Spares<Dispatch *> spareDispatches_;
 };
 
 } // namespace molecule::cluster

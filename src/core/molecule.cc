@@ -289,10 +289,14 @@ Molecule::invokeCpu(const FunctionDef &fn, const InvokeOptions &opts)
         const sim::SimTime commStart = sim.now();
         {
             obs::Span comm(root.ctx(), "comm", obs::Layer::Core, target);
-            if (managerPu != target) {
-                co_await dep_->shimNet().transfer(
-                    managerPu, target, def->cpuWork->msgBytes,
-                    comm.ctx());
+            {
+                // A hop to the manager's own PU takes no step.
+                xpu::XpuShimNetwork::Hop hop(dep_->shimNet(), managerPu,
+                                             target,
+                                             def->cpuWork->msgBytes,
+                                             comm.ctx());
+                while (hop.pending())
+                    co_await hop.step();
             }
             obs::Span disp(comm.ctx(), "os.dispatch", obs::Layer::Os,
                            target);

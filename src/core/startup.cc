@@ -148,9 +148,17 @@ StartupManager::coldStart(const FunctionDef &fn, int pu, int managerPu,
         // nIPC: command, executor-side processing, response back.
         obs::Span rtt(span.ctx(), "nipc.cmd-rtt", obs::Layer::Xpu,
                       managerPu);
-        co_await dep_.shimNet().transfer(managerPu, pu, 160, rtt.ctx());
+        {
+            xpu::XpuShimNetwork::Hop cmd(dep_.shimNet(), managerPu, pu,
+                                         160, rtt.ctx());
+            while (cmd.pending())
+                co_await cmd.step();
+        }
         co_await dep_.osOn(pu).swDelay(calib::kExecutorCommandCost);
-        co_await dep_.shimNet().transfer(pu, managerPu, 64, rtt.ctx());
+        xpu::XpuShimNetwork::Hop reply(dep_.shimNet(), pu, managerPu, 64,
+                                       rtt.ctx());
+        while (reply.pending())
+            co_await reply.step();
     }
 
     auto &runc = dep_.runcOn(pu);

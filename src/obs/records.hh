@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hh"
@@ -88,7 +89,9 @@ class PuList
 /** Timing breakdown of one function invocation. */
 struct InvocationRecord
 {
-    std::string function;
+    /** Views the registry-owned FunctionDef's name (or the cached
+     * chain plan's node name), which outlives the runtime's records. */
+    std::string_view function;
     /** PU (or accelerator host PU) the instance ran on. */
     int pu = -1;
     bool coldStart = false;

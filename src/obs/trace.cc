@@ -74,41 +74,41 @@ Tracer::clear()
         c = nullptr;
 }
 
-Span::Span(Tracer *tracer, std::uint64_t trace, std::uint64_t parent,
-           const char *name, Layer layer, int pu)
-    : tracer_(tracer), open_(tracer != nullptr)
+OpenSpan *
+Tracer::open(std::uint64_t trace, std::uint64_t parent, const char *name,
+             Layer layer, int pu)
 {
-    if (!open_)
-        return;
-    rec_.traceId = trace;
-    rec_.spanId = tracer_->newSpanId();
-    rec_.parentId = parent;
-    rec_.name = name;
-    rec_.layer = layer;
-    rec_.pu = pu;
-    rec_.start = tracer_->now();
-    rec_.end = rec_.start;
-}
-
-Span::Span(const SpanContext &ctx, const char *name, Layer layer, int pu)
-    : Span(ctx.tracer, ctx.trace, ctx.span, name, layer, pu)
-{}
-
-Span
-Span::root(Tracer *tracer, const char *name, Layer layer, int pu)
-{
-    return Span(tracer, tracer ? tracer->newTraceId() : 0, 0, name,
-                layer, pu);
+    OpenSpan *span = spareOpen_.take();
+    if (span == nullptr) {
+        // A chunk at a time, like SpanBuffer: the records never move,
+        // so the spans holding them stay valid.
+        openChunks_.push_back(std::make_unique<OpenSpan[]>(kOpenChunk));
+        OpenSpan *chunk = openChunks_.back().get();
+        for (std::size_t i = kOpenChunk; i-- > 1;) {
+            chunk[i].tracer = this;
+            spareOpen_.put(&chunk[i]);
+        }
+        span = &chunk[0];
+        span->tracer = this;
+    }
+    const std::int64_t start = now();
+    span->rec = SpanRecord{.traceId = trace,
+                           .spanId = newSpanId(),
+                           .parentId = parent,
+                           .name = name,
+                           .layer = layer,
+                           .start = start,
+                           .end = start,
+                           .pu = pu};
+    return span;
 }
 
 void
-Span::finish()
+Tracer::close(OpenSpan &span)
 {
-    if (!open_)
-        return;
-    open_ = false;
-    rec_.end = tracer_->now();
-    tracer_->push(rec_);
+    span.rec.end = now();
+    push(span.rec);
+    spareOpen_.put(&span);
 }
 
 } // namespace molecule::obs

@@ -26,8 +26,8 @@
  * mis-parent.
  *
  * Runtime gate: a null Tracer. Spans built from an inert context or
- * a null tracer record nothing and cost one branch, so observation is
- * off unless a Tracer is attached.
+ * a null tracer record nothing and cost one branch and a null
+ * pointer, so observation is off unless a Tracer is attached.
  */
 
 #ifndef MOLECULE_OBS_TRACE_HH
@@ -35,11 +35,15 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "obs/registry.hh"
 #include "obs/span_buffer.hh"
 #include "sim/simulation.hh"
+#include "sim/spares.hh"
 
 namespace molecule::obs {
 
@@ -72,9 +76,20 @@ static_assert(std::is_trivially_copyable_v<SpanContext>,
               "SpanContext must stay safe as a coroutine parameter");
 
 /**
- * Per-simulation span collector. Owns the finished-span buffer and a
- * metrics Registry fed one histogram sample per finished span (the
- * unified per-phase latency registry).
+ * A span's record while the span is open. The tracer hands one out as
+ * a Span opens and takes it back in Span::finish(); the tracer owns
+ * it throughout.
+ */
+struct OpenSpan
+{
+    Tracer *tracer = nullptr;
+    SpanRecord rec;
+};
+
+/**
+ * Per-simulation span collector. Owns the finished-span buffer, the
+ * records of open spans and a metrics Registry fed one histogram
+ * sample per finished span (the unified per-phase latency registry).
  */
 class Tracer
 {
@@ -119,9 +134,23 @@ class Tracer
 
     const Registry &metrics() const { return metrics_; }
 
+    /** Drop the finished spans and the metrics. Open spans keep their
+     * records and push them when they finish. */
     void clear();
 
   private:
+    friend class Span;
+
+    /** Open records per chunk. */
+    static constexpr std::size_t kOpenChunk = 32;
+
+    /** A record for a span opening now, with a fresh span id. */
+    OpenSpan *open(std::uint64_t trace, std::uint64_t parent,
+                   const char *name, Layer layer, int pu);
+
+    /** Stamp the end of @p span, push it and take the record back. */
+    void close(OpenSpan &span);
+
     sim::Simulation &sim_;
     std::uint64_t seed_;
     std::uint64_t nextTrace_ = 1;
@@ -134,6 +163,10 @@ class Tracer
      * address-stable, so push() skips the name round trip. Reset by
      * clear() together with the registry. */
     Counter *layerCounters_[5] = {};
+    /** Every open-record chunk ever made; records never move. */
+    std::vector<std::unique_ptr<OpenSpan[]>> openChunks_;
+    /** Records no open span holds (DESIGN.md §4b, Spares). */
+    sim::Spares<OpenSpan *> spareOpen_;
 };
 
 /**
@@ -142,6 +175,10 @@ class Tracer
  * called earlier (idempotent) when the span must close before the
  * enclosing scope does — e.g. an invocation root span closes before
  * the keep-alive release that follows the measured end-to-end window.
+ *
+ * A handle: it points at the record the tracer lent it while it is
+ * open, and at nothing when it is inert or finished, so an inert span
+ * in a coroutine frame costs one pointer.
  */
 class Span
 {
@@ -151,12 +188,23 @@ class Span
 
     /** Child span of @p ctx; inert when @p ctx is. */
     Span(const SpanContext &ctx, const char *name, Layer layer,
-         int pu = -1);
+         int pu = -1)
+        : open_(ctx.tracer == nullptr
+                    ? nullptr
+                    : ctx.tracer->open(ctx.trace, ctx.span, name, layer,
+                                       pu))
+    {}
 
     /** Start a new trace rooted at this span; inert when @p tracer
      * is null. */
-    static Span root(Tracer *tracer, const char *name, Layer layer,
-                     int pu = -1);
+    static Span
+    root(Tracer *tracer, const char *name, Layer layer, int pu = -1)
+    {
+        if (tracer == nullptr)
+            return Span();
+        const std::uint64_t trace = tracer->newTraceId();
+        return Span(tracer->open(trace, 0, name, layer, pu));
+    }
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
@@ -164,53 +212,74 @@ class Span
     ~Span() { finish(); }
 
     /** Record the end timestamp and push the span (idempotent). */
-    void finish();
+    void
+    finish()
+    {
+        if (open_ != nullptr) {
+            OpenSpan *span = std::exchange(open_, nullptr);
+            span->tracer->close(*span);
+        }
+    }
 
-    /** Context for child spans (inert when this span is). */
+    /** Context for child spans (inert unless this span is open). */
     SpanContext
     ctx() const
     {
-        if (!open_)
+        if (open_ == nullptr)
             return SpanContext{};
-        return SpanContext{tracer_, rec_.traceId, rec_.spanId};
+        return SpanContext{open_->tracer, open_->rec.traceId,
+                           open_->rec.spanId};
     }
 
-    bool active() const { return open_; }
+    bool active() const { return open_ != nullptr; }
 
-    std::uint64_t traceId() const { return rec_.traceId; }
+    /** This span's trace id; 0 unless it is open. */
+    std::uint64_t
+    traceId() const
+    {
+        return open_ != nullptr ? open_->rec.traceId : 0;
+    }
 
-    std::uint64_t spanId() const { return rec_.spanId; }
+    /** This span's id; 0 unless it is open. */
+    std::uint64_t
+    spanId() const
+    {
+        return open_ != nullptr ? open_->rec.spanId : 0;
+    }
 
     void
     setPu(int pu)
     {
-        rec_.pu = pu;
+        if (open_ != nullptr)
+            open_->rec.pu = pu;
     }
 
     void
     setArg(std::int64_t arg)
     {
-        rec_.arg = arg;
+        if (open_ != nullptr)
+            open_->rec.arg = arg;
     }
 
     /** Truncating copy of @p s into the record's detail buffer. */
     void
     setDetail(const char *s)
     {
-        if (!open_ || s == nullptr)
+        if (open_ == nullptr || s == nullptr)
             return;
-        std::strncpy(rec_.detail, s, sizeof(rec_.detail) - 1);
-        rec_.detail[sizeof(rec_.detail) - 1] = '\0';
+        SpanRecord &rec = open_->rec;
+        std::strncpy(rec.detail, s, sizeof(rec.detail) - 1);
+        rec.detail[sizeof(rec.detail) - 1] = '\0';
     }
 
   private:
-    Span(Tracer *tracer, std::uint64_t trace, std::uint64_t parent,
-         const char *name, Layer layer, int pu);
+    explicit Span(OpenSpan *open) : open_(open) {}
 
-    Tracer *tracer_ = nullptr;
-    bool open_ = false;
-    SpanRecord rec_;
+    /** The tracer's record while open, else null. */
+    OpenSpan *open_ = nullptr;
 };
+
+static_assert(sizeof(Span) <= 16, "an inert Span is a handle");
 
 } // namespace molecule::obs
 

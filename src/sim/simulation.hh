@@ -95,6 +95,16 @@ class Simulation
         startInline(task, nullptr);
     }
 
+    /** Start a root task whose result goes to @p sink as it
+     * finishes, from its final suspend (at once for a ready task).
+     * @p sink must outlive the task. */
+    template <typename T>
+    void
+    spawn(Task<T> task, detail::ResultSink<T> &sink)
+    {
+        startInline(task, &sink);
+    }
+
     /**
      * Awaitable that suspends its awaiter for a fixed span of sim time.
      * Trivially copyable, so a plain function may build and return one

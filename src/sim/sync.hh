@@ -303,8 +303,9 @@ class Join final : private detail::DoneSink
 
   private:
     void
-    childDone() noexcept override
+    childDone(void *value) noexcept override
     {
+        (void)value;
         if (--pending_ == 0 && waiter_)
             sim_.scheduleResume(std::exchange(waiter_, {}));
     }

@@ -11,7 +11,8 @@
  *    instant, via symmetric transfer) and resumes the parent when the
  *    child finishes, yielding its value;
  *  - `Simulation::spawn(std::move(task))` detaches a root task whose
- *    frame self-destroys on completion.
+ *    frame self-destroys on completion; `spawn(task, sink)` also
+ *    hands its result to a ResultSink as it finishes.
  *
  * Exceptions propagate through co_await; an exception escaping a
  * detached task is a simulator bug and panics.
@@ -192,16 +193,44 @@ class FramePool
 
 /**
  * Told when a detached task it watches finishes, from the task's
- * final suspend: what sim::Join counts its children with, so a child
- * needs no wrapper frame.
+ * final suspend, after the task's locals are gone: what sim::Join
+ * counts its children with, so a child needs no wrapper frame.
  */
 class DoneSink
 {
   public:
-    virtual void childDone() noexcept = 0;
+    /** @p value points at the task's result, which the sink may move
+     * from (meaningless for a Task<void>). */
+    virtual void childDone(void *value) noexcept = 0;
 
   protected:
     ~DoneSink() = default;
+};
+
+/**
+ * A DoneSink that takes the finished task's value: what
+ * Simulation::spawn(Task<T>, ResultSink<T> &) hands the result to, so
+ * the caller needs no frame of its own to await it.
+ */
+template <typename T>
+class ResultSink : public DoneSink
+{
+    static_assert(!std::is_void_v<T>, "a Task<void> has no result");
+
+  public:
+    /** The task finished with @p value. Its frame, if it has one, is
+     * destroyed right after this returns. */
+    virtual void taskDone(T &&value) noexcept = 0;
+
+  protected:
+    ~ResultSink() = default;
+
+  private:
+    void
+    childDone(void *value) noexcept final
+    {
+        taskDone(std::move(*static_cast<T *>(value)));
+    }
 };
 
 /** State shared by all task promises, independent of the result type. */
@@ -257,15 +286,16 @@ struct PromiseBase
         void await_resume() const noexcept {}
     };
 
+    /** The promise's final_suspend, given its result. */
     FinalAwaiter
-    final_suspend() noexcept
+    finish(void *value) noexcept
     {
         if (detached && exception) {
             // No awaiter exists to receive the exception.
             panic("exception escaped a detached simulation task");
         }
         if (sink != nullptr)
-            sink->childDone();
+            sink->childDone(value);
         return {detached};
     }
 
@@ -279,6 +309,12 @@ struct Promise : PromiseBase
 
     Task<T> get_return_object();
 
+    FinalAwaiter
+    final_suspend() noexcept
+    {
+        return finish(value ? &*value : nullptr);
+    }
+
     void
     return_value(T v)
     {
@@ -290,6 +326,12 @@ template <>
 struct Promise<void> : PromiseBase
 {
     Task<void> get_return_object();
+
+    FinalAwaiter
+    final_suspend() noexcept
+    {
+        return finish(nullptr);
+    }
 
     void return_void() {}
 };
@@ -362,9 +404,10 @@ class [[nodiscard]] Task
     {
         MOLECULE_ASSERT(valid(), "detaching an empty task");
         if (!handle_) {
-            ready_.reset(); // ready: already ran to completion
+            // Ready: already ran to completion.
             if (sink != nullptr)
-                sink->childDone();
+                sink->childDone(&*ready_);
+            ready_.reset();
             return;
         }
         handle_type h = std::exchange(handle_, nullptr);

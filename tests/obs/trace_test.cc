@@ -52,6 +52,46 @@ TEST(SpanInert, NullTracerRootIsNoOp)
     EXPECT_FALSE(span.ctx().active());
 }
 
+// An inert handle reads zero and writes nowhere: in particular not
+// into a record the tracer lends to the next span.
+TEST(SpanInert, InertHandleReadsZeroAndWritesNothing)
+{
+    sim::Simulation simu;
+    obs::Tracer tracer(simu, 42);
+    obs::Span inert(obs::SpanContext{}, "orphan", obs::Layer::Core, 3);
+    EXPECT_EQ(inert.ctx().tracer, nullptr);
+    EXPECT_EQ(inert.ctx().trace, 0u);
+    EXPECT_EQ(inert.ctx().span, 0u);
+    EXPECT_EQ(inert.traceId(), 0u);
+    EXPECT_EQ(inert.spanId(), 0u);
+    inert.setArg(123);
+    inert.setPu(5);
+    inert.setDetail("ignored");
+    inert.finish();
+    EXPECT_TRUE(tracer.records().empty());
+
+    // A finished span is inert too: writes after finish() reach
+    // neither its pushed record nor the next span's.
+    obs::Span first = obs::Span::root(&tracer, "first", obs::Layer::Core);
+    first.finish();
+    first.setArg(9);
+    first.setPu(9);
+    first.setDetail("late");
+    EXPECT_EQ(first.traceId(), 0u);
+    EXPECT_EQ(first.spanId(), 0u);
+    {
+        obs::Span second =
+            obs::Span::root(&tracer, "second", obs::Layer::Core, 1);
+    }
+    ASSERT_EQ(tracer.records().size(), 2u);
+    for (const obs::SpanRecord &rec : tracer.records()) {
+        EXPECT_EQ(rec.arg, 0);
+        EXPECT_STREQ(rec.detail, "");
+    }
+    EXPECT_EQ(tracer.records()[0].pu, -1);
+    EXPECT_EQ(tracer.records()[1].pu, 1);
+}
+
 TEST(Span, RootOpensTraceAndRecords)
 {
     sim::Simulation simu;
@@ -225,6 +265,76 @@ TEST(Tracer, ClearResetsRecordsAndMetrics)
     EXPECT_TRUE(tracer.records().empty());
     EXPECT_TRUE(tracer.metrics().histograms().empty());
     EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+// clear() drops finished spans only; a span open across it keeps its
+// record and pushes it once when it finishes.
+TEST(Tracer, ClearWithASpanOpenKeepsItsRecord)
+{
+    sim::Simulation simu;
+    obs::Tracer tracer(simu, 42);
+    obs::Span open = obs::Span::root(&tracer, "open", obs::Layer::Core, 2);
+    open.setArg(5);
+    const std::uint64_t id = open.spanId();
+    {
+        obs::Span child(open.ctx(), "child", obs::Layer::Os);
+    }
+    tracer.clear();
+    EXPECT_TRUE(tracer.records().empty());
+    {
+        // Spans opened after the clear get records of their own.
+        obs::Span other = obs::Span::root(&tracer, "other", obs::Layer::Hw);
+        other.setArg(9);
+        EXPECT_NE(other.spanId(), id);
+    }
+    EXPECT_TRUE(open.active());
+    EXPECT_EQ(open.spanId(), id);
+    open.finish();
+    open.finish();
+    ASSERT_EQ(tracer.records().size(), 2u);
+    const obs::SpanRecord &rec = tracer.records()[1];
+    EXPECT_STREQ(rec.name, "open");
+    EXPECT_EQ(rec.spanId, id);
+    EXPECT_EQ(rec.arg, 5);
+    EXPECT_EQ(rec.pu, 2);
+    EXPECT_EQ(tracer.records()[0].arg, 9);
+    EXPECT_EQ(tracer.metrics().histograms().at("open").count(), 1u);
+}
+
+// Open records are lent and taken back: once the pool, the ring and
+// the per-name histograms have their sizes, nested span cycles never
+// reach the heap.
+TEST(Tracer, NestedSpanCyclesAllocateNothingAfterWarmUp)
+{
+    sim::Simulation simu;
+    obs::Tracer tracer(simu, 42, /*ringCapacity=*/512);
+    const auto cycle = [&tracer] {
+        obs::Span root =
+            obs::Span::root(&tracer, "invoke", obs::Layer::Core, 0);
+        root.setDetail("gzip-compression");
+        obs::Span startup(root.ctx(), "startup", obs::Layer::Core, 1);
+        {
+            obs::Span exec(startup.ctx(), "sandbox.exec",
+                           obs::Layer::Sandbox, 1);
+            exec.setArg(7);
+        }
+        startup.finish();
+        obs::Span comm(root.ctx(), "comm", obs::Layer::Core, 1);
+        obs::Span hop(comm.ctx(), "nipc.transfer", obs::Layer::Xpu, 0);
+    };
+    for (int i = 0; i < 1000; ++i)
+        cycle();
+    const std::uint64_t before = g_allocCount;
+    for (int i = 0; i < 5000; ++i)
+        cycle();
+    const std::uint64_t allocs = g_allocCount - before;
+    EXPECT_EQ(tracer.metrics().histograms().at("invoke").count(), 6000u);
+    EXPECT_GT(tracer.dropped(), 0u); // the ring cycled
+#if defined(__SANITIZE_ADDRESS__)
+    GTEST_SKIP() << "ASan replaces operator new: the spans ran, nothing "
+                    "was counted";
+#endif
+    EXPECT_EQ(allocs, 0u);
 }
 
 TEST(Registry, HistogramPercentilesAreOrderedAndBounded)

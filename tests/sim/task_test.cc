@@ -7,6 +7,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.hh"
@@ -183,6 +184,63 @@ TEST(Task, ChildTaskReturnsValue)
     sim.run();
     EXPECT_EQ(out, 42);
     EXPECT_EQ(sim.now(), 1_us);
+}
+
+/** Sets *gone as it is destroyed. */
+struct Marker
+{
+    bool *gone;
+
+    ~Marker() { *gone = true; }
+};
+
+Task<int>
+answerAfter(Simulation &sim, bool *localGone)
+{
+    const Marker local{localGone};
+    co_await sim.delay(2_us);
+    co_return 42;
+}
+
+/** Keeps each result with its instant, and whether the task's local
+ * was gone by then. */
+class Collect final : public molecule::sim::detail::ResultSink<int>
+{
+  public:
+    Collect(Simulation &sim, const bool *localGone)
+        : sim_(sim), localGone_(localGone)
+    {}
+
+    std::vector<std::pair<int, SimTime>> got;
+    bool localGoneAtDone = false;
+
+  private:
+    void
+    taskDone(int &&value) noexcept override
+    {
+        got.emplace_back(value, sim_.now());
+        localGoneAtDone = *localGone_;
+    }
+
+    Simulation &sim_;
+    const bool *localGone_;
+};
+
+TEST(Task, SpawnHandsTheResultToItsSink)
+{
+    Simulation sim;
+    bool localGone = false;
+    Collect sink(sim, &localGone);
+    sim.spawn(answerAfter(sim, &localGone), sink);
+    EXPECT_TRUE(sink.got.empty()); // suspended at its delay
+    // A ready task has no frame: its value goes to the sink at once.
+    sim.spawn(Task<int>::ready(7), sink);
+    ASSERT_EQ(sink.got.size(), 1u);
+    EXPECT_EQ(sink.got[0], std::make_pair(7, SimTime(0)));
+    sim.run();
+    ASSERT_EQ(sink.got.size(), 2u);
+    EXPECT_EQ(sink.got[1], std::make_pair(42, 2_us));
+    EXPECT_TRUE(sink.localGoneAtDone);
 }
 
 Task<int>
