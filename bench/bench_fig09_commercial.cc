@@ -5,17 +5,18 @@
  *
  * Startup uses a helloworld function (§6.3); communication uses a
  * two-function image-processing pair with <1 KB messages. Molecule
- * and Molecule-homo are measured by running this stack; the
- * commercial numbers are calibrated comparator models.
+ * and Molecule-homo are measured by running this stack; AWS Lambda
+ * and OpenWhisk are opaque control planes, so their numbers are the
+ * calibrated constants of hw/calibration.hh (with provenance there).
  */
 
 #include "bench/common.hh"
+#include "hw/calibration.hh"
 
 namespace {
 
 using namespace molecule;
 using core::ChainSpec;
-using core::CommercialPlatform;
 using core::Molecule;
 using core::MoleculeOptions;
 using hw::PuType;
@@ -67,14 +68,11 @@ main()
 
     const Measured mol = measure(MoleculeOptions{});
     const Measured homo = measure(MoleculeOptions::homo());
-    const auto lambdaS = molecule::core::commercialStartupLatency(
-        CommercialPlatform::AwsLambda);
-    const auto owS = molecule::core::commercialStartupLatency(
-        CommercialPlatform::OpenWhisk);
-    const auto lambdaC = molecule::core::commercialCommLatency(
-        CommercialPlatform::AwsLambda);
-    const auto owC = molecule::core::commercialCommLatency(
-        CommercialPlatform::OpenWhisk);
+    namespace calib = molecule::hw::calib;
+    const auto lambdaS = calib::kLambdaStartup;
+    const auto owS = calib::kOpenWhiskStartup;
+    const auto lambdaC = calib::kLambdaStepComm;
+    const auto owC = calib::kOpenWhiskComm;
 
     Table a("Figure 9-a: startup latency (ms)");
     a.header({"system", "startup", "vs Molecule"});

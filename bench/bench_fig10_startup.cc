@@ -56,9 +56,9 @@ fpgaStartup(bool erase, bool cachedBitstream, bool reuseWarm)
 
     auto createIt = [](sandbox::RunfRuntime *r,
                        const FunctionImage *fi) -> Task<> {
-        CreateRequest req{"sb", fi};
-        bool ok = co_await r->create(req);
-        MOLECULE_ASSERT(ok, "create failed");
+        const std::vector<CreateRequest> reqs{{"sb", fi}};
+        const core::Expected<int> made = co_await r->createVector(reqs);
+        MOLECULE_ASSERT(made.ok() && made.value() == 1, "create failed");
     };
     auto startIt = [](sandbox::RunfRuntime *r) -> Task<> {
         bool ok = co_await r->start("sb");

@@ -16,8 +16,8 @@
 namespace {
 
 using namespace molecule;
-using sandbox::CreateRequest;
 using sandbox::FunctionImage;
+using sandbox::Instance;
 using sandbox::Language;
 using sandbox::RuncRuntime;
 using sandbox::StartupPath;
@@ -63,12 +63,13 @@ struct DesktopHarness
         runc.setStartupPath(path);
         const std::string id = "sb" + std::to_string(counter++);
         const auto t0 = sim.now();
-        auto doIt = [](RuncRuntime *r, CreateRequest req) -> Task<> {
-            bool ok = co_await r->create(req);
+        auto doIt = [](RuncRuntime *r, Instance *inst) -> Task<> {
+            bool ok = co_await r->create(*inst, {});
             MOLECULE_ASSERT(ok, "create failed");
         };
-        CreateRequest req{id, &img};
-        sim.spawn(doIt(&runc, req));
+        Instance *inst = runc.addInstance(id, img);
+        MOLECULE_ASSERT(inst != nullptr, "sandbox id taken");
+        sim.spawn(doIt(&runc, inst));
         sim.run();
         return sim.now() - t0;
     }

@@ -11,6 +11,10 @@
  *  - Molecule-homo   : cold-boot startup + Express/Flask HTTP DAG,
  *                      single-PU only (no XPU-Shim use).
  *
+ * The commercial comparators of Fig 9 (AWS Lambda, OpenWhisk) are not
+ * run: their startup and step latencies are calibrated constants in
+ * hw/calibration.hh, which bench_fig09_commercial reads directly.
+ *
  * Invocation outcomes are typed: every invoke returns
  * `core::Expected<obs::InvocationRecord>` so injected faults (PU
  * crashes, OOM kills, FPGA reconfiguration failures) surface as
@@ -37,7 +41,6 @@
 #include <optional>
 
 #include "core/dag.hh"
-#include "core/gateway.hh"
 #include "core/recovery.hh"
 #include "core/scheduler.hh"
 #include "core/startup.hh"

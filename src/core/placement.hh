@@ -20,8 +20,9 @@
  *                     work >= one invocation per core), then spills to
  *                     the next-cheapest kind — host CPUs absorb DPU
  *                     overload instead of queueing behind 8 ARM cores
- *                     (the DPU-bound ~480 inv/s ceiling of ROADMAP
- *                     item 1).
+ *                     (compare the price-ordered and load-aware rows
+ *                     of the 1.6x rung in
+ *                     tools/golden/policy_report_check.txt).
  *  - locality       : FDN-style affinity — prefer the PU already
  *                     holding warm sandboxes of the function (cfork
  *                     pools, keep-alive entries) unless it is badly

@@ -52,59 +52,4 @@ toString(SandboxState s)
     return "?";
 }
 
-std::vector<SandboxState>
-VectorizedSandboxRuntime::stateVector(const std::vector<std::string> &ids)
-{
-    std::vector<SandboxState> out;
-    out.reserve(ids.size());
-    for (const auto &id : ids)
-        out.push_back(state(id));
-    return out;
-}
-
-sim::Task<core::Expected<int>>
-VectorizedSandboxRuntime::createVector(
-    const std::vector<CreateRequest> &reqs)
-{
-    // Default: one-sized-vector loop (how runc implements Table 3,
-    // §5). Accelerator runtimes override with real batching.
-    std::vector<CreateRequest> owned = reqs;
-    int ok = 0;
-    for (const auto &req : owned) {
-        const bool created = co_await create(req);
-        ok += created ? 1 : 0;
-    }
-    co_return core::Expected<int>(ok);
-}
-
-sim::Task<int>
-VectorizedSandboxRuntime::startVector(const std::vector<std::string> &ids)
-{
-    std::vector<std::string> owned = ids;
-    int ok = 0;
-    for (const auto &id : owned) {
-        const bool started = co_await start(id);
-        ok += started ? 1 : 0;
-    }
-    co_return ok;
-}
-
-sim::Task<>
-VectorizedSandboxRuntime::killVector(const std::vector<std::string> &ids,
-                                     int signal)
-{
-    std::vector<std::string> owned = ids;
-    for (const auto &id : owned)
-        co_await kill(id, signal);
-}
-
-sim::Task<>
-VectorizedSandboxRuntime::destroyVector(
-    const std::vector<std::string> &ids)
-{
-    std::vector<std::string> owned = ids;
-    for (const auto &id : owned)
-        co_await destroy(id);
-}
-
 } // namespace molecule::sandbox

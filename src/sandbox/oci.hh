@@ -1,26 +1,24 @@
 /**
  * @file
- * The OCI runtime interface and its vectorized extension (Table 3).
+ * The vocabulary the sandbox runtimes share (Table 3).
  *
- * The five OCI operations (state/create/start/kill/delete) abstract
- * container-, VM- and process-based sandboxes alike; Molecule extends
- * them with vectorized variants so accelerator runtimes can create and
- * start *sets* of sandboxes at once (§3.5). The base class provides
- * the vectorized operations as loops over the scalar ones — exactly
- * what runc does ("always passing one-sized vector", §5) — while runf
- * overrides them with genuinely batched implementations.
+ * The OCI lifecycle (state/create/start/delete) abstracts container-,
+ * VM- and process-based sandboxes alike. Each runtime implements it
+ * as a plain class, in the shape its callers drive: runc by
+ * reference to an Instance row (runc.hh), runG by sandbox id
+ * (rung.hh), and runf as Molecule's vectorized extension, which
+ * creates and starts *sets* of sandboxes at once so N FPGA functions
+ * pack into one image (§3.5, runf.hh). No runtime sends signals, so
+ * there is no kill.
  */
 
 #ifndef MOLECULE_SANDBOX_OCI_HH
 #define MOLECULE_SANDBOX_OCI_HH
 
 #include <string>
-#include <vector>
 
-#include "core/status.hh"
 #include "obs/trace.hh"
 #include "sandbox/function_image.hh"
-#include "sim/sync.hh"
 
 namespace molecule::sandbox {
 
@@ -36,64 +34,6 @@ struct CreateRequest
     const FunctionImage *image = nullptr;
     /** Causal parent span of the startup driving this create. */
     obs::SpanContext ctx{};
-};
-
-/**
- * Abstract vectorized sandbox runtime.
- */
-class VectorizedSandboxRuntime
-{
-  public:
-    virtual ~VectorizedSandboxRuntime() = default;
-
-    /** @name OCI interfaces (Table 3, top half) */
-    ///@{
-
-    /** Query the state of a sandbox. */
-    virtual SandboxState state(const std::string &sandboxId) = 0;
-
-    /** Create a sandbox for a function image. @retval false failed. */
-    virtual sim::Task<bool> create(const CreateRequest &req) = 0;
-
-    /** Run a created sandbox. */
-    virtual sim::Task<bool> start(const std::string &sandboxId) = 0;
-
-    /** Send a signal to a created/running sandbox. */
-    virtual sim::Task<> kill(const std::string &sandboxId, int signal) = 0;
-
-    /** Delete a sandbox. */
-    virtual sim::Task<> destroy(const std::string &sandboxId) = 0;
-    ///@}
-
-    /** @name Vectorized interfaces (Table 3, bottom half) */
-    ///@{
-
-    /** Query a vector of sandboxes. */
-    std::vector<SandboxState>
-    stateVector(const std::vector<std::string> &ids);
-
-    /**
-     * Create a vector of sandboxes at once.
-     * @return number of sandboxes successfully created, or a typed
-     *         error when the whole vector failed as a unit (e.g. an
-     *         FPGA image that exceeds the fabric, or a reconfiguration
-     *         failure while programming it).
-     */
-    virtual sim::Task<core::Expected<int>>
-    createVector(const std::vector<CreateRequest> &reqs);
-
-    /** Run a vector of sandboxes concurrently. */
-    virtual sim::Task<int>
-    startVector(const std::vector<std::string> &ids);
-
-    /** Signal a vector of sandboxes. */
-    virtual sim::Task<>
-    killVector(const std::vector<std::string> &ids, int signal);
-
-    /** Delete a vector of sandboxes. */
-    virtual sim::Task<>
-    destroyVector(const std::vector<std::string> &ids);
-    ///@}
 };
 
 } // namespace molecule::sandbox

@@ -83,23 +83,6 @@ RuncRuntime::prewarmFunctionContainers(int n)
     co_return made;
 }
 
-SandboxState
-RuncRuntime::state(const std::string &sandboxId)
-{
-    Instance *inst = find(sandboxId);
-    return inst ? inst->state : SandboxState::Unknown;
-}
-
-sim::Task<bool>
-RuncRuntime::create(const CreateRequest &req)
-{
-    MOLECULE_ASSERT(req.image != nullptr, "create without an image");
-    Instance *inst = addInstance(req.sandboxId, *req.image);
-    if (inst == nullptr)
-        return sim::Task<bool>::ready(false);
-    return create(*inst, req.ctx);
-}
-
 Instance *
 RuncRuntime::addInstance(std::string_view id, const FunctionImage &image)
 {
@@ -261,39 +244,10 @@ RuncRuntime::abandon(Instance &inst)
     return false;
 }
 
-sim::Task<bool>
-RuncRuntime::start(const std::string &sandboxId)
-{
-    Instance *inst = find(sandboxId);
-    if (!inst)
-        co_return false;
-    co_return co_await start(*inst);
-}
-
 RuncRuntime::Start
 RuncRuntime::start(Instance &inst)
 {
     return Start(inst, os_.syscall());
-}
-
-sim::Task<>
-RuncRuntime::kill(const std::string &sandboxId, int signal)
-{
-    (void)signal;
-    Instance *inst = find(sandboxId);
-    if (!inst)
-        co_return;
-    co_await os_.syscall();
-    inst->state = SandboxState::Stopped;
-}
-
-sim::Task<>
-RuncRuntime::destroy(const std::string &sandboxId)
-{
-    Instance *inst = find(sandboxId);
-    if (!inst)
-        co_return;
-    co_await destroy(*inst);
 }
 
 RuncRuntime::Teardown

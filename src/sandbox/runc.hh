@@ -2,8 +2,10 @@
  * @file
  * runc: the container sandbox runtime for CPU and DPU functions.
  *
- * Implements the OCI surface (vectorized operations degenerate to
- * one-sized vectors, §5) plus Molecule's container fork. cfork (§4.2)
+ * Its one OCI lifecycle runs by reference to an Instance row:
+ * addInstance() → create() → start() → destroy(), plus find() by id.
+ * A vectorized create or start would be a one-sized vector (§5), so
+ * runc has none. Creation is by Molecule's container fork: cfork (§4.2)
  * clones a pre-prepared template container into a new function
  * container, in four stackable optimization stages matching the
  * Fig 11-a ablation:
@@ -77,7 +79,7 @@ struct Instance
 /**
  * Container runtime bound to one local OS (one PU).
  */
-class RuncRuntime : public VectorizedSandboxRuntime
+class RuncRuntime
 {
   public:
     explicit RuncRuntime(os::LocalOs &os) : os_(os) {}
@@ -104,19 +106,6 @@ class RuncRuntime : public VectorizedSandboxRuntime
     sim::Task<int> prewarmFunctionContainers(int n);
 
     std::size_t pooledContainers() const { return pool_.size(); }
-    ///@}
-
-    /** @name OCI surface */
-    ///@{
-    SandboxState state(const std::string &sandboxId) override;
-
-    sim::Task<bool> create(const CreateRequest &req) override;
-
-    sim::Task<bool> start(const std::string &sandboxId) override;
-
-    sim::Task<> kill(const std::string &sandboxId, int signal) override;
-
-    sim::Task<> destroy(const std::string &sandboxId) override;
     ///@}
 
     /** Awaiter of start(Instance &). */
@@ -187,9 +176,9 @@ class RuncRuntime : public VectorizedSandboxRuntime
     };
 
     /** @name The lifecycle by reference
-     * What a cold start and an eviction run (DESIGN.md §4b); the OCI
-     * calls above are thin wrappers over it. start() and destroy() do
-     * their work at call time, so co_await their awaiters at once. */
+     * What a cold start and an eviction run (DESIGN.md §4b). start()
+     * and destroy() do their work at call time, so co_await their
+     * awaiters at once. */
     ///@{
 
     /**

@@ -2,6 +2,7 @@
 
 #include "hw/calibration.hh"
 #include "sim/logging.hh"
+#include "sim/sync.hh"
 
 namespace molecule::sandbox {
 
@@ -21,14 +22,6 @@ RunfRuntime::state(const std::string &sandboxId)
 {
     FpgaSandbox *sb = find(sandboxId);
     return sb ? sb->state : SandboxState::Unknown;
-}
-
-sim::Task<bool>
-RunfRuntime::create(const CreateRequest &req)
-{
-    std::vector<CreateRequest> one{req};
-    const core::Expected<int> made = co_await createVector(one);
-    co_return made.ok() && made.value() == 1;
 }
 
 sim::Task<core::Expected<int>>
@@ -138,16 +131,6 @@ RunfRuntime::startVector(const std::vector<std::string> &ids)
         starts.spawn(startOne(this, &owned, i, &ok));
     co_await starts.wait();
     co_return ok;
-}
-
-sim::Task<>
-RunfRuntime::kill(const std::string &sandboxId, int signal)
-{
-    (void)signal;
-    FpgaSandbox *sb = find(sandboxId);
-    if (sb)
-        sb->state = SandboxState::Stopped;
-    co_return;
 }
 
 sim::Task<>

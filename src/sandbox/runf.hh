@@ -26,7 +26,9 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "core/status.hh"
 #include "hw/interconnect.hh"
 #include "os/kernel.hh"
 #include "sandbox/oci.hh"
@@ -43,9 +45,10 @@ struct RunfOptions
 };
 
 /**
- * FPGA sandbox runtime, hosted by the (virtual) shim of a neighbor PU.
+ * FPGA sandbox runtime, hosted by a neighbor PU whose shim stands in
+ * for the device's own (the FPGA runs no OS).
  */
-class RunfRuntime : public VectorizedSandboxRuntime
+class RunfRuntime
 {
   public:
     RunfRuntime(os::LocalOs &hostOs, hw::FpgaDevice &device);
@@ -54,21 +57,18 @@ class RunfRuntime : public VectorizedSandboxRuntime
 
     RunfOptions &options() { return options_; }
 
-    /** @name OCI surface (scalar ops wrap one-element vectors) */
+    /** @name Scalar OCI operations */
     ///@{
-    SandboxState state(const std::string &sandboxId) override;
+    SandboxState state(const std::string &sandboxId);
 
-    sim::Task<bool> create(const CreateRequest &req) override;
-
-    sim::Task<bool> start(const std::string &sandboxId) override;
-
-    sim::Task<> kill(const std::string &sandboxId, int signal) override;
+    /** Prepare the sandbox around its resident kernel, unless warm. */
+    sim::Task<bool> start(const std::string &sandboxId);
 
     /** State-only delete (§3.5): real destroy is the next create. */
-    sim::Task<> destroy(const std::string &sandboxId) override;
+    sim::Task<> destroy(const std::string &sandboxId);
     ///@}
 
-    /** @name Vectorized surface (genuinely batched) */
+    /** @name Vectorized operations (Table 3, genuinely batched) */
     ///@{
 
     /**
@@ -78,11 +78,11 @@ class RunfRuntime : public VectorizedSandboxRuntime
      * injected reconfiguration failure fires mid-flash.
      */
     sim::Task<core::Expected<int>>
-    createVector(const std::vector<CreateRequest> &reqs) override;
+    createVector(const std::vector<CreateRequest> &reqs);
 
     /** Prepare sandboxes concurrently (start vector<sandbox-id>). */
     sim::Task<int>
-    startVector(const std::vector<std::string> &ids) override;
+    startVector(const std::vector<std::string> &ids);
     ///@}
 
     /**

@@ -45,16 +45,6 @@ RungRuntime::start(const std::string &sandboxId)
 }
 
 sim::Task<>
-RungRuntime::kill(const std::string &sandboxId, int signal)
-{
-    (void)signal;
-    GpuSandbox *sb = find(sandboxId);
-    if (sb)
-        sb->state = SandboxState::Stopped;
-    co_return;
-}
-
-sim::Task<>
 RungRuntime::destroy(const std::string &sandboxId)
 {
     GpuSandbox *sb = find(sandboxId);

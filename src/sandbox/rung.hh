@@ -22,26 +22,25 @@
 namespace molecule::sandbox {
 
 /**
- * GPU sandbox runtime hosted by a neighbor PU's (virtual) shim.
+ * GPU sandbox runtime hosted by a neighbor PU whose shim stands in for
+ * the device's own.
  */
-class RungRuntime : public VectorizedSandboxRuntime
+class RungRuntime
 {
   public:
     RungRuntime(os::LocalOs &hostOs, hw::GpuDevice &device);
 
     hw::GpuDevice &device() { return device_; }
 
-    SandboxState state(const std::string &sandboxId) override;
+    SandboxState state(const std::string &sandboxId);
 
     /** Load the function's CUDA module into the shared context. */
-    sim::Task<bool> create(const CreateRequest &req) override;
+    sim::Task<bool> create(const CreateRequest &req);
 
-    sim::Task<bool> start(const std::string &sandboxId) override;
-
-    sim::Task<> kill(const std::string &sandboxId, int signal) override;
+    sim::Task<bool> start(const std::string &sandboxId);
 
     /** Unload the module (GPU slots are cheap to reclaim). */
-    sim::Task<> destroy(const std::string &sandboxId) override;
+    sim::Task<> destroy(const std::string &sandboxId);
 
     /** Run one request: DMA input, launch kernel, DMA output. */
     sim::Task<> invoke(const std::string &sandboxId,

@@ -100,11 +100,11 @@ TEST(ChainAllocations, SteadyStateChainsStayWithinBudget)
     GTEST_SKIP() << "ASan replaces operator new: the path ran, nothing "
                     "was counted";
 #endif
-    EXPECT_LE(perChain, 6.0);
+    EXPECT_LE(perChain, 4.0);
     // One frame per XPUcall, per broadcast peer delivery and per node's
     // invoke, incoming edge and execution, plus the chain's own
     // (DESIGN.md §4b).
-    EXPECT_LE(framesPerChain, 60.0);
+    EXPECT_LE(framesPerChain, 58.0);
 }
 
 } // namespace

@@ -103,7 +103,7 @@ TEST(ColdAllocations, SteadyColdStartsStayWithinBudget)
     const double perColdStart = double(allocs) / double(colds);
     std::printf("global allocations per cold start: %.3f\n",
                 perColdStart);
-    EXPECT_LE(perColdStart, 1.0);
+    EXPECT_LE(perColdStart, 0.1);
 }
 
 } // namespace

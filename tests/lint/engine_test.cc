@@ -5,7 +5,7 @@
  * The pack detectors themselves are covered by the built-in fixture
  * suites (`molecule-lint --self-test`, registered per pack as ctests)
  * and by the on-disk fixtures next to this file; these tests pin the
- * engine mechanics — dedupe, fingerprints, registry shape, suppression
+ * engine mechanics — dedupe, registry shape, suppression
  * — through the public runOnBuffers() entry point.
  */
 
@@ -32,13 +32,6 @@ TEST(LintEngine, RegistryHasFourPacksInCanonicalOrder)
                                             "error-discard", "layering"};
     EXPECT_EQ(registry.packs(), expected);
     EXPECT_GE(registry.rules().size(), 7u);
-}
-
-TEST(LintEngine, FingerprintIsStableAndDiscriminates)
-{
-    EXPECT_EQ(fingerprint("abc"), fingerprint("abc"));
-    EXPECT_NE(fingerprint("abc"), fingerprint("abd"));
-    EXPECT_NE(fingerprint(""), fingerprint("a"));
 }
 
 // PR 2's lint_determinism printed a transitive-hop finding once per

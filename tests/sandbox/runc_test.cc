@@ -15,8 +15,8 @@ namespace calib = molecule::hw::calib;
 using molecule::hw::buildDesktop;
 using molecule::hw::Computer;
 using molecule::os::LocalOs;
-using molecule::sandbox::CreateRequest;
 using molecule::sandbox::FunctionImage;
+using molecule::sandbox::Instance;
 using molecule::sandbox::Language;
 using molecule::sandbox::RuncRuntime;
 using molecule::sandbox::SandboxState;
@@ -41,6 +41,24 @@ fig11Function()
     return img;
 }
 
+Task<>
+createInst(RuncRuntime *r, Instance *inst, bool *out)
+{
+    *out = co_await r->create(*inst, {});
+}
+
+Task<>
+startInst(RuncRuntime *r, Instance *inst, bool *out)
+{
+    *out = co_await r->start(*inst);
+}
+
+Task<>
+destroyInst(RuncRuntime *r, Instance *inst)
+{
+    co_await r->destroy(*inst);
+}
+
 struct RuncFixture : ::testing::Test
 {
     Simulation sim;
@@ -49,20 +67,48 @@ struct RuncFixture : ::testing::Test
     RuncRuntime runc{os};
     FunctionImage img = fig11Function();
 
+    /** The lifecycle by reference, one step per call, run to the end.
+     * create() adds the row of @p id first. */
+    bool
+    create(const std::string &id, const FunctionImage &fi)
+    {
+        Instance *inst = runc.addInstance(id, fi);
+        bool ok = false;
+        if (inst != nullptr)
+            sim.spawn(createInst(&runc, inst, &ok));
+        sim.run();
+        return ok;
+    }
+
+    bool
+    start(const std::string &id)
+    {
+        bool ok = false;
+        sim.spawn(startInst(&runc, runc.find(id), &ok));
+        sim.run();
+        return ok;
+    }
+
+    void
+    destroy(const std::string &id)
+    {
+        sim.spawn(destroyInst(&runc, runc.find(id)));
+        sim.run();
+    }
+
+    SandboxState
+    state(const std::string &id)
+    {
+        const Instance *inst = runc.find(id);
+        return inst ? inst->state : SandboxState::Unknown;
+    }
+
     SimTime
     timeCreate(StartupPath path, const std::string &id)
     {
         runc.setStartupPath(path);
-        bool ok = false;
         const SimTime t0 = sim.now();
-        auto doIt = [](RuncRuntime *r, CreateRequest req,
-                       bool *out) -> Task<> {
-            *out = co_await r->create(req);
-        };
-        CreateRequest req{id, &img};
-        sim.spawn(doIt(&runc, req, &ok));
-        sim.run();
-        EXPECT_TRUE(ok);
+        EXPECT_TRUE(create(id, img));
         return sim.now() - t0;
     }
 
@@ -115,66 +161,51 @@ TEST_F(RuncFixture, FailedColdBootLeavesNoContainer)
     const std::size_t containers = os.containers().containerCount();
     const std::size_t procs = os.processCount();
     const std::uint64_t memory = os.physicalUsed();
-    bool ok = true;
-    auto doIt = [](RuncRuntime *r, CreateRequest req, bool *out) -> Task<> {
-        *out = co_await r->create(req);
-    };
-    CreateRequest req{"too-big", &img};
-    sim.spawn(doIt(&runc, req, &ok));
-    sim.run();
-    EXPECT_FALSE(ok);
+    EXPECT_FALSE(create("too-big", img));
     EXPECT_EQ(os.containers().containerCount(), containers);
     EXPECT_EQ(os.containers().find("too-big"), nullptr);
     EXPECT_EQ(os.processCount(), procs);
     EXPECT_EQ(os.physicalUsed(), memory);
     EXPECT_EQ(runc.instanceCount(), 0u);
-    EXPECT_EQ(runc.state("too-big"), SandboxState::Unknown);
+    EXPECT_EQ(state("too-big"), SandboxState::Unknown);
 }
 
 TEST_F(RuncFixture, DestroyedRowsAreReusedDeadOnesAreNot)
 {
     prepare();
-    auto destroyIt = [](RuncRuntime *r, std::string id) -> Task<> {
-        co_await r->destroy(id);
-    };
     timeCreate(StartupPath::CforkCpusetOpt, "killed");
     timeCreate(StartupPath::CforkCpusetOpt, "spare");
-    const molecule::sandbox::Instance *killed = runc.find("killed");
-    const molecule::sandbox::Instance *spare = runc.find("spare");
-    sim.spawn(destroyIt(&runc, "spare"));
-    sim.run();
+    const Instance *killed = runc.find("killed");
+    const Instance *spare = runc.find("spare");
+    destroy("spare");
     // An OOM-killed instance's row is dropped, not kept for reuse:
     // in-flight invokes may have held it.
     EXPECT_EQ(runc.oomKill("pyfn"), 1);
-    sim.spawn(destroyIt(&runc, "killed"));
-    sim.run();
+    destroy("killed");
     EXPECT_EQ(runc.instanceCount(), 0u);
 
     timeCreate(StartupPath::CforkCpusetOpt, "next");
-    const molecule::sandbox::Instance *next = runc.find("next");
+    const Instance *next = runc.find("next");
     EXPECT_EQ(next, spare);
     EXPECT_NE(next, killed);
     EXPECT_EQ(next->id, "next");
     EXPECT_FALSE(next->dead);
     EXPECT_TRUE(next->forked);
     EXPECT_EQ(next->funcId, "pyfn");
-    EXPECT_EQ(runc.state("next"), SandboxState::Created);
+    EXPECT_EQ(next->state, SandboxState::Created);
 }
 
 TEST_F(RuncFixture, OomKillDuringTeardownSparesTheReusedProcess)
 {
     prepare();
     timeCreate(StartupPath::CforkCpusetOpt, "a");
-    auto destroyIt = [](RuncRuntime *r) -> Task<> {
-        co_await r->destroy("a");
-    };
     auto spawnIt = [](LocalOs *o, molecule::os::Process **out) -> Task<> {
         *out = co_await o->spawnProcess("other", 0);
     };
     // The instance's process exits at once; its container delete
     // takes longer than a spawn, which reuses the exited record.
     molecule::os::Process *other = nullptr;
-    sim.spawn(destroyIt(&runc));
+    sim.spawn(destroyInst(&runc, runc.find("a")));
     sim.spawn(spawnIt(&os, &other));
     sim.runUntil(sim.now() + calib::kSpawnProcessCost);
     ASSERT_NE(other, nullptr);
@@ -196,15 +227,14 @@ TEST_F(RuncFixture, CrashRetiresContainerRowsRestartRefillsThem)
     timeCreate(StartupPath::CforkCpusetOpt, "a");
     // A third cold start is caught in its cpuset attach by the crash.
     bool done = false;
-    auto createIt = [](RuncRuntime *r, const FunctionImage *fi,
+    auto createIt = [](RuncRuntime *r, Instance *inst,
                        bool *out) -> Task<> {
-        CreateRequest req{"b", fi};
-        (void)co_await r->create(req);
+        (void)co_await r->create(*inst, {});
         *out = true;
     };
-    sim.spawn(createIt(&runc, &img, &done));
-    while (runc.find("b") == nullptr ||
-           runc.find("b")->container == nullptr)
+    Instance *b = runc.addInstance("b", img);
+    sim.spawn(createIt(&runc, b, &done));
+    while (b->container == nullptr)
         ASSERT_TRUE(sim.step());
     runc.crashPurge();
     os.crashReset();
@@ -226,11 +256,7 @@ TEST_F(RuncFixture, OomKillRetiresTheContainerRow)
     ASSERT_EQ(os.containers().containerCount(), baseline + 1);
     EXPECT_EQ(runc.oomKill("pyfn"), 1);
     EXPECT_EQ(os.containers().containerCount(), baseline);
-    auto destroyIt = [](RuncRuntime *r) -> Task<> {
-        co_await r->destroy("a");
-    };
-    sim.spawn(destroyIt(&runc));
-    sim.run();
+    destroy("a");
     EXPECT_EQ(runc.instanceCount(), 0u);
     EXPECT_EQ(os.containers().containerCount(), baseline);
 }
@@ -240,10 +266,7 @@ TEST_F(RuncFixture, OomKillDuringContainerDeleteFreesTheRowOnce)
     prepare(0);
     const std::size_t baseline = os.containers().containerCount();
     timeCreate(StartupPath::CforkCpusetOpt, "a");
-    auto destroyIt = [](RuncRuntime *r) -> Task<> {
-        co_await r->destroy("a");
-    };
-    sim.spawn(destroyIt(&runc));
+    sim.spawn(destroyInst(&runc, runc.find("a")));
     sim.runUntil(sim.now() + calib::kSpawnProcessCost);
     ASSERT_EQ(runc.instanceCount(), 1u);
     // The delete still holds the record the kill retires.
@@ -258,30 +281,13 @@ TEST_F(RuncFixture, OciLifecycle)
 {
     prepare();
     timeCreate(StartupPath::CforkCpusetOpt, "sb");
-    EXPECT_EQ(runc.state("sb"), SandboxState::Created);
-
-    auto startIt = [](RuncRuntime *r, bool *out) -> Task<> {
-        *out = co_await r->start("sb");
-    };
-    bool ok = false;
-    sim.spawn(startIt(&runc, &ok));
-    sim.run();
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(runc.state("sb"), SandboxState::Running);
-
-    auto killIt = [](RuncRuntime *r) -> Task<> {
-        co_await r->kill("sb", 9);
-    };
-    sim.spawn(killIt(&runc));
-    sim.run();
-    EXPECT_EQ(runc.state("sb"), SandboxState::Stopped);
-
-    auto destroyIt = [](RuncRuntime *r) -> Task<> {
-        co_await r->destroy("sb");
-    };
-    sim.spawn(destroyIt(&runc));
-    sim.run();
-    EXPECT_EQ(runc.state("sb"), SandboxState::Unknown);
+    EXPECT_EQ(state("sb"), SandboxState::Created);
+    EXPECT_TRUE(start("sb"));
+    EXPECT_EQ(state("sb"), SandboxState::Running);
+    // A second start finds the sandbox no longer Created.
+    EXPECT_FALSE(start("sb"));
+    destroy("sb");
+    EXPECT_EQ(state("sb"), SandboxState::Unknown);
     EXPECT_EQ(runc.instanceCount(), 0u);
 }
 
@@ -289,14 +295,8 @@ TEST_F(RuncFixture, DuplicateSandboxIdRejected)
 {
     prepare();
     timeCreate(StartupPath::CforkCpusetOpt, "dup");
-    bool ok = true;
-    auto doIt = [](RuncRuntime *r, CreateRequest req, bool *out) -> Task<> {
-        *out = co_await r->create(req);
-    };
-    CreateRequest req{"dup", &img};
-    sim.spawn(doIt(&runc, req, &ok));
-    sim.run();
-    EXPECT_FALSE(ok);
+    EXPECT_EQ(runc.addInstance("dup", img), nullptr);
+    EXPECT_EQ(runc.instanceCount(), 1u);
 }
 
 TEST_F(RuncFixture, RecreatedIdsStayExactAmongLiveInstances)
@@ -304,47 +304,34 @@ TEST_F(RuncFixture, RecreatedIdsStayExactAmongLiveInstances)
     prepare();
     FunctionImage other = img;
     other.funcId = "otherfn";
-    auto create = [](RuncRuntime *r, CreateRequest req,
-                     bool *out) -> Task<> {
-        *out = co_await r->create(req);
-        if (*out)
-            *out = co_await r->start(req.sandboxId);
-    };
-    auto destroy = [](RuncRuntime *r, std::string id) -> Task<> {
-        co_await r->destroy(id);
-    };
-    const auto make = [&](const std::string &id, const FunctionImage *fi) {
-        bool ok = false;
-        sim.spawn(create(&runc, CreateRequest{id, fi}, &ok));
-        sim.run();
-        ASSERT_TRUE(ok) << id;
+    const auto make = [&](const std::string &id, const FunctionImage &fi) {
+        ASSERT_TRUE(create(id, fi)) << id;
+        ASSERT_TRUE(start(id)) << id;
     };
     // Live neighbours, short and long (heap-allocated) ids.
-    make("a", &img);
-    make("pyfn-neighbour-with-a-long-id", &img);
-    make("o1", &other);
-    make("otherfn-neighbour-with-a-long-id", &other);
+    make("a", img);
+    make("pyfn-neighbour-with-a-long-id", img);
+    make("o1", other);
+    make("otherfn-neighbour-with-a-long-id", other);
     ASSERT_EQ(runc.instanceCount(), 4u);
 
     for (int i = 0; i < 100; ++i) {
         const std::string id =
             i % 2 == 0 ? "cycle" : "cycle-sandbox-with-a-long-id";
-        make(id, i % 3 == 0 ? &other : &img);
+        make(id, i % 3 == 0 ? other : img);
         ASSERT_EQ(runc.instanceCount(), 5u);
         ASSERT_NE(runc.find(id), nullptr);
         EXPECT_EQ(runc.find(id)->id, id);
-        EXPECT_EQ(runc.state(id), SandboxState::Running);
-        sim.spawn(destroy(&runc, id));
-        sim.run();
+        EXPECT_EQ(state(id), SandboxState::Running);
+        destroy(id);
         ASSERT_EQ(runc.instanceCount(), 4u);
         EXPECT_EQ(runc.find(id), nullptr);
-        EXPECT_EQ(runc.state(id), SandboxState::Unknown);
     }
     for (const char *id : {"a", "pyfn-neighbour-with-a-long-id", "o1",
                            "otherfn-neighbour-with-a-long-id"}) {
         ASSERT_NE(runc.find(id), nullptr) << id;
         EXPECT_EQ(runc.find(id)->id, id);
-        EXPECT_EQ(runc.state(id), SandboxState::Running);
+        EXPECT_EQ(state(id), SandboxState::Running);
     }
 
     // The OOM kill takes exactly one function's instances.
@@ -397,11 +384,7 @@ TEST_F(RuncFixture, FirstInvokePaysCowFaults)
 {
     prepare();
     timeCreate(StartupPath::CforkCpusetOpt, "sb");
-    auto startIt = [](RuncRuntime *r) -> Task<> {
-        co_await r->start("sb");
-    };
-    sim.spawn(startIt(&runc));
-    sim.run();
+    ASSERT_TRUE(start("sb"));
 
     auto invokeIt = [](RuncRuntime *r, SimTime exec, SimTime *out,
                        Simulation *s) -> Task<> {
@@ -421,27 +404,6 @@ TEST_F(RuncFixture, FirstInvokePaysCowFaults)
     EXPECT_NEAR(second.toMilliseconds(), 5.0 * 0.75, 0.2);
     // The penalty stays small (sub-millisecond for this footprint).
     EXPECT_LT((first - second).toMilliseconds(), 1.0);
-}
-
-TEST_F(RuncFixture, VectorOpsDegenerateToLoops)
-{
-    prepare();
-    runc.setStartupPath(StartupPath::CforkCpusetOpt);
-    std::vector<CreateRequest> reqs;
-    for (int i = 0; i < 3; ++i)
-        reqs.push_back(CreateRequest{"v" + std::to_string(i), &img});
-    int created = 0;
-    auto doIt = [](RuncRuntime *r, std::vector<CreateRequest> rs,
-                   int *out) -> Task<> {
-        auto made = co_await r->createVector(rs);
-        *out = made.valueOr(-1);
-    };
-    sim.spawn(doIt(&runc, reqs, &created));
-    sim.run();
-    EXPECT_EQ(created, 3);
-    auto states = runc.stateVector({"v0", "v1", "v2"});
-    for (auto s : states)
-        EXPECT_EQ(s, SandboxState::Created);
 }
 
 } // namespace

@@ -59,8 +59,10 @@ Task<>
 createOne(RunfRuntime *r, const CreateRequest &req_in, bool *ok)
 {
     // Copy before the first suspension (task.hh rule 1).
-    const CreateRequest req = req_in;
-    *ok = co_await r->create(req);
+    const std::vector<CreateRequest> reqs{req_in};
+    const molecule::core::Expected<int> made =
+        co_await r->createVector(reqs);
+    *ok = made.ok() && made.value() == 1;
 }
 
 Task<>
@@ -115,11 +117,11 @@ TEST_F(RunfFixture, WarmSandboxSkipsPrep)
     EXPECT_NEAR(firstStart.toMilliseconds(), 53.0, 1.0);
     EXPECT_TRUE(runf.warm("sb"));
 
-    // Re-start after a kill: still warm.
-    auto killIt = [](RunfRuntime *r) -> Task<> {
-        co_await r->kill("sb", 9);
+    // Re-start after a (state-only) delete: still warm.
+    auto destroyIt = [](RunfRuntime *r) -> Task<> {
+        co_await r->destroy("sb");
     };
-    timeIt(killIt(&runf));
+    timeIt(destroyIt(&runf));
     const auto secondStart = timeIt(startOne(&runf, "sb", &ok));
     EXPECT_LT(secondStart.toMilliseconds(), 1.0);
 }

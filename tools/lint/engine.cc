@@ -15,17 +15,6 @@ namespace molecule::lint {
 
 namespace fs = std::filesystem;
 
-std::uint64_t
-fingerprint(const std::string &text)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 void
 Registry::add(std::unique_ptr<Rule> rule)
 {
@@ -452,60 +441,6 @@ loadFiles(const Options &opts, std::size_t &filesScanned)
 }
 
 // ---------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------
-
-struct BaselineEntry
-{
-    std::string rule;
-    std::string path;
-    std::string hash;
-    bool matched = false;
-};
-
-std::vector<BaselineEntry>
-readBaseline(const std::string &file)
-{
-    std::vector<BaselineEntry> out;
-    std::ifstream in(file);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::stringstream ss(line);
-        BaselineEntry e;
-        if (std::getline(ss, e.rule, '\t') &&
-            std::getline(ss, e.path, '\t') &&
-            std::getline(ss, e.hash, '\t'))
-            out.push_back(std::move(e));
-    }
-    return out;
-}
-
-std::string
-hashOf(const Finding &f)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      fingerprint(f.message)));
-    return buf;
-}
-
-void
-writeBaselineFile(const std::string &file,
-                  const std::vector<Finding> &findings)
-{
-    std::ofstream out(file);
-    out << "# molecule-lint baseline v1\n"
-        << "# rule<TAB>path<TAB>message-fnv1a — line-insensitive, so\n"
-        << "# unrelated edits do not invalidate entries. Ratchet by\n"
-        << "# deleting lines as findings get fixed.\n";
-    for (const auto &f : findings)
-        out << f.rule << '\t' << f.path << '\t' << hashOf(f) << '\n';
-}
-
-// ---------------------------------------------------------------------
 // Output
 // ---------------------------------------------------------------------
 
@@ -548,34 +483,8 @@ renderHuman(std::FILE *to, const Result &r)
         std::fprintf(to, "%s:%zu: [%s/%s] %s\n", f.path.c_str(), f.line,
                      f.pack.c_str(), f.rule.c_str(), f.message.c_str());
     }
-    std::fprintf(to,
-                 "molecule-lint: %zu file(s), %zu finding(s), "
-                 "%zu baselined, %zu stale baseline entr%s\n",
-                 r.filesScanned, r.findings.size(),
-                 r.suppressedByBaseline, r.staleBaseline,
-                 r.staleBaseline == 1 ? "y" : "ies");
-}
-
-void
-renderJson(std::FILE *to, const Result &r)
-{
-    std::fprintf(to, "{\n  \"tool\": \"molecule-lint\",\n");
-    std::fprintf(to, "  \"files\": %zu,\n", r.filesScanned);
-    std::fprintf(to, "  \"baselined\": %zu,\n", r.suppressedByBaseline);
-    std::fprintf(to, "  \"staleBaseline\": %zu,\n", r.staleBaseline);
-    std::fprintf(to, "  \"findings\": [");
-    for (std::size_t i = 0; i < r.findings.size(); ++i) {
-        const auto &f = r.findings[i];
-        std::fprintf(to,
-                     "%s\n    {\"path\": \"%s\", \"line\": %zu, "
-                     "\"pack\": \"%s\", \"rule\": \"%s\", "
-                     "\"message\": \"%s\"}",
-                     i ? "," : "", jsonEscape(f.path).c_str(), f.line,
-                     jsonEscape(f.pack).c_str(),
-                     jsonEscape(f.rule).c_str(),
-                     jsonEscape(f.message).c_str());
-    }
-    std::fprintf(to, "\n  ]\n}\n");
+    std::fprintf(to, "molecule-lint: %zu file(s), %zu finding(s)\n",
+                 r.filesScanned, r.findings.size());
 }
 
 void
@@ -707,41 +616,8 @@ run(const Registry &registry, const Options &opts)
 
     finalizeFindings(all);
 
-    if (!opts.baseline.empty()) {
-        std::vector<BaselineEntry> baseline =
-            readBaseline(opts.baseline);
-        std::vector<Finding> kept;
-        for (auto &f : all) {
-            const std::string h = hashOf(f);
-            bool found = false;
-            for (auto &e : baseline) {
-                if (e.rule == f.rule && e.path == f.path &&
-                    e.hash == h) {
-                    e.matched = true;
-                    found = true;
-                    break;
-                }
-            }
-            if (found)
-                ++r.suppressedByBaseline;
-            else
-                kept.push_back(std::move(f));
-        }
-        all = std::move(kept);
-        for (const auto &e : baseline) {
-            if (!e.matched)
-                ++r.staleBaseline;
-        }
-    }
-
-    if (!opts.writeBaseline.empty())
-        writeBaselineFile(opts.writeBaseline, all);
-
     r.findings = std::move(all);
-    r.exitCode = r.findings.empty() &&
-                         !(opts.strict && r.staleBaseline > 0)
-                     ? 0
-                     : 1;
+    r.exitCode = r.findings.empty() ? 0 : 1;
     return r;
 }
 
@@ -760,9 +636,6 @@ render(const Registry &registry, const Options &opts, const Result &r)
     switch (opts.format) {
     case Format::Human:
         renderHuman(to, r);
-        break;
-    case Format::Json:
-        renderJson(to, r);
         break;
     case Format::Sarif:
         renderSarif(to, registry, r);

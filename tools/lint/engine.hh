@@ -6,8 +6,7 @@
  * every file once (tools/lint/source.hh), precomputes project-wide
  * tables (the module include graph, the set of callables returning
  * core::Status / core::Expected), runs each in-scope rule over each
- * file, dedupes the findings, applies the baseline, and renders
- * human / JSON / SARIF output.
+ * file, dedupes the findings, and renders human or SARIF output.
  *
  * Dedupe is structural: findings are keyed by (path, line, rule,
  * message) after path canonicalization, so a violation that is
@@ -17,16 +16,12 @@
  * here and the old tool is now an alias over this engine.)
  *
  * Suppression: `lint:allow(<rule>)` on the same or preceding line.
- * Baseline: `--baseline file` filters known findings (rule + path +
- * message fingerprint, line-insensitive so unrelated edits do not
- * invalidate entries); `--write-baseline file` records the current
- * state for ratcheting.
+ * There is no baseline: the tree scans clean, and any finding fails.
  */
 
 #ifndef MOLECULE_TOOLS_LINT_ENGINE_HH
 #define MOLECULE_TOOLS_LINT_ENGINE_HH
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -47,9 +42,6 @@ struct Finding
     std::string pack;
     std::string message;
 };
-
-/** Stable FNV-1a over the finding message (baseline fingerprint). */
-std::uint64_t fingerprint(const std::string &text);
 
 /**
  * Project-wide tables available to every rule. Built once per run
@@ -143,7 +135,7 @@ class Registry
 /** Build the full registry: all four packs in canonical order. */
 Registry makeRegistry();
 
-enum class Format { Human, Json, Sarif };
+enum class Format { Human, Sarif };
 
 struct Options
 {
@@ -154,26 +146,20 @@ struct Options
     Format format = Format::Human;
     /** Output file ("" = stdout). */
     std::string output;
-    std::string baseline;      ///< read+filter when non-empty
-    std::string writeBaseline; ///< write current findings when non-empty
-    /** Also fail (exit 1) on stale baseline entries. */
-    bool strict = false;
 };
 
 struct Result
 {
-    std::vector<Finding> findings;  ///< post-dedupe, post-baseline
+    std::vector<Finding> findings;  ///< post-dedupe
     std::size_t filesScanned = 0;
-    std::size_t suppressedByBaseline = 0;
-    std::size_t staleBaseline = 0;
     int exitCode = 0;
 };
 
 /**
  * Load @p opts.roots (recursively; .hh/.cc/.hpp/.cpp/.h, bench/ and
  * lint fixture trees excluded unless a root points inside them),
- * build the Project tables, run the registry, dedupe, and apply the
- * baseline. Rendering is left to the caller (render()).
+ * build the Project tables, run the registry and dedupe. Rendering is
+ * left to the caller (render()).
  */
 Result run(const Registry &registry, const Options &opts);
 

@@ -4,17 +4,13 @@
  *
  * Usage:
  *   molecule-lint [options] <dir-or-file>...
- *     --strict                also fail on stale baseline entries
- *     --format human|json|sarif   (default: human)
+ *     --format human|sarif    (default: human)
  *     --output <file>         write the report there (default: stdout)
- *     --baseline <file>       filter findings recorded in the baseline
- *     --write-baseline <file> record current findings for ratcheting
  *     --packs a,b,c           run only these packs (default: all)
  *     --list-rules            print the rule registry and exit
  *     --self-test [pack]      run the built-in fixture suites
  *
- * Exit codes: 0 clean, 1 findings (or, with --strict, stale baseline
- * entries), 2 usage error.
+ * Exit codes: 0 clean, 1 findings, 2 usage error.
  */
 
 #include <cstdio>
@@ -31,10 +27,9 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: molecule-lint [--strict] [--format human|json|sarif]\n"
-        "                     [--output FILE] [--baseline FILE]\n"
-        "                     [--write-baseline FILE] [--packs A,B]\n"
-        "                     [--list-rules] [--self-test [PACK]]\n"
+        "usage: molecule-lint [--format human|sarif] [--output FILE]\n"
+        "                     [--packs A,B] [--list-rules]\n"
+        "                     [--self-test [PACK]]\n"
         "                     <dir-or-file>...\n");
     return 2;
 }
@@ -56,16 +51,12 @@ main(int argc, char **argv)
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
-        if (arg == "--strict") {
-            opts.strict = true;
-        } else if (arg == "--format") {
+        if (arg == "--format") {
             const char *v = next();
             if (!v)
                 return usage();
             if (std::strcmp(v, "human") == 0)
                 opts.format = Format::Human;
-            else if (std::strcmp(v, "json") == 0)
-                opts.format = Format::Json;
             else if (std::strcmp(v, "sarif") == 0)
                 opts.format = Format::Sarif;
             else
@@ -75,16 +66,6 @@ main(int argc, char **argv)
             if (!v)
                 return usage();
             opts.output = v;
-        } else if (arg == "--baseline") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            opts.baseline = v;
-        } else if (arg == "--write-baseline") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            opts.writeBaseline = v;
         } else if (arg == "--packs") {
             const char *v = next();
             if (!v)
