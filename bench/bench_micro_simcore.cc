@@ -90,16 +90,17 @@ namespace {
 using namespace molecule;
 using namespace molecule::sim::literals;
 
+// Schedule 1000 callbacks, then fire them: each is a callback frame
+// (Simulation::schedule) queued as a handle and resumed by the drain.
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     for (auto _ : state) {
-        sim::EventQueue q;
+        sim::Simulation sim;
         int sink = 0;
         for (int i = 0; i < 1000; ++i)
-            q.schedule(sim::SimTime::microseconds(i), [&] { ++sink; });
-        while (!q.empty())
-            q.popNext().second();
+            sim.schedule(sim::SimTime::microseconds(i), [&] { ++sink; });
+        sim.run();
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * 1000);
@@ -159,61 +160,6 @@ consumer(sim::Mailbox<int> &box, int n)
         (void)co_await box.get();
 }
 
-// Half the scheduled events are cancelled before they fire — the
-// timeout-guard pattern (every request arms a timer, most are
-// disarmed). Exercises the slab free list and stale-node skipping.
-void
-BM_EventQueueCancelHeavy(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::EventQueue q;
-        int sink = 0;
-        std::vector<sim::EventId> armed;
-        armed.reserve(500);
-        for (int i = 0; i < 1000; ++i) {
-            auto id = q.schedule(sim::SimTime::microseconds(i),
-                                 [&] { ++sink; });
-            if (i % 2 == 0)
-                armed.push_back(id);
-        }
-        for (auto id : armed)
-            q.cancel(id);
-        while (!q.empty())
-            q.popNext().second();
-        benchmark::DoNotOptimize(sink);
-    }
-    // Each schedule+cancel or schedule+fire pair counts as one item.
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueCancelHeavy);
-
-// Timer-wheel adversary: a few far-future events pin the heap head
-// while short-lived timers are continuously re-armed (scheduled then
-// cancelled) behind it, so no churned timer ever reaches the head.
-// The old tombstone design grew without bound here; the slab design
-// must recycle and stay flat.
-void
-BM_EventQueueTimerResetChurn(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::EventQueue q;
-        for (int i = 0; i < 8; ++i)
-            q.schedule(sim::SimTime::seconds(1000 + i), [] {});
-        sim::EventId pending[32] = {};
-        for (int round = 0; round < 1000; ++round) {
-            const int k = round % 32;
-            if (pending[k] != 0)
-                q.cancel(pending[k]);
-            pending[k] = q.schedule(
-                sim::SimTime::milliseconds(1 + round % 97), [] {});
-        }
-        while (!q.empty())
-            q.popNext().second();
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueTimerResetChurn);
-
 // Dense calendar-wheel exercise: thousands of pending timers spread
 // pseudo-randomly over 50 ms, so inserts land across level-0 and
 // level-1 buckets and draining cascades coarse windows down before
@@ -222,23 +168,22 @@ void
 BM_TimerWheelDense(benchmark::State &state)
 {
     for (auto _ : state) {
-        sim::EventQueue q;
+        sim::Simulation sim;
         int sink = 0;
         for (int i = 0; i < 4096; ++i)
-            q.schedule(sim::SimTime((std::int64_t(i) * 7919) %
-                                    50'000'000),
-                       [&] { ++sink; });
-        while (!q.empty())
-            q.fireNext();
+            sim.schedule(sim::SimTime((std::int64_t(i) * 7919) %
+                                      50'000'000),
+                         [&] { ++sink; });
+        sim.run();
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_TimerWheelDense);
 
-// Zero-allocation assertion: after warm-up (slab grown, wheel blocks
-// pooled, run buffers sized), a steady-state schedule→fire cycle
-// must not touch the heap at all. The bench fails (SkipWithError) if
+// Zero-allocation assertion: after warm-up (callback frames pooled,
+// wheel blocks pooled, run buffers sized), a steady-state
+// schedule→fire cycle must not touch the heap at all. The bench fails (SkipWithError) if
 // even one allocation happens. Warm-up covers every alignment of the
 // cycle against the 2^16 ns wheel window (the 512 us cycle span is
 // not a window multiple, so peak wheel-block demand depends on the
@@ -246,16 +191,15 @@ BENCHMARK(BM_TimerWheelDense);
 void
 BM_EventQueueSteadyStateAllocs(benchmark::State &state)
 {
-    sim::EventQueue q;
+    sim::Simulation sim;
     std::int64_t t = 0;
     int sink = 0;
     const auto cycle = [&](int n) {
         for (int i = 0; i < n; ++i)
-            q.schedule(sim::SimTime::microseconds(t + i),
-                       [&] { ++sink; });
+            sim.schedule(sim::SimTime::microseconds(t + i) - sim.now(),
+                         [&] { ++sink; });
         t += n;
-        while (!q.empty())
-            q.fireNext();
+        sim.run();
     };
     for (int warm = 0; warm < 18; ++warm)
         cycle(512);
@@ -461,12 +405,10 @@ main(int argc, char **argv)
                   MOLECULE_BENCH_COMPILER, MOLECULE_BENCH_BUILD_TYPE});
     // Baselines document what each perf PR was judged against:
     // seed kernel (tombstone priority_queue + std::function) for the
-    // first two, the pre-timer-wheel slab kernel for the next two and
-    // the std::unordered_map replica tables for the churn row.
+    // first two and the std::unordered_map replica tables for the
+    // churn row.
     snap.baseline("BM_EventQueueScheduleRun", 7.445e6);
     snap.baseline("BM_CoroutineDelayChain", 16.647e6);
-    snap.baseline("BM_EventQueueCancelHeavy", 15.884e6);
-    snap.baseline("BM_EventQueueTimerResetChurn", 26.779e6);
     snap.baseline("BM_CapabilityReplicaChurn", 4.883e6);
 
     SnapshotReporter reporter(&snap);

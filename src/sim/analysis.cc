@@ -75,12 +75,6 @@ AccessLog::noteScheduled(std::uint64_t seq, std::int64_t at)
 }
 
 void
-AccessLog::dropScheduled(std::uint64_t seq)
-{
-    pendingSchedAt_.erase(seq);
-}
-
-void
 AccessLog::beginEvent(std::int64_t when, std::uint64_t seq)
 {
     curWhen_ = when;

@@ -112,9 +112,6 @@ class AccessLog
     /** Event @p seq was scheduled at sim time @p at. */
     void noteScheduled(std::uint64_t seq, std::int64_t at);
 
-    /** Event @p seq was cancelled before firing. */
-    void dropScheduled(std::uint64_t seq);
-
     /** Event @p seq starts firing at sim time @p when. */
     void beginEvent(std::int64_t when, std::uint64_t seq);
     ///@}

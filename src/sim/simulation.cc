@@ -77,33 +77,32 @@ Simulation::step()
 }
 
 bool
-Simulation::suspendDelay(std::coroutine_handle<> h, SimTime amount)
+Simulation::extendStreak()
 {
-    ++delaySuspensions_;
-    const SimTime wake = now_ + amount;
-    // Strictly earlier than every pending event, the wake-up would be
-    // the next event the drain loop pops, and the coroutine the loop
-    // resumed has nothing left to run behind it: resume in place,
-    // unless this event's streak is at its bound.
-    if (wake <= runAheadLimit_ && inlineStarts_ == 0 && !log_ &&
-        events_.precedesAll(wake)) {
-        if (events_.firedCount() != streakEvent_) {
-            streakEvent_ = events_.firedCount();
-            streak_ = 0;
-        }
-        if (streak_ < kMaxRunAheadStreak) {
-            ++streak_;
-            events_.skipSeq();
-            now_ = wake;
-            ++delaysInPlace_;
-            return false;
-        }
+    // runAhead()'s other tests passed: the wake-up would be the next
+    // event the drain loop pops, and nothing runs behind it. Resume
+    // in place unless this event's streak is at its bound.
+    if (events_.firedCount() != streakEvent_) {
+        streakEvent_ = events_.firedCount();
+        streak_ = 0;
     }
-    // The handle is stored directly in the event slot: no closure, no
-    // allocation.
-    events_.schedule(wake, h);
-    noteScheduled();
+    if (streak_ == kMaxRunAheadStreak)
+        return false;
+    ++streak_;
+    events_.skipSeq();
     return true;
+}
+
+void
+Simulation::wakeJoined(std::coroutine_handle<> waiter)
+{
+    // The last child is finishing and nothing runs behind it, so the
+    // waiter's queued resume would be the next event: run it here.
+    if (runAhead(now_)) {
+        waiter.resume();
+        return;
+    }
+    scheduleResume(waiter);
 }
 
 } // namespace molecule::sim

@@ -8,17 +8,18 @@
  * same-instant wakeups fire in a deterministic (time, sequence) order.
  *
  * One exception keeps that order and skips the queue: run-ahead. A
- * delay whose wake time is strictly earlier than every pending event
- * would be the very next event popped, so it resumes in place — the
- * clock advances and the coroutine continues without a schedule, pop
- * and resume. It does so only when the run()/runUntil() drain loop
- * resumed the coroutine directly (no inline task start is under way
- * that has work of its own left at the current instant, no step(), no
- * conflict tracking), the wake time is within the run's deadline and
- * the event has resumed fewer than kMaxRunAheadStreak delays in place
- * so far. It consumes the event's sequence number, so every later
- * event is numbered, and ordered, exactly as if the delay had been
- * queued.
+ * wake-up that is due strictly earlier than every pending event would
+ * be the very next event popped, so it resumes in place — the clock
+ * advances and the coroutine continues without a schedule, pop and
+ * resume. Two wake-ups do so: a delay, and a Join's waiter when its
+ * last child finishes (due at the current instant). Either does so
+ * only when the run()/runUntil() drain loop resumed the coroutine that
+ * wakes it directly (no inline task start is under way that has work
+ * of its own left at the current instant, no step(), no conflict
+ * tracking), the wake time is within the run's deadline and the event
+ * has resumed fewer than kMaxRunAheadStreak wake-ups in place so far.
+ * It consumes the event's sequence number, so every later event is
+ * numbered, and ordered, exactly as if the wake-up had been queued.
  */
 
 #ifndef MOLECULE_SIM_SIMULATION_HH
@@ -28,7 +29,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <type_traits>
+#include <utility>
 
 #include "sim/analysis.hh"
 #include "sim/event_queue.hh"
@@ -39,6 +42,104 @@
 namespace molecule::sim {
 
 class Join;
+
+namespace detail {
+
+/** Links a scheduled callback's frame into its Simulation's list of
+ * callbacks not yet run; the Simulation destroys those with itself. */
+struct CallbackLink
+{
+    CallbackLink *prev = this;
+    CallbackLink *next = this;
+    std::coroutine_handle<> frame{};
+
+    void
+    linkAfter(CallbackLink &head)
+    {
+        prev = &head;
+        next = head.next;
+        head.next->prev = this;
+        head.next = this;
+    }
+};
+
+/**
+ * The coroutine Simulation::schedule queues for a callable: a frame
+ * from the FramePool that holds an @p F, calls it once when the queue
+ * resumes the frame and then frees itself. The callable lives in the
+ * promise, not in a by-value parameter (task.hh rule 1).
+ */
+template <typename F>
+struct CallbackFrame
+{
+    struct promise_type : CallbackLink
+    {
+        static void *
+        operator new(std::size_t bytes)
+        {
+            return FramePool::allocate(bytes);
+        }
+
+        static void
+        operator delete(void *frame, std::size_t bytes) noexcept
+        {
+            FramePool::deallocate(frame, bytes);
+        }
+
+        ~promise_type()
+        {
+            prev->next = next;
+            next->prev = prev;
+        }
+
+        CallbackFrame
+        get_return_object() noexcept
+        {
+            return {std::coroutine_handle<promise_type>::from_promise(
+                *this)};
+        }
+
+        std::suspend_always initial_suspend() noexcept { return {}; }
+        std::suspend_never final_suspend() noexcept { return {}; }
+        void return_void() noexcept {}
+
+        void
+        unhandled_exception() noexcept
+        {
+            panic("exception escaped a scheduled callback");
+        }
+
+        std::optional<F> fn;
+    };
+
+    /** Calls the stored callable as the queue resumes the frame. */
+    struct Run
+    {
+        promise_type *promise = nullptr;
+
+        bool await_ready() const noexcept { return false; }
+
+        bool
+        await_suspend(std::coroutine_handle<promise_type> h) noexcept
+        {
+            promise = &h.promise();
+            return false;
+        }
+
+        void await_resume() const { (*promise->fn)(); }
+    };
+
+    std::coroutine_handle<promise_type> handle;
+};
+
+template <typename F>
+CallbackFrame<F>
+callbackFrame()
+{
+    co_await typename CallbackFrame<F>::Run{};
+}
+
+} // namespace detail
 
 /**
  * Virtual-time executor for coroutine tasks.
@@ -65,27 +166,30 @@ class Simulation
     /** The simulation-owned deterministic RNG. */
     Rng &rng() { return rng_; }
 
-    /** Schedule a callback @p after from now; returns a cancel id. */
-    EventId
-    schedule(SimTime after, InlineCallback fn)
+    /** Destroys the callbacks that never ran, with what they hold. */
+    ~Simulation()
     {
-        const EventId id = events_.schedule(now_ + after, std::move(fn));
-        noteScheduled();
-        return id;
+        while (callbacks_.next != &callbacks_)
+            callbacks_.next->frame.destroy();
     }
 
-    /** Cancel an event scheduled via schedule(). */
-    bool
-    cancel(EventId id)
+    /**
+     * Call @p fn once, @p after from now. The event is a coroutine
+     * frame holding @p fn (detail::CallbackFrame), so the queue sees a
+     * handle like any other.
+     */
+    template <typename F>
+    void
+    schedule(SimTime after, F &&fn)
     {
-        if (log_) {
-            const std::uint64_t seq = events_.seqOfEvent(id);
-            const bool cancelled = events_.cancel(id);
-            if (cancelled && seq != 0)
-                log_->dropScheduled(seq);
-            return cancelled;
-        }
-        return events_.cancel(id);
+        const auto frame =
+            detail::callbackFrame<std::decay_t<F>>().handle;
+        auto &promise = frame.promise();
+        promise.fn.emplace(std::forward<F>(fn));
+        promise.frame = frame;
+        promise.linkAfter(callbacks_);
+        events_.schedule(now_ + after, frame);
+        noteScheduled();
     }
 
     /** Start a root task; its frame self-destroys when it completes. */
@@ -167,6 +271,10 @@ class Simulation
     /** Number of pending events (diagnostics). */
     std::size_t pendingEvents() const { return events_.size(); }
 
+    /** Events fired from the queue so far; a wake-up that ran ahead
+     * is not one. */
+    std::uint64_t eventsFired() const { return events_.firedCount(); }
+
     /** DelayAwaiter suspensions so far, run ahead or queued. */
     std::uint64_t delaySuspensions() const { return delaySuspensions_; }
 
@@ -175,12 +283,13 @@ class Simulation
     std::uint64_t delaysInPlace() const { return delaysInPlace_; }
 
     /**
-     * Most delays one fired event may resume in place in a row. Each
-     * resumes inside the frame that fired the event, and an
-     * unoptimised build does not turn the symmetric transfers that
-     * follow (a finished child task resuming its awaiter) into tail
-     * calls, so an unbounded streak, such as a closed loop of
-     * invokes, overflows the stack. The next delay is queued.
+     * Most wake-ups (delays and Join waiters) one fired event may
+     * resume in place in a row. Each resumes inside the frame that
+     * fired the event, and an unoptimised build does not turn the
+     * symmetric transfers that follow (a finished child task resuming
+     * its awaiter) into tail calls, so an unbounded streak, such as a
+     * closed loop of invokes, overflows the stack. The next wake-up is
+     * queued.
      */
     static constexpr std::uint32_t kMaxRunAheadStreak = 256;
 
@@ -247,13 +356,45 @@ class Simulation
     }
 
     /**
-     * DelayAwaiter::await_suspend, out of line so each co_await site
-     * grows by a call and a branch only. Runs ahead (advances the
-     * clock, consumes the event's sequence number, returns false)
-     * when the rule in this file's comment allows; otherwise queues
-     * @p h at the wake time and returns true.
+     * DelayAwaiter::await_suspend: runs ahead (advances the clock,
+     * returns false) when runAhead() allows; otherwise queues @p h at
+     * the wake time and returns true. Inline, so a queued delay costs
+     * one call, the queue's schedule().
      */
-    bool suspendDelay(std::coroutine_handle<> h, SimTime amount);
+    bool
+    suspendDelay(std::coroutine_handle<> h, SimTime amount)
+    {
+        ++delaySuspensions_;
+        const SimTime wake = now_ + amount;
+        if (runAhead(wake)) {
+            now_ = wake;
+            ++delaysInPlace_;
+            return false;
+        }
+        events_.schedule(wake, h);
+        noteScheduled();
+        return true;
+    }
+
+    /** Join::childDone for the last child: resume @p waiter now when
+     * runAhead() allows, else queue it at the current instant. */
+    void wakeJoined(std::coroutine_handle<> waiter);
+
+    /**
+     * The run-ahead rule in this file's comment, for a wake-up due at
+     * @p wake: true (and the event's sequence number consumed, the
+     * streak grown) when it may resume in place.
+     */
+    bool
+    runAhead(SimTime wake)
+    {
+        return wake <= runAheadLimit_ && inlineStarts_ == 0 && !log_ &&
+               events_.precedesAll(wake) && extendStreak();
+    }
+
+    /** runAhead()'s last test, out of line: grow this event's streak
+     * unless it is at its bound, and consume the sequence number. */
+    bool extendStreak();
 
     /** Tell the detector about the event the queue just accepted. */
     void
@@ -264,6 +405,8 @@ class Simulation
     }
 
     EventQueue events_;
+    /** Head of the callbacks scheduled and not yet run. */
+    detail::CallbackLink callbacks_;
     SimTime now_{0};
     Rng rng_;
     std::unique_ptr<analysis::AccessLog> log_;
@@ -274,8 +417,8 @@ class Simulation
     std::uint32_t inlineStarts_ = 0;
     std::uint64_t delaySuspensions_ = 0;
     std::uint64_t delaysInPlace_ = 0;
-    /** The current run-ahead streak: the event it runs under
-     * (firedCount()) and its length. */
+    /** The current run-ahead streak (delays and Join wake-ups): the
+     * event it runs under (firedCount()) and its length. */
     std::uint64_t streakEvent_ = 0;
     std::uint32_t streak_ = 0;
 };

@@ -8,9 +8,11 @@
  * Join       - fork/join over child tasks.
  *
  * All wakeups are routed through the Simulation event queue at the
- * current instant, preserving deterministic ordering. Join starts its
- * children inline through the Simulation, so no delay runs ahead of
- * the parent's remaining work (simulation.hh).
+ * current instant, preserving deterministic ordering, except a Join's
+ * waiter, which resumes in place when the run-ahead rule allows
+ * (simulation.hh). Join starts its children inline through the
+ * Simulation, so no wake-up runs ahead of the parent's remaining
+ * work.
  */
 
 #ifndef MOLECULE_SIM_SYNC_HH
@@ -248,10 +250,12 @@ class Mailbox
 /**
  * Fork/join without a heap vector: spawn() starts each child at once
  * (inline, up to its first suspension) and wait() resumes the parent
- * once every child has finished. The parent's wake-up is one event at
- * the instant the last child finishes, and none when they all
- * finished before wait(). The Join must outlive its children: keep
- * it in the awaiting frame and co_await wait() before leaving.
+ * once every child has finished. The parent wakes at the instant the
+ * last child finishes: in place, inside that child's final suspend,
+ * when the run-ahead rule allows, else one queued event; no wake-up
+ * at all when they all finished before wait(). The Join must outlive
+ * its children: keep it in the awaiting frame and co_await wait()
+ * before leaving.
  * @code
  *   sim::Join kids(sim);
  *   for (int pu : pus)
@@ -306,8 +310,9 @@ class Join final : private detail::DoneSink
     childDone(void *value) noexcept override
     {
         (void)value;
+        // The waiter may destroy this Join: touch nothing after.
         if (--pending_ == 0 && waiter_)
-            sim_.scheduleResume(std::exchange(waiter_, {}));
+            sim_.wakeJoined(std::exchange(waiter_, {}));
     }
 
     Simulation &sim_;

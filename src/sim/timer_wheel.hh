@@ -13,10 +13,9 @@
  * The wheel never decides firing order. The EventQueue empties whole
  * buckets: a level-0 bucket is drained into a sorted ready-run when
  * the simulation reaches its window, and a coarser bucket is
- * re-inserted one level finer (classic cascade). Insert, cancel
- * (caller-side lazy) and bucket location are O(1); per-level occupancy
- * bitmaps make locating the earliest occupied window two ctz
- * instructions per level.
+ * re-inserted one level finer (classic cascade). Insert and bucket
+ * location are O(1); per-level occupancy bitmaps make locating the
+ * earliest occupied window two ctz instructions per level.
  *
  * Node storage is block chains the wheel owns, allocated in chunks and
  * recycled through a free list, so steady-state operation performs no
@@ -27,6 +26,7 @@
 #define MOLECULE_SIM_TIMER_WHEEL_HH
 
 #include <bit>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -34,12 +34,13 @@
 
 namespace molecule::sim {
 
-/** Priority node: POD, 24 bytes, identifies one scheduled event. */
+/** Priority node: 24 trivially copyable bytes, one queued event —
+ * the coroutine to resume, ordered by (when, seq). */
 struct EventNode
 {
     std::int64_t when;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::coroutine_handle<> handle;
 };
 
 class TimerWheel
@@ -77,7 +78,7 @@ class TimerWheel
 
     bool empty() const { return entries_ == 0; }
 
-    /** Parked nodes, live + stale (diagnostics). */
+    /** Parked nodes (diagnostics). */
     std::size_t entries() const { return entries_; }
 
     /** Drained frontier: inserts below it are refused. */
@@ -208,33 +209,6 @@ class TimerWheel
             hint_ = ws;
     }
 
-    /**
-     * Drop every node for which @p isLive is false, compacting bucket
-     * chains in place (cancel-churn memory bound).
-     * @return nodes dropped.
-     */
-    template <typename IsLive>
-    std::size_t
-    sweep(IsLive &&isLive)
-    {
-        std::size_t dropped = 0;
-        for (int l = 0; l < kLevels; ++l) {
-            std::uint64_t bits = bitmap_[l];
-            while (bits != 0) {
-                const int bit = std::countr_zero(bits);
-                bits &= bits - 1;
-                Bucket &b = buckets_[l][bit];
-                dropped += sweepBucket(b, isLive);
-                if (b.head == nullptr)
-                    bitmap_[l] &= ~(std::uint64_t(1) << bit);
-            }
-        }
-        entries_ -= dropped;
-        if (entries_ == 0)
-            hint_ = kNoWindow;
-        return dropped;
-    }
-
   private:
     /** Chain link of parked nodes; 256-byte blocks. */
     struct Block
@@ -293,51 +267,6 @@ class TimerWheel
             t = blk;
         }
         t->nodes[t->count++] = n;
-    }
-
-    template <typename IsLive>
-    std::size_t
-    sweepBucket(Bucket &b, IsLive &isLive)
-    {
-        Block *dst = b.head;
-        std::uint32_t dstN = 0;
-        std::size_t kept = 0;
-        std::size_t total = 0;
-        for (Block *src = b.head; src != nullptr; src = src->next) {
-            for (std::uint32_t i = 0; i < src->count; ++i) {
-                const EventNode n = src->nodes[i];
-                ++total;
-                if (!isLive(n))
-                    continue;
-                if (dstN == Block::kCap) {
-                    dst->count = dstN;
-                    dst = dst->next;
-                    dstN = 0;
-                }
-                dst->nodes[dstN++] = n;
-                ++kept;
-            }
-        }
-        if (kept == 0) {
-            Block *blk = b.head;
-            while (blk != nullptr) {
-                Block *next = blk->next;
-                recycle(blk);
-                blk = next;
-            }
-            b.head = b.tail = nullptr;
-            return total;
-        }
-        dst->count = dstN;
-        Block *surplus = dst->next;
-        dst->next = nullptr;
-        b.tail = dst;
-        while (surplus != nullptr) {
-            Block *next = surplus->next;
-            recycle(surplus);
-            surplus = next;
-        }
-        return total - kept;
     }
 
     static constexpr std::size_t kBlocksPerChunk = 64;

@@ -173,23 +173,6 @@ TEST(ConflictDetector, SameEventAccessesAreNotAConflict)
     EXPECT_TRUE(sim.accessLog()->findConflicts().empty());
 }
 
-TEST(ConflictDetector, CancelledEventLeavesNoTrace)
-{
-    Simulation sim;
-    sim.enableConflictTracking();
-    Tracked<int> cell{0, "fixture.cell"};
-
-    sim.schedule(SimTime::microseconds(5), [&] { cell.write(1); });
-    const EventId id =
-        sim.schedule(SimTime::microseconds(5), [&] { cell.write(2); });
-    EXPECT_TRUE(sim.cancel(id));
-    sim.run();
-
-    EXPECT_EQ(sim.accessLog()->recordCount(), 1u);
-    EXPECT_TRUE(sim.accessLog()->findConflicts().empty());
-    EXPECT_EQ(cell.peek(), 1);
-}
-
 TEST(ConflictDetector, DistinctCellsDoNotInterfere)
 {
     Simulation sim;

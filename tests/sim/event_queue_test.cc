@@ -4,225 +4,104 @@
 
 #include <vector>
 
+#include "probe.hh"
 #include "sim/event_queue.hh"
-#include "sim/simulation.hh"
 
 namespace {
 
 using molecule::sim::EventQueue;
 using molecule::sim::SimTime;
+using molecule::test::onResume;
+using molecule::test::Probe;
+using molecule::test::Tags;
 using namespace molecule::sim::literals;
 
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(3_us, [&] { order.push_back(3); });
-    q.schedule(1_us, [&] { order.push_back(1); });
-    q.schedule(2_us, [&] { order.push_back(2); });
+    Tags tag;
+    q.schedule(3_us, tag(3));
+    q.schedule(1_us, tag(1));
+    q.schedule(2_us, tag(2));
     while (!q.empty())
-        q.popNext().second();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+        q.fireNext();
+    EXPECT_EQ(tag.log, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(q.firedCount(), 3u);
 }
 
 TEST(EventQueue, SameInstantFiresInScheduleOrder)
 {
     EventQueue q;
-    std::vector<int> order;
+    Tags tag;
     for (int i = 0; i < 16; ++i)
-        q.schedule(5_us, [&order, i] { order.push_back(i); });
+        q.schedule(5_us, tag(i));
     while (!q.empty())
-        q.popNext().second();
+        q.fireNext();
+    ASSERT_EQ(tag.log.size(), 16u);
     for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(order[std::size_t(i)], i);
+        EXPECT_EQ(tag.log[std::size_t(i)], i);
 }
 
 TEST(EventQueue, PopNextReturnsTimestampAndCallback)
 {
     EventQueue q;
-    int fired = 0;
-    q.schedule(7_us, [&] { ++fired; });
+    Tags tag;
+    q.schedule(7_us, tag(1));
     EXPECT_EQ(q.nextTime(), 7_us);
-    auto [when, fn] = q.popNext();
+    auto [when, h] = q.popNext();
     EXPECT_EQ(when, 7_us);
-    fn();
-    EXPECT_EQ(fired, 1);
     EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelPreventsFiring)
-{
-    EventQueue q;
-    int fired = 0;
-    auto id = q.schedule(1_us, [&] { ++fired; });
-    q.schedule(2_us, [&] { ++fired; });
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_EQ(q.size(), 1u);
-    while (!q.empty())
-        q.popNext().second();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelAfterFireIsRejected)
-{
-    EventQueue q;
-    auto id = q.schedule(1_us, [] {});
-    q.popNext().second();
-    EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, DoubleCancelIsRejected)
-{
-    EventQueue q;
-    auto id = q.schedule(1_us, [] {});
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(id));
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelUnknownIdIsRejected)
-{
-    EventQueue q;
-    EXPECT_FALSE(q.cancel(0));
-    EXPECT_FALSE(q.cancel(12345));
+    h.resume();
+    EXPECT_EQ(tag.log, (std::vector<int>{1}));
+    // Popped, not fired: the caller resumed it.
+    EXPECT_EQ(q.firedCount(), 0u);
 }
 
 TEST(EventQueue, CallbackMayScheduleMoreEvents)
 {
     EventQueue q;
     std::vector<SimTime> fire;
-    q.schedule(1_us, [&] {
-        q.schedule(5_us, [&] { fire.push_back(5_us); });
-        fire.push_back(1_us);
-    });
+    SimTime clock;
+    auto second = [&] { fire.push_back(clock); };
+    Probe late = onResume(&second);
+    auto first = [&] {
+        q.schedule(5_us, late.handle());
+        fire.push_back(clock);
+    };
+    Probe early = onResume(&first);
+    q.schedule(1_us, early.handle());
     while (!q.empty()) {
-        auto [when, fn] = q.popNext();
-        fn();
-        fire.push_back(when);
+        clock = q.nextTime();
+        q.fireNext();
     }
-    // Each firing logs twice: once from the callback, once from the
-    // popped timestamp.
-    ASSERT_EQ(fire.size(), 4u);
-    EXPECT_EQ(fire[0], 1_us);
-    EXPECT_EQ(fire[1], 1_us);
-    EXPECT_EQ(fire[2], 5_us);
-    EXPECT_EQ(fire[3], 5_us);
-}
-
-// Regression for the old const_cast pop + tombstone-set design: pops
-// interleaved with cancels must keep firing the live events in (time,
-// schedule-order) sequence, reject every stale id, and keep size()
-// exact throughout.
-TEST(EventQueue, PopsInterleavedWithCancels)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    std::vector<molecule::sim::EventId> ids;
-    for (int i = 0; i < 32; ++i) {
-        ids.push_back(
-            q.schedule(SimTime::microseconds(i), [&fired, i] {
-                fired.push_back(i);
-            }));
-    }
-    // Reference model: an event is pending iff neither fired nor
-    // cancelled; the queue must fire pending events in index order
-    // (times are ascending). After every pop both sides attempt to
-    // cancel the same pseudo-random id, so head, mid-heap and stale
-    // cancels all interleave with pops.
-    std::vector<bool> cancelled(32, false), done(32, false);
-    std::vector<int> expect;
-    int pops = 0;
-    while (!q.empty()) {
-        q.popNext().second();
-        ++pops;
-        const std::size_t k = std::size_t(pops * 5) % 32;
-        // Mirror in the model: account for the fired event first.
-        for (int i = 0; i < 32; ++i) {
-            if (!cancelled[std::size_t(i)] && !done[std::size_t(i)]) {
-                done[std::size_t(i)] = true;
-                expect.push_back(i);
-                break;
-            }
-        }
-        const bool modelCancel = !cancelled[k] && !done[k];
-        EXPECT_EQ(q.cancel(ids[k]), modelCancel);
-        if (modelCancel)
-            cancelled[k] = true;
-    }
-    EXPECT_EQ(fired, expect);
-    EXPECT_EQ(q.size(), 0u);
-    // Every id is now dead: fired or cancelled, all must reject.
-    for (auto id : ids)
-        EXPECT_FALSE(q.cancel(id));
-}
-
-// The old design kept cancelled-but-never-popped entries in a
-// tombstone set until they surfaced at the heap head — unbounded
-// growth under timer-reset churn. The slab must recycle slots and the
-// heap must compact, keeping memory proportional to the *live* count.
-TEST(EventQueue, MemoryStableUnderCancelChurn)
-{
-    EventQueue q;
-    // A handful of long-lived events pin the heap head far in the
-    // future so churned timers behind them are never popped.
-    for (int i = 0; i < 4; ++i)
-        q.schedule(SimTime::seconds(100 + i), [] {});
-    for (int round = 0; round < 100000; ++round) {
-        auto id = q.schedule(SimTime::seconds(1 + round % 7), [] {});
-        ASSERT_TRUE(q.cancel(id));
-    }
-    EXPECT_EQ(q.size(), 4u);
-    // Slots recycle through the free list; the slab never grows past
-    // the live high-water mark.
-    EXPECT_LE(q.slabCapacity(), 8u);
-    // Stale heap nodes are bounded by the compaction threshold, not
-    // by the 100k cancels.
-    EXPECT_LE(q.heapSize(), 4u + 65u);
-    while (!q.empty())
-        q.popNext().second();
-}
-
-// A cancel id must stay dead after its slab slot is recycled by a new
-// event (generation tag protects against slot-reuse ABA).
-TEST(EventQueue, StaleIdAfterSlotReuseIsRejected)
-{
-    EventQueue q;
-    auto a = q.schedule(1_us, [] {});
-    EXPECT_TRUE(q.cancel(a));
-    int fired = 0;
-    // Reuses the slot a occupied.
-    auto b = q.schedule(2_us, [&] { ++fired; });
-    EXPECT_FALSE(q.cancel(a));
-    EXPECT_EQ(q.size(), 1u);
-    q.popNext().second();
-    EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(q.cancel(b));
-}
-
-// A callback cancelling the very event that is firing must get false
-// (the event already left the queue) without corrupting the counts.
-TEST(EventQueue, SelfCancelFromCallbackIsRejected)
-{
-    molecule::sim::Simulation sim;
-    molecule::sim::EventId self = 0;
-    bool selfCancel = true;
-    self = sim.schedule(1_us, [&] { selfCancel = sim.cancel(self); });
-    sim.run();
-    EXPECT_FALSE(selfCancel);
-    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_EQ(fire, (std::vector<SimTime>{1_us, 5_us}));
 }
 
 TEST(EventQueue, SizeTracksLiveEvents)
 {
     EventQueue q;
-    auto a = q.schedule(1_us, [] {});
-    q.schedule(2_us, [] {});
+    Tags tag;
+    q.schedule(1_us, tag(1));
+    q.schedule(2_us, tag(2));
     EXPECT_EQ(q.size(), 2u);
-    q.cancel(a);
+    q.fireNext();
     EXPECT_EQ(q.size(), 1u);
-    q.popNext().second();
+    q.fireNext();
     EXPECT_EQ(q.size(), 0u);
     EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, OneHandleQueuedManyTimesFiresEachTime)
+{
+    EventQueue q;
+    int hits = 0;
+    auto count = [&] { ++hits; };
+    Probe p = onResume(&count);
+    for (int i = 0; i < 40; ++i)
+        q.schedule(SimTime::microseconds(i % 5), p.handle());
+    while (!q.empty())
+        q.fireNext();
+    EXPECT_EQ(hits, 40);
 }
 
 } // namespace

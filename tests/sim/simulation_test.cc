@@ -1,7 +1,8 @@
-/** @file Run-ahead resumption (simulation.hh): a delay that wakes
- * strictly before every pending event resumes in place. Whatever the
- * drive — run(), runUntil() or a step() loop, which never runs ahead —
- * a program must take the same steps at the same sim times. */
+/** @file Run-ahead resumption (simulation.hh): a delay, or a Join's
+ * waiter, that wakes strictly before every pending event resumes in
+ * place. Whatever the drive — run(), runUntil() or a step() loop,
+ * which never runs ahead — a program must take the same steps at the
+ * same sim times. */
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 
 namespace {
 
-using molecule::sim::EventId;
 using molecule::sim::HeldDelay;
 using molecule::sim::Join;
 using molecule::sim::Mailbox;
@@ -58,7 +58,7 @@ operator<<(std::ostream &os, const Entry &e)
 ///@{
 constexpr int kGot = 1000;        // + mailbox value received
 constexpr int kTimerFired = 2000; // + step that armed the timer
-constexpr int kCancelled = 3000;  // + cancel() result
+constexpr int kJoined = 3000;     // + children joined
 constexpr int kDone = 4000;
 ///@}
 
@@ -104,7 +104,7 @@ putAfter(World *w, SimTime d, int value)
 /**
  * A random program: delays, nested spawn and Join::spawn, a
  * Semaphore burst through HeldDelay, a Mailbox receive fed by a
- * spawned putter, and timers that fire or are cancelled.
+ * spawned putter, and timers.
  */
 Task<>
 program(World *w, int depth)
@@ -136,18 +136,62 @@ program(World *w, int depth)
             w->note(id, kGot + v);
         } else {
             const bool spawns = depth < 2 && rng.uniformInt(0, 1) == 1;
-            const EventId timer =
-                w->sim->schedule(d, [w, id, step, spawns, depth] {
-                    w->note(id, kTimerFired + step);
-                    if (spawns)
-                        w->sim->spawn(program(w, depth + 1));
-                });
-            if (rng.uniformInt(0, 1) == 1) {
+            w->sim->schedule(d, [w, id, step, spawns, depth] {
+                w->note(id, kTimerFired + step);
+                if (spawns)
+                    w->sim->spawn(program(w, depth + 1));
+            });
+            if (rng.uniformInt(0, 1) == 1)
                 co_await w->sim->delay(pickDelay(rng));
-                const bool cancelled = w->sim->cancel(timer);
-                w->note(id, kCancelled + int(cancelled));
-            }
         }
+    }
+    w->note(id, kDone);
+}
+
+Task<> fanOut(World *w, int depth);
+
+/** A fan-out child: a few delays, sometimes a fan-out of its own. */
+Task<>
+leaf(World *w, int depth)
+{
+    const int id = w->nextTask++;
+    Rng rng(w->seed * 104729 + std::uint64_t(id));
+    const int hops = int(rng.uniformInt(0, 3));
+    for (int step = 0; step < hops; ++step) {
+        w->note(id, step);
+        co_await w->sim->delay(pickDelay(rng));
+    }
+    if (depth < 2 && rng.uniformInt(0, 2) == 0)
+        co_await fanOut(w, depth + 1);
+    w->note(id, kDone);
+}
+
+/**
+ * Rounds of fork/join: start one to four children through a Join,
+ * sometimes delay or arm a timer that may land on the instant the
+ * last child finishes, then join them.
+ */
+Task<>
+fanOut(World *w, int depth)
+{
+    const int id = w->nextTask++;
+    Rng rng(w->seed * 7919 + std::uint64_t(id));
+    const int rounds = int(rng.uniformInt(1, 4));
+    for (int round = 0; round < rounds; ++round) {
+        Join kids(*w->sim);
+        const int n = int(rng.uniformInt(1, 4));
+        for (int k = 0; k < n; ++k)
+            kids.spawn(leaf(w, depth));
+        const std::int64_t op = rng.uniformInt(0, 3);
+        if (op == 0) {
+            co_await w->sim->delay(pickDelay(rng));
+        } else if (op == 1) {
+            w->sim->schedule(pickDelay(rng), [w, id, round] {
+                w->note(id, kTimerFired + round);
+            });
+        }
+        co_await kids.wait();
+        w->note(id, kJoined + n);
     }
     w->note(id, kDone);
 }
@@ -174,20 +218,25 @@ struct Played
     std::vector<Entry> log;
     std::uint64_t suspensions = 0;
     std::uint64_t inPlace = 0;
+    /** Events fired from the queue. */
+    std::uint64_t fired = 0;
 };
+
+/** A random program's root task. */
+using Root = Task<> (*)(World *, int);
 
 /** Play the program of @p seed to completion under @p drive. */
 Played
-play(std::uint64_t seed, Drive drive)
+play(std::uint64_t seed, Drive drive, Root root = program)
 {
     Simulation sim(seed);
     World w(sim, seed);
     Rng rng(seed);
     const int roots = int(rng.uniformInt(1, 4));
     for (int i = 0; i < roots; ++i)
-        sim.spawn(program(&w, 0));
+        sim.spawn(root(&w, 0));
     const SimTime later(rng.uniformInt(0, 9));
-    sim.schedule(later, [&w] { w.sim->spawn(program(&w, 0)); });
+    sim.schedule(later, [&w, root] { w.sim->spawn(root(&w, 0)); });
     switch (drive) {
     case Drive::Run:
         sim.run();
@@ -209,7 +258,8 @@ play(std::uint64_t seed, Drive drive)
         break;
     }
     EXPECT_EQ(sim.pendingEvents(), 0u);
-    return Played{w.log, sim.delaySuspensions(), sim.delaysInPlace()};
+    return Played{w.log, sim.delaySuspensions(), sim.delaysInPlace(),
+                  sim.eventsFired()};
 }
 
 /** The runUntil() call an entry at @p when belongs in. */
@@ -264,6 +314,36 @@ TEST(RunAheadFuzz, SameSeedSameInPlaceCount)
     const Played b = play(42, Drive::Run);
     EXPECT_EQ(a.inPlace, b.inPlace);
     EXPECT_EQ(a.suspensions, b.suspensions);
+}
+
+TEST(RunAheadFuzz, JoinFanOutsMatchAStepLoop)
+{
+    std::uint64_t joinsInPlace = 0;
+    std::uint64_t delaysInPlace = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        const Played stepped = play(seed, Drive::Step, fanOut);
+        EXPECT_EQ(stepped.inPlace, 0u);
+
+        const Played ran = play(seed, Drive::Run, fanOut);
+        ASSERT_EQ(ran.log, stepped.log);
+        EXPECT_EQ(ran.suspensions, stepped.suspensions);
+        // Every wake-up that ran ahead is one event fewer.
+        ASSERT_GE(stepped.fired - ran.fired, ran.inPlace);
+        joinsInPlace += stepped.fired - ran.fired - ran.inPlace;
+        delaysInPlace += ran.inPlace;
+
+        std::vector<Entry> expected = stepped.log;
+        const std::vector<std::int64_t> deadlines = deadlinesFor(seed);
+        for (Entry &e : expected)
+            e.segment = segmentOf(e.when, deadlines);
+        ASSERT_EQ(play(seed, Drive::RunUntil, fanOut).log, expected);
+    }
+    EXPECT_GT(joinsInPlace, 0u);
+    EXPECT_GT(delaysInPlace, 0u);
+    std::printf("in place under run(): %llu Join waiters, %llu delays\n",
+                static_cast<unsigned long long>(joinsInPlace),
+                static_cast<unsigned long long>(delaysInPlace));
 }
 
 /** The longest run of delays resumed in place, as seen by the one
@@ -409,6 +489,169 @@ TEST(RunAhead, JoinChildNeverRunsAheadOfItsParent)
     sim.spawn(joiner(sim, &log));
     sim.run();
     EXPECT_EQ(log, (Timeline{{1, 1}, {2, 10}, {2, 11}, {2, 2}}));
+}
+
+Task<>
+joinOne(Simulation &sim, Timeline *log)
+{
+    co_await sim.delay(SimTime(1));
+    Join kids(sim);
+    kids.spawn(child(sim, 10, log));
+    // Armed after the child's wake-up, for the same instant.
+    sim.schedule(SimTime(1), [&sim, log] {
+        log->emplace_back(sim.now().raw(), 20);
+    });
+    co_await kids.wait();
+    log->emplace_back(sim.now().raw(), 2);
+}
+
+TEST(RunAhead, JoinWaiterQueuesBehindAnEventAtTheSameInstant)
+{
+    // The timer at 2 is still pending when the child finishes at 2,
+    // so the waiter is queued behind it, as a step() loop runs it.
+    for (const bool step : {false, true}) {
+        Simulation sim;
+        Timeline log;
+        sim.spawn(joinOne(sim, &log));
+        if (step) {
+            while (sim.step()) {
+            }
+        } else {
+            sim.run();
+        }
+        EXPECT_EQ(log, (Timeline{{2, 10}, {2, 20}, {2, 2}}));
+        // The child's wake-up, the timer and the waiter's.
+        EXPECT_EQ(sim.eventsFired(), 4u);
+    }
+}
+
+TEST(RunAhead, LastChildWakesItsWaiterInPlace)
+{
+    Simulation sim;
+    Timeline log;
+    sim.spawn(joiner(sim, &log));
+    sim.run();
+    EXPECT_EQ(log, (Timeline{{1, 1}, {2, 10}, {2, 11}, {2, 2}}));
+    // The joiner's first delay and the two children's: the waiter
+    // resumed inside the last child's final suspend.
+    EXPECT_EQ(sim.eventsFired(), 3u);
+    EXPECT_EQ(sim.delaysInPlace(), 0u);
+
+    Simulation stepped;
+    Timeline steppedLog;
+    stepped.spawn(joiner(stepped, &steppedLog));
+    while (stepped.step()) {
+    }
+    EXPECT_EQ(steppedLog, log);
+    EXPECT_EQ(stepped.eventsFired(), 4u);
+}
+
+/** One hop of a closed loop's request, run as a Join's only child. */
+Task<>
+lonelyChild(Simulation &sim, SimTime d)
+{
+    co_await sim.delay(d);
+}
+
+/** A client whose every request is a Join of one child. */
+Task<>
+joinLoop(Simulation &sim, int requests, std::vector<std::int64_t> *done)
+{
+    for (int r = 0; r < requests; ++r) {
+        Join kids(sim);
+        kids.spawn(lonelyChild(sim, SimTime(1 + r % 3)));
+        co_await kids.wait();
+        done->push_back(sim.now().raw());
+    }
+}
+
+TEST(RunAheadFuzz, JoinClosedLoopMatchesAStepLoop)
+{
+    // 60k single-child Joins in one chain. Each child's delay is made
+    // inside Join::spawn and queued; its finish wakes the waiter in
+    // place, and the waiter's next Join ends the streak.
+    constexpr int kRequests = 60000;
+    auto playLoop = [](bool step, std::uint64_t *fired) {
+        Simulation sim;
+        std::vector<std::int64_t> done;
+        sim.spawn(joinLoop(sim, kRequests, &done));
+        if (step) {
+            while (sim.step()) {
+            }
+        } else {
+            sim.run();
+        }
+        *fired = sim.eventsFired();
+        return done;
+    };
+    std::uint64_t steppedFired = 0;
+    std::uint64_t ranFired = 0;
+    const std::vector<std::int64_t> want = playLoop(true, &steppedFired);
+    ASSERT_EQ(want.size(), std::size_t(kRequests));
+    EXPECT_EQ(playLoop(false, &ranFired), want);
+    EXPECT_EQ(steppedFired, 2u * kRequests);
+    EXPECT_EQ(ranFired, std::uint64_t(kRequests));
+}
+
+/**
+ * Level @p level of a chain of single-child Joins @p levels deep: it
+ * starts the next level and waits for it. As it wakes, it notes how
+ * many events have fired, so the levels woken under one event show
+ * up as a run of equal counts.
+ */
+Task<>
+joinLevel(Simulation &sim, int level, int levels,
+          std::vector<std::uint64_t> *woke)
+{
+    // Queued (the level is started inline), so building the chain
+    // nests no frames on the stack.
+    co_await sim.delay(SimTime(1));
+    if (level == levels)
+        co_return;
+    Join next(sim);
+    next.spawn(joinLevel(sim, level + 1, levels, woke));
+    co_await next.wait();
+    woke->push_back(sim.eventsFired());
+}
+
+/** The most levels woken under one event. */
+std::size_t
+longestStreak(const std::vector<std::uint64_t> &woke)
+{
+    std::size_t longest = 0;
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < woke.size(); ++i) {
+        run = i > 0 && woke[i] == woke[i - 1] ? run + 1 : 1;
+        longest = std::max(longest, run);
+    }
+    return longest;
+}
+
+TEST(RunAheadFuzz, DeepJoinChainStreaksStayBounded)
+{
+    // When the deepest of 60k nested Joins finishes, each waiter it
+    // wakes in place finishes too and wakes the next, one frame
+    // deeper on the stack: unbounded, that overflows it. After
+    // kMaxRunAheadStreak in place the next waiter is queued.
+    constexpr int kLevels = 60000;
+    auto playChain = [](bool step) {
+        Simulation sim;
+        std::vector<std::uint64_t> woke;
+        sim.spawn(joinLevel(sim, 0, kLevels, &woke));
+        if (step) {
+            while (sim.step()) {
+            }
+        } else {
+            sim.run();
+        }
+        EXPECT_EQ(sim.now(), SimTime(kLevels + 1));
+        EXPECT_EQ(woke.size(), std::size_t(kLevels));
+        return woke;
+    };
+    EXPECT_EQ(longestStreak(playChain(true)), 1u);
+    // One queued waiter, then the streak's in-place ones.
+    EXPECT_EQ(longestStreak(playChain(false)),
+              Simulation::kMaxRunAheadStreak + 1);
 }
 
 Task<>

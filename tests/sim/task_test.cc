@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -402,15 +403,26 @@ TEST(Simulation, RunUntilStopsAtDeadline)
     EXPECT_EQ(sim.now(), 100_us);
 }
 
-TEST(Simulation, ScheduleAndCancel)
+TEST(Simulation, ScheduledCallbacksReleaseWhatTheyHold)
 {
-    Simulation sim;
-    int fired = 0;
-    auto id = sim.schedule(5_us, [&] { ++fired; });
-    sim.schedule(6_us, [&] { ++fired; });
-    EXPECT_TRUE(sim.cancel(id));
-    sim.run();
-    EXPECT_EQ(fired, 1);
+    auto counted = std::make_shared<int>(0);
+    {
+        Simulation sim;
+        int seen = 0;
+        auto owned = std::make_unique<int>(7); // a move-only capture
+        sim.schedule(1_us, [p = std::move(owned), &seen, counted] {
+            seen = *p;
+        });
+        sim.schedule(5_us, [counted] { FAIL() << "ran past the deadline"; });
+        EXPECT_EQ(counted.use_count(), 3);
+        sim.runUntil(2_us);
+        EXPECT_EQ(seen, 7);
+        // The first frame ran and freed itself with its capture.
+        EXPECT_EQ(counted.use_count(), 2);
+        EXPECT_EQ(sim.pendingEvents(), 1u);
+    }
+    // The second never ran; its Simulation destroyed it.
+    EXPECT_EQ(counted.use_count(), 1);
 }
 
 } // namespace

@@ -4,12 +4,12 @@
  *
  * The wheel itself never decides firing order — EventQueue does — so
  * these tests pin two layers: the raw TimerWheel contract (insert
- * refusal rules, earliest-window location, drain order, sweeping) and
- * the queue-level determinism invariants the wheel must not disturb:
- * same-tick FIFO across heap/wheel/run, cancellation after a cascade,
- * EventId generation safety when wheel slots are recycled, and the
- * empty()/drain() interplay. A randomized model check compares the
- * full pop sequence against a sorted reference.
+ * refusal rules, earliest-window location, drain order) and the
+ * queue-level determinism invariants the wheel must not disturb:
+ * same-tick FIFO across heap/wheel/run, order across a cascade, the
+ * empty()/drain() interplay and a steady state that allocates
+ * nothing. A randomized model check compares the full pop sequence
+ * against a sorted reference.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "../core/count_new.hh"
+#include "probe.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 #include "sim/timer_wheel.hh"
@@ -29,24 +31,27 @@ using sim::EventNode;
 using sim::EventQueue;
 using sim::SimTime;
 using sim::TimerWheel;
+using test::onResume;
+using test::Probe;
+using test::Tags;
 
 TEST(TimerWheel, InsertRefusalRules)
 {
     TimerWheel wheel;
 
     // In range: level 0 (short), level 1 (ms), level 2 (hundreds ms).
-    EXPECT_TRUE(wheel.insert(EventNode{1000, 1, 0}));
-    EXPECT_TRUE(wheel.insert(EventNode{10'000'000, 2, 1}));
-    EXPECT_TRUE(wheel.insert(EventNode{1'000'000'000, 3, 2}));
+    EXPECT_TRUE(wheel.insert(EventNode{1000, 1, {}}));
+    EXPECT_TRUE(wheel.insert(EventNode{10'000'000, 2, {}}));
+    EXPECT_TRUE(wheel.insert(EventNode{1'000'000'000, 3, {}}));
     EXPECT_EQ(wheel.entries(), 3u);
 
     // Past the ~17.2 s horizon: refused, caller keeps it.
     EXPECT_FALSE(
-        wheel.insert(EventNode{20'000'000'000, 4, 3}));
+        wheel.insert(EventNode{20'000'000'000, 4, {}}));
 
     // Behind the drained frontier: refused.
     wheel.advanceBase(std::int64_t(1) << 16);
-    EXPECT_FALSE(wheel.insert(EventNode{100, 5, 4}));
+    EXPECT_FALSE(wheel.insert(EventNode{100, 5, {}}));
     EXPECT_EQ(wheel.entries(), 3u);
 }
 
@@ -56,9 +61,9 @@ TEST(TimerWheel, LocateAndDrainPreserveInsertionOrder)
 
     // Three nodes in one level-0 window, inserted out of time order:
     // drain must hand them back in INSERTION order (the queue sorts).
-    ASSERT_TRUE(wheel.insert(EventNode{500, 7, 0}));
-    ASSERT_TRUE(wheel.insert(EventNode{100, 8, 1}));
-    ASSERT_TRUE(wheel.insert(EventNode{300, 9, 2}));
+    ASSERT_TRUE(wheel.insert(EventNode{500, 7, {}}));
+    ASSERT_TRUE(wheel.insert(EventNode{100, 8, {}}));
+    ASSERT_TRUE(wheel.insert(EventNode{300, 9, {}}));
 
     const TimerWheel::Earliest at = wheel.locate();
     EXPECT_EQ(at.level, 0);
@@ -73,60 +78,33 @@ TEST(TimerWheel, LocateAndDrainPreserveInsertionOrder)
     EXPECT_TRUE(wheel.empty());
 }
 
-TEST(TimerWheel, SweepDropsDeadNodesAndCompactsChains)
-{
-    TimerWheel wheel;
-
-    // Enough nodes in one bucket to span several 9-node blocks.
-    for (std::uint64_t i = 0; i < 40; ++i)
-        ASSERT_TRUE(wheel.insert(EventNode{100, i, std::uint32_t(i)}));
-    ASSERT_EQ(wheel.entries(), 40u);
-
-    const std::size_t dropped =
-        wheel.sweep([](const EventNode &n) { return n.seq % 3 == 0; });
-    EXPECT_EQ(dropped, 26u);
-    EXPECT_EQ(wheel.entries(), 14u);
-
-    std::vector<EventNode> out;
-    wheel.drainBucket(wheel.locate(), out);
-    ASSERT_EQ(out.size(), 14u);
-    // Survivors keep their relative insertion order.
-    for (std::size_t i = 1; i < out.size(); ++i)
-        EXPECT_LT(out[i - 1].seq, out[i].seq);
-}
-
-// Cancel an event whose node has already cascaded from a coarse
-// level into a finer one: the cancel must take effect (O(1), lazy)
-// and the event must not fire.
-TEST(EventQueueWheel, CancelAfterCascade)
+// Events spread over ~9.3 ms engage the wheel (> kDirectHeapThreshold)
+// and park the later ones in level-1 buckets; by 4.2 ms those cascade
+// to level 0. Every event fires once, in time order, across the
+// cascade — also when new events join mid-way.
+TEST(EventQueueWheel, CascadedEventsFireInTimeOrder)
 {
     EventQueue q;
-    std::vector<int> fired;
-
-    // 32 live events engage the wheel (> kDirectHeapThreshold); the
-    // spread over ~9.3 ms puts the later ones in level-1 buckets.
-    sim::EventId target = 0;
-    for (int i = 0; i < 32; ++i) {
-        const auto id = q.schedule(SimTime::microseconds(i * 300),
-                                   [&fired, i] { fired.push_back(i); });
-        if (i == 20) // 6 ms: lives in a level-1 bucket initially
-            target = id;
-    }
-
-    // Fire the first 15 events; by 4.2 ms the level-1 bucket holding
-    // the 6 ms event has cascaded to level 0.
+    Tags tag;
+    for (int i = 0; i < 32; ++i)
+        q.schedule(SimTime::microseconds(i * 300), tag(i));
     for (int i = 0; i < 15; ++i)
         q.fireNext();
-    EXPECT_TRUE(q.cancel(target));
-    EXPECT_FALSE(q.cancel(target)); // already cancelled
-
+    // Past the cascade: two land between parked events, one at a tie.
+    q.schedule(SimTime::microseconds(20 * 300 + 1), tag(32));
+    q.schedule(SimTime::microseconds(25 * 300), tag(33));
     while (!q.empty())
         q.fireNext();
 
-    ASSERT_EQ(fired.size(), 31u);
-    EXPECT_EQ(std::find(fired.begin(), fired.end(), 20), fired.end());
-    for (std::size_t i = 1; i < fired.size(); ++i)
-        EXPECT_LT(fired[i - 1], fired[i]);
+    std::vector<int> want;
+    for (int i = 0; i < 32; ++i) {
+        want.push_back(i);
+        if (i == 20)
+            want.push_back(32);
+        if (i == 25)
+            want.push_back(33);
+    }
+    EXPECT_EQ(tag.log, want);
 }
 
 // Same-instant events must fire in scheduling order no matter which
@@ -136,57 +114,22 @@ TEST(EventQueueWheel, CancelAfterCascade)
 TEST(EventQueueWheel, SameTickFifoAcrossHeapWheelAndOverflow)
 {
     EventQueue q;
-    std::vector<int> order;
+    Tags tag;
 
     // 40 events at the same instant: ~16 via the direct-heap path,
     // the rest via a wheel bucket.
     for (int i = 0; i < 40; ++i)
-        q.schedule(SimTime::milliseconds(1),
-                   [&order, i] { order.push_back(i); });
+        q.schedule(SimTime::milliseconds(1), tag(i));
     // Two same-instant events past the wheel horizon (heap overflow).
     for (int i = 40; i < 42; ++i)
-        q.schedule(SimTime::seconds(100),
-                   [&order, i] { order.push_back(i); });
+        q.schedule(SimTime::seconds(100), tag(i));
 
     while (!q.empty())
         q.fireNext();
 
-    ASSERT_EQ(order.size(), 42u);
+    ASSERT_EQ(tag.log.size(), 42u);
     for (int i = 0; i < 42; ++i)
-        EXPECT_EQ(order[std::size_t(i)], i) << "position " << i;
-}
-
-// A cancelled wheel event frees its slab slot; the next schedule may
-// reuse the slot while the stale node still sits in a bucket. The
-// generation tag must reject the old id and honor the new one.
-TEST(EventQueueWheel, EventIdAbaOnRecycledWheelSlot)
-{
-    EventQueue q;
-    int fired = 0;
-
-    // Engage the wheel, then park a cancellable event in a bucket.
-    for (int i = 0; i < 24; ++i)
-        q.schedule(SimTime::microseconds(100 + i), [&] { ++fired; });
-    const auto oldId =
-        q.schedule(SimTime::milliseconds(2), [&] { ++fired; });
-    ASSERT_TRUE(q.cancel(oldId));
-
-    // Reuses the freed slot (LIFO free list) while the stale node is
-    // still parked in the wheel bucket.
-    const auto newId =
-        q.schedule(SimTime::milliseconds(3), [&] { ++fired; });
-    EXPECT_EQ(std::uint32_t(oldId), std::uint32_t(newId))
-        << "test premise: slot is recycled";
-    EXPECT_NE(oldId, newId) << "generation must differ";
-
-    EXPECT_FALSE(q.cancel(oldId)) << "stale id must be rejected";
-    EXPECT_EQ(q.seqOfEvent(oldId), 0u);
-    EXPECT_NE(q.seqOfEvent(newId), 0u);
-
-    EXPECT_TRUE(q.cancel(newId));
-    while (!q.empty())
-        q.fireNext();
-    EXPECT_EQ(fired, 24);
+        EXPECT_EQ(tag.log[std::size_t(i)], i) << "position " << i;
 }
 
 TEST(EventQueueWheel, EmptyAndDrainInteraction)
@@ -198,8 +141,10 @@ TEST(EventQueueWheel, EmptyAndDrainInteraction)
     EXPECT_EQ(q.drain(clock, SimTime::seconds(1), 100), 0u);
 
     int fired = 0;
+    auto count = [&] { ++fired; };
+    Probe p = onResume(&count);
     for (int i = 0; i < 50; ++i)
-        q.schedule(SimTime::microseconds(i * 200), [&] { ++fired; });
+        q.schedule(SimTime::microseconds(i * 200), p.handle());
     EXPECT_FALSE(q.empty());
     EXPECT_EQ(q.size(), 50u);
 
@@ -222,13 +167,16 @@ TEST(EventQueueWheel, EmptyAndDrainInteraction)
     EXPECT_EQ(fired, 50);
 }
 
-// Deterministic pseudo-random schedule/cancel/pop mix, checked
-// against a sorted reference model: the pop sequence (time, seq)
-// must match a plain stable-sorted list exactly, whatever mix of
-// heap, wheel levels and ready-run served each event.
+// Deterministic pseudo-random schedule/pop mix, checked against a
+// sorted reference model: the pop sequence (time, seq) must match a
+// plain stable-sorted list exactly, whatever mix of heap, wheel
+// levels and ready-run served each event.
 TEST(EventQueueWheel, RandomizedModelCheck)
 {
     EventQueue q;
+    int fired = 0;
+    auto count = [&] { ++fired; };
+    Probe p = onResume(&count);
     std::uint64_t rng = 0x9e3779b97f4a7c15ull;
     const auto next = [&rng] {
         rng ^= rng << 13;
@@ -241,13 +189,12 @@ TEST(EventQueueWheel, RandomizedModelCheck)
     {
         std::int64_t when;
         std::uint64_t seq;
-        bool cancelled = false;
     };
     std::vector<Ref> model;
-    std::vector<std::pair<sim::EventId, std::size_t>> cancellable;
     std::vector<std::uint64_t> popped;
 
     std::int64_t now = 0;
+    int pops = 0;
     for (int op = 0; op < 4000; ++op) {
         const std::uint64_t r = next();
         if (r % 100 < 70 || q.empty()) {
@@ -262,69 +209,75 @@ TEST(EventQueueWheel, RandomizedModelCheck)
             const std::int64_t span = kSpans[next() % 4];
             const std::int64_t when =
                 now + std::int64_t(next() % std::uint64_t(span));
-            const auto id = q.schedule(sim::SimTime(when), [] {});
+            q.schedule(sim::SimTime(when), p.handle());
             model.push_back(Ref{when, q.lastScheduledSeq()});
-            cancellable.push_back({id, model.size() - 1});
-        } else if (r % 100 < 85 && !cancellable.empty()) {
-            const std::size_t pick =
-                std::size_t(next() % cancellable.size());
-            const auto [id, refIdx] = cancellable[pick];
-            if (q.cancel(id))
-                model[refIdx].cancelled = true;
-            cancellable.erase(cancellable.begin() +
-                              std::ptrdiff_t(pick));
         } else {
             const sim::SimTime t = q.nextTime();
             const std::uint64_t seq = q.nextEventSeq();
             EXPECT_GE(t.raw(), now);
             now = t.raw();
             popped.push_back(seq);
-            auto [when, fn] = q.popNext();
-            EXPECT_EQ(when, t);
+            // Both pops take the same head.
+            if (++pops % 2 == 0) {
+                q.fireNext();
+            } else {
+                const auto [when, h] = q.popNext();
+                EXPECT_EQ(when, t);
+                EXPECT_EQ(h, p.handle());
+            }
         }
     }
     while (!q.empty()) {
         popped.push_back(q.nextEventSeq());
-        q.popNext();
+        q.fireNext();
     }
+    EXPECT_EQ(std::size_t(fired) + std::size_t(pops + 1) / 2,
+              model.size());
 
-    std::vector<Ref> live;
-    for (const Ref &ref : model)
-        if (!ref.cancelled)
-            live.push_back(ref);
-    std::sort(live.begin(), live.end(),
+    std::sort(model.begin(), model.end(),
               [](const Ref &a, const Ref &b) {
                   return a.when != b.when ? a.when < b.when
                                           : a.seq < b.seq;
               });
-    ASSERT_EQ(popped.size(), live.size());
-    for (std::size_t i = 0; i < live.size(); ++i)
-        ASSERT_EQ(popped[i], live[i].seq) << "pop " << i;
+    ASSERT_EQ(popped.size(), model.size());
+    for (std::size_t i = 0; i < model.size(); ++i)
+        ASSERT_EQ(popped[i], model[i].seq) << "pop " << i;
 }
 
-// Cancel churn against parked wheel nodes must stay memory-bounded:
-// the stale-node sweep keeps wheelEntries() proportional to the live
-// count, and the slab never grows past the live high-water mark.
-TEST(EventQueueWheel, MemoryBoundedUnderWheelCancelChurn)
+// Timer churn behind long-lived parked events: once warm (wheel
+// blocks pooled, run and heap buffers sized), scheduling and firing
+// allocates nothing, and the wheel holds no more than the queue.
+TEST(EventQueueWheel, SteadyChurnAllocatesNothing)
 {
     EventQueue q;
+    int fired = 0;
+    auto count = [&] { ++fired; };
+    Probe p = onResume(&count);
     for (int i = 0; i < 24; ++i)
-        q.schedule(SimTime::seconds(1), [] {});
+        q.schedule(SimTime::seconds(1000), p.handle());
+    for (int k = 0; k < 16; ++k)
+        q.schedule(SimTime::milliseconds(1 + k), p.handle());
 
-    sim::EventId pending[16] = {};
-    for (int round = 0; round < 20000; ++round) {
-        const int k = round % 16;
-        if (pending[k] != 0)
-            q.cancel(pending[k]);
-        pending[k] = q.schedule(
-            SimTime::milliseconds(1 + round % 50), [] {});
-    }
-    EXPECT_LE(q.wheelEntries(),
-              4 * q.size() + 256 + 16)
-        << "stale wheel nodes must be swept";
-    EXPECT_LE(q.slabCapacity(), 256u);
-    while (!q.empty())
-        q.popNext();
+    auto churn = [&](int rounds) {
+        for (int round = 0; round < rounds; ++round) {
+            const SimTime now = q.nextTime();
+            q.fireNext();
+            q.schedule(now + SimTime::milliseconds(1 + round % 50),
+                       p.handle());
+        }
+    };
+    churn(2000);
+    const std::uint64_t before = g_allocCount;
+    churn(20000);
+    const std::uint64_t allocs = g_allocCount - before;
+
+    EXPECT_EQ(fired, 22000);
+    EXPECT_EQ(q.size(), 40u);
+    EXPECT_LE(q.wheelEntries(), q.size());
+#if defined(__SANITIZE_ADDRESS__)
+    GTEST_SKIP() << "ASan replaces operator new: nothing was counted";
+#endif
+    EXPECT_EQ(allocs, 0u);
 }
 
 } // namespace

@@ -126,8 +126,9 @@ class StdFunctionRule final : public Rule
                std::string::npos) {
             emit(f, pos,
                  "std::function in the sim kernel: the DES hot path "
-                 "is allocation-free (InlineCallback); use it or "
-                 "suppress for cold paths",
+                 "is allocation-free (events are coroutine handles, "
+                 "and Simulation::schedule takes any callable); use "
+                 "those or suppress for cold paths",
                  out);
             pos += 13;
         }
