@@ -1,18 +1,18 @@
 /**
  * @file
- * Small-buffer-optimized one-shot callable for the event queue.
+ * Small-buffer-optimized type-erased void() callable.
  *
- * The DES hot path schedules millions of callbacks per simulated
- * second, and the overwhelmingly dominant case is "resume this
- * coroutine". std::function<void()> pays for type erasure with a
- * potential heap allocation and a relatively fat move; InlineCallback
- * stores any callable up to kInlineBytes (and any coroutine handle)
- * directly in the event-slab slot, so the schedule → fire lifecycle of
- * the common case performs zero allocations.
+ * std::function<void()> pays for type erasure with a potential heap
+ * allocation and a relatively fat move; InlineCallback stores any
+ * callable up to kInlineBytes (and any coroutine handle) in place, so
+ * holding and firing a small callable performs zero allocations.
  *
- * Move-only, one-shot by convention: the queue moves the callback out
- * of its slab slot before invoking it, and the destructor releases
- * whatever the callable captured.
+ * The event queue does not use it: a queued event is a coroutine
+ * handle, and Simulation::schedule keeps its callable in a coroutine
+ * frame. It is for sim-layer code that must store a callable where the
+ * sim-purity lint rejects std::function.
+ *
+ * Move-only; the destructor releases whatever the callable captured.
  */
 
 #ifndef MOLECULE_SIM_CALLBACK_HH
@@ -43,12 +43,12 @@ namespace molecule::sim {
 class InlineCallback
 {
   public:
-    /** Inline storage size; sized for the repo's largest hot lambda. */
+    /** Inline storage size: six pointers of capture. */
     static constexpr std::size_t kInlineBytes = 48;
 
     InlineCallback() = default;
 
-    /** Fast path: schedule a coroutine resumption (no allocation). */
+    /** Fast path: hold a coroutine resumption (no allocation). */
     InlineCallback(std::coroutine_handle<> h) noexcept : ops_(&kCoroOps)
     {
         ::new (static_cast<void *>(buf_)) void *(h.address());
@@ -68,9 +68,8 @@ class InlineCallback
 
     /**
      * Replace the held callable, constructing the new one directly in
-     * the inline buffer — the schedule hot path uses this to build the
-     * callable straight inside its event-slab slot instead of paying a
-     * construct-then-relocate round trip.
+     * the inline buffer instead of paying a construct-then-relocate
+     * round trip.
      */
     template <typename F,
               typename = std::enable_if_t<
@@ -132,7 +131,7 @@ class InlineCallback
 
     /**
      * Replace the held callable with a coroutine resumption, fully
-     * inline (no type-erased relocate on the scheduling hot path).
+     * inline (no type-erased relocate).
      */
     void
     assignCoroutine(std::coroutine_handle<> h) noexcept

@@ -128,7 +128,8 @@ class StdFunctionRule final : public Rule
                  "std::function in the sim kernel: the DES hot path "
                  "is allocation-free (events are coroutine handles, "
                  "and Simulation::schedule takes any callable); use "
-                 "those or suppress for cold paths",
+                 "those, InlineCallback to store a callable, or "
+                 "suppress for cold paths",
                  out);
             pos += 13;
         }
