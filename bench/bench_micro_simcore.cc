@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <coroutine>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include "hw/computer.hh"
 #include "load/generator.hh"
 #include "os/kernel.hh"
+#include "sim/event_queue.hh"
 #include "sim/sync.hh"
 #include "xpu/capability.hh"
 
@@ -152,6 +154,36 @@ BM_CoroutineDelayChainContended(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_CoroutineDelayChainContended);
+
+// The warm_saturated regime at the queue itself: a steady 40 pending
+// events whose delays mix microseconds (one in four: 1-101 us, the
+// exec and hop steps) with milliseconds (1-21 ms, service times and
+// timeouts). Each iteration pops the earliest event and schedules its
+// successor without resuming anything, so this times one schedule and
+// one pop at that depth.
+void
+BM_EventQueueNearMixed(benchmark::State &state)
+{
+    sim::EventQueue q;
+    const std::coroutine_handle<> h = std::noop_coroutine();
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+    const auto delay = [&rng] {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        const std::uint64_t r = rng >> 33;
+        return sim::SimTime(std::int64_t(
+            r % 4 == 0 ? 1'000 + r % 100'000 : 1'000'000 + r % 20'000'000));
+    };
+    for (int i = 0; i < 40; ++i)
+        q.schedule(delay(), h);
+    for (auto _ : state) {
+        const auto [now, next] = q.popNext();
+        q.schedule(now + delay(), next);
+    }
+    if (q.size() != 40)
+        state.SkipWithError("the pending count drifted");
+    state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_EventQueueNearMixed);
 
 sim::Task<>
 consumer(sim::Mailbox<int> &box, int n)

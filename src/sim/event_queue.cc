@@ -6,24 +6,43 @@
 
 namespace molecule::sim {
 
-namespace {
-
-/** 4-ary heap layout: children of i at 4i+1..4i+4, parent (i-1)/4. */
-constexpr std::size_t kArity = 4;
-
-} // namespace
-
 void
 EventQueue::schedule(SimTime when, std::coroutine_handle<> h)
 {
     const Node n{when.raw(), nextSeq_++, h};
-    // Tiny queues stay heap-only: a handful of events sift in a couple
-    // of compares, and keeping the wheel cold makes an idle/shallow
-    // simulation cost nothing extra. Past the threshold, short- and
-    // medium-delay events park in O(1); the wheel refuses events
-    // behind the drained frontier or beyond its horizon.
-    if (size_++ < kDirectHeapThreshold || !wheel_.insert(n))
-        pushHeap(n);
+    ++size_;
+    const std::size_t count = near_.size();
+    // n carries the largest sequence yet, so it precedes a node iff
+    // its time is strictly earlier.
+    if (count < kNearSize || n.when < near_[count - kNearSize].when) {
+        // Backward shift: the nodes due no later than n move one up.
+        // n precedes the kNearSize-th earliest, so at most kNearSize
+        // - 1 of them do.
+        near_.push_back(n);
+        Node *a = near_.data();
+        std::size_t j = count;
+        while (j > 0 && a[j - 1].when <= n.when) {
+            a[j] = a[j - 1];
+            --j;
+        }
+        a[j] = n;
+        return;
+    }
+    if (wheel_.insert(n))
+        ++wheelParks_;
+    else
+        insertNear(n);
+}
+
+void
+EventQueue::insertNear(const Node &n)
+{
+    // Latest first: n goes in front of the first node due before it.
+    near_.insert(std::upper_bound(near_.begin(), near_.end(), n,
+                                  [](const Node &a, const Node &b) {
+                                      return before(b, a);
+                                  }),
+                 n);
 }
 
 const EventQueue::Node *
@@ -31,9 +50,8 @@ EventQueue::minHead() const
 {
     const Node *h =
         runPos_ < run_.size() ? &run_[runPos_] : nullptr;
-    if (!heap_.empty() &&
-        (h == nullptr || before(heap_.front(), *h)))
-        h = &heap_.front();
+    if (!near_.empty() && (h == nullptr || before(near_.back(), *h)))
+        h = &near_.back();
     return h;
 }
 
@@ -99,7 +117,7 @@ EventQueue::settle()
             wheel_.advanceBase(at.ws);
             for (const Node &n : scratch_) {
                 if (!wheel_.insert(n))
-                    pushHeap(n);
+                    insertNear(n);
             }
         }
     }
@@ -129,20 +147,14 @@ EventQueue::takeHead(std::int64_t until, Node &top)
     settle();
     const bool fromRun =
         runPos_ < run_.size() &&
-        (heap_.empty() || before(run_[runPos_], heap_.front()));
-    top = fromRun ? run_[runPos_] : heap_.front();
+        (near_.empty() || before(run_[runPos_], near_.back()));
+    top = fromRun ? run_[runPos_] : near_.back();
     if (top.when > until)
         return false;
-    if (fromRun) {
+    if (fromRun)
         ++runPos_;
-    } else {
-        const Node last = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty()) {
-            heap_.front() = last;
-            siftDown(0);
-        }
-    }
+    else
+        near_.pop_back();
     --size_;
     return true;
 }
@@ -182,50 +194,6 @@ EventQueue::drain(SimTime &clock, SimTime deadline,
         ++fired;
     }
     return fired;
-}
-
-void
-EventQueue::pushHeap(const Node &n)
-{
-    heap_.push_back(n);
-    siftUp(heap_.size() - 1);
-}
-
-void
-EventQueue::siftUp(std::size_t pos)
-{
-    const Node n = heap_[pos];
-    while (pos > 0) {
-        const std::size_t parent = (pos - 1) / kArity;
-        if (!before(n, heap_[parent]))
-            break;
-        heap_[pos] = heap_[parent];
-        pos = parent;
-    }
-    heap_[pos] = n;
-}
-
-void
-EventQueue::siftDown(std::size_t pos)
-{
-    const Node n = heap_[pos];
-    const std::size_t count = heap_.size();
-    for (;;) {
-        const std::size_t first = pos * kArity + 1;
-        if (first >= count)
-            break;
-        std::size_t best = first;
-        const std::size_t last = std::min(first + kArity, count);
-        for (std::size_t c = first + 1; c < last; ++c) {
-            if (before(heap_[c], heap_[best]))
-                best = c;
-        }
-        if (!before(heap_[best], n))
-            break;
-        heap_[pos] = heap_[best];
-        pos = best;
-    }
-    heap_[pos] = n;
 }
 
 } // namespace molecule::sim

@@ -22,35 +22,44 @@
 namespace molecule::sim {
 
 /**
- * Allocation-free pending-event set: a hierarchical calendar wheel and
- * a sorted ready-run in front of a 4-ary min-heap. An event is the
+ * Allocation-free pending-event set: a short sorted "near" array, a
+ * sorted ready-run and a hierarchical calendar wheel. An event is the
  * coroutine it resumes, so a node is all there is to it:
  * `{when, seq, handle}`, 24 bytes, and firing one is a resume.
  *
- * - schedule: O(1) wheel insert for short/medium delays (65.5 us
- *   windows, ~17.2 s horizon); O(log n) heap insert for far-future
- *   events past the horizon and for near-empty queues (below
- *   kDirectHeapThreshold events the heap is already cheaper);
- * - pop:      O(1) amortized for the dense case. When the simulation
- *   reaches a level-0 window, its whole bucket is drained, sorted by
- *   (time, seq) — adaptive: already-sorted input is O(n) — and
- *   consumed front to back with no per-event sift; each pop compares
- *   the run head against the heap head only.
+ * - schedule: an event joins the near array (kept latest first, popped
+ *   from the back) while it holds fewer than kNearSize nodes, or when
+ *   the event precedes its kNearSize-th earliest node; it is placed by
+ *   a backward shift of at most kNearSize nodes. Every other event
+ *   parks in the wheel in O(1) (65.5 us level-0 windows; eight levels
+ *   cover every SimTime). The wheel refuses only events behind its
+ *   drained frontier, and those are binary-inserted into the array.
+ * - pop:      the earlier of near-array back and run head. When the
+ *   simulation reaches a level-0 window, its whole bucket is drained,
+ *   sorted by (time, seq) — adaptive: already-sorted input is O(n) —
+ *   and consumed front to back with no per-event shift.
  *
  * Events cannot be cancelled: nothing in the model takes one back, so
  * no node is ever stale and every head is live.
  *
  * Determinism: every pop takes the global (time, sequence) minimum of
- * run head and heap head, and settle() drains a wheel window only when
- * no head precedes its start — so same-instant events fire in
+ * run head and near head, and settle() drains a wheel window only
+ * when no head precedes its start — so same-instant events fire in
  * scheduling order (FIFO) and the pop sequence is bit-identical to a
- * heap-only queue.
+ * single sorted list.
  */
 class EventQueue
 {
   public:
-    /** Event-count floor below which inserts bypass the wheel. */
-    static constexpr std::size_t kDirectHeapThreshold = 16;
+    /**
+     * Near-array bound: an event later than the array's kNearSize-th
+     * earliest node parks in the wheel. The perfbench workloads keep
+     * 2-60 events pending, the examples at most 120 and every tier-1
+     * test but the wheel's own (1562) at most 83, so almost nothing
+     * parks; 32 lost most of the gain on cold_churn, 128 gained
+     * nothing over 64.
+     */
+    static constexpr std::size_t kNearSize = 64;
 
     /** Resume @p h at absolute time @p when. */
     void schedule(SimTime when, std::coroutine_handle<> h);
@@ -87,7 +96,7 @@ class EventQueue
         // Strict <: an equal-time event holds a smaller sequence
         // number.
         return (runPos_ == run_.size() || t < run_[runPos_].when) &&
-               (heap_.empty() || t < heap_.front().when);
+               (near_.empty() || t < near_.back().when);
     }
 
     /**
@@ -124,8 +133,12 @@ class EventQueue
     /** Wheel nodes currently parked (diagnostics). */
     std::size_t wheelEntries() const { return wheel_.entries(); }
 
+    /** Events schedule() parked in the wheel so far; a cascade to a
+     * finer level is not a new park. */
+    std::uint64_t wheelParks() const { return wheelParks_; }
+
   private:
-    /** Heap/wheel/run node, ordered by (when, seq). */
+    /** Near/wheel/run node, ordered by (when, seq). */
     using Node = EventNode;
 
     static bool
@@ -138,21 +151,21 @@ class EventQueue
 
     /**
      * Establish the settled invariant: the earlier of run head and
-     * heap head is the globally earliest event — every wheel window
+     * near head is the globally earliest event — every wheel window
      * starting no later has been drained or cascaded in. All
      * read-side accessors (nextTime, popNext, fireNext, drain) settle
      * first.
      */
     void settle();
 
-    /** Earlier of run head / heap head; null when both empty. */
+    /** Earlier of run head / near head; null when both empty. */
     const Node *minHead() const;
 
     static constexpr std::int64_t kNoDeadline =
         std::numeric_limits<std::int64_t>::max();
 
     /**
-     * The one pop: settle, then take the earlier of run head and heap
+     * The one pop: settle, then take the earlier of run head and near
      * head into @p top — unless it is due after @p until. Queue must
      * not be empty.
      * @retval false the head is due after @p until; nothing taken.
@@ -161,15 +174,16 @@ class EventQueue
      */
     inline bool takeHead(std::int64_t until, Node &top);
 
-    void pushHeap(const Node &n);
-    void siftUp(std::size_t pos);
-    void siftDown(std::size_t pos);
+    /** Insert @p n into the near array at its sorted place, found by
+     * binary search: the path of a node the wheel refused. */
+    void insertNear(const Node &n);
 
     /** Sort a drained bucket by (when, seq); adaptive — the common
      * time-ordered-insert case costs one is-sorted scan. */
     static void sortNodes(std::vector<Node> &nodes);
 
-    std::vector<Node> heap_;
+    /** Sorted latest first, so the earliest node pops off the back. */
+    std::vector<Node> near_;
     /** Sorted drained window, consumed front to back. */
     std::vector<Node> run_;
     std::size_t runPos_ = 0;
@@ -179,6 +193,7 @@ class EventQueue
     std::size_t size_ = 0;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t fired_ = 0;
+    std::uint64_t wheelParks_ = 0;
     TimerWheel wheel_;
 };
 

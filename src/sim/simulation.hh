@@ -275,6 +275,10 @@ class Simulation
      * is not one. */
     std::uint64_t eventsFired() const { return events_.firedCount(); }
 
+    /** Queued events the event queue parked in its timer wheel so
+     * far (DESIGN.md §4d); the rest went to its near array. */
+    std::uint64_t wheelParks() const { return events_.wheelParks(); }
+
     /** DelayAwaiter suspensions so far, run ahead or queued. */
     std::uint64_t delaySuspensions() const { return delaySuspensions_; }
 

@@ -3,19 +3,21 @@
  * Hierarchical calendar wheel parking far-out events for the DES
  * kernel.
  *
- * Three levels of 64 buckets; a level-l bucket spans one *window* of
- * 2^(16+6l) ns, so the wheel covers 65.5 us windows over a 4.19 ms
- * span (level 0), 4.19 ms windows over 268 ms (level 1) and 268 ms
- * windows over a ~17.2 s horizon (level 2). Events past the horizon,
- * or earlier than the drained frontier, are refused and stay in the
- * caller's heap.
+ * Eight levels of 64 buckets; a level-l bucket spans one *window* of
+ * 2^(16+6l) ns, so level 0 covers 65.5 us windows over a 4.19 ms span,
+ * level 1 4.19 ms windows over 268 ms, and so on up to level 7, whose
+ * 2^58 ns windows span all of SimTime: the wheel has no horizon.
+ * Events earlier than the drained frontier are refused (as are those in
+ * SimTime's last 65.5 us, whose window end would overflow), and the
+ * caller keeps them in its sorted near array.
  *
  * The wheel never decides firing order. The EventQueue empties whole
  * buckets: a level-0 bucket is drained into a sorted ready-run when
  * the simulation reaches its window, and a coarser bucket is
  * re-inserted one level finer (classic cascade). Insert and bucket
  * location are O(1); per-level occupancy bitmaps make locating the
- * earliest occupied window two ctz instructions per level.
+ * earliest occupied window two ctz instructions per level, and a mask
+ * of occupied levels skips the empty ones.
  *
  * Node storage is block chains the wheel owns, allocated in chunks and
  * recycled through a free list, so steady-state operation performs no
@@ -46,7 +48,7 @@ struct EventNode
 class TimerWheel
 {
   public:
-    static constexpr int kLevels = 3;
+    static constexpr int kLevels = 8;
     static constexpr int kBucketShift = 6;
     static constexpr std::size_t kBuckets = std::size_t(1)
                                             << kBucketShift;
@@ -55,6 +57,10 @@ class TimerWheel
     /** Sentinel "no occupied window" timestamp. */
     static constexpr std::int64_t kNoWindow =
         std::int64_t(0x7fffffffffffffff);
+    /** Start of SimTime's last finest window: refused from here on, so
+     * the end of every window the caller drains is representable. */
+    static constexpr std::int64_t kLastWindow =
+        kNoWindow >> kWindowShift << kWindowShift;
 
     /** Bit shift from timestamp to level-l window index. */
     static constexpr int
@@ -94,34 +100,32 @@ class TimerWheel
 
     /**
      * Park @p n.
-     * @retval false @p n.when is before the drained frontier or past
-     *               the wheel horizon; the caller keeps it (heap).
+     * @retval false @p n.when is before the drained frontier or at
+     *               kLastWindow or later; the caller keeps it.
      */
     bool
     insert(const EventNode &n)
     {
-        if (n.when < base_)
+        if (n.when < base_ || n.when >= kLastWindow)
             return false;
-        int level;
         // base_ stays aligned to the finest window (advanceBase), so
-        // the level-0 test reduces to a span check on the delta.
-        if (std::uint64_t(n.when - base_) <
+        // the level-0 test reduces to a span check on the delta. The
+        // top level's 64 windows span every non-negative int64, so
+        // the search always ends.
+        int level = 0;
+        if (std::uint64_t(n.when - base_) >=
             (std::uint64_t(1) << (kWindowShift + kBucketShift))) {
-            level = 0;
-        } else if ((n.when >> shift(1)) - (base_ >> shift(1)) <
-                   std::int64_t(kBuckets)) {
             level = 1;
-        } else if ((n.when >> shift(2)) - (base_ >> shift(2)) <
-                   std::int64_t(kBuckets)) {
-            level = 2;
-        } else {
-            return false;
+            while ((n.when >> shift(level)) - (base_ >> shift(level)) >=
+                   std::int64_t(kBuckets))
+                ++level;
         }
         const std::int64_t idx = n.when >> shift(level);
         const std::int64_t ws = idx << shift(level);
         if (ws < hint_)
             hint_ = ws;
         bitmap_[level] |= std::uint64_t(1) << (idx & (kBuckets - 1));
+        levels_ |= 1u << level;
         append(buckets_[level][idx & (kBuckets - 1)], n);
         ++entries_;
         return true;
@@ -137,10 +141,11 @@ class TimerWheel
     locate()
     {
         Earliest best{-1, 0, kNoWindow};
-        for (int l = kLevels; l-- > 0;) {
+        // Coarsest occupied level first, so a tie keeps the coarser.
+        for (std::uint32_t m = levels_; m != 0;) {
+            const int l = std::bit_width(m) - 1;
+            m &= ~(1u << l);
             const std::uint64_t bits = bitmap_[l];
-            if (bits == 0)
-                continue;
             const int s = shift(l);
             const std::int64_t b = base_ >> s;
             const int rot = int(b & (kBuckets - 1));
@@ -183,6 +188,8 @@ class TimerWheel
         b.head = b.tail = nullptr;
         bitmap_[at.level] &=
             ~(std::uint64_t(1) << (at.idx & (kBuckets - 1)));
+        if (bitmap_[at.level] == 0)
+            levels_ &= ~(1u << at.level);
         entries_ -= n;
         if (entries_ == 0)
             hint_ = kNoWindow;
@@ -276,6 +283,8 @@ class TimerWheel
     std::vector<std::unique_ptr<Block[]>> chunks_;
     Bucket buckets_[kLevels][kBuckets]{};
     std::uint64_t bitmap_[kLevels]{};
+    /** Bit l set while bitmap_[l] is nonzero. */
+    std::uint32_t levels_ = 0;
     Block *freeBlocks_ = nullptr;
     /** Aligned to the finest window; monotone. */
     std::int64_t base_ = 0;

@@ -88,6 +88,7 @@ TEST(ChainAllocations, SteadyStateChainsStayWithinBudget)
     const std::uint64_t before = g_allocCount;
     const std::uint64_t framesBefore = sim::detail::FramePool::allocated();
     const std::uint64_t eventsBefore = sim.eventsFired();
+    const std::uint64_t parksBefore = sim.wheelParks();
     for (int r = 0; r < kRounds; ++r)
         round();
     const double chains = double(kRounds * 2 * shapes.size());
@@ -99,6 +100,10 @@ TEST(ChainAllocations, SteadyStateChainsStayWithinBudget)
     std::printf("global allocations per chain: %.1f\n", perChain);
     std::printf("coroutine frames per chain: %.1f\n", framesPerChain);
     std::printf("queued events per chain: %.2f\n", eventsPerChain);
+    const double parksPerEvent =
+        double(sim.wheelParks() - parksBefore) /
+        double(sim.eventsFired() - eventsBefore);
+    std::printf("wheel parks per queued event: %.6f\n", parksPerEvent);
 
     EXPECT_EQ(failures, 0);
     // The wake-ups that could not run ahead (DESIGN.md §4b), pinned
@@ -107,6 +112,9 @@ TEST(ChainAllocations, SteadyStateChainsStayWithinBudget)
     // behind another chain's event. Event counts do not depend on the
     // allocator, so this holds under ASan too.
     EXPECT_LE(eventsPerChain, 159.0);
+    // Pinned at its reading (0): the event queue's near array holds
+    // every event at this depth (DESIGN.md §4b).
+    EXPECT_EQ(parksPerEvent, 0.0);
 #if defined(__SANITIZE_ADDRESS__)
     GTEST_SKIP() << "ASan replaces operator new: the path ran, nothing "
                     "was counted";

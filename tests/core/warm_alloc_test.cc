@@ -77,6 +77,7 @@ TEST(WarmAllocations, SteadyWarmRequestsStayWithinBudget)
     const std::uint64_t before = g_allocCount;
     const std::uint64_t framesBefore = sim::detail::FramePool::allocated();
     const std::uint64_t eventsBefore = sim.eventsFired();
+    const std::uint64_t parksBefore = sim.wheelParks();
     sim.spawn(load::drive(sim, steady, gateway));
     sim.run();
     const std::uint64_t allocs = g_allocCount - before;
@@ -102,6 +103,13 @@ TEST(WarmAllocations, SteadyWarmRequestsStayWithinBudget)
     // request fails it. Event counts do not depend on the allocator,
     // so this holds under ASan too.
     EXPECT_LE(eventsPerRequest, 2.993);
+    const double parksPerEvent =
+        double(sim.wheelParks() - parksBefore) /
+        double(sim.eventsFired() - eventsBefore);
+    std::printf("wheel parks per queued event: %.6f\n", parksPerEvent);
+    // Pinned at its reading (0): the event queue's near array holds
+    // every event at this depth (DESIGN.md §4b).
+    EXPECT_EQ(parksPerEvent, 0.0);
 #if defined(__SANITIZE_ADDRESS__)
     GTEST_SKIP() << "ASan replaces operator new: the path ran, nothing "
                     "was counted";

@@ -1,4 +1,9 @@
-/** @file Unit tests for the deterministic event queue. */
+/**
+ * @file
+ * Unit tests for the deterministic event queue, and for its near
+ * array: the short sorted list that holds every event while fewer
+ * than EventQueue::kNearSize are pending.
+ */
 
 #include <gtest/gtest.h>
 
@@ -15,6 +20,8 @@ using molecule::test::onResume;
 using molecule::test::Probe;
 using molecule::test::Tags;
 using namespace molecule::sim::literals;
+
+constexpr int kNear = int(EventQueue::kNearSize);
 
 TEST(EventQueue, FiresInTimeOrder)
 {
@@ -102,6 +109,112 @@ TEST(EventQueue, OneHandleQueuedManyTimesFiresEachTime)
     while (!q.empty())
         q.fireNext();
     EXPECT_EQ(hits, 40);
+}
+
+// Same-instant events queued out of time order around other events
+// fire in scheduling order inside the array.
+TEST(EventQueueNear, SameInstantFifoInsideTheArray)
+{
+    EventQueue q;
+    Tags tag;
+    q.schedule(9_us, tag(100));
+    for (int i = 0; i < 10; ++i) {
+        q.schedule(5_us, tag(i));
+        q.schedule(SimTime::microseconds(8 - i % 3), tag(10 + i));
+    }
+    q.schedule(1_us, tag(101));
+    EXPECT_EQ(q.wheelEntries(), 0u);
+    EXPECT_EQ(q.wheelParks(), 0u);
+    while (!q.empty())
+        q.fireNext();
+
+    std::vector<int> want{101};
+    for (int i = 0; i < 10; ++i)
+        want.push_back(i);
+    for (int late = 6; late <= 8; ++late)
+        for (int i = 0; i < 10; ++i)
+            if (8 - i % 3 == late)
+                want.push_back(10 + i);
+    want.push_back(100);
+    EXPECT_EQ(tag.log, want);
+}
+
+// A full array sends a later event to the wheel, whose level-0 window
+// drains into the ready-run. An event scheduled afterwards at the
+// run's instant joins the array, and the run's older event fires
+// first.
+TEST(EventQueueNear, TieBetweenArrayAndRunKeepsScheduleOrder)
+{
+    EventQueue q;
+    Tags tag;
+    for (int i = 0; i < kNear; ++i)
+        q.schedule(1_us, tag(i));
+    q.schedule(5_us, tag(kNear));
+    EXPECT_EQ(q.wheelParks(), 1u);
+
+    // Draining window 0 moves the 5 us event into the run.
+    q.fireNext();
+    EXPECT_EQ(q.wheelEntries(), 0u);
+    q.schedule(5_us, tag(kNear + 1)); // the array has room
+    q.schedule(5_us, tag(kNear + 2)); // full: the wheel refuses it
+    EXPECT_EQ(q.wheelParks(), 1u);
+    while (!q.empty())
+        q.fireNext();
+
+    ASSERT_EQ(tag.log.size(), std::size_t(kNear + 3));
+    for (int i = 0; i < kNear + 3; ++i)
+        EXPECT_EQ(tag.log[std::size_t(i)], i) << "position " << i;
+}
+
+// An event at exactly the array's kNearSize-th earliest time does not
+// precede that node (its sequence is later), so it parks in the
+// wheel; one nanosecond earlier joins the array.
+TEST(EventQueueNear, InsertAtTheBoundNodeParksInTheWheel)
+{
+    EventQueue q;
+    Tags tag;
+    for (int i = 0; i < kNear; ++i)
+        q.schedule(SimTime::microseconds(10 + i), tag(i));
+    // With kNearSize nodes, the bound node is the latest.
+    const SimTime bound = SimTime::microseconds(10 + kNear - 1);
+    q.schedule(bound, tag(kNear));
+    EXPECT_EQ(q.wheelParks(), 1u);
+    EXPECT_EQ(q.wheelEntries(), 1u);
+    q.schedule(bound - SimTime(1), tag(kNear + 1));
+    EXPECT_EQ(q.wheelParks(), 1u);
+    EXPECT_EQ(q.size(), std::size_t(kNear + 2));
+    while (!q.empty())
+        q.fireNext();
+
+    std::vector<int> want;
+    for (int i = 0; i < kNear - 1; ++i)
+        want.push_back(i);
+    for (int last : {kNear + 1, kNear - 1, kNear})
+        want.push_back(last);
+    EXPECT_EQ(tag.log, want);
+}
+
+// The wheel refuses an event behind its drained frontier; with the
+// array full, the event is binary-inserted at its sorted place.
+TEST(EventQueueNear, EventBehindTheFrontierJoinsTheArray)
+{
+    EventQueue q;
+    Tags tag;
+    for (int i = 0; i < kNear; ++i)
+        q.schedule(1_us, tag(i));
+    q.schedule(5_us, tag(kNear + 3));
+    q.fireNext(); // drains window 0 (65.5 us): the frontier moves past
+    q.schedule(1_us, tag(kNear));     // array back to kNearSize nodes
+    q.schedule(2_us, tag(kNear + 2)); // refused by the wheel
+    q.schedule(1_us, tag(kNear + 1)); // refused: ties the bound node
+    EXPECT_EQ(q.wheelParks(), 1u);
+    EXPECT_EQ(q.wheelEntries(), 0u);
+    while (!q.empty())
+        q.fireNext();
+
+    ASSERT_EQ(tag.log.size(), std::size_t(kNear + 4));
+    for (int i = 0; i < kNear + 4; ++i)
+        EXPECT_EQ(tag.log[std::size_t(i)], i) << "position " << i;
 }
 
 } // namespace

@@ -6,16 +6,20 @@
  * these tests pin two layers: the raw TimerWheel contract (insert
  * refusal rules, earliest-window location, drain order) and the
  * queue-level determinism invariants the wheel must not disturb:
- * same-tick FIFO across heap/wheel/run, order across a cascade, the
- * empty()/drain() interplay and a steady state that allocates
- * nothing. A randomized model check compares the full pop sequence
- * against a sorted reference.
+ * same-tick FIFO across near array/wheel/run, order across a cascade,
+ * a far-future flood, the empty()/drain() interplay and a steady state
+ * that allocates nothing. A randomized model check compares the full
+ * pop sequence against a sorted reference. The queue parks an event in
+ * the wheel only once kNearSize are pending, so each queue-level test
+ * that means to reach the wheel schedules more and asserts that some
+ * event parked.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "../core/count_new.hh"
@@ -35,24 +39,47 @@ using test::onResume;
 using test::Probe;
 using test::Tags;
 
+// The wheel has no horizon: it refuses only what lies behind its
+// drained frontier.
 TEST(TimerWheel, InsertRefusalRules)
 {
     TimerWheel wheel;
 
-    // In range: level 0 (short), level 1 (ms), level 2 (hundreds ms).
-    EXPECT_TRUE(wheel.insert(EventNode{1000, 1, {}}));
-    EXPECT_TRUE(wheel.insert(EventNode{10'000'000, 2, {}}));
-    EXPECT_TRUE(wheel.insert(EventNode{1'000'000'000, 3, {}}));
-    EXPECT_EQ(wheel.entries(), 3u);
+    // Level 0 (short), level 1 (ms), level 2 (hundreds of ms), beyond
+    // three levels' 17.2 s reach (20 s, 14 h) and up to SimTime's last
+    // finest window.
+    constexpr std::int64_t kAccepted[] = {
+        1000,
+        10'000'000,
+        1'000'000'000,
+        20'000'000'000,
+        50'400'000'000'000,
+        TimerWheel::kLastWindow - 1,
+    };
+    std::uint64_t seq = 0;
+    for (const std::int64_t when : kAccepted)
+        EXPECT_TRUE(wheel.insert(EventNode{when, ++seq, {}})) << when;
+    EXPECT_EQ(wheel.entries(), 6u);
+    // Its end would not be representable: refused.
+    EXPECT_FALSE(wheel.insert(EventNode{TimerWheel::kLastWindow, ++seq, {}}));
+    EXPECT_FALSE(wheel.insert(
+        EventNode{std::numeric_limits<std::int64_t>::max(), ++seq, {}}));
 
-    // Past the ~17.2 s horizon: refused, caller keeps it.
-    EXPECT_FALSE(
-        wheel.insert(EventNode{20'000'000'000, 4, {}}));
+    // The earliest occupied window is level 0's first, whatever the
+    // coarser levels hold.
+    const TimerWheel::Earliest at = wheel.locate();
+    EXPECT_EQ(at.level, 0);
+    EXPECT_EQ(at.ws, 0);
 
-    // Behind the drained frontier: refused.
+    // Behind the drained frontier: refused, the caller keeps it. At
+    // the frontier: accepted.
     wheel.advanceBase(std::int64_t(1) << 16);
-    EXPECT_FALSE(wheel.insert(EventNode{100, 5, {}}));
-    EXPECT_EQ(wheel.entries(), 3u);
+    EXPECT_FALSE(wheel.insert(EventNode{100, ++seq, {}}));
+    EXPECT_FALSE(
+        wheel.insert(EventNode{(std::int64_t(1) << 16) - 1, ++seq, {}}));
+    EXPECT_TRUE(
+        wheel.insert(EventNode{std::int64_t(1) << 16, ++seq, {}}));
+    EXPECT_EQ(wheel.entries(), 7u);
 }
 
 TEST(TimerWheel, LocateAndDrainPreserveInsertionOrder)
@@ -78,58 +105,102 @@ TEST(TimerWheel, LocateAndDrainPreserveInsertionOrder)
     EXPECT_TRUE(wheel.empty());
 }
 
-// Events spread over ~9.3 ms engage the wheel (> kDirectHeapThreshold)
-// and park the later ones in level-1 buckets; by 4.2 ms those cascade
-// to level 0. Every event fires once, in time order, across the
-// cascade — also when new events join mid-way.
+// 128 events spread over ~38 ms: the first kNearSize stay in the near
+// array, the later ones park in level-1 buckets and cascade to level
+// 0 as time reaches them. Every event fires once, in time order,
+// across the cascade — also when new events join mid-way, between
+// parked events and at a tie with one.
 TEST(EventQueueWheel, CascadedEventsFireInTimeOrder)
 {
+    constexpr int kEvents = 128;
     EventQueue q;
     Tags tag;
-    for (int i = 0; i < 32; ++i)
+    for (int i = 0; i < kEvents; ++i)
         q.schedule(SimTime::microseconds(i * 300), tag(i));
+    EXPECT_EQ(q.wheelEntries(), kEvents - EventQueue::kNearSize);
     for (int i = 0; i < 15; ++i)
         q.fireNext();
-    // Past the cascade: two land between parked events, one at a tie.
-    q.schedule(SimTime::microseconds(20 * 300 + 1), tag(32));
-    q.schedule(SimTime::microseconds(25 * 300), tag(33));
+    q.schedule(SimTime::microseconds(20 * 300 + 1), tag(kEvents));
+    q.schedule(SimTime::microseconds(100 * 300 + 1), tag(kEvents + 1));
+    q.schedule(SimTime::microseconds(110 * 300), tag(kEvents + 2));
     while (!q.empty())
         q.fireNext();
 
     std::vector<int> want;
-    for (int i = 0; i < 32; ++i) {
+    for (int i = 0; i < kEvents; ++i) {
         want.push_back(i);
         if (i == 20)
-            want.push_back(32);
-        if (i == 25)
-            want.push_back(33);
+            want.push_back(kEvents);
+        if (i == 100)
+            want.push_back(kEvents + 1);
+        if (i == 110)
+            want.push_back(kEvents + 2);
     }
     EXPECT_EQ(tag.log, want);
 }
 
 // Same-instant events must fire in scheduling order no matter which
-// structure holds them: the first few go straight to the heap (tiny
-// queue), the rest to the wheel, and far-future ones overflow the
-// wheel horizon back into the heap.
-TEST(EventQueueWheel, SameTickFifoAcrossHeapWheelAndOverflow)
+// structure holds them: the first kNearSize go to the near array, the
+// rest to a wheel bucket that drains into the ready-run, and
+// far-future ones to a coarse bucket that cascades down.
+TEST(EventQueueWheel, SameTickFifoAcrossNearWheelAndRun)
 {
     EventQueue q;
     Tags tag;
 
-    // 40 events at the same instant: ~16 via the direct-heap path,
-    // the rest via a wheel bucket.
-    for (int i = 0; i < 40; ++i)
+    for (int i = 0; i < 100; ++i)
         q.schedule(SimTime::milliseconds(1), tag(i));
-    // Two same-instant events past the wheel horizon (heap overflow).
-    for (int i = 40; i < 42; ++i)
+    for (int i = 100; i < 102; ++i)
         q.schedule(SimTime::seconds(100), tag(i));
+    EXPECT_EQ(q.wheelEntries(), 102 - EventQueue::kNearSize);
 
     while (!q.empty())
         q.fireNext();
 
-    ASSERT_EQ(tag.log.size(), 42u);
-    for (int i = 0; i < 42; ++i)
+    ASSERT_EQ(tag.log.size(), 102u);
+    for (int i = 0; i < 102; ++i)
         EXPECT_EQ(tag.log[std::size_t(i)], i) << "position " << i;
+}
+
+// 50,000 events 20 s to about 14 h out, scheduled in increasing order behind
+// 100 events in the near array, all park in the wheel: none goes to
+// the array, whose inserts would each shift every node. They pop in
+// (time, seq) order, each pair of same-instant events in schedule
+// order.
+TEST(EventQueueWheel, FarFutureFloodStaysInTheWheel)
+{
+    constexpr int kFlood = 50'000;
+    EventQueue q;
+    int fired = 0;
+    auto count = [&] { ++fired; };
+    Probe p = onResume(&count);
+    // Latest first, so each one precedes the whole array and joins it.
+    for (int i = 100; i > 0; --i)
+        q.schedule(SimTime::microseconds(i), p.handle());
+    EXPECT_EQ(q.wheelEntries(), 0u);
+    // Two events per instant, 20 s to 50,398 s (14 h).
+    const auto at = [](int i) {
+        return SimTime::seconds(20) +
+               SimTime(std::int64_t(i / 2) * 2'015'200'000);
+    };
+    for (int i = 0; i < kFlood; ++i)
+        q.schedule(at(i), p.handle());
+    EXPECT_EQ(q.wheelEntries(), std::size_t(kFlood));
+    EXPECT_EQ(q.wheelParks(), std::uint64_t(kFlood));
+
+    std::int64_t lastWhen = -1;
+    std::uint64_t lastSeq = 0;
+    while (!q.empty()) {
+        const std::int64_t when = q.nextTime().raw();
+        const std::uint64_t seq = q.nextEventSeq();
+        ASSERT_TRUE(when > lastWhen || (when == lastWhen && seq > lastSeq))
+            << "pop " << fired;
+        lastWhen = when;
+        lastSeq = seq;
+        q.fireNext();
+    }
+    EXPECT_EQ(fired, kFlood + 100);
+    EXPECT_EQ(lastWhen, at(kFlood - 1).raw());
 }
 
 TEST(EventQueueWheel, EmptyAndDrainInteraction)
@@ -169,8 +240,9 @@ TEST(EventQueueWheel, EmptyAndDrainInteraction)
 
 // Deterministic pseudo-random schedule/pop mix, checked against a
 // sorted reference model: the pop sequence (time, seq) must match a
-// plain stable-sorted list exactly, whatever mix of heap, wheel
-// levels and ready-run served each event.
+// plain stable-sorted list exactly, whatever mix of near array, wheel
+// levels and ready-run served each event. The schedule share swings
+// between phases, so the pending count crosses kNearSize both ways.
 TEST(EventQueueWheel, RandomizedModelCheck)
 {
     EventQueue q;
@@ -195,16 +267,19 @@ TEST(EventQueueWheel, RandomizedModelCheck)
 
     std::int64_t now = 0;
     int pops = 0;
+    std::size_t peakWheel = 0;
+    int crossings = 0;
+    bool above = false;
     for (int op = 0; op < 4000; ++op) {
         const std::uint64_t r = next();
-        if (r % 100 < 70 || q.empty()) {
-            // Delays spanning direct-heap, all wheel levels and the
-            // past-horizon overflow path.
+        const std::uint64_t schedulePct = (op / 500) % 2 == 0 ? 65 : 35;
+        if (r % 100 < schedulePct || q.empty()) {
+            // Delays spanning the near array and all busy wheel levels.
             static constexpr std::int64_t kSpans[] = {
                 5'000,          // level 0
                 3'000'000,      // level 1
                 900'000'000,    // level 2
-                30'000'000'000, // past horizon -> heap
+                30'000'000'000, // level 3
             };
             const std::int64_t span = kSpans[next() % 4];
             const std::int64_t when =
@@ -226,7 +301,14 @@ TEST(EventQueueWheel, RandomizedModelCheck)
                 EXPECT_EQ(h, p.handle());
             }
         }
+        peakWheel = std::max(peakWheel, q.wheelEntries());
+        if (above != (q.size() > EventQueue::kNearSize)) {
+            above = !above;
+            ++crossings;
+        }
     }
+    EXPECT_GT(peakWheel, 0u);
+    EXPECT_GE(crossings, 4);
     while (!q.empty()) {
         popped.push_back(q.nextEventSeq());
         q.fireNext();
