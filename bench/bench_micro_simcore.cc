@@ -322,9 +322,10 @@ BENCHMARK_CAPTURE(BM_OpenLoopGenerator, mmpp, load::ArrivalKind::Mmpp);
 BENCHMARK_CAPTURE(BM_OpenLoopGenerator, diurnal, load::ArrivalKind::Diurnal);
 
 // The replica work behind every nIPC fifo on one XPU-Shim: register
-// its descriptor, grant the owner, resolve the uuid, check a
-// permission and remove it, with 32 other objects live (chain_nipc's
-// replicas hold about 20 to 40). One item is one such cycle.
+// its descriptor with the owner's grant (one RegisterObject apply),
+// resolve the uuid by its stored hash, check a permission and remove
+// it, with 32 other objects live (chain_nipc's replicas hold about 20
+// to 40). One item is one such cycle.
 void
 BM_CapabilityReplicaChurn(benchmark::State &state)
 {
@@ -337,14 +338,14 @@ BM_CapabilityReplicaChurn(benchmark::State &state)
         obj.id = store.allocateId();
         obj.owner = xpu::XpuPid{0, os::Pid(100 + i)};
         obj.homePu = 0;
+        // The setter xfifoInit uses: it hashes the uuid once.
         obj.uuid = "self/alexa/" + std::to_string(1000 + i);
         pool.push_back(std::make_shared<const xpu::DistributedObject>(obj));
     }
     const xpu::Perm owner =
         xpu::Perm::Read | xpu::Perm::Write | xpu::Perm::Owner;
     auto open = [&](const xpu::ObjectRef &obj) {
-        store.registerObject(obj);
-        store.applyGrant(obj->owner, obj->id, owner);
+        store.registerObject(obj, owner);
     };
     for (std::size_t i = 0; i < kLive; ++i)
         open(pool[i]);

@@ -118,7 +118,8 @@ Topology::hasRoute(int a, int b) const
 }
 
 Topology::Transfer::Transfer(Topology &topo, int a, int b,
-                             std::uint64_t bytes, obs::SpanContext ctx)
+                             std::uint64_t bytes,
+                             const obs::SpanContext &ctx)
     : topo_(topo), span_(ctx, "hw.link", obs::Layer::Hw, a),
       route_(&topo.route(a, b)), bytes_(bytes)
 {

@@ -134,7 +134,7 @@ class Topology
     {
       public:
         Transfer(Topology &topo, int a, int b, std::uint64_t bytes,
-                 obs::SpanContext ctx);
+                 const obs::SpanContext &ctx);
 
         /** Delays remain to be taken. */
         bool

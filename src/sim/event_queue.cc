@@ -9,25 +9,35 @@ namespace molecule::sim {
 void
 EventQueue::schedule(SimTime when, std::coroutine_handle<> h)
 {
-    const Node n{when.raw(), nextSeq_++, h};
-    ++size_;
+    const std::int64_t t = when.raw();
+    const std::uint64_t seq = nextSeq_++;
     const std::size_t count = near_.size();
-    // n carries the largest sequence yet, so it precedes a node iff
-    // its time is strictly earlier.
-    if (count < kNearSize || n.when < near_[count - kNearSize].when) {
-        // Backward shift: the nodes due no later than n move one up.
-        // n precedes the kNearSize-th earliest, so at most kNearSize
-        // - 1 of them do.
-        near_.push_back(n);
+    // The new node carries the largest sequence yet, so it precedes a
+    // node iff its time is strictly earlier.
+    if (count < kNearSize || t < near_[count - kNearSize].when) {
+        // Backward shift: the nodes due no later than t move one up.
+        // The node precedes the kNearSize-th earliest, so at most
+        // kNearSize - 1 of them do. Its fields are stored where it
+        // lands: a node built aside and copied whole would be loaded
+        // wider than it was stored, stalling the store forwarding.
+        near_.emplace_back();
         Node *a = near_.data();
         std::size_t j = count;
-        while (j > 0 && a[j - 1].when <= n.when) {
+        while (j > 0 && a[j - 1].when <= t) {
             a[j] = a[j - 1];
             --j;
         }
-        a[j] = n;
+        a[j].when = t;
+        a[j].seq = seq;
+        a[j].handle = h;
+        // Counted on each path, apart from nextSeq_: GCC fuses two
+        // adjacent counter increments into one 16-byte load and store,
+        // and that load would stall behind a pop's 8-byte store.
+        ++size_;
         return;
     }
+    ++size_;
+    const Node n{t, seq, h};
     if (wheel_.insert(n))
         ++wheelParks_;
     else

@@ -4,69 +4,10 @@
 
 namespace molecule::xpu {
 
-std::vector<CapGroup::Cap>::iterator
-CapGroup::find(ObjId obj)
-{
-    return std::find_if(caps_.begin(), caps_.end(),
-                        [obj](const Cap &c) { return c.first == obj; });
-}
-
-bool
-CapGroup::add(ObjId obj, Perm perm)
-{
-    auto it = find(obj);
-    if (it != caps_.end()) {
-        it->second = it->second | perm;
-        return false;
-    }
-    caps_.emplace_back(obj, perm);
-    return true;
-}
-
-bool
-CapGroup::remove(ObjId obj, Perm perm)
-{
-    auto it = find(obj);
-    if (it == caps_.end())
-        return false;
-    it->second = it->second & ~perm;
-    if (it->second != Perm::None)
-        return false;
-    // Order within a group is never observed: swap-and-pop.
-    *it = caps_.back();
-    caps_.pop_back();
-    return true;
-}
-
-void
-CapGroup::drop(ObjId obj)
-{
-    auto it = find(obj);
-    if (it == caps_.end())
-        return;
-    *it = caps_.back();
-    caps_.pop_back();
-}
-
-Perm
-CapGroup::lookup(ObjId obj) const
-{
-    for (const Cap &c : caps_)
-        if (c.first == obj)
-            return c.second;
-    return Perm::None;
-}
-
 ObjId
 CapabilityStore::allocateId()
 {
     return (std::uint64_t(std::uint32_t(self_)) << 48) | nextLocal_++;
-}
-
-CapabilityStore::ObjectEntry &
-CapabilityStore::objectRow(ObjId id)
-{
-    return *objects_.tryEmplace(id).first;
 }
 
 void
@@ -79,29 +20,48 @@ CapabilityStore::eraseObjectRow(ObjId id)
 }
 
 void
-CapabilityStore::registerObject(const DistributedObject &obj)
+CapabilityStore::grantOn(ObjectEntry &row, std::uint64_t pid, Perm perm)
 {
-    registerObject(std::make_shared<const DistributedObject>(obj));
+    for (Holder &h : row.holders) {
+        if (h.pid == pid) {
+            h.perm = h.perm | perm;
+            return;
+        }
+    }
+    row.holders.push_back(Holder{pid, perm});
 }
 
-void
-CapabilityStore::registerObject(ObjectRef obj)
+CapabilityStore::ObjectEntry &
+CapabilityStore::registerRow(ObjectRef obj)
 {
     version_.fetchAdd(1);
-    const ObjId id = obj->id;
     if (!obj->uuid.empty()) {
         // An existing row keeps its key and the descriptor behind it;
         // only the id moves. A row left naming an overwritten object
         // stays until that uuid is removed, as in the plain model.
-        auto [named, fresh] = byUuid_.tryEmplace(obj->uuid);
-        named->id = id;
+        auto [named, fresh] = byUuid_.tryEmplace(keyOf(obj->uuid));
+        named->id = obj->id;
         if (fresh)
             named->keyOwner = obj;
     }
-    ObjectEntry &row = objectRow(id);
+    ObjectEntry &row = *objects_.tryEmplace(obj->id).first;
     if (row.desc == nullptr)
         ++registered_;
     row.desc = std::move(obj);
+    return row;
+}
+
+void
+CapabilityStore::registerObject(ObjectRef obj, Perm ownerPerm)
+{
+    const std::uint64_t owner = obj->owner.encode();
+    grantOn(registerRow(std::move(obj)), owner, ownerPerm);
+}
+
+void
+CapabilityStore::registerObject(const DistributedObject &obj)
+{
+    registerRow(std::make_shared<const DistributedObject>(obj));
 }
 
 void
@@ -114,53 +74,43 @@ CapabilityStore::removeObject(ObjId id)
     --registered_;
     // The key views the row's descriptor, which outlives the erase.
     if (!row->desc->uuid.empty())
-        byUuid_.erase(row->desc->uuid,
+        byUuid_.erase(keyOf(row->desc->uuid),
                       [](UuidEntry &named) { named.keyOwner.reset(); });
-    // Grants die with their object; a group left empty goes too, and
-    // so does every group an earlier revoke emptied. A group is empty
-    // when it goes, so it has nothing to scrub.
-    const auto keepAll = [](CapGroup &) {};
-    for (std::uint64_t key : row->holders) {
-        CapGroup *g = groups_.find(key);
-        g->drop(id);
-        if (g->size() == 0)
-            groups_.erase(key, keepAll);
-    }
+    // Grants die with their object, and every CAP_Group left empty,
+    // by this removal or by an earlier revoke, goes with them.
     eraseObjectRow(id);
-    for (std::uint64_t key : emptied_) {
-        const CapGroup *g = groups_.find(key);
-        if (g != nullptr && g->size() == 0)
-            groups_.erase(key, keepAll);
-    }
-    emptied_.clear();
+    revoked_.clear();
 }
 
 void
 CapabilityStore::applyGrant(XpuPid pid, ObjId obj, Perm perm)
 {
     version_.fetchAdd(1);
-    const std::uint64_t key = pid.encode();
-    auto [group, fresh] = groups_.tryEmplace(key);
-    if (fresh)
-        group->reuseFor(pid);
-    if (group->add(obj, perm))
-        objectRow(obj).holders.push_back(key);
+    grantOn(*objects_.tryEmplace(obj).first, pid.encode(), perm);
 }
 
 void
 CapabilityStore::applyRevoke(XpuPid pid, ObjId obj, Perm perm)
 {
     version_.fetchAdd(1);
-    const std::uint64_t key = pid.encode();
-    CapGroup *group = groups_.find(key);
-    if (group == nullptr || !group->remove(obj, perm))
-        return;
     ObjectEntry *row = objects_.find(obj);
-    std::erase(row->holders, key);
+    if (row == nullptr)
+        return;
+    const std::uint64_t key = pid.encode();
+    auto held = std::find_if(row->holders.begin(), row->holders.end(),
+                             [key](const Holder &h) { return h.pid == key; });
+    if (held == row->holders.end())
+        return;
+    held->perm = held->perm & ~perm;
+    if (held->perm != Perm::None)
+        return;
+    // Holder order is never observed: swap-and-pop.
+    *held = row->holders.back();
+    row->holders.pop_back();
     if (row->holders.empty() && row->desc == nullptr)
         eraseObjectRow(obj);
-    if (group->size() == 0)
-        emptied_.push_back(key);
+    if (std::find(revoked_.begin(), revoked_.end(), key) == revoked_.end())
+        revoked_.push_back(key);
 }
 
 const DistributedObject *
@@ -172,11 +122,17 @@ CapabilityStore::findObject(ObjId id) const
 }
 
 const DistributedObject *
-CapabilityStore::findByUuid(std::string_view uuid) const
+CapabilityStore::findNamed(const UuidKey &key) const
 {
     version_.read();
-    const UuidEntry *named = byUuid_.find(uuid);
+    const UuidEntry *named = byUuid_.find(key);
     return named == nullptr ? nullptr : findObject(named->id);
+}
+
+const DistributedObject *
+CapabilityStore::findByUuid(std::string_view uuid) const
+{
+    return findNamed(UuidKey{std::hash<std::string_view>{}(uuid), uuid});
 }
 
 bool
@@ -188,9 +144,33 @@ CapabilityStore::check(XpuPid pid, ObjId obj, Perm need) const
 Perm
 CapabilityStore::lookup(XpuPid pid, ObjId obj) const
 {
+    return access(pid, obj).second;
+}
+
+std::pair<const DistributedObject *, Perm>
+CapabilityStore::access(XpuPid pid, ObjId obj) const
+{
     version_.read();
-    const CapGroup *group = groups_.find(pid.encode());
-    return group == nullptr ? Perm::None : group->lookup(obj);
+    const ObjectEntry *row = objects_.find(obj);
+    if (row == nullptr)
+        return {nullptr, Perm::None};
+    const std::uint64_t key = pid.encode();
+    for (const Holder &h : row->holders)
+        if (h.pid == key)
+            return {row->desc.get(), h.perm};
+    return {row->desc.get(), Perm::None};
+}
+
+std::size_t
+CapabilityStore::groupCount() const
+{
+    std::vector<std::uint64_t> pids = revoked_;
+    objects_.forEach([&pids](ObjId, const ObjectEntry &row) {
+        for (const Holder &h : row.holders)
+            pids.push_back(h.pid);
+    });
+    std::sort(pids.begin(), pids.end());
+    return std::size_t(std::unique(pids.begin(), pids.end()) - pids.begin());
 }
 
 void
@@ -202,9 +182,8 @@ CapabilityStore::reset()
     version_.fetchAdd(1);
     objects_.clear();
     byUuid_.clear();
-    groups_.clear();
     registered_ = 0;
-    emptied_.clear();
+    revoked_.clear();
 }
 
 void
@@ -215,9 +194,8 @@ CapabilityStore::cloneFrom(const CapabilityStore &peer)
     version_.fetchAdd(1);
     objects_ = peer.objects_;
     byUuid_ = peer.byUuid_;
-    groups_ = peer.groups_;
     registered_ = peer.registered_;
-    emptied_ = peer.emptied_;
+    revoked_ = peer.revoked_;
 }
 
 } // namespace molecule::xpu

@@ -28,6 +28,38 @@ namespace molecule::xpu {
 /** Kind of a distributed object. */
 enum class ObjType { Ipc, CapGroup };
 
+/**
+ * A global uuid and its std::hash value. Assignment sets both, so a
+ * replica never hashes a descriptor's uuid again. An empty uuid names
+ * nothing and is never looked up, so its hash stays 0.
+ */
+class Uuid
+{
+  public:
+    Uuid &
+    operator=(std::string_view text)
+    {
+        text_.assign(text);
+        hash_ = std::hash<std::string_view>{}(text_);
+        return *this;
+    }
+
+    const std::string &str() const { return text_; }
+
+    /** Reads as the text, e.g. as a std::string map key. */
+    operator const std::string &() const { return text_; }
+
+    std::size_t hash() const { return hash_; }
+
+    bool empty() const { return text_.empty(); }
+
+    bool operator==(const Uuid &other) const { return text_ == other.text_; }
+
+  private:
+    std::string text_;
+    std::size_t hash_ = 0;
+};
+
 /** Descriptor of a distributed object, replicated on every shim. */
 struct DistributedObject
 {
@@ -37,7 +69,7 @@ struct DistributedObject
     /** Home PU for IPC objects (where the backing queue lives). */
     PuId homePu = -1;
     /** Global UUID for IPC objects (xfifo_connect key). */
-    std::string uuid;
+    Uuid uuid;
 };
 
 /**
@@ -48,59 +80,11 @@ struct DistributedObject
 using ObjectRef = std::shared_ptr<const DistributedObject>;
 
 /**
- * Per-process capability list (the CAP_Group object's payload): a
- * flat list of (object, permission bits). A process holds a handful
- * of capabilities, so a scan beats hashing and reuses its storage.
- */
-class CapGroup
-{
-  public:
-    CapGroup() = default;
-
-    explicit CapGroup(XpuPid pid) : pid_(pid) {}
-
-    XpuPid pid() const { return pid_; }
-
-    /** Add permission bits for an object; true when this creates
-     * the entry. */
-    bool add(ObjId obj, Perm perm);
-
-    /** Remove permission bits; drops the entry when nothing is left
-     * and returns true then. */
-    bool remove(ObjId obj, Perm perm);
-
-    /** Forget every permission on @p obj. */
-    void drop(ObjId obj);
-
-    /** Permission bits this process holds on @p obj. */
-    Perm lookup(ObjId obj) const;
-
-    bool has(ObjId obj, Perm need) const
-    {
-        return hasPerm(lookup(obj), need);
-    }
-
-    std::size_t size() const { return caps_.size(); }
-
-    /** Empty the list for a new owner, keeping its storage. */
-    void
-    reuseFor(XpuPid pid)
-    {
-        pid_ = pid;
-        caps_.clear();
-    }
-
-  private:
-    using Cap = std::pair<ObjId, Perm>;
-
-    std::vector<Cap>::iterator find(ObjId obj);
-
-    XpuPid pid_;
-    std::vector<Cap> caps_;
-};
-
-/**
  * One shim's replica of the global capability/object state.
+ *
+ * Each object id's row holds the descriptor and the grants on it, so
+ * a permission check is one probe and a scan of a few holders. A
+ * process's CAP_Group is the set of rows that name it.
  *
  * Object-id allocation is statically partitioned by PU (ids carry the
  * allocating PU in their high bits) so allocation never synchronizes,
@@ -117,17 +101,18 @@ class CapabilityStore
     /** @name Replicated state updates (applied locally and on sync) */
     ///@{
 
-    /** Register (or overwrite) a distributed object descriptor. */
-    void registerObject(ObjectRef obj);
+    /** Register (or overwrite) @p obj and grant its owner
+     * @p ownerPerm, in one visit of the object's row. */
+    void registerObject(ObjectRef obj, Perm ownerPerm);
 
-    /** registerObject() of a private copy of @p obj. */
+    /** Register (or overwrite) a private copy of @p obj; grants
+     * nothing. */
     void registerObject(const DistributedObject &obj);
 
-    /** Forget an object and every grant on it; CAP_Groups left
-     * empty, by this removal or by an earlier revoke, are dropped. */
+    /** Forget an object and every grant on it. */
     void removeObject(ObjId id);
 
-    /** Apply a capability grant. Creates the CAP_Group on demand. */
+    /** Apply a capability grant. */
     void applyGrant(XpuPid pid, ObjId obj, Perm perm);
 
     /** Apply a capability revoke. */
@@ -145,61 +130,98 @@ class CapabilityStore
 
     const DistributedObject *findObject(ObjId id) const;
 
+    /** The object named @p uuid; hashes @p uuid. */
     const DistributedObject *findByUuid(std::string_view uuid) const;
+
+    /** The object named @p uuid, by its stored hash. */
+    const DistributedObject *
+    findByUuid(const Uuid &uuid) const
+    {
+        return findNamed(keyOf(uuid));
+    }
 
     /** Permission check: does @p pid hold @p need on @p obj? */
     bool check(XpuPid pid, ObjId obj, Perm need) const;
 
     Perm lookup(XpuPid pid, ObjId obj) const;
 
+    /** @p obj's descriptor (null when unregistered) and the bits
+     * @p pid holds on it, from one probe. */
+    std::pair<const DistributedObject *, Perm> access(XpuPid pid,
+                                                      ObjId obj) const;
+
     std::size_t objectCount() const { return registered_; }
 
-    std::size_t groupCount() const { return groups_.size(); }
+    /** CAP_Groups, counted on demand: one per process with a grant,
+     * plus one per process a revoke left with none, until the next
+     * removeObject drops those empty groups. */
+    std::size_t groupCount() const;
     ///@}
 
   private:
-    /**
-     * One object id's row: its descriptor once registered, and the
-     * holder index — the groups with an entry for the object, in
-     * grant order, so removeObject visits only these. A grant may
-     * precede the registration, so a row can hold holders and no
-     * descriptor.
-     */
+    /** One grant: the holder's XpuPid::encode() and its bits. */
+    struct Holder
+    {
+        std::uint64_t pid;
+        Perm perm;
+    };
+
+    /** One object id's row: its descriptor once registered, and its
+     * holders in no meaningful order. A grant may precede the
+     * registration, so a row can hold holders and no descriptor. */
     struct ObjectEntry
     {
         ObjectRef desc;
-        std::vector<std::uint64_t> holders;
+        std::vector<Holder> holders;
+    };
+
+    /** A uuid row's key: the uuid's hash, then its characters. */
+    struct UuidKey
+    {
+        std::size_t hash = 0;
+        std::string_view text;
+
+        bool operator==(const UuidKey &) const = default;
+    };
+
+    struct UuidKeyHash
+    {
+        std::uint64_t operator()(const UuidKey &k) const { return k.hash; }
     };
 
     /** A uuid's row. The key views keyOwner's uuid, so the row keeps
      * those characters alive itself: it may outlive the object it was
-     * made for (see registerObject). */
+     * made for (see registerRow). */
     struct UuidEntry
     {
         ObjId id = 0;
         ObjectRef keyOwner;
     };
 
-    /** Row of @p id, created on demand. */
-    ObjectEntry &objectRow(ObjId id);
+    static UuidKey keyOf(const Uuid &u) { return {u.hash(), u.str()}; }
+
+    /** Register @p obj; @return its row. */
+    ObjectEntry &registerRow(ObjectRef obj);
+
+    static void grantOn(ObjectEntry &row, std::uint64_t pid, Perm perm);
 
     /** Erase @p id's row, keeping its holder buffer for reuse. */
     void eraseObjectRow(ObjId id);
 
+    const DistributedObject *findNamed(const UuidKey &key) const;
+
     PuId self_;
     std::uint64_t nextLocal_ = 1;
-    // No replica table is iterated, so row order never reaches a
-    // result. An erased row drops its descriptors and keeps its
-    // buffers for the next insert (sim/flat_map.hh).
+    // Only groupCount iterates a table, and it sorts what it reads. An
+    // erased row drops its descriptors and keeps its buffers for the
+    // next insert (sim/flat_map.hh).
     sim::FlatMap<ObjId, ObjectEntry> objects_;
-    sim::FlatMap<std::string_view, UuidEntry, std::hash<std::string_view>>
-        byUuid_;
-    sim::FlatMap<std::uint64_t, CapGroup> groups_; // XpuPid::encode()
+    sim::FlatMap<UuidKey, UuidEntry, UuidKeyHash> byUuid_;
     /** Rows with a descriptor. */
     std::size_t registered_ = 0;
-    /** Groups a revoke left empty. They stay until the next
-     * removeObject, which drops every empty group. */
-    std::vector<std::uint64_t> emptied_;
+    /** Pids a revoke took a grant from since the last removeObject:
+     * the ones left with none still have an (empty) CAP_Group. */
+    std::vector<std::uint64_t> revoked_;
     /** Replica version: bumped by every replicated-state update, read
      * by every local query. A same-tick update/check pair on one
      * replica depends only on the event tie-break — the exact hazard

@@ -126,10 +126,10 @@ XpuClient::marshalBulk(std::uint64_t bytes)
 core::Expected<PuId>
 XpuClient::homeOf(ObjId obj, Perm need, const char *denied) const
 {
-    if (!shim_.caps_.check(self_, obj, need))
+    const auto [o, held] = shim_.caps_.access(self_, obj);
+    if (!hasPerm(held, need))
         return core::Error(core::Errc::NoPermission, denied,
                            shim_.puId());
-    const DistributedObject *o = shim_.caps_.findObject(obj);
     if (!o)
         return core::Error(core::Errc::NotFound, "unknown object",
                            shim_.puId());
@@ -181,14 +181,14 @@ XpuClient::xfifoInit(const std::string &globalUuid)
     // The new object's descriptor doubles as the named copy of the
     // uuid taken before the first suspension (task.hh, rule 1).
     XpuShim::Descriptor obj = shim_.retiredObjects_.take();
-    obj->uuid.assign(globalUuid);
+    obj->uuid = globalUuid;
     obs::Span span(ctx_, "xpu.xfifoInit", obs::Layer::Xpu, shim_.puId());
-    co_await enterCall(32 + obj->uuid.size());
+    co_await enterCall(32 + obj->uuid.str().size());
     co_await shim_.acquireHandler();
     co_await shim_.handlerBurst();
     if (shim_.caps_.findByUuid(obj->uuid) != nullptr) {
         core::Error taken(core::Errc::AlreadyExists,
-                          "fifo uuid '" + obj->uuid + "' taken",
+                          "fifo uuid '" + obj->uuid.str() + "' taken",
                           shim_.puId());
         shim_.retiredObjects_.put(std::move(obj));
         co_await leaveCall(16);
@@ -376,12 +376,11 @@ XpuClient::xfifoClose(XpuFd fd)
     co_await shim_.acquireHandler();
     co_await shim_.handlerBurst();
     core::Status st;
-    const DistributedObject *o = shim_.caps_.findObject(obj);
+    const auto [o, held] = shim_.caps_.access(self_, obj);
     if (!o) {
         st = core::Status(core::Errc::NotFound, "unknown object",
                           shim_.puId());
-    } else if (const Perm held = shim_.caps_.lookup(self_, obj);
-               !hasPerm(held, Perm::Read) && !hasPerm(held, Perm::Write)) {
+    } else if (!hasPerm(held, Perm::Read) && !hasPerm(held, Perm::Write)) {
         st = core::Status(core::Errc::NoPermission,
                           "close needs read or write", shim_.puId());
     } else {

@@ -40,7 +40,8 @@ struct SyncMessage
     std::uint64_t
     wireBytes() const
     {
-        return 48 + (op == SyncOp::RegisterObject ? obj->uuid.size() : 0);
+        return 48 +
+               (op == SyncOp::RegisterObject ? obj->uuid.str().size() : 0);
     }
 };
 

@@ -50,11 +50,9 @@ XpuShim::apply(const SyncMessage &msg)
 {
     switch (msg.op) {
       case SyncOp::RegisterObject:
-        caps_.registerObject(msg.obj);
         // Replicating owner capabilities with the object keeps every
         // permission check local (§5 "Immediate synchronization").
-        caps_.applyGrant(msg.obj->owner, msg.obj->id,
-                         Perm::Read | Perm::Write | Perm::Owner);
+        caps_.registerObject(msg.obj, Perm::Read | Perm::Write | Perm::Owner);
         break;
       case SyncOp::RemoveObject:
         caps_.removeObject(msg.objId);
@@ -93,7 +91,7 @@ deliverToPeer(XpuShimNetwork &net, PuId from, PuId to,
 
 XpuShim::ImmediateSync::ImmediateSync(XpuShim &shim,
                                       const SyncMessage &msg,
-                                      obs::SpanContext ctx)
+                                      const obs::SpanContext &ctx)
     : shim_(shim), msg_(msg),
       span_(ctx, "xpu.sync", obs::Layer::Xpu, shim.puId()),
       deliveries_(shim.os_.simulation())
@@ -278,9 +276,10 @@ XpuShimNetwork::findProgram(const std::string &path) const
 }
 
 XpuShimNetwork::Hop::Hop(XpuShimNetwork &net, PuId from, PuId to,
-                         std::uint64_t bytes, obs::SpanContext ctx)
-    : span_(from == to ? obs::SpanContext{} : ctx, "nipc.transfer",
-            obs::Layer::Xpu, from)
+                         std::uint64_t bytes, const obs::SpanContext &ctx)
+    : span_(from == to ? obs::Span()
+                       : obs::Span(ctx, "nipc.transfer", obs::Layer::Xpu,
+                                   from))
 {
     if (from == to)
         return;

@@ -140,7 +140,7 @@ class XpuShim
     {
       public:
         ImmediateSync(XpuShim &shim, const SyncMessage &msg,
-                      obs::SpanContext ctx);
+                      const obs::SpanContext &ctx);
 
         ImmediateSync(const ImmediateSync &) = delete;
         ImmediateSync &operator=(const ImmediateSync &) = delete;
@@ -324,7 +324,7 @@ class XpuShimNetwork
     {
       public:
         Hop(XpuShimNetwork &net, PuId from, PuId to, std::uint64_t bytes,
-            obs::SpanContext ctx);
+            const obs::SpanContext &ctx);
 
         bool pending() const { return link_ && link_->pending(); }
 

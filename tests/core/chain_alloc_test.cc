@@ -119,7 +119,9 @@ TEST(ChainAllocations, SteadyStateChainsStayWithinBudget)
     GTEST_SKIP() << "ASan replaces operator new: the path ran, nothing "
                     "was counted";
 #endif
-    EXPECT_LE(perChain, 4.0);
+    // Pinned at its reading (3.53: 226 over 64 chains; 3.59 while
+    // every process holding a grant had a CAP_Group vector).
+    EXPECT_LE(perChain, 3.55);
     // One frame per XPUcall, per broadcast peer delivery and per node's
     // invoke, incoming edge and execution, plus the chain's own
     // (DESIGN.md §4b).

@@ -132,6 +132,45 @@ TEST(FlatMap, StringViewKeys)
     EXPECT_EQ(*map.find("self/x/2"), 3);
 }
 
+/** A key that carries its own hash, as the capability replica's uuid
+ * key does: rows with one hash differ only in their names. */
+struct HashedName
+{
+    std::uint64_t hash = 0;
+    std::string_view name;
+
+    bool operator==(const HashedName &) const = default;
+};
+
+struct StoredHash
+{
+    std::uint64_t operator()(const HashedName &k) const { return k.hash; }
+};
+
+TEST(FlatMap, EqualHashesDifferentNames)
+{
+    const std::uint64_t h = 0x9E3779B97F4A7C15ULL;
+    const std::vector<HashedName> keys = {
+        {h, "self/a/1"}, {h, "self/a/2"}, {h, ""}, {h, "self/b/1"},
+        {h + 1, "self/a/1"}};
+    FlatMap<HashedName, int, StoredHash> map;
+    for (int i = 0; i < int(keys.size()); ++i)
+        *map.tryEmplace(keys[std::size_t(i)]).first = i;
+    EXPECT_EQ(map.size(), keys.size());
+    EXPECT_EQ(map.find(HashedName{h, "self/a/3"}), nullptr);
+    for (std::size_t gone = 0; gone < keys.size(); ++gone) {
+        for (std::size_t i = gone; i < keys.size(); ++i) {
+            const int *got = map.find(keys[i]);
+            ASSERT_NE(got, nullptr) << i << " after " << gone;
+            EXPECT_EQ(*got, int(i));
+        }
+        ASSERT_TRUE(map.erase(keys[gone], [](int &) {}));
+        EXPECT_EQ(map.find(keys[gone]), nullptr);
+        EXPECT_FALSE(map.erase(keys[gone], [](int &) {}));
+    }
+    EXPECT_EQ(map.size(), 0u);
+}
+
 TEST(FlatMap, GrowthKeepsEveryRow)
 {
     FlatMap<std::uint64_t, Value> map;

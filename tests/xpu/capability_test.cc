@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "xpu/capability.hh"
@@ -13,7 +16,6 @@
 namespace {
 
 using molecule::xpu::CapabilityStore;
-using molecule::xpu::CapGroup;
 using molecule::xpu::DistributedObject;
 using molecule::xpu::hasPerm;
 using molecule::xpu::ObjId;
@@ -50,18 +52,76 @@ TEST(Perm, BitOperations)
     EXPECT_EQ(rw & ~Perm::Read & ~Perm::Write, Perm::None);
 }
 
-TEST(CapGroup, AddRemoveLookup)
+TEST(CapabilityStore, GrantsAddBitsAndRevokesRemoveThem)
 {
-    CapGroup g(XpuPid{0, 1});
-    g.add(7, Perm::Read);
-    g.add(7, Perm::Write);
-    EXPECT_TRUE(g.has(7, Perm::Read | Perm::Write));
-    g.remove(7, Perm::Write);
-    EXPECT_TRUE(g.has(7, Perm::Read));
-    EXPECT_FALSE(g.has(7, Perm::Write));
-    g.remove(7, Perm::Read);
-    EXPECT_EQ(g.lookup(7), Perm::None);
-    EXPECT_EQ(g.size(), 0u);
+    CapabilityStore store(0);
+    const XpuPid pid{0, 1};
+    store.applyGrant(pid, 7, Perm::Read);
+    store.applyGrant(pid, 7, Perm::Write);
+    EXPECT_TRUE(store.check(pid, 7, Perm::Read | Perm::Write));
+    store.applyRevoke(pid, 7, Perm::Write);
+    EXPECT_TRUE(store.check(pid, 7, Perm::Read));
+    EXPECT_FALSE(store.check(pid, 7, Perm::Write));
+    store.applyRevoke(pid, 7, Perm::Read);
+    EXPECT_EQ(store.lookup(pid, 7), Perm::None);
+    // No grant is left, but the emptied CAP_Group stays until the
+    // next removal.
+    EXPECT_EQ(store.groupCount(), 1u);
+    EXPECT_EQ(store.findObject(7), nullptr);
+}
+
+TEST(CapabilityStore, HoldersOfOneObjectAreIndependent)
+{
+    CapabilityStore store(0);
+    const XpuPid a{0, 1}, b{1, 1}, c{2, 1};
+    store.applyGrant(a, 7, Perm::Read);
+    store.applyGrant(b, 7, Perm::Write);
+    store.applyGrant(c, 7, Perm::Read | Perm::Owner);
+    store.applyGrant(a, 8, Perm::Write);
+    EXPECT_EQ(store.groupCount(), 3u);
+    store.applyRevoke(b, 7, Perm::Write);
+    EXPECT_EQ(store.lookup(a, 7), Perm::Read);
+    EXPECT_EQ(store.lookup(b, 7), Perm::None);
+    EXPECT_EQ(store.lookup(c, 7), Perm::Read | Perm::Owner);
+    EXPECT_EQ(store.lookup(a, 8), Perm::Write);
+    EXPECT_EQ(store.lookup(c, 8), Perm::None);
+    // Revoking bits a holder lacks leaves the rest.
+    store.applyRevoke(c, 7, Perm::Write);
+    EXPECT_EQ(store.lookup(c, 7), Perm::Read | Perm::Owner);
+    EXPECT_EQ(store.groupCount(), 3u);
+}
+
+TEST(CapabilityStore, RegisterWithOwnerGrantAndAccess)
+{
+    CapabilityStore store(0);
+    const XpuPid owner{0, 10}, early{1, 3};
+    auto fifo = std::make_shared<DistributedObject>();
+    fifo->id = store.allocateId();
+    fifo->owner = owner;
+    fifo->homePu = 0;
+    fifo->uuid = "chain/fifo";
+    // A grant that arrives before the registration has a row but no
+    // descriptor.
+    store.applyGrant(early, fifo->id, Perm::Write);
+    EXPECT_EQ(store.access(early, fifo->id).first, nullptr);
+    EXPECT_EQ(store.access(early, fifo->id).second, Perm::Write);
+
+    store.registerObject(fifo, Perm::Read | Perm::Owner);
+    EXPECT_EQ(store.objectCount(), 1u);
+    const auto [desc, held] = store.access(owner, fifo->id);
+    EXPECT_EQ(desc, fifo.get());
+    EXPECT_EQ(held, Perm::Read | Perm::Owner);
+    EXPECT_EQ(store.access(early, fifo->id).second, Perm::Write);
+    EXPECT_EQ(store.findByUuid(fifo->uuid), fifo.get());
+    EXPECT_EQ(store.findByUuid("chain/fifo"), fifo.get());
+    EXPECT_EQ(fifo->uuid.hash(),
+              std::hash<std::string_view>{}("chain/fifo"));
+
+    store.removeObject(fifo->id);
+    EXPECT_EQ(store.access(owner, fifo->id).first, nullptr);
+    EXPECT_EQ(store.access(owner, fifo->id).second, Perm::None);
+    EXPECT_EQ(store.findByUuid(fifo->uuid), nullptr);
+    EXPECT_EQ(store.groupCount(), 0u);
 }
 
 TEST(CapabilityStore, IdAllocationIsPartitionedByPu)

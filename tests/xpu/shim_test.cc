@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/status.hh"
@@ -424,6 +426,42 @@ TEST_F(ShimFixture, ClosedFifoDescriptorIsReusedOnceRemovalsFlush)
     ASSERT_TRUE(fd.ok()) << fd.error().toString();
     EXPECT_EQ(cpuShim->caps().findByUuid("reuse-2"), first);
     EXPECT_EQ(dpu2Shim->caps().findByUuid("reuse-2"), first);
+}
+
+TEST_F(ShimFixture, ReusedDescriptorIsRenamedOnEveryReplica)
+{
+    auto closeIt = [](XpuClient &c, XpuFd fd,
+                      core::Status *out) -> Task<> {
+        *out = co_await c.xfifoClose(fd);
+    };
+    auto flushIt = [](XpuShim *s) -> Task<> { co_await s->flushLazy(); };
+    FdOutcome fd = pending<XpuFd>();
+    sim.spawn(initFifo(*cpuClient, "rename-old", &fd));
+    sim.run();
+    ASSERT_TRUE(fd.ok()) << fd.error().toString();
+    const DistributedObject *desc = cpuShim->caps().findByUuid("rename-old");
+    ASSERT_NE(desc, nullptr);
+    core::Status st;
+    sim.spawn(closeIt(*cpuClient, fd.value(), &st));
+    sim.run();
+    ASSERT_TRUE(st.ok()) << st.toString();
+    sim.spawn(flushIt(cpuShim));
+    sim.run();
+
+    // The next fifo takes the retired descriptor; its new uuid, and
+    // so the hash stored with it, replaces the old one everywhere.
+    sim.spawn(initFifo(*cpuClient, "rename-new", &fd));
+    sim.run();
+    ASSERT_TRUE(fd.ok()) << fd.error().toString();
+    EXPECT_EQ(desc->uuid.str(), "rename-new");
+    EXPECT_EQ(desc->uuid.hash(),
+              std::hash<std::string_view>{}("rename-new"));
+    for (XpuShim *shim : {cpuShim, dpu1Shim, dpu2Shim}) {
+        SCOPED_TRACE(shim->puId());
+        EXPECT_EQ(shim->caps().findByUuid("rename-new"), desc);
+        EXPECT_EQ(shim->caps().findByUuid(desc->uuid), desc);
+        EXPECT_EQ(shim->caps().findByUuid("rename-old"), nullptr);
+    }
 }
 
 TEST_F(ShimFixture, CrashWithPendingRemovalsKeepsDescriptorReuseBounded)

@@ -13,6 +13,10 @@
  * Benchmarks present only on one side are reported but never fail
  * the gate (new benches have no reference yet).
  *
+ * Both snapshots' "machine" records are printed. When their CPU
+ * models or build types differ, a WARNING line says so: the ratios
+ * then compare machines as much as code. The exit code is unchanged.
+ *
  * MOLECULE_PERF_WARN_ONLY=1 in the environment downgrades regressions
  * to warnings — the escape hatch for known-noisy CI pools — while
  * keeping the full comparison table in the log.
@@ -33,9 +37,49 @@
 
 namespace {
 
-/** name -> headline value, in file order (std::map: sorted report). */
+/** A snapshot's "machine" record as written, and the fields compared. */
+struct Machine
+{
+    std::string record = "(none)";
+    std::string cpu;
+    std::string buildType;
+};
+
+/** The string value of @p key in the flat object @p record, or "". */
+std::string
+stringField(const std::string &record, const std::string &key)
+{
+    std::size_t at = record.find('"' + key + '"');
+    if (at == std::string::npos)
+        return "";
+    at = record.find('"', at + key.size() + 2);
+    const std::size_t end =
+        at == std::string::npos ? at : record.find('"', at + 1);
+    return end == std::string::npos ? ""
+                                    : record.substr(at + 1, end - at - 1);
+}
+
+Machine
+parseMachine(const std::string &text)
+{
+    Machine m;
+    const std::size_t key = text.find("\"machine\"");
+    const std::size_t open =
+        key == std::string::npos ? key : text.find('{', key);
+    const std::size_t close =
+        open == std::string::npos ? open : text.find('}', open);
+    if (close == std::string::npos)
+        return m;
+    m.record = text.substr(open, close - open + 1);
+    m.cpu = stringField(m.record, "cpu");
+    m.buildType = stringField(m.record, "build_type");
+    return m;
+}
+
+/** name -> headline value, in file order (std::map: sorted report);
+ * the machine record goes to @p machine. */
 std::map<std::string, double>
-parseSnapshot(const std::string &path, bool *ok)
+parseSnapshot(const std::string &path, bool *ok, Machine *machine)
 {
     std::map<std::string, double> out;
     *ok = false;
@@ -45,6 +89,7 @@ parseSnapshot(const std::string &path, bool *ok)
     std::stringstream ss;
     ss << in.rdbuf();
     const std::string text = ss.str();
+    *machine = parseMachine(text);
 
     // Scan for  "name": {  ...  "value": <num>  pairs.
     std::string current;
@@ -115,8 +160,9 @@ main(int argc, char **argv)
     }
 
     bool refOk = false, freshOk = false;
-    const auto ref = parseSnapshot(refPath, &refOk);
-    const auto fresh = parseSnapshot(freshPath, &freshOk);
+    Machine refMachine, freshMachine;
+    const auto ref = parseSnapshot(refPath, &refOk, &refMachine);
+    const auto fresh = parseSnapshot(freshPath, &freshOk, &freshMachine);
     if (!refOk || ref.empty()) {
         std::fprintf(stderr, "cannot read reference snapshot %s\n",
                      refPath.c_str());
@@ -130,6 +176,16 @@ main(int argc, char **argv)
 
     std::printf("perf_check: tolerance %.0f%%%s\n", tolerance * 100,
                 warnOnly ? " (warn-only)" : "");
+    std::printf("reference machine: %s\n", refMachine.record.c_str());
+    std::printf("fresh machine:     %s\n", freshMachine.record.c_str());
+    const bool cpuDiffers = refMachine.cpu != freshMachine.cpu;
+    const bool buildDiffers = refMachine.buildType != freshMachine.buildType;
+    if (cpuDiffers || buildDiffers)
+        std::printf("WARNING: the snapshots differ in %s; the ratios "
+                    "compare machines as much as code\n",
+                    cpuDiffers && buildDiffers ? "CPU model and build type"
+                    : cpuDiffers               ? "CPU model"
+                                               : "build type");
     std::printf("%-34s %14s %14s %9s\n", "benchmark", "reference",
                 "fresh", "ratio");
 
